@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from .envs import (
 )
 from .errors import InstanceError, NumericalError, ResourceError, TermdpError
 from .model import (
+    check_beta,
     directed_information,
     per_step_information,
     propagate_reduced,
@@ -45,15 +45,16 @@ LOG2 = math.log(2.0)
 
 
 def _env(name: str, default):
+    """Option default from TERMDP_<name>.
+
+    Raw strings are returned unconverted: argparse applies the option's type
+    to string defaults, so a malformed value is a usage error (exit 2).
+    """
     raw = os.environ.get(f"TERMDP_{name}")
     if raw is None:
         return default
     if isinstance(default, bool):
         return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
     return raw
 
 
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Defaults come from TERMDP_* environment variables when set "
             "(TERMDP_BETA, TERMDP_DEGREE_N, TERMDP_DEGREE_M, TERMDP_MAX_ITERS, "
             "TERMDP_TOL, TERMDP_TOL_RESIDUAL, TERMDP_SEED, TERMDP_STARTS, "
-            "TERMDP_OUT_DIR, TERMDP_BITS, TERMDP_WORKERS)."
+            "TERMDP_OUT_DIR, TERMDP_BITS)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -118,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of seeded random restarts (uniform start always included)",
     )
     common.add_argument(
-        "--out-dir", type=Path, default=Path(_env("OUT_DIR", ".")),
+        "--out-dir", type=Path, default=_env("OUT_DIR", "."),
     )
     common.add_argument(
         "--bits", action="store_true", default=_env("BITS", False),
@@ -135,10 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-min", type=float, default=None)
     p.add_argument("--beta-max", type=float, default=None)
     p.add_argument("--beta-count", type=int, default=None)
-    p.add_argument(
-        "--workers", type=int, default=_env("WORKERS", 4),
-        help="concurrent solves across betas",
-    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
@@ -223,10 +220,11 @@ def _write_policy_csv(path: Path, report: SolveReport) -> None:
     _write_csv(path, ["t", "state", "history", "action", "probability"], rows)
 
 
-def _report_doc(report: SolveReport) -> dict:
+def _write_report(args, mdp, report: SolveReport) -> None:
+    """Write report.json and policy.csv into the output directory."""
     # wall time is deliberately left out: output files must be reproducible
     # byte for byte under identical seeds
-    return {
+    doc = {
         "beta": report.beta,
         "degree": report.degree,
         "cost": report.cost,
@@ -238,6 +236,18 @@ def _report_doc(report: SolveReport) -> dict:
         "converged": report.converged,
         "objective_trace": [float(v) for v in report.objective_trace],
     }
+    if args.degree_m:
+        # wider state windows change nothing for memory policies; recompute
+        # the information at the requested window as a cross-check
+        doc["information_nats_window"] = transfer_entropy(
+            mdp, report.policy, m=args.degree_m, n_eval=args.degree_n
+        )
+        doc["window_m"] = args.degree_m
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    (args.out_dir / "report.json").write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    )
+    _write_policy_csv(args.out_dir / "policy.csv", report)
 
 
 def _print_report(report: SolveReport, bits: bool) -> None:
@@ -255,19 +265,7 @@ def _print_report(report: SolveReport, bits: bool) -> None:
 def cmd_solve(args) -> int:
     mdp = load_instance(args.instance)
     report = _best_report(mdp, args)
-    doc = _report_doc(report)
-    if args.degree_m:
-        # wider state windows change nothing for memory policies; recompute
-        # the information at the requested window as a cross-check
-        doc["information_nats_window"] = transfer_entropy(
-            mdp, report.policy, m=args.degree_m, n_eval=args.degree_n
-        )
-        doc["window_m"] = args.degree_m
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    (args.out_dir / "report.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    )
-    _write_policy_csv(args.out_dir / "policy.csv", report)
+    _write_report(args, mdp, report)
     _print_report(report, args.bits)
     return 0
 
@@ -279,14 +277,18 @@ def _sweep_betas(args) -> list[float]:
         except ValueError as exc:
             raise InstanceError(f"cannot parse --betas {args.betas!r}") from exc
     elif args.beta_min is not None and args.beta_max is not None:
-        count = args.beta_count or 10
+        count = 10 if args.beta_count is None else args.beta_count
+        if not (args.beta_min > 0 and args.beta_max > 0 and count > 0):
+            raise InstanceError(
+                "--beta-min, --beta-max and --beta-count must be positive"
+            )
         betas = list(
             np.exp(np.linspace(math.log(args.beta_min), math.log(args.beta_max), count))
         )
     else:
         raise InstanceError("sweep needs --betas or --beta-min/--beta-max")
-    if any(b <= 0 for b in betas):
-        raise InstanceError("all sweep betas must be positive")
+    for beta in betas:
+        check_beta(beta)
     return betas
 
 
@@ -294,33 +296,20 @@ def cmd_sweep(args) -> int:
     mdp = load_instance(args.instance)
     betas = _sweep_betas(args)
     base = _solve_options(args)
-
-    def run(idx_beta):
-        idx, beta = idx_beta
-        opts = replace(base, beta=beta)
-        reports = multi_start(
-            mdp, opts, starts=max(1, args.starts), seed=args.seed + idx
-        )
-        return min(reports, key=lambda r: r.total)
-
-    results: list[SolveReport | Exception] = [None] * len(betas)
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-        futures = {
-            pool.submit(run, (i, b)): i for i, b in enumerate(betas)
-        }
-        for fut, i in futures.items():
-            try:
-                results[i] = fut.result()
-            except TermdpError as exc:
-                results[i] = exc
-
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     bound_rows = []
-    for beta, res in zip(betas, results):
-        if isinstance(res, Exception):
-            rows.append([_fmt(beta), "", "", "", "", "", "", str(res)])
+    n_failed = 0
+    for idx, beta in enumerate(betas):
+        try:
+            reports = multi_start(
+                mdp, replace(base, beta=beta), starts=max(1, args.starts),
+                seed=args.seed + idx,
+            )
+        except TermdpError as exc:
+            rows.append([_fmt(beta), "", "", "", "", "", "", str(exc)])
+            n_failed += 1
             continue
+        res = min(reports, key=lambda r: r.total)
         rows.append(
             [
                 _fmt(beta),
@@ -333,7 +322,6 @@ def cmd_sweep(args) -> int:
                 "" if res.converged else "not converged",
             ]
         )
-        directed = None
         try:
             directed = directed_information(mdp, res.policy, max_cells=200_000)
         except ResourceError:
@@ -346,6 +334,7 @@ def cmd_sweep(args) -> int:
                 "information_directed_nats": directed,
             }
         )
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         args.out_dir / "tradeoff.csv",
         [
@@ -374,7 +363,6 @@ def cmd_sweep(args) -> int:
             for e in bound.entries
         ],
     )
-    n_failed = sum(isinstance(r, Exception) for r in results)
     print(f"swept {len(betas)} betas, {n_failed} failures")
     return 0
 
@@ -441,18 +429,8 @@ def cmd_maze(args) -> int:
             )
     mdp = build_maze(spec)
     report = _best_report(mdp, args)
+    _write_report(args, mdp, report)
     belief = propagate_reduced(mdp, report.policy)
-    doc = _report_doc(report)
-    if args.degree_m:
-        doc["information_nats_window"] = transfer_entropy(
-            mdp, report.policy, m=args.degree_m, n_eval=args.degree_n
-        )
-        doc["window_m"] = args.degree_m
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    (args.out_dir / "report.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    )
-    _write_policy_csv(args.out_dir / "policy.csv", report)
     for t in times:
         marg = belief.state_marginal(t - 1)
         rows = []

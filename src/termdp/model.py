@@ -295,6 +295,12 @@ class ObjectiveValue:
     total: float
 
 
+def check_beta(beta: float) -> None:
+    """Reject an information price that is not a positive finite number."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise InstanceError(f"beta must be positive and finite, got {beta!r}")
+
+
 def check_compatible(mdp: FiniteMdp, policy: MemoryPolicy) -> None:
     if policy.horizon != mdp.horizon:
         raise InstanceError(
@@ -330,27 +336,31 @@ def slide_split(mdp: FiniteMdp, degree: int, t: int) -> tuple[int, int]:
     return 1, h
 
 
-def propagate_reduced(mdp: FiniteMdp, policy: MemoryPolicy) -> ReducedBelief:
-    """Propagate the joint state/control-history distribution exactly.
+def forward_step(
+    mdp: FiniteMdp, degree: int, t: int, mu: np.ndarray, q_t: np.ndarray
+) -> np.ndarray:
+    """One belief step: mu_{t+1} from mu_t and the policy table q_t.
 
-    One step sums the previous joint against the policy and the transition
-    kernel, appending the new control to the history and dropping the oldest
-    coordinate once the window is full.
+    Sums the joint against the policy and the transition kernel, appending
+    the new control to the history and dropping the oldest coordinate once
+    the window is full.
     """
+    lam = mu[:, :, None] * q_t  # (X, H, U)
+    pushed = np.einsum("xhu,xuy->yhu", lam, mdp.transitions[t])
+    y, u = pushed.shape[0], pushed.shape[2]
+    if degree == 0:
+        return pushed.sum(axis=2)  # control never enters the history
+    dropped, kept = slide_split(mdp, degree, t)
+    return pushed.reshape(y, dropped, kept, u).sum(axis=1).reshape(y, kept * u)
+
+
+def propagate_reduced(mdp: FiniteMdp, policy: MemoryPolicy) -> ReducedBelief:
+    """Propagate the joint state/control-history distribution exactly."""
     check_compatible(mdp, policy)
     n = policy.degree
     mus = [mdp.initial.reshape(-1, 1)]
     for t in range(mdp.horizon):
-        mu = mus[-1]
-        lam = mu[:, :, None] * policy.tables[t]  # (X, H, U)
-        pushed = np.einsum("xhu,xuy->yhu", lam, mdp.transitions[t])
-        y, u = pushed.shape[0], pushed.shape[2]
-        if n == 0:
-            nxt = pushed.sum(axis=2)  # control never enters the history
-        else:
-            dropped, kept = slide_split(mdp, n, t)
-            nxt = pushed.reshape(y, dropped, kept, u).sum(axis=1).reshape(y, kept * u)
-        mus.append(nxt)
+        mus.append(forward_step(mdp, n, t, mus[-1], policy.tables[t]))
     return ReducedBelief(n, tuple(mus))
 
 
@@ -650,8 +660,7 @@ def objective(
     n_eval: int | float | None = None,
 ) -> ObjectiveValue:
     """Cost, information, and the weighted total cost + beta * information."""
-    if beta <= 0:
-        raise InstanceError(f"beta must be positive, got {beta!r}")
+    check_beta(beta)
     belief = propagate_reduced(mdp, policy)
     cost = expected_cost(mdp, policy, belief)
     if (m == 0 or m is None) and (n_eval is None or n_eval == policy.degree):
@@ -676,8 +685,7 @@ def factored_objective(
     ``objective(...).total`` when nu is the induced marginal, and is never
     below it for any other feasible nu.
     """
-    if beta <= 0:
-        raise InstanceError(f"beta must be positive, got {beta!r}")
+    check_beta(beta)
     if belief is None:
         belief = propagate_reduced(mdp, policy)
     total = 0.0

@@ -1,9 +1,12 @@
 """Independent verification oracles.
 
 Everything here deliberately avoids the solver's code paths where it can:
-value iteration is plain backward induction, brute-force search grids policy
-simplices and evaluates objectives with its own batched recursion, and the
-two-step landscapes rebuild the objective from single-stage convex solves.
+brute-force search grids policy simplices and evaluates objectives with its
+own batched recursion, and the two-step landscapes rebuild the objective from
+single-stage convex solves.  Two steps are shared with the solver rather than
+duplicated: value iteration is the solver's ``backward_induction`` (which also
+seeds the plan starts), and the batched single-stage iteration uses its
+``gibbs_step``.
 The property suites drive these oracles over seeded random instances and are
 shared by the test suite and the ``verify`` CLI subcommand.
 """
@@ -27,7 +30,9 @@ from .model import (
 )
 from .solver import (
     SolveOptions,
+    backward_induction,
     classical_blahut,
+    gibbs_step,
     multi_start,
     residual_from_policy,
     solve,
@@ -126,14 +131,7 @@ def finite_horizon_value_iteration(mdp: FiniteMdp) -> ValueIterationResult:
     Backward induction with argmin tie-breaking toward the lowest action
     index; the returned expected cost is taken from the initial distribution.
     """
-    T = mdp.horizon
-    values: list[np.ndarray] = [None] * (T + 1)
-    actions: list[np.ndarray] = [None] * T
-    values[T] = np.asarray(mdp.terminal_cost)
-    for t in range(T - 1, -1, -1):
-        q_val = mdp.stage_costs[t] + mdp.transitions[t] @ values[t + 1]
-        actions[t] = np.argmin(q_val, axis=1)
-        values[t] = q_val[np.arange(q_val.shape[0]), actions[t]]
+    actions, values = backward_induction(mdp, mdp.stage_costs)
     return ValueIterationResult(
         actions=tuple(actions),
         expected_cost=float(mdp.initial @ values[0]),
@@ -477,20 +475,15 @@ def _batched_blahut(
     u = cost.shape[1]
     q = np.full((n, z, u), 1.0 / u)
     values = np.full(n, np.inf)
-    with np.errstate(divide="ignore"):
-        for _ in range(max_iters):
-            nu = np.einsum("nz,nzu->nu", priors, q)
-            log_nu = np.where(nu > 0.0, np.log(np.maximum(nu, 1e-300)), -np.inf)
-            zz = log_nu[:, None, :] - scaled[None, :, :]
-            zmax = zz.max(axis=2, keepdims=True)
-            log_phi = zmax[:, :, 0] + np.log(np.exp(zz - zmax).sum(axis=2))
-            q = np.exp(zz - log_phi[:, :, None])
-            q /= q.sum(axis=2, keepdims=True)
-            new_values = -beta * np.einsum("nz,nz->n", priors, log_phi)
-            gap = float(np.abs(new_values - values).max())
-            values = new_values
-            if gap < tol:
-                break
+    for _ in range(max_iters):
+        nu = np.einsum("nz,nzu->nu", priors, q)
+        log_phi, q = gibbs_step(nu[:, None, :], scaled)
+        q /= q.sum(axis=2, keepdims=True)
+        new_values = -beta * np.einsum("nz,nz->n", priors, log_phi)
+        gap = float(np.abs(new_values - values).max())
+        values = new_values
+        if gap < tol:
+            break
     return values
 
 

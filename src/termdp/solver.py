@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .model import (
     expected_cost,
     factored_objective,
     canonicalize_policy,
+    check_beta,
+    forward_step,
     induced_action_marginals,
     per_step_information,
     propagate_reduced,
@@ -71,14 +74,16 @@ class SolveOptions:
     magnitude: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise InstanceError(f"beta must be positive, got {self.beta!r}")
+        check_beta(self.beta)
         if self.degree < 0:
             raise InstanceError("memory degree must be nonnegative")
         if self.max_iters < 1:
             raise InstanceError("max_iters must be positive")
-        if self.tol_objective <= 0 or self.tol_residual <= 0:
-            raise InstanceError("tolerances must be positive")
+        for tol in (self.tol_objective, self.tol_residual):
+            if not (math.isfinite(tol) and tol > 0):
+                raise InstanceError(
+                    f"tolerances must be positive and finite, got {tol!r}"
+                )
         if self.init not in ("uniform", "perturbed"):
             raise InstanceError(f"unknown init {self.init!r}")
         if self.init == "perturbed" and self.seed is None:
@@ -151,7 +156,7 @@ def backward_pass(
     stored broadcast over it.
     """
     T = mdp.horizon
-    X, A = mdp.state_cards, mdp.action_cards
+    X = mdp.state_cards
     rho: list[np.ndarray | None] = [None] * T
     log_phi: list[np.ndarray | None] = [None] * (T + 1)
     h_term = mdp.history_size(degree, T)
@@ -159,21 +164,32 @@ def backward_pass(
         (-mdp.terminal_cost / beta)[:, None], (X[T], h_term)
     ).copy()
     tables: list[np.ndarray | None] = [None] * T
-    with np.errstate(divide="ignore"):
-        for t in range(T - 1, -1, -1):
-            r = _modified_cost(mdp, degree, t, log_phi[t + 1], beta)
-            log_nu = np.where(nu[t] > 0.0, np.log(np.maximum(nu[t], 1e-300)), -np.inf)
-            z = log_nu[None, :, :] - r
-            zmax = z.max(axis=2, keepdims=True)
-            lse = zmax[:, :, 0] + np.log(np.exp(z - zmax).sum(axis=2))
-            rho[t] = r
-            log_phi[t] = lse
-            q_t = np.exp(z - lse[:, :, None])
-            # exponent roundoff at extreme cost/beta ratios leaves row sums
-            # off by more than the policy tolerance; renormalize exactly
-            tables[t] = q_t / q_t.sum(axis=2, keepdims=True)
+    for t in range(T - 1, -1, -1):
+        rho[t] = _modified_cost(mdp, degree, t, log_phi[t + 1], beta)
+        log_phi[t], q_t = gibbs_step(nu[t], rho[t])
+        # exponent roundoff at extreme cost/beta ratios leaves row sums
+        # off by more than the policy tolerance; renormalize exactly
+        tables[t] = q_t / q_t.sum(axis=2, keepdims=True)
     policy = MemoryPolicy(degree, tuple(tables))
     return list(rho), list(log_phi), policy
+
+
+def gibbs_step(nu: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log partition and Gibbs policy of a marginal against a scaled cost.
+
+    Over the last axis, with z = log nu - cost (nu broadcast against cost):
+
+        log_phi = logsumexp_u(z)
+        q       = exp(z - log_phi)
+
+    Zero marginal entries get log nu = -inf and so zero policy mass.  q is
+    not renormalized; callers that keep it as a policy divide by its sums.
+    """
+    log_nu = np.where(nu > 0.0, np.log(np.maximum(nu, 1e-300)), -np.inf)
+    z = log_nu - cost
+    zmax = z.max(axis=-1, keepdims=True)
+    lse = zmax[..., 0] + np.log(np.exp(z - zmax).sum(axis=-1))
+    return lse, np.exp(z - lse[..., None])
 
 
 def _modified_cost(
@@ -196,17 +212,6 @@ def _modified_cost(
     return np.broadcast_to(
         core[:, None, :, :], (X[t], dropped, kept, A[t])
     ).reshape(X[t], dropped * kept, A[t])
-
-
-def _stage_objective(
-    mdp: FiniteMdp,
-    belief: ReducedBelief,
-    nu: list[np.ndarray],
-    policy: MemoryPolicy,
-    beta: float,
-) -> float:
-    """Factored objective from already-propagated beliefs."""
-    return factored_objective(mdp, policy, nu, beta, belief=belief)
 
 
 def _masked_policy_gap(
@@ -250,10 +255,11 @@ def _sweeps(
     iterations = 0
     for k in range(1, max_iters + 1):
         belief, nu = forward_pass(mdp, q)
-        if prev_nu is None:
-            trace.append(_stage_objective(mdp, belief, nu, q, opts.beta))
-        else:
-            trace.append(_stage_objective(mdp, belief, prev_nu, q, opts.beta))
+        trace.append(
+            factored_objective(
+                mdp, q, nu if prev_nu is None else prev_nu, opts.beta, belief=belief
+            )
+        )
         if not math.isfinite(trace[-1]):
             raise NumericalError(f"non-finite objective at iteration {k}")
         _, _, q_new = backward_pass(mdp, nu, opts.beta, opts.degree)
@@ -304,17 +310,24 @@ def _solve_loop(
     )
 
 
-def _value_iteration_actions(
-    mdp: FiniteMdp, stage_costs: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Greedy backward induction used only to seed multi-start plans."""
-    value = np.asarray(mdp.terminal_cost)
-    actions: list[np.ndarray] = [None] * mdp.horizon
-    for t in range(mdp.horizon - 1, -1, -1):
-        q_val = stage_costs[t] + mdp.transitions[t] @ value
+def backward_induction(
+    mdp: FiniteMdp, stage_costs: Sequence[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Deterministic dynamic programming without the information cost.
+
+    Returns the greedy actions for t = 0..T-1 (argmin ties go to the lowest
+    action index) and the values to go for t = 0..T, the last being the
+    terminal cost.  Seeds the plan starts and is the value-iteration oracle.
+    """
+    T = mdp.horizon
+    values: list[np.ndarray] = [None] * (T + 1)
+    actions: list[np.ndarray] = [None] * T
+    values[T] = np.asarray(mdp.terminal_cost)
+    for t in range(T - 1, -1, -1):
+        q_val = stage_costs[t] + mdp.transitions[t] @ values[t + 1]
         actions[t] = np.argmin(q_val, axis=1)
-        value = q_val[np.arange(q_val.shape[0]), actions[t]]
-    return actions
+        values[t] = q_val[np.arange(q_val.shape[0]), actions[t]]
+    return actions, values
 
 
 def plan_start_policies(
@@ -334,7 +347,7 @@ def plan_start_policies(
         costs = [
             c + p[:, None] for c, p in zip(mdp.stage_costs, penalties)
         ]
-        actions = _value_iteration_actions(mdp, costs)
+        actions, _ = backward_induction(mdp, costs)
         tables = []
         for t in range(mdp.horizon):
             u_card = mdp.action_cards[t]
@@ -415,15 +428,7 @@ def stationarity_residual(
     )
     worst = float(np.abs(belief.mus[0] - mdp.initial.reshape(-1, 1)).max())
     for t in range(T):
-        mu = belief.mus[t]
-        lam = mu[:, :, None] * q.tables[t]
-        pushed = np.einsum("xhu,xuy->yhu", lam, mdp.transitions[t])
-        y, u = pushed.shape[0], pushed.shape[2]
-        if n == 0:
-            nxt = pushed.sum(axis=2)
-        else:
-            dropped, kept = slide_split(mdp, n, t)
-            nxt = pushed.reshape(y, dropped, kept, u).sum(axis=1).reshape(y, kept * u)
+        nxt = forward_step(mdp, n, t, belief.mus[t], q.tables[t])
         worst = max(worst, float(np.abs(belief.mus[t + 1] - nxt).max()))
     fresh_nu = induced_action_marginals(mdp, q, belief)
     for t in range(T):
@@ -437,22 +442,15 @@ def stationarity_residual(
         (-mdp.terminal_cost / beta)[:, None], (mdp.state_cards[T], h_term)
     )
     worst = max(worst, float(np.abs(log_phi[T] - term).max()))
-    with np.errstate(divide="ignore"):
-        for t in range(T - 1, -1, -1):
-            want_rho = _modified_cost(mdp, n, t, log_phi[t + 1], beta)
-            worst = max(worst, float(np.abs(rho[t] - want_rho).max()))
-            log_nu = np.where(
-                nu[t] > 0.0, np.log(np.maximum(nu[t], 1e-300)), -np.inf
-            )
-            z = log_nu[None, :, :] - rho[t]
-            zmax = z.max(axis=2, keepdims=True)
-            lse = zmax[:, :, 0] + np.log(np.exp(z - zmax).sum(axis=2))
-            worst = max(worst, float(np.abs(log_phi[t] - lse).max()))
-            q_want = np.exp(z - log_phi[t][:, :, None])
-            mask = belief.mus[t] > MASS_TOL
-            if mask.any():
-                diff = np.abs(q.tables[t] - q_want)[mask, :]
-                worst = max(worst, float(diff.max()))
+    for t in range(T - 1, -1, -1):
+        want_rho = _modified_cost(mdp, n, t, log_phi[t + 1], beta)
+        worst = max(worst, float(np.abs(rho[t] - want_rho).max()))
+        lse, q_want = gibbs_step(nu[t], rho[t])
+        worst = max(worst, float(np.abs(log_phi[t] - lse).max()))
+        mask = belief.mus[t] > MASS_TOL
+        if mask.any():
+            diff = np.abs(q.tables[t] - q_want)[mask, :]
+            worst = max(worst, float(diff.max()))
     return worst
 
 
@@ -507,32 +505,25 @@ def classical_blahut(
         )
     if (p < 0).any() or abs(float(p.sum()) - 1.0) > 1e-9:
         raise InstanceError("prior is not a probability distribution")
-    if beta <= 0:
-        raise InstanceError(f"beta must be positive, got {beta!r}")
+    check_beta(beta)
     scaled = c / beta
     n_u = c.shape[1]
     q = np.full_like(c, 1.0 / n_u)
     value = math.inf
     converged = False
     iterations = 0
-    with np.errstate(divide="ignore"):
-        for k in range(1, max_iters + 1):
-            nu = p @ q
-            log_nu = np.where(nu > 0.0, np.log(np.maximum(nu, 1e-300)), -np.inf)
-            z = log_nu[None, :] - scaled
-            zmax = z.max(axis=1, keepdims=True)
-            log_phi = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-            q_new = np.exp(z - log_phi[:, None])
-            q_new /= q_new.sum(axis=1, keepdims=True)
-            new_value = -beta * float(p @ log_phi)
-            gap = float(np.abs(q_new - q)[p > 0.0, :].max()) if (p > 0).any() else 0.0
-            q = q_new
-            iterations = k
-            if abs(new_value - value) < tol and gap < tol:
-                value = new_value
-                converged = True
-                break
+    for k in range(1, max_iters + 1):
+        log_phi, q_new = gibbs_step(p @ q, scaled)
+        q_new /= q_new.sum(axis=1, keepdims=True)
+        new_value = -beta * float(p @ log_phi)
+        gap = float(np.abs(q_new - q)[p > 0.0, :].max()) if (p > 0).any() else 0.0
+        q = q_new
+        iterations = k
+        if abs(new_value - value) < tol and gap < tol:
             value = new_value
+            converged = True
+            break
+        value = new_value
     if (p == 0.0).any():
         q = q.copy()
         q[p == 0.0, :] = 1.0 / n_u

@@ -5,10 +5,13 @@ import math
 import os
 
 import numpy as np
+import pytest
 
 import termdp as td
+import termdp.cli
 from termdp import envs
 from termdp.cli import main
+from termdp.errors import NumericalError
 
 TOY = "instances/toy.json"
 HAMMING = "instances/binary_hamming.json"
@@ -63,6 +66,15 @@ class TestSolveCommand:
         )
         assert code == 4
         assert "resource guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option", [["--beta", "nan"], ["--beta", "inf"], ["--tol", "nan"]]
+    )
+    def test_non_finite_numbers_are_input_errors(self, tmp_path, capsys, option):
+        code = run(["solve", TOY, *option, "--out-dir", tmp_path])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_bits_flag_prints_bits(self, tmp_path, capsys):
         run(["solve", HAMMING, "--beta", "1", "--bits", "--out-dir", tmp_path])
@@ -131,6 +143,42 @@ class TestSweepCommand:
 
     def test_needs_beta_specification(self, tmp_path, capsys):
         assert run(["sweep", HAMMING, "--out-dir", tmp_path]) == 2
+
+    def test_failed_beta_goes_to_error_column(self, tmp_path, monkeypatch):
+        solve_all = termdp.cli.multi_start
+
+        def failing(mdp, opts, **kwargs):
+            if opts.beta == 2.0:
+                raise NumericalError("non-finite objective at iteration 1")
+            return solve_all(mdp, opts, **kwargs)
+
+        monkeypatch.setattr(termdp.cli, "multi_start", failing)
+        code = run(
+            ["sweep", HAMMING, "--betas", "0.5,2,4", "--out-dir", tmp_path]
+        )
+        assert code == 0
+        rows = [
+            line.split(",")
+            for line in (tmp_path / "tradeoff.csv").read_text().splitlines()[1:]
+        ]
+        assert [r[0] for r in rows] == ["0.5", "2.0", "4.0"]
+        assert rows[1][1:] == ["", "", "", "", "", "", "non-finite objective at iteration 1"]
+        assert rows[0][7] == rows[2][7] == ""
+        bounds = (tmp_path / "rate_bounds.csv").read_text().splitlines()
+        assert len(bounds) == 3
+
+    def test_non_finite_beta_rejected_before_solving(self, tmp_path, capsys):
+        code = run(["sweep", HAMMING, "--betas", "nan,1", "--out-dir", tmp_path])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "tradeoff.csv").exists()
+
+    def test_nonpositive_range_rejected(self, tmp_path):
+        code = run(
+            ["sweep", HAMMING, "--beta-min", "0", "--beta-max", "1",
+             "--out-dir", tmp_path]
+        )
+        assert code == 2
 
 
 class TestLandscapeCommand:
@@ -238,3 +286,16 @@ class TestEnvOverrides:
         assert code == 0
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["beta"] == 1.0
+
+    def test_malformed_environment_value_is_usage_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("TERMDP_BETA", "abc")
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", TOY, "--out-dir", tmp_path])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid float value: 'abc'" in err
+        assert "Traceback" not in err
+        # a flag on the command line still wins over the bad default
+        assert run(["solve", TOY, "--beta", "1", "--out-dir", tmp_path]) == 0

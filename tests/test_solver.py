@@ -1,6 +1,7 @@
 """Solver tests: sweep mechanics, descent, fixed points, classical case."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ import termdp as td
 from termdp import oracle
 from termdp.errors import InstanceError
 from termdp.solver import (
+    SolverIterate,
     backward_pass,
     forward_pass,
     free_energy,
     plan_start_policies,
     residual_from_policy,
+    stationarity_residual,
 )
 
 from reference import symmetric_classical_minimum
@@ -42,6 +45,19 @@ class TestOptions:
             td.SolveOptions(beta=1.0, init="perturbed")
         with pytest.raises(InstanceError):
             td.SolveOptions(beta=1.0, init="warm")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"beta": math.nan},
+            {"beta": math.inf},
+            {"beta": 1.0, "tol_objective": math.nan},
+            {"beta": 1.0, "tol_residual": math.inf},
+        ],
+    )
+    def test_non_finite_options_rejected(self, kwargs):
+        with pytest.raises(InstanceError, match="finite"):
+            td.SolveOptions(**kwargs)
 
 
 class TestForwardPass:
@@ -201,6 +217,69 @@ class TestStationarityResidual:
         toy = td.build_nonconvex_toy()
         rep = td.solve(toy, td.SolveOptions(beta=1.0, degree=0, init="perturbed", seed=4))
         assert rep.converged and rep.residual < 1e-8
+
+
+BETA_CERT = 0.8
+DELTA = 1e-3
+
+
+def _bumped(
+    arrays: tuple[np.ndarray, ...], t: int, index: tuple[int, ...]
+) -> tuple[np.ndarray, ...]:
+    """Copy of the arrays with DELTA added to arrays[t][index]."""
+    out = [np.array(a) for a in arrays]
+    out[t][index] += DELTA
+    return tuple(out)
+
+
+class TestStationarityResidualRelations:
+    """Break one stationarity relation at a time on an exact iterate.
+
+    Time T - 1 is perturbed (time T for beliefs and log partitions); at
+    degree 1 the belief step there slides the history window.
+    """
+
+    @pytest.fixture(scope="class", params=[0, 1])
+    def exact(self, request):
+        """One sweep's iterate from a converged policy: every relation holds."""
+        degree = request.param
+        mdp = oracle.random_mdp(np.random.default_rng(31), 3, 3, 3)
+        rep = td.solve(mdp, td.SolveOptions(beta=BETA_CERT, degree=degree))
+        assert rep.converged
+        belief, nu = forward_pass(mdp, rep.policy)
+        rho, log_phi, _ = backward_pass(mdp, nu, BETA_CERT, degree)
+        return mdp, SolverIterate(
+            belief=belief,
+            nu=tuple(nu),
+            rho=tuple(rho),
+            log_phi=tuple(log_phi),
+            policy=rep.policy,
+        )
+
+    def test_exact_iterate_certified(self, exact):
+        mdp, it = exact
+        assert stationarity_residual(mdp, it, BETA_CERT) < 1e-8
+
+    @pytest.mark.parametrize(
+        "relation", ["belief", "marginal", "cost", "partition", "terminal"]
+    )
+    def test_perturbation_detected(self, exact, relation):
+        mdp, it = exact
+        T = mdp.horizon
+        if relation == "belief":
+            mus = _bumped(it.belief.mus, T, (0, 0))
+            it = replace(it, belief=td.ReducedBelief(it.belief.degree, mus))
+        elif relation == "marginal":
+            # the marginal relation is only checked on histories with mass
+            h = int(np.argmax(it.belief.mus[T - 1].sum(axis=0)))
+            it = replace(it, nu=_bumped(it.nu, T - 1, (h, 0)))
+        elif relation == "cost":
+            it = replace(it, rho=_bumped(it.rho, T - 1, (0, 0, 0)))
+        elif relation == "partition":
+            it = replace(it, log_phi=_bumped(it.log_phi, T - 1, (0, 0)))
+        else:
+            it = replace(it, log_phi=_bumped(it.log_phi, T, (0, 0)))
+        assert stationarity_residual(mdp, it, BETA_CERT) >= DELTA - 1e-12
 
 
 class TestClassicalBlahut:
