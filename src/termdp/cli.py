@@ -33,7 +33,6 @@ from .envs import (
 )
 from .errors import InstanceError, NumericalError, ResourceError, TermdpError
 from .model import (
-    check_beta,
     directed_information,
     per_step_information,
     propagate_reduced,
@@ -174,14 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solve_options(args) -> SolveOptions:
-    if args.beta <= 0:
+def _solve_options(args, beta: float) -> SolveOptions:
+    if beta <= 0:
         raise InstanceError(
             "beta must be positive; use the value-iteration subcommand for "
             "the beta = 0 baseline"
         )
     return SolveOptions(
-        beta=args.beta,
+        beta=beta,
         degree=args.degree_n,
         max_iters=args.max_iters,
         tol_objective=args.tol,
@@ -195,7 +194,7 @@ def _best_report(mdp, args) -> SolveReport:
     Starts are screened with short runs and only the screening winner is
     polished, so large instances stay within interactive budgets.
     """
-    opts = _solve_options(args)
+    opts = _solve_options(args, args.beta)
     reports = multi_start(
         mdp,
         opts,
@@ -287,23 +286,21 @@ def _sweep_betas(args) -> list[float]:
         )
     else:
         raise InstanceError("sweep needs --betas or --beta-min/--beta-max")
-    for beta in betas:
-        check_beta(beta)
     return betas
 
 
 def cmd_sweep(args) -> int:
     mdp = load_instance(args.instance)
-    betas = _sweep_betas(args)
-    base = _solve_options(args)
+    # a sweep solves its own betas only; the shared --beta plays no part
+    runs = [_solve_options(args, beta) for beta in _sweep_betas(args)]
     rows = []
     bound_rows = []
     n_failed = 0
-    for idx, beta in enumerate(betas):
+    for idx, opts in enumerate(runs):
+        beta = opts.beta
         try:
             reports = multi_start(
-                mdp, replace(base, beta=beta), starts=max(1, args.starts),
-                seed=args.seed + idx,
+                mdp, opts, starts=max(1, args.starts), seed=args.seed + idx
             )
         except TermdpError as exc:
             rows.append([_fmt(beta), "", "", "", "", "", "", str(exc)])
@@ -363,7 +360,7 @@ def cmd_sweep(args) -> int:
             for e in bound.entries
         ],
     )
-    print(f"swept {len(betas)} betas, {n_failed} failures")
+    print(f"swept {len(runs)} betas, {n_failed} failures")
     return 0
 
 

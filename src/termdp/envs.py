@@ -320,6 +320,13 @@ def _depth(value) -> int:
     return d
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"{name} is not a numeric array: {exc}") from exc
+
+
 def instance_from_dict(doc: dict) -> FiniteMdp:
     """Validate and expand an instance document into a FiniteMdp.
 
@@ -337,31 +344,31 @@ def instance_from_dict(doc: dict) -> FiniteMdp:
         raise InstanceError(f"horizon must be a positive integer, got {horizon!r}")
     tr = doc["transition"]
     if _depth(tr) == 3:
-        transitions = [np.asarray(tr, dtype=float)] * horizon
+        transitions = [_float_array(tr, "transition")] * horizon
     elif _depth(tr) == 4:
         if len(tr) != horizon:
             raise InstanceError(
                 f"transition lists {len(tr)} slices for horizon {horizon}"
             )
-        transitions = [np.asarray(s, dtype=float) for s in tr]
+        transitions = [_float_array(s, "transition") for s in tr]
     else:
         raise InstanceError("transition must be a 3-d slice or a list of 3-d slices")
     sc = doc["stage_cost"]
     if _depth(sc) == 2:
-        stage_costs = [np.asarray(sc, dtype=float)] * horizon
+        stage_costs = [_float_array(sc, "stage_cost")] * horizon
     elif _depth(sc) == 3:
         if len(sc) != horizon:
             raise InstanceError(
                 f"stage_cost lists {len(sc)} slices for horizon {horizon}"
             )
-        stage_costs = [np.asarray(s, dtype=float) for s in sc]
+        stage_costs = [_float_array(s, "stage_cost") for s in sc]
     else:
         raise InstanceError("stage_cost must be a 2-d slice or a list of 2-d slices")
     mdp = FiniteMdp(
         transitions=tuple(transitions),
         stage_costs=tuple(stage_costs),
-        terminal_cost=np.asarray(doc["terminal_cost"], dtype=float),
-        initial=np.asarray(doc["initial"], dtype=float),
+        terminal_cost=_float_array(doc["terminal_cost"], "terminal_cost"),
+        initial=_float_array(doc["initial"], "initial"),
     )
     for key, cards in (("states", mdp.state_cards), ("actions", mdp.action_cards)):
         if key not in doc:
@@ -369,7 +376,7 @@ def instance_from_dict(doc: dict) -> FiniteMdp:
         declared = doc[key]
         if isinstance(declared, int):
             declared = [declared] * len(cards)
-        if list(declared) != list(cards):
+        if declared != list(cards):
             raise InstanceError(
                 f"declared {key} {declared} do not match array shapes {list(cards)}"
             )
@@ -430,22 +437,27 @@ def maze_spec_from_dict(doc: dict) -> MazeSpec:
         if key not in doc:
             raise InstanceError(f"maze document is missing field {key!r}")
     walls = set()
-    for item in doc["walls"]:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise InstanceError(f"wall entry {item!r} is not a [cell, direction] pair")
-        walls.add((int(item[0]), str(item[1])))
-    return MazeSpec(
-        width=int(doc["width"]),
-        height=int(doc["height"]),
-        walls=frozenset(walls),
-        start=int(doc["start"]),
-        goal=int(doc["goal"]),
-        p_intended=float(doc.get("p_intended", 0.8)),
-        p_slip=float(doc.get("p_slip", 0.05)),
-        horizon=int(doc.get("horizon", 55)),
-        terminal_penalty=float(doc.get("terminal_penalty", 10000.0)),
-        intended_slip_share=bool(doc.get("intended_slip_share", True)),
-    )
+    try:
+        for item in doc["walls"]:
+            if not isinstance(item, (list, tuple)) or len(item) != 2:
+                raise InstanceError(
+                    f"wall entry {item!r} is not a [cell, direction] pair"
+                )
+            walls.add((int(item[0]), str(item[1])))
+        return MazeSpec(
+            width=int(doc["width"]),
+            height=int(doc["height"]),
+            walls=frozenset(walls),
+            start=int(doc["start"]),
+            goal=int(doc["goal"]),
+            p_intended=float(doc.get("p_intended", 0.8)),
+            p_slip=float(doc.get("p_slip", 0.05)),
+            horizon=int(doc.get("horizon", 55)),
+            terminal_penalty=float(doc.get("terminal_penalty", 10000.0)),
+            intended_slip_share=bool(doc.get("intended_slip_share", True)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"maze document has a malformed value: {exc}") from exc
 
 
 def load_maze_spec(path: str | Path) -> MazeSpec:

@@ -23,6 +23,7 @@ from .errors import InstanceError, ResourceError
 from .model import (
     FiniteMdp,
     MemoryPolicy,
+    check_beta,
     conditional_mutual_information,
     slide_split,
     transfer_entropy,
@@ -367,6 +368,7 @@ def brute_force_policy_search(
     Guarded by the free-parameter count (at most 6 simplex coordinates) and
     by the total combination budget.
     """
+    check_beta(beta)
     slices: list[tuple[int, int, int]] = []  # (t, x, h)
     grids: list[np.ndarray] = []
     free = 0
@@ -509,6 +511,7 @@ def directed_optimum_t2(
     cost is folded into the second-stage cost table.  The result is exact up
     to the first-stage grid spacing.
     """
+    check_beta(beta)
     if mdp.horizon != 2:
         raise InstanceError("directed-information optimum oracle needs horizon 2")
     x0, u0 = mdp.state_cards[0], mdp.action_cards[0]
@@ -558,6 +561,7 @@ def structural_reduction_check(
     and once over the lifted joint of the whole past (full-history side).
     Equality of the optima is the structural claim under test.
     """
+    check_beta(beta)
     if mdp.horizon > 2:
         raise InstanceError("structural reduction check is guarded at horizon 2")
     if mdp.horizon == 1:

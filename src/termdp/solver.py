@@ -4,8 +4,14 @@ Each sweep first propagates the state/history joint forward under the current
 policy and marginalizes out the state to get history-conditional action
 marginals, then recurses backward computing a modified stage cost, a log
 partition function, and the refreshed policy.  The sweep is an exact two-block
-coordinate descent on the factored objective, so the recorded objective trace
-is nonincreasing.
+coordinate descent on the factored objective F(q, nu), so the recorded
+objective trace is nonincreasing.
+
+The trace costs no pass of its own: for q = Gibbs(nu, rho) the stage terms
+c / beta + log(q / nu) telescope through log phi, so F of the policy a
+backward pass builds, against the marginals it was built from, is that pass's
+free energy -beta * E[log phi_0(x_0)].  Only the start policy's value is
+evaluated directly, with ``factored_objective``.
 
 The weight beta is absorbed by dividing stage costs by beta inside the
 backward recursion; reported costs are always unscaled.  Partition functions
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,14 +60,14 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-12
+PLAN_MIX = 0.8  # weight of the greedy action in a plan start
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     """Solve configuration.
 
-    init is "uniform" or "perturbed"; perturbed starts need a seed and a
-    perturbation magnitude in (0, 1).
+    init is "uniform" or "perturbed"; perturbed starts need a seed.
     """
 
     beta: float
@@ -71,7 +77,6 @@ class SolveOptions:
     tol_residual: float = 1e-8
     init: str = "uniform"
     seed: int | None = None
-    magnitude: float = 0.1
 
     def __post_init__(self) -> None:
         check_beta(self.beta)
@@ -88,8 +93,6 @@ class SolveOptions:
             raise InstanceError(f"unknown init {self.init!r}")
         if self.init == "perturbed" and self.seed is None:
             raise InstanceError("perturbed init requires a seed")
-        if not 0.0 < self.magnitude < 1.0:
-            raise InstanceError("perturbation magnitude must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,6 @@ class SolverIterate:
     rho: tuple[np.ndarray, ...]
     log_phi: tuple[np.ndarray, ...]
     policy: MemoryPolicy
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -119,12 +121,6 @@ class SolveReport:
     converged: bool
     objective_trace: np.ndarray
     wall_time_seconds: float
-
-
-def _initial_policy(mdp: FiniteMdp, opts: SolveOptions) -> MemoryPolicy:
-    if opts.init == "uniform":
-        return MemoryPolicy.uniform(mdp, opts.degree)
-    return MemoryPolicy.perturbed(mdp, opts.degree, opts.seed, opts.magnitude)
 
 
 def forward_pass(
@@ -230,14 +226,20 @@ def _masked_policy_gap(
 def solve(mdp: FiniteMdp, opts: SolveOptions) -> SolveReport:
     """Iterate forward and backward sweeps until the objective stalls.
 
-    The objective trace starts at the initial policy's value and records one
-    value per completed sweep; it is nonincreasing up to roundoff.  The solve
-    is declared converged once consecutive objective values differ by less
-    than tol_objective and the policy change over massed pairs (equivalently
-    the fixed-point relation on q) is below tol_residual; the certified
+    The objective trace records one value per sweep and is nonincreasing up
+    to roundoff.  trace[0] is the start policy's objective F(q_0, nu_0);
+    trace[k] = F(q_k, nu_{k-1}) is the free energy of the backward pass that
+    built q_k from the marginals of q_{k-1}.  The solve is declared
+    converged once consecutive objective values differ by less than
+    tol_objective and the policy change over massed pairs (equivalently the
+    fixed-point relation on q) is below tol_residual; the certified
     stationarity residual of the final iterate is reported either way.
     """
-    return _solve_loop(mdp, opts, _initial_policy(mdp, opts))
+    if opts.init == "uniform":
+        q0 = MemoryPolicy.uniform(mdp, opts.degree)
+    else:
+        q0 = MemoryPolicy.perturbed(mdp, opts.degree, opts.seed)
+    return _solve_loop(mdp, opts, q0)
 
 
 def _sweeps(
@@ -247,22 +249,24 @@ def _sweeps(
     max_iters: int,
     check_stop: bool,
 ):
-    """Shared sweep loop; returns (q, trace, iterations, converged)."""
+    """Shared sweep loop; returns (q, trace, iterations, converged).
+
+    Sweep k records trace[k - 1]: the start policy's objective on the first
+    sweep, after it the free energy of sweep k - 1's backward pass.
+    """
     q = q0
     trace: list[float] = []
-    prev_nu: list[np.ndarray] | None = None
     converged = False
     iterations = 0
     for k in range(1, max_iters + 1):
         belief, nu = forward_pass(mdp, q)
-        trace.append(
-            factored_objective(
-                mdp, q, nu if prev_nu is None else prev_nu, opts.beta, belief=belief
-            )
-        )
-        if not math.isfinite(trace[-1]):
+        if k == 1:
+            value = factored_objective(mdp, q, nu, opts.beta, belief=belief)
+        trace.append(value)
+        if not math.isfinite(value):
             raise NumericalError(f"non-finite objective at iteration {k}")
-        _, _, q_new = backward_pass(mdp, nu, opts.beta, opts.degree)
+        _, log_phi, q_new = backward_pass(mdp, nu, opts.beta, opts.degree)
+        value = free_energy(log_phi[0], mdp.initial, opts.beta)
         iterations = k
         if (
             check_stop
@@ -274,7 +278,6 @@ def _sweeps(
             converged = True
             break
         q = q_new
-        prev_nu = nu
     return q, trace, iterations, converged
 
 
@@ -286,10 +289,11 @@ def _solve_loop(
     trace_prefix: list[float] | None = None,
 ) -> SolveReport:
     start = time.perf_counter()
-    budget = max(1, opts.max_iters - iters_used)
+    budget = opts.max_iters - iters_used
     q, trace, iterations, converged = _sweeps(mdp, opts, q0, budget, True)
-    final = canonicalize_policy(mdp, q)
-    belief = propagate_reduced(mdp, final)
+    # canonicalizing only rewrites massless slices, so q's belief is final's
+    belief = propagate_reduced(mdp, q)
+    final = canonicalize_policy(mdp, q, belief)
     cost = expected_cost(mdp, final, belief)
     info = float(per_step_information(mdp, final, belief).sum())
     residual = residual_from_policy(mdp, final, opts.beta)
@@ -331,7 +335,7 @@ def backward_induction(
 
 
 def plan_start_policies(
-    mdp: FiniteMdp, degree: int, count: int, mix: float = 0.8
+    mdp: FiniteMdp, degree: int, count: int
 ) -> list[MemoryPolicy]:
     """Structurally diverse starts from iteratively penalized planning.
 
@@ -353,8 +357,8 @@ def plan_start_policies(
             u_card = mdp.action_cards[t]
             x_card = mdp.state_cards[t]
             h = mdp.history_size(degree, t)
-            q = np.full((x_card, h, u_card), (1.0 - mix) / u_card)
-            q[np.arange(x_card), :, actions[t]] += mix
+            q = np.full((x_card, h, u_card), (1.0 - PLAN_MIX) / u_card)
+            q[np.arange(x_card), :, actions[t]] += PLAN_MIX
             tables.append(q)
         policy = MemoryPolicy(degree, tuple(tables))
         plans.append(policy)
@@ -380,30 +384,25 @@ def multi_start(
     deterministic penalized-planning blends, and ``starts`` seeded random
     perturbations drawn from the master seed.  With ``screen_iters`` set,
     every start first runs that many sweeps and only the screening winner is
-    polished to convergence (one report returned); otherwise every start is
-    solved fully.  Both modes are reproducible bit for bit.
+    polished, within the rest of max_iters, into the one report returned;
+    values agreeing to 12 digits tie and go to the earliest start.  Otherwise
+    every start is solved fully.  Both modes are reproducible bit for bit.
     """
     if starts < 0 or starts + int(include_uniform) + plan_starts < 1:
         raise InstanceError("multi-start needs at least one start")
     rng = np.random.default_rng(seed)
     start_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=starts)]
-    inits: list[MemoryPolicy] = []
-    if include_uniform:
-        inits.append(_initial_policy(mdp, replace(opts, init="uniform", seed=None)))
+    inits = [MemoryPolicy.uniform(mdp, opts.degree)] if include_uniform else []
     inits.extend(plan_start_policies(mdp, opts.degree, plan_starts))
-    for s in start_seeds:
-        inits.append(
-            _initial_policy(mdp, replace(opts, init="perturbed", seed=s))
-        )
+    inits.extend(MemoryPolicy.perturbed(mdp, opts.degree, s) for s in start_seeds)
     if screen_iters is None:
         return [_solve_loop(mdp, opts, q0) for q0 in inits]
     screen_budget = min(screen_iters, opts.max_iters)
-    screened = []
-    for q0 in inits:
-        q, trace, iters, _ = _sweeps(mdp, opts, q0, screen_budget, True)
-        screened.append((trace[-1], q, trace, iters))
-    best = min(range(len(screened)), key=lambda i: screened[i][0])
-    _, q, trace, iters = screened[best]
+    screened = [_sweeps(mdp, opts, q0, screen_budget, True) for q0 in inits]
+    low = min(trace[-1] for _, trace, _, _ in screened)
+    q, trace, iters, _ = next(
+        s for s in screened if s[1][-1] - low <= 1e-12 * abs(low)
+    )
     return [_solve_loop(mdp, opts, q, iters_used=iters, trace_prefix=trace)]
 
 

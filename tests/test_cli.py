@@ -80,6 +80,25 @@ class TestSolveCommand:
         run(["solve", HAMMING, "--beta", "1", "--bits", "--out-dir", tmp_path])
         assert "bits" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "transition",
+        [
+            [[[0.5, "a"], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]],
+            [[[0.5, 0.5], [1.0]], [[0.5, 0.5], [0.5, 0.5]]],
+        ],
+        ids=["non-numeric-entry", "ragged-slice"],
+    )
+    def test_malformed_transition_is_input_error(
+        self, tmp_path, capsys, transition
+    ):
+        doc = envs.instance_to_dict(envs.load_instance(HAMMING))
+        doc["transition"] = transition
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = run(["solve", path, "--out-dir", tmp_path])
+        assert code == 2
+        assert "transition" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_tradeoff_and_bounds_files(self, tmp_path):
@@ -173,6 +192,14 @@ class TestSweepCommand:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "tradeoff.csv").exists()
 
+    def test_shared_beta_not_used_by_sweep(self, tmp_path):
+        code = run(
+            ["sweep", HAMMING, "--betas", "1,2", "--beta", "0",
+             "--out-dir", tmp_path]
+        )
+        assert code == 0
+        assert len((tmp_path / "tradeoff.csv").read_text().splitlines()) == 3
+
     def test_nonpositive_range_rejected(self, tmp_path):
         code = run(
             ["sweep", HAMMING, "--beta-min", "0", "--beta-max", "1",
@@ -233,6 +260,15 @@ class TestMazeCommand:
              "--out-dir", tmp_path]
         )
         assert code == 2
+
+    def test_malformed_spec_value_is_input_error(self, tmp_path, capsys):
+        doc = envs.maze_spec_to_dict(td.sample_maze_spec(horizon=8))
+        doc["width"] = "x"
+        maze = tmp_path / "maze.json"
+        maze.write_text(json.dumps(doc))
+        code = run(["maze", maze, "--out-dir", tmp_path])
+        assert code == 2
+        assert "malformed" in capsys.readouterr().err
 
     def test_deterministic_outputs(self, tmp_path):
         maze = tmp_path / "maze.json"

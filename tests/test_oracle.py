@@ -131,6 +131,23 @@ class TestLandscapes:
             assert near, (th0, th1, sorted(cells))
 
 
+class TestBetaValidation:
+    def test_brute_force_rejects_nan_beta(self):
+        mdp = oracle.random_mdp(np.random.default_rng(3), 1)
+        with pytest.raises(InstanceError, match="beta"):
+            oracle.brute_force_policy_search(mdp, math.nan, 0, 0.25)
+
+    def test_directed_optimum_rejects_nan_beta(self):
+        with pytest.raises(InstanceError, match="beta"):
+            oracle.directed_optimum_t2(td.build_nonconvex_toy(), math.nan, 0.1)
+
+    def test_structural_reduction_rejects_nan_beta(self):
+        with pytest.raises(InstanceError, match="beta"):
+            oracle.structural_reduction_check(
+                td.build_nonconvex_toy(), math.nan, 0.1
+            )
+
+
 class TestStructuralReduction:
     def test_single_step_classes_identical(self):
         rng = np.random.default_rng(21)

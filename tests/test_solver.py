@@ -346,6 +346,38 @@ class TestFreeEnergy:
         _, log_phi, _ = backward_pass(mdp, nu, beta, 1)
         assert abs(free_energy(log_phi[0], mdp.initial, beta) - rep.total) < 1e-8
 
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_one_sweep_from_random_policy_is_factored_objective(self, degree):
+        # the telescoping identity the objective trace rests on holds after
+        # any backward pass, not only at a fixed point
+        rng = np.random.default_rng(40 + degree)
+        mdp = oracle.random_mdp(rng, 4)
+        beta = 0.8
+        q = oracle.random_policy(rng, mdp, degree)
+        _, nu = forward_pass(mdp, q)
+        _, log_phi, q_new = backward_pass(mdp, nu, beta, degree)
+        assert residual_from_policy(mdp, q, beta) > 1e-3
+        want = td.factored_objective(mdp, q_new, nu, beta)
+        got = free_energy(log_phi[0], mdp.initial, beta)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_solve_trace_equals_factored_objective_of_hand_sweeps(self):
+        rng = np.random.default_rng(41)
+        mdp = oracle.random_mdp(rng, 5)
+        opts = td.SolveOptions(
+            beta=0.6, degree=1, init="perturbed", seed=2, max_iters=4
+        )
+        rep = td.solve(mdp, opts)
+        q = td.MemoryPolicy.perturbed(mdp, 1, seed=2)
+        _, nu = forward_pass(mdp, q)
+        want = [td.factored_objective(mdp, q, nu, opts.beta)]
+        for _ in range(3):
+            _, _, q = backward_pass(mdp, nu, opts.beta, 1)
+            want.append(td.factored_objective(mdp, q, nu, opts.beta))
+            _, nu = forward_pass(mdp, q)
+        assert rep.iterations == 4 and not rep.converged
+        np.testing.assert_allclose(rep.objective_trace, want, rtol=1e-12, atol=0)
+
 
 class TestMultiStart:
     def test_plan_starts_have_full_support(self):
@@ -368,3 +400,26 @@ class TestMultiStart:
         a = td.multi_start(toy, opts, starts=3, seed=1, plan_starts=2)
         b = td.multi_start(toy, opts, starts=3, seed=1, plan_starts=2)
         assert [r.total for r in a] == [r.total for r in b]
+
+    @pytest.mark.parametrize("screen_iters", [3, 5])
+    def test_screening_and_polishing_share_max_iters(self, screen_iters):
+        mdp = oracle.random_mdp(np.random.default_rng(1), 5)
+        opts = td.SolveOptions(beta=0.3, max_iters=5)
+        (rep,) = td.multi_start(
+            mdp, opts, starts=1, seed=0, screen_iters=screen_iters
+        )
+        assert rep.iterations <= opts.max_iters
+        assert len(rep.objective_trace) == rep.iterations
+
+    def test_roundoff_ties_go_to_the_earliest_start(self):
+        # the goal lies beyond the horizon, so every policy costs the same and
+        # every stationary point has total 10010; screened values differ by
+        # roundoff alone, and the uniform start, listed first, must win
+        mdp = td.build_maze(td.sample_maze_spec(horizon=10))
+        opts = td.SolveOptions(beta=2.0, max_iters=150)
+        (rep,) = td.multi_start(
+            mdp, opts, starts=1, seed=3, plan_starts=3, screen_iters=300
+        )
+        (first,) = td.multi_start(mdp, opts, starts=0, seed=3, screen_iters=300)
+        for a, b in zip(rep.policy.tables, first.policy.tables):
+            np.testing.assert_array_equal(a, b)
