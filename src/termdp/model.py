@@ -16,8 +16,8 @@ Data layout conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import InstanceError, ResourceError
 __all__ = [
     "FiniteMdp",
     "MemoryPolicy",
+    "SweepPlan",
     "ReducedBelief",
     "WindowJoint",
     "ObjectiveValue",
@@ -47,13 +48,6 @@ ROW_TOL = 1e-12
 DEFAULT_CELL_BUDGET = 20_000_000
 
 
-def _prod(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out *= int(v)
-    return out
-
-
 def _frozen(values) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=float)
     arr.setflags(write=False)
@@ -68,13 +62,16 @@ class FiniteMdp:
     ``transitions[t][x, u]`` is a probability row.  ``stage_costs[t]`` has
     shape (X_t, U_t), ``terminal_cost`` shape (X_T,), ``initial`` shape
     (X_0,).  Arrays are made read-only on construction; instances are safe to
-    share between threads.
+    share between threads.  Sweep plans are built on first use and cached
+    per memory degree.
     """
 
     transitions: tuple[np.ndarray, ...]
     stage_costs: tuple[np.ndarray, ...]
     terminal_cost: np.ndarray
     initial: np.ndarray
+    _cards: tuple = field(init=False, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -86,6 +83,10 @@ class FiniteMdp:
         object.__setattr__(self, "terminal_cost", _frozen(self.terminal_cost))
         object.__setattr__(self, "initial", _frozen(self.initial))
         self._validate()
+        states = tuple(p.shape[0] for p in self.transitions)
+        actions = tuple(p.shape[1] for p in self.transitions)
+        states += (self.transitions[-1].shape[2],)
+        object.__setattr__(self, "_cards", (states, actions))
 
     # -- shape helpers -----------------------------------------------------
 
@@ -95,13 +96,18 @@ class FiniteMdp:
 
     @property
     def state_cards(self) -> tuple[int, ...]:
-        cards = [p.shape[0] for p in self.transitions]
-        cards.append(self.transitions[-1].shape[2])
-        return tuple(cards)
+        return self._cards[0]
 
     @property
     def action_cards(self) -> tuple[int, ...]:
-        return tuple(p.shape[1] for p in self.transitions)
+        return self._cards[1]
+
+    def sweep_plan(self, degree: int) -> "SweepPlan":
+        """The sweep plan at a memory degree, built on first use."""
+        plan = self._plans.get(degree)
+        if plan is None:
+            plan = self._plans[degree] = SweepPlan(self, degree)
+        return plan
 
     def history_span(self, degree: int, t: int) -> range:
         """Decision times whose controls a degree-n history at time t covers."""
@@ -112,7 +118,7 @@ class FiniteMdp:
         return tuple(acts[s] for s in self.history_span(degree, t))
 
     def history_size(self, degree: int, t: int) -> int:
-        return _prod(self.history_dims(degree, t))
+        return math.prod(self.history_dims(degree, t))
 
     # -- validation ----------------------------------------------------------
 
@@ -205,9 +211,9 @@ class MemoryPolicy:
                     f"policy table {t} negative at (x={x}, history={h}, u={u})"
                 )
             sums = q.sum(axis=2)
-            bad = np.argwhere(np.abs(sums - 1.0) > ROW_TOL)
-            if bad.size:
-                x, h = (int(i) for i in bad[0])
+            off = np.abs(sums - 1.0) > ROW_TOL
+            if off.any():
+                x, h = (int(i) for i in np.argwhere(off)[0])
                 raise InstanceError(
                     f"policy table {t} slice (x={x}, history={h}) sums to "
                     f"{sums[x, h]!r}, expected 1"
@@ -219,12 +225,8 @@ class MemoryPolicy:
 
     @classmethod
     def uniform(cls, mdp: FiniteMdp, degree: int) -> "MemoryPolicy":
-        tables = []
-        for t in range(mdp.horizon):
-            x, u = mdp.state_cards[t], mdp.action_cards[t]
-            h = mdp.history_size(degree, t)
-            tables.append(np.full((x, h, u), 1.0 / u))
-        return cls(degree, tuple(tables))
+        steps = mdp.sweep_plan(degree).steps
+        return cls(degree, tuple(np.full(s.shape, 1.0 / s.shape[2]) for s in steps))
 
     @classmethod
     def perturbed(
@@ -236,12 +238,11 @@ class MemoryPolicy:
         """
         if not 0.0 < magnitude < 1.0:
             raise InstanceError(f"perturbation magnitude {magnitude!r} not in (0, 1)")
+        steps = mdp.sweep_plan(degree).steps
         rng = np.random.default_rng(seed)
         tables = []
-        for t in range(mdp.horizon):
-            x, u = mdp.state_cards[t], mdp.action_cards[t]
-            h = mdp.history_size(degree, t)
-            raw = 1.0 + magnitude * (2.0 * rng.random((x, h, u)) - 1.0)
+        for s in steps:
+            raw = 1.0 + magnitude * (2.0 * rng.random(s.shape) - 1.0)
             tables.append(raw / raw.sum(axis=2, keepdims=True))
         return cls(degree, tuple(tables))
 
@@ -301,26 +302,24 @@ def check_beta(beta: float) -> None:
         raise InstanceError(f"beta must be positive and finite, got {beta!r}")
 
 
-def check_compatible(mdp: FiniteMdp, policy: MemoryPolicy) -> None:
+# ---------------------------------------------------------------------------
+# Sweep plan: shapes and kernels of the forward and backward passes
+# ---------------------------------------------------------------------------
+
+
+def check_compatible(mdp: FiniteMdp, policy: MemoryPolicy) -> "SweepPlan":
+    """Check the policy's table shapes against the instance; return its plan."""
     if policy.horizon != mdp.horizon:
         raise InstanceError(
             f"policy horizon {policy.horizon} != instance horizon {mdp.horizon}"
         )
-    for t, q in enumerate(policy.tables):
-        want = (
-            mdp.state_cards[t],
-            mdp.history_size(policy.degree, t),
-            mdp.action_cards[t],
-        )
-        if q.shape != want:
+    plan = mdp.sweep_plan(policy.degree)
+    for t, (q, step) in enumerate(zip(policy.tables, plan.steps)):
+        if q.shape != step.shape:
             raise InstanceError(
-                f"policy table {t} has shape {q.shape}, instance requires {want}"
+                f"policy table {t} has shape {q.shape}, instance requires {step.shape}"
             )
-
-
-# ---------------------------------------------------------------------------
-# Belief propagation
-# ---------------------------------------------------------------------------
+    return plan
 
 
 def slide_split(mdp: FiniteMdp, degree: int, t: int) -> tuple[int, int]:
@@ -330,38 +329,155 @@ def slide_split(mdp: FiniteMdp, degree: int, t: int) -> tuple[int, int]:
     >= 1 and empty for degree 0, where u_t is never recorded.
     """
     dims = mdp.history_dims(degree, t)
-    h = _prod(dims)
+    h = math.prod(dims)
     if dims and max(0, t + 1 - degree) > max(0, t - degree):
         return dims[0], h // dims[0]
     return 1, h
 
 
-def forward_step(
-    mdp: FiniteMdp, degree: int, t: int, mu: np.ndarray, q_t: np.ndarray
-) -> np.ndarray:
-    """One belief step: mu_{t+1} from mu_t and the policy table q_t.
+def gibbs_step(nu: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log partition and Gibbs policy of a marginal against a scaled cost.
 
-    Sums the joint against the policy and the transition kernel, appending
-    the new control to the history and dropping the oldest coordinate once
-    the window is full.
+    Over the last axis, with z = log nu - cost (nu broadcast against cost):
+
+        log_phi = logsumexp_u(z)
+        q       = exp(z - log_phi)
+
+    Zero marginal entries get log nu = -inf and so zero policy mass.  q is
+    not renormalized; callers that keep it as a policy divide by its sums.
     """
-    lam = mu[:, :, None] * q_t  # (X, H, U)
-    pushed = np.einsum("xhu,xuy->yhu", lam, mdp.transitions[t])
-    y, u = pushed.shape[0], pushed.shape[2]
-    if degree == 0:
-        return pushed.sum(axis=2)  # control never enters the history
-    dropped, kept = slide_split(mdp, degree, t)
-    return pushed.reshape(y, dropped, kept, u).sum(axis=1).reshape(y, kept * u)
+    log_nu = np.where(nu > 0.0, np.log(np.maximum(nu, 1e-300)), -np.inf)
+    z = log_nu - cost
+    zmax = z.max(axis=-1, keepdims=True)
+    lse = zmax[..., 0] + np.log(np.exp(z - zmax).sum(axis=-1))
+    return lse, np.exp(z - lse[..., None])
+
+
+def _action_marginal(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """nu_t(u | h) from lam_t(x, h, u) and mu_t(x, h); uniform where h is massless."""
+    joint = lam.sum(axis=0)  # (H, U)
+    mass = mu.sum(axis=0)
+    nu = np.full_like(joint, 1.0 / joint.shape[1])
+    np.divide(joint, mass[:, None], out=nu, where=mass[:, None] > 0.0)
+    return nu
+
+
+class PlanStep(NamedTuple):
+    """Decision time t of a sweep plan.
+
+    ``shape`` is the policy table shape (X_t, H_t, U_t); ``dropped * kept``
+    splits H_t by the oldest control, which leaves the window at t + 1.
+    ``flat`` (X_t * U_t, X_{t+1}) and ``by_action`` (U_t, X_t, X_{t+1}) are
+    views of ``transitions[t]``, not copies.
+    """
+
+    shape: tuple[int, int, int]
+    dropped: int
+    kept: int
+    flat: np.ndarray
+    by_action: np.ndarray
+    cost: np.ndarray
+
+
+class SweepPlan:
+    """Shapes and kernels of the forward and backward passes at one degree.
+
+    Built once per (instance, degree) by ``FiniteMdp.sweep_plan``.  Both
+    contractions over x_{t+1} are a matvec at degree 0 and a matmul batched
+    over u_t at degree >= 1.  Raises ResourceError when a policy table would
+    exceed DEFAULT_CELL_BUDGET cells.
+    """
+
+    def __init__(self, mdp: FiniteMdp, degree: int) -> None:
+        if degree < 0:
+            raise InstanceError("memory degree must be nonnegative")
+        steps = []
+        for t, p in enumerate(mdp.transitions):
+            x, u, y = p.shape
+            h = mdp.history_size(degree, t)
+            if x * h * u > DEFAULT_CELL_BUDGET:
+                raise ResourceError(
+                    f"policy table at t={t} needs {x * h * u} cells at degree "
+                    f"{degree}, budget is {DEFAULT_CELL_BUDGET}"
+                )
+            dropped, kept = slide_split(mdp, degree, t)
+            steps.append(
+                PlanStep(
+                    (x, h, u), dropped, kept, p.reshape(x * u, y),
+                    p.transpose(1, 0, 2), mdp.stage_costs[t],
+                )
+            )
+        self.degree = degree
+        self.steps = tuple(steps)
+        self.initial = mdp.initial
+        self.terminal_cost = mdp.terminal_cost
+        self.terminal_histories = mdp.history_size(degree, mdp.horizon)
+
+    def push(self, t: int, lam: np.ndarray) -> np.ndarray:
+        """mu_{t+1} from the joint lam_t(x, h, u) = mu_t(x, h) q_t(u | x, h).
+
+        Appends u_t to the history and drops the oldest control once the
+        window is full; at degree 0 the control never enters the history.
+        """
+        s = self.steps[t]
+        if self.degree == 0:
+            return (lam.reshape(-1) @ s.flat).reshape(-1, 1)
+        pushed = np.matmul(lam.transpose(2, 1, 0), s.by_action)  # (U, H, Y)
+        if s.dropped > 1:
+            pushed = pushed.reshape(s.shape[2], s.dropped, s.kept, -1).sum(axis=1)
+        return pushed.transpose(2, 1, 0).reshape(s.flat.shape[1], -1)
+
+    def forward(self, tables: Sequence[np.ndarray]) -> tuple[list, list]:
+        """Beliefs mu_0..mu_T and action marginals nu_0..nu_{T-1} of a policy."""
+        mus = [self.initial.reshape(-1, 1)]
+        nus = []
+        for t, q in enumerate(tables):
+            lam = mus[-1][:, :, None] * q
+            nus.append(_action_marginal(lam, mus[-1]))
+            mus.append(self.push(t, lam))
+        return mus, nus
+
+    def terminal_log_phi(self, beta: float) -> np.ndarray:
+        """-terminal_cost / beta, repeated over the histories at T."""
+        return (-self.terminal_cost / beta)[:, None].repeat(
+            self.terminal_histories, axis=1
+        )
+
+    def cost_to_go(self, t: int, log_phi_next: np.ndarray, beta: float) -> np.ndarray:
+        """rho_t(x, h, u) = c_t(x, u) / beta - E[log_phi_{t+1}(x_{t+1}, h')].
+
+        rho does not depend on the history coordinate that drops out of the
+        window at t + 1, so the core is computed once and repeated over it.
+        """
+        s = self.steps[t]
+        if self.degree == 0:
+            summed = (s.flat @ log_phi_next[:, 0]).reshape(s.cost.shape)
+            return (s.cost / beta - summed)[:, None, :]
+        lp = log_phi_next.reshape(s.flat.shape[1], s.kept, s.shape[2])
+        summed = np.matmul(s.by_action, lp.transpose(2, 0, 1))  # (U, X, kept)
+        core = s.cost[:, None, :] / beta - summed.transpose(1, 2, 0)
+        if s.dropped == 1:
+            return core
+        return core[:, None].repeat(s.dropped, axis=1).reshape(s.shape)
+
+    def backward(self, nu: Sequence[np.ndarray], beta: float) -> tuple:
+        """rho_0..rho_{T-1}, log_phi_0..log_phi_T and the Gibbs policy tables."""
+        T = len(self.steps)
+        rho, tables, log_phi = [None] * T, [None] * T, [None] * (T + 1)
+        log_phi[T] = self.terminal_log_phi(beta)
+        for t in range(T - 1, -1, -1):
+            rho[t] = self.cost_to_go(t, log_phi[t + 1], beta)
+            log_phi[t], q_t = gibbs_step(nu[t], rho[t])
+            # exponent roundoff at extreme cost/beta ratios leaves row sums
+            # off by more than the policy tolerance; renormalize exactly
+            tables[t] = q_t / q_t.sum(axis=2, keepdims=True)
+        return rho, log_phi, tables
 
 
 def propagate_reduced(mdp: FiniteMdp, policy: MemoryPolicy) -> ReducedBelief:
     """Propagate the joint state/control-history distribution exactly."""
-    check_compatible(mdp, policy)
-    n = policy.degree
-    mus = [mdp.initial.reshape(-1, 1)]
-    for t in range(mdp.horizon):
-        mus.append(forward_step(mdp, n, t, mus[-1], policy.tables[t]))
-    return ReducedBelief(n, tuple(mus))
+    mus, _ = check_compatible(mdp, policy).forward(policy.tables)
+    return ReducedBelief(policy.degree, tuple(mus))
 
 
 def _window_scan(
@@ -574,7 +690,7 @@ def directed_information(
     joint must fit in ``max_cells`` entries; otherwise ResourceError.
     """
     X, A, T = mdp.state_cards, mdp.action_cards, mdp.horizon
-    full = _prod(X) * _prod(A)
+    full = math.prod(X) * math.prod(A)
     if full > max_cells:
         raise ResourceError(
             f"trajectory joint needs {full} cells, budget is {max_cells}"
@@ -606,17 +722,11 @@ def induced_action_marginals(
     get the uniform distribution.
     """
     if belief is None:
-        belief = propagate_reduced(mdp, policy)
-    out = []
-    for t in range(mdp.horizon):
-        mu = belief.mus[t]
-        lam = (mu[:, :, None] * policy.tables[t]).sum(axis=0)  # (H, U)
-        mass = mu.sum(axis=0)
-        u = lam.shape[1]
-        nu = np.full_like(lam, 1.0 / u)
-        np.divide(lam, mass[:, None], out=nu, where=mass[:, None] > 0.0)
-        out.append(nu)
-    return out
+        return check_compatible(mdp, policy).forward(policy.tables)[1]
+    return [
+        _action_marginal(mu[:, :, None] * q, mu)
+        for mu, q in zip(belief.mus, policy.tables)
+    ]
 
 
 def per_step_information(

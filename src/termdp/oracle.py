@@ -5,8 +5,8 @@ brute-force search grids policy simplices and evaluates objectives with its
 own batched recursion, and the two-step landscapes rebuild the objective from
 single-stage convex solves.  Two steps are shared with the solver rather than
 duplicated: value iteration is the solver's ``backward_induction`` (which also
-seeds the plan starts), and the batched single-stage iteration uses its
-``gibbs_step``.
+seeds the plan starts), and the batched single-stage iteration uses the
+sweep's ``gibbs_step``.
 The property suites drive these oracles over seeded random instances and are
 shared by the test suite and the ``verify`` CLI subcommand.
 """
@@ -25,6 +25,7 @@ from .model import (
     MemoryPolicy,
     check_beta,
     conditional_mutual_information,
+    gibbs_step,
     slide_split,
     transfer_entropy,
     transfer_entropy_terms,
@@ -33,7 +34,6 @@ from .solver import (
     SolveOptions,
     backward_induction,
     classical_blahut,
-    gibbs_step,
     multi_start,
     residual_from_policy,
     solve,
@@ -102,13 +102,8 @@ def random_policy(
     rng: np.random.Generator, mdp: FiniteMdp, degree: int
 ) -> MemoryPolicy:
     tables = []
-    for t in range(mdp.horizon):
-        shape = (
-            mdp.state_cards[t],
-            mdp.history_size(degree, t),
-            mdp.action_cards[t],
-        )
-        q = rng.random(shape) + 0.05
+    for step in mdp.sweep_plan(degree).steps:
+        q = rng.random(step.shape) + 0.05
         q /= q.sum(axis=2, keepdims=True)
         tables.append(q)
     return MemoryPolicy(degree, tuple(tables))
@@ -198,25 +193,15 @@ def bellman_landscape_stage2(
 
 
 def _strict_local_minima(values: np.ndarray) -> list[tuple[int, int]]:
+    """Cells strictly below all of their (up to eight) neighbors, row-major."""
     rows, cols = values.shape
-    out = []
-    for i in range(rows):
-        for j in range(cols):
-            v = values[i, j]
-            strict = True
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == 0 and dj == 0:
-                        continue
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < rows and 0 <= jj < cols and values[ii, jj] <= v:
-                        strict = False
-                        break
-                if not strict:
-                    break
-            if strict:
-                out.append((i, j))
-    return out
+    padded = np.pad(values, 1, constant_values=np.inf)
+    strict = np.ones(values.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                strict &= padded[1 + di: 1 + di + rows, 1 + dj: 1 + dj + cols] > values
+    return [(int(i), int(j)) for i, j in np.argwhere(strict)]
 
 
 def objective_landscape_stage1(
@@ -369,13 +354,11 @@ def brute_force_policy_search(
     by the total combination budget.
     """
     check_beta(beta)
+    shapes = [step.shape for step in mdp.sweep_plan(degree).steps]
     slices: list[tuple[int, int, int]] = []  # (t, x, h)
     grids: list[np.ndarray] = []
     free = 0
-    for t in range(mdp.horizon):
-        x_n = mdp.state_cards[t]
-        h_n = mdp.history_size(degree, t)
-        u_n = mdp.action_cards[t]
+    for t, (x_n, h_n, u_n) in enumerate(shapes):
         free += x_n * h_n * (u_n - 1)
         grid = _simplex_grid(u_n, resolution)
         for x in range(x_n):
@@ -396,53 +379,29 @@ def brute_force_policy_search(
             "use a coarser resolution"
         )
     radices = [len(g) for g in grids]
+
+    def tables_of(combo, batch: tuple[int, ...] = ()) -> list[np.ndarray]:
+        """Policy tables of the combination index (or index array) combo."""
+        digits = []
+        for r in reversed(radices):
+            digits.append(combo % r)
+            combo = combo // r
+        digits.reverse()
+        tables = [np.empty(batch + shape) for shape in shapes]
+        for pos, (t, x, h) in enumerate(slices):
+            tables[t][..., x, h, :] = grids[pos][digits[pos]]
+        return tables
+
     best_value = math.inf
     best_combo = 0
     for start in range(0, combos, chunk):
         idx = np.arange(start, min(start + chunk, combos))
-        n_batch = len(idx)
-        digits = []
-        rest = idx.copy()
-        for r in reversed(radices):
-            digits.append(rest % r)
-            rest //= r
-        digits.reverse()
-        tables = []
-        for t in range(mdp.horizon):
-            shape = (
-                n_batch,
-                mdp.state_cards[t],
-                mdp.history_size(degree, t),
-                mdp.action_cards[t],
-            )
-            tables.append(np.empty(shape))
-        for pos, (t, x, h) in enumerate(slices):
-            tables[t][:, x, h, :] = grids[pos][digits[pos]]
-        totals = _batched_objective(mdp, beta, degree, tables)
+        totals = _batched_objective(mdp, beta, degree, tables_of(idx, (len(idx),)))
         k = int(np.argmin(totals))
         if totals[k] < best_value:
             best_value = float(totals[k])
             best_combo = int(idx[k])
-    digits = []
-    rest = best_combo
-    for r in reversed(radices):
-        digits.append(rest % r)
-        rest //= r
-    digits.reverse()
-    tables = []
-    for t in range(mdp.horizon):
-        tables.append(
-            np.empty(
-                (
-                    mdp.state_cards[t],
-                    mdp.history_size(degree, t),
-                    mdp.action_cards[t],
-                )
-            )
-        )
-    for pos, (t, x, h) in enumerate(slices):
-        tables[t][x, h, :] = grids[pos][digits[pos]]
-    policy = MemoryPolicy(degree, tuple(tables))
+    policy = MemoryPolicy(degree, tuple(tables_of(best_combo)))
     return BruteForceResult(policy=policy, value=best_value, combos=combos)
 
 
@@ -499,6 +458,25 @@ def _batched_mutual_information(joint: np.ndarray) -> np.ndarray:
     return np.sum(joint * np.log(ratio), where=mask, axis=(1, 2))
 
 
+def _first_stage(
+    mdp: FiniteMdp, beta: float, resolution: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-stage grid of a two-step instance.
+
+    Returns the first-stage cost + beta * information per grid policy, the
+    joints (N, x0, u0, x1) and the second-stage cost with the expected
+    terminal cost folded in.
+    """
+    q1s = _first_stage_grid_array(mdp, resolution)  # (N, X0, U0)
+    joint = mdp.initial[None, :, None] * q1s
+    stage = np.einsum(
+        "nxu,xu->n", joint, mdp.stage_costs[0]
+    ) + beta * _batched_mutual_information(joint)
+    full = joint[:, :, :, None] * mdp.transitions[0][None, :, :, :]
+    c1_eff = mdp.stage_costs[1] + mdp.transitions[1] @ mdp.terminal_cost
+    return stage, full, c1_eff
+
+
 def directed_optimum_t2(
     mdp: FiniteMdp, beta: float, resolution: float, combo_budget: int = 100_000
 ) -> float:
@@ -521,21 +499,10 @@ def directed_optimum_t2(
         raise ResourceError(
             f"{n_items} first-stage grid points exceed budget {combo_budget}"
         )
-    mu0 = np.asarray(mdp.initial)
-    c0 = np.asarray(mdp.stage_costs[0])
-    p0 = np.asarray(mdp.transitions[0])
-    c1_eff = np.asarray(mdp.stage_costs[1]) + np.asarray(
-        mdp.transitions[1]
-    ) @ np.asarray(mdp.terminal_cost)
+    totals, full, c1_eff = _first_stage(mdp, beta, resolution)
     lifted_cost = np.broadcast_to(c1_eff[None, :, :], (x0, x1, u1)).reshape(-1, u1)
-    q1s = _first_stage_grid_array(mdp, resolution)  # (N, X0, U0)
-    joint = mu0[None, :, None] * q1s
-    totals = np.einsum("nxu,xu->n", joint, c0) + beta * _batched_mutual_information(
-        joint
-    )
-    full = joint[:, :, :, None] * p0[None, :, :, :]  # (N, x0, u0, x1)
     for u in range(u0):
-        branch = full[:, :, u, :].reshape(len(q1s), -1)  # flattened (x0, x1)
+        branch = full[:, :, u, :].reshape(len(full), -1)  # flattened (x0, x1)
         w = branch.sum(axis=1)
         safe = np.where(w[:, None] > 0.0, branch / np.maximum(w, 1e-300)[:, None], 0.0)
         uniform = np.full_like(safe, 1.0 / safe.shape[1])
@@ -565,32 +532,19 @@ def structural_reduction_check(
     if mdp.horizon > 2:
         raise InstanceError("structural reduction check is guarded at horizon 2")
     if mdp.horizon == 1:
-        c_eff = np.asarray(mdp.stage_costs[0]) + np.asarray(
-            mdp.transitions[0]
-        ) @ np.asarray(mdp.terminal_cost)
+        c_eff = mdp.stage_costs[0] + mdp.transitions[0] @ mdp.terminal_cost
         val = classical_blahut(mdp.initial, c_eff, beta).value
         return StructuralReductionReport(val, val, 0.0)
-    mu0 = np.asarray(mdp.initial)
-    c0 = np.asarray(mdp.stage_costs[0])
-    p0 = np.asarray(mdp.transitions[0])
     x0, u0 = mdp.state_cards[0], mdp.action_cards[0]
     x1, u1 = mdp.state_cards[1], mdp.action_cards[1]
-    c1_eff = np.asarray(mdp.stage_costs[1]) + np.asarray(
-        mdp.transitions[1]
-    ) @ np.asarray(mdp.terminal_cost)
+    stage, full, c1_eff = _first_stage(mdp, beta, resolution)
     # rows of the lifted cost follow the flattened (x0, u0, x1) source order
     lifted_cost = np.broadcast_to(
         c1_eff[None, None, :, :], (x0, u0, x1, u1)
     ).reshape(-1, u1)
-    q1s = _first_stage_grid_array(mdp, resolution)  # (N, X0, U0)
-    joint = mu0[None, :, None] * q1s
-    stage = np.einsum("nxu,xu->n", joint, c0) + beta * _batched_mutual_information(
-        joint
-    )
-    full = joint[:, :, :, None] * p0[None, :, :, :]  # (N, x0, u0, x1)
     mu1 = full.sum(axis=(1, 2))
     v_marg = _batched_blahut(mu1, c1_eff, beta)
-    v_lift = _batched_blahut(full.reshape(len(q1s), -1), lifted_cost, beta)
+    v_lift = _batched_blahut(full.reshape(len(full), -1), lifted_cost, beta)
     return StructuralReductionReport(
         float((stage + v_marg).min()),
         float((stage + v_lift).min()),
@@ -753,24 +707,26 @@ def suite_oracle_agreement(
     return result
 
 
+def _random_solve(seed: int, max_iters: int):
+    """Perturbed-start solve of a random instance drawn as in criterion 1."""
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, int(rng.integers(1, 11)), 5, 5)
+    n = int(rng.integers(0, 3))
+    opts = SolveOptions(
+        beta=float(rng.uniform(0.1, 3.0)),
+        degree=n,
+        init="perturbed",
+        seed=seed,
+        max_iters=max_iters,
+    )
+    return solve(mdp, opts)
+
+
 def suite_descent(seed: int, trials: int = 50) -> SuiteResult:
     """Objective traces of random solves are nonincreasing."""
     result = SuiteResult("monotone-descent", trials)
     for i in range(trials):
-        rng = np.random.default_rng(seed + i)
-        mdp = random_mdp(rng, int(rng.integers(1, 11)), 5, 5)
-        n = int(rng.integers(0, 3))
-        report = solve(
-            mdp,
-            SolveOptions(
-                beta=float(rng.uniform(0.1, 3.0)),
-                degree=n,
-                init="perturbed",
-                seed=seed + i,
-                max_iters=400,
-            ),
-        )
-        trace = report.objective_trace
+        trace = _random_solve(seed + i, 400).objective_trace
         worst = float((trace[1:] - trace[:-1]).max()) if len(trace) > 1 else 0.0
         if worst > 1e-12:
             result.failures.append(f"seed={seed + i} ascent={worst:.3e}")
@@ -781,19 +737,7 @@ def suite_residual(seed: int, trials: int = 50) -> SuiteResult:
     """Converged solves certify stationarity below 1e-8."""
     result = SuiteResult("stationarity-residual", trials)
     for i in range(trials):
-        rng = np.random.default_rng(seed + i)
-        mdp = random_mdp(rng, int(rng.integers(1, 11)), 5, 5)
-        n = int(rng.integers(0, 3))
-        report = solve(
-            mdp,
-            SolveOptions(
-                beta=float(rng.uniform(0.1, 3.0)),
-                degree=n,
-                init="perturbed",
-                seed=seed + i,
-                max_iters=600,
-            ),
-        )
+        report = _random_solve(seed + i, 600)
         if report.converged and report.residual >= 1e-8:
             result.failures.append(
                 f"seed={seed + i} residual={report.residual:.3e}"

@@ -13,6 +13,11 @@ backward pass builds, against the marginals it was built from, is that pass's
 free energy -beta * E[log phi_0(x_0)].  Only the start policy's value is
 evaluated directly, with ``factored_objective``.
 
+Both passes run on the ``SweepPlan`` that the ``FiniteMdp`` caches per
+degree: shapes are worked out once, and each contraction over the next state
+is a matvec (degree 0) or a matmul batched over the control (degree >= 1).
+A solve's final forward pass serves both its report and its certificate.
+
 The weight beta is absorbed by dividing stage costs by beta inside the
 backward recursion; reported costs are always unscaled.  Partition functions
 are kept in the log domain (large terminal penalties underflow otherwise).
@@ -36,11 +41,11 @@ from .model import (
     factored_objective,
     canonicalize_policy,
     check_beta,
-    forward_step,
+    check_compatible,
+    gibbs_step,
     induced_action_marginals,
     per_step_information,
     propagate_reduced,
-    slide_split,
 )
 
 __all__ = [
@@ -131,8 +136,8 @@ def forward_pass(
     Zero-mass histories get uniform marginals, so the backward pass always
     sees strictly positive normalizers somewhere in each slice.
     """
-    belief = propagate_reduced(mdp, policy)
-    return belief, induced_action_marginals(mdp, policy, belief)
+    mus, nus = check_compatible(mdp, policy).forward(policy.tables)
+    return ReducedBelief(policy.degree, tuple(mus)), nus
 
 
 def backward_pass(
@@ -151,63 +156,8 @@ def backward_pass(
     window is full.  rho does not depend on the dropped coordinate; it is
     stored broadcast over it.
     """
-    T = mdp.horizon
-    X = mdp.state_cards
-    rho: list[np.ndarray | None] = [None] * T
-    log_phi: list[np.ndarray | None] = [None] * (T + 1)
-    h_term = mdp.history_size(degree, T)
-    log_phi[T] = np.broadcast_to(
-        (-mdp.terminal_cost / beta)[:, None], (X[T], h_term)
-    ).copy()
-    tables: list[np.ndarray | None] = [None] * T
-    for t in range(T - 1, -1, -1):
-        rho[t] = _modified_cost(mdp, degree, t, log_phi[t + 1], beta)
-        log_phi[t], q_t = gibbs_step(nu[t], rho[t])
-        # exponent roundoff at extreme cost/beta ratios leaves row sums
-        # off by more than the policy tolerance; renormalize exactly
-        tables[t] = q_t / q_t.sum(axis=2, keepdims=True)
-    policy = MemoryPolicy(degree, tuple(tables))
-    return list(rho), list(log_phi), policy
-
-
-def gibbs_step(nu: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log partition and Gibbs policy of a marginal against a scaled cost.
-
-    Over the last axis, with z = log nu - cost (nu broadcast against cost):
-
-        log_phi = logsumexp_u(z)
-        q       = exp(z - log_phi)
-
-    Zero marginal entries get log nu = -inf and so zero policy mass.  q is
-    not renormalized; callers that keep it as a policy divide by its sums.
-    """
-    log_nu = np.where(nu > 0.0, np.log(np.maximum(nu, 1e-300)), -np.inf)
-    z = log_nu - cost
-    zmax = z.max(axis=-1, keepdims=True)
-    lse = zmax[..., 0] + np.log(np.exp(z - zmax).sum(axis=-1))
-    return lse, np.exp(z - lse[..., None])
-
-
-def _modified_cost(
-    mdp: FiniteMdp, degree: int, t: int, log_phi_next: np.ndarray, beta: float
-) -> np.ndarray:
-    """rho_t as a full (X_t, H_t, U_t) array.
-
-    rho does not depend on the history coordinate that drops out of the
-    window at t + 1, so the core is computed once and broadcast over it.
-    """
-    X, A = mdp.state_cards, mdp.action_cards
-    if degree == 0:
-        summed = np.einsum("xuy,y->xu", mdp.transitions[t], log_phi_next[:, 0])
-        return (mdp.stage_costs[t] / beta - summed)[:, None, :]
-    dropped, kept = slide_split(mdp, degree, t)
-    lp_next = log_phi_next.reshape(X[t + 1], kept, A[t])
-    core = mdp.stage_costs[t][:, None, :] / beta - np.einsum(
-        "xuy,yru->xru", mdp.transitions[t], lp_next
-    )
-    return np.broadcast_to(
-        core[:, None, :, :], (X[t], dropped, kept, A[t])
-    ).reshape(X[t], dropped * kept, A[t])
+    rho, log_phi, tables = mdp.sweep_plan(degree).backward(nu, beta)
+    return rho, log_phi, MemoryPolicy(degree, tuple(tables))
 
 
 def _masked_policy_gap(
@@ -291,12 +241,13 @@ def _solve_loop(
     start = time.perf_counter()
     budget = opts.max_iters - iters_used
     q, trace, iterations, converged = _sweeps(mdp, opts, q0, budget, True)
-    # canonicalizing only rewrites massless slices, so q's belief is final's
-    belief = propagate_reduced(mdp, q)
+    # canonicalizing only rewrites massless slices, so q's forward pass is
+    # final's, bit for bit
+    belief, nu = forward_pass(mdp, q)
     final = canonicalize_policy(mdp, q, belief)
     cost = expected_cost(mdp, final, belief)
     info = float(per_step_information(mdp, final, belief).sum())
-    residual = residual_from_policy(mdp, final, opts.beta)
+    residual = _certificate(mdp, final, opts.beta, belief, nu)
     elapsed = time.perf_counter() - start
     full_trace = (trace_prefix or []) + trace
     return SolveReport(
@@ -344,6 +295,7 @@ def plan_start_policies(
     the previous plan occupies, which forces qualitatively different behavior
     (alternative routes) into the start set.  Deterministic, no seed needed.
     """
+    steps = mdp.sweep_plan(degree).steps
     scale = max(1.0, max(float(np.abs(c).max()) for c in mdp.stage_costs))
     penalties = [np.zeros(c.shape[0]) for c in mdp.stage_costs]
     plans = []
@@ -353,12 +305,10 @@ def plan_start_policies(
         ]
         actions, _ = backward_induction(mdp, costs)
         tables = []
-        for t in range(mdp.horizon):
-            u_card = mdp.action_cards[t]
-            x_card = mdp.state_cards[t]
-            h = mdp.history_size(degree, t)
-            q = np.full((x_card, h, u_card), (1.0 - PLAN_MIX) / u_card)
-            q[np.arange(x_card), :, actions[t]] += PLAN_MIX
+        for s, greedy in zip(steps, actions):
+            x, _, u = s.shape
+            q = np.full(s.shape, (1.0 - PLAN_MIX) / u)
+            q[np.arange(x), :, greedy] += PLAN_MIX
             tables.append(q)
         policy = MemoryPolicy(degree, tuple(tables))
         plans.append(policy)
@@ -390,6 +340,8 @@ def multi_start(
     """
     if starts < 0 or starts + int(include_uniform) + plan_starts < 1:
         raise InstanceError("multi-start needs at least one start")
+    if screen_iters is not None and screen_iters < 1:
+        raise InstanceError(f"screen_iters must be positive, got {screen_iters}")
     rng = np.random.default_rng(seed)
     start_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=starts)]
     inits = [MemoryPolicy.uniform(mdp, opts.degree)] if include_uniform else []
@@ -417,17 +369,13 @@ def stationarity_residual(
     Returns 0 at an exact fixed point.
     """
     T = mdp.horizon
-    n = iterate.policy.degree
     belief, nu, rho, log_phi, q = (
-        iterate.belief,
-        iterate.nu,
-        iterate.rho,
-        iterate.log_phi,
-        iterate.policy,
+        iterate.belief, iterate.nu, iterate.rho, iterate.log_phi, iterate.policy
     )
+    plan = mdp.sweep_plan(q.degree)
     worst = float(np.abs(belief.mus[0] - mdp.initial.reshape(-1, 1)).max())
     for t in range(T):
-        nxt = forward_step(mdp, n, t, belief.mus[t], q.tables[t])
+        nxt = plan.push(t, belief.mus[t][:, :, None] * q.tables[t])
         worst = max(worst, float(np.abs(belief.mus[t + 1] - nxt).max()))
     fresh_nu = induced_action_marginals(mdp, q, belief)
     for t in range(T):
@@ -436,13 +384,10 @@ def stationarity_residual(
             worst = max(
                 worst, float(np.abs(nu[t] - fresh_nu[t])[mass, :].max())
             )
-    h_term = mdp.history_size(n, T)
-    term = np.broadcast_to(
-        (-mdp.terminal_cost / beta)[:, None], (mdp.state_cards[T], h_term)
-    )
+    term = plan.terminal_log_phi(beta)
     worst = max(worst, float(np.abs(log_phi[T] - term).max()))
     for t in range(T - 1, -1, -1):
-        want_rho = _modified_cost(mdp, n, t, log_phi[t + 1], beta)
+        want_rho = plan.cost_to_go(t, log_phi[t + 1], beta)
         worst = max(worst, float(np.abs(rho[t] - want_rho).max()))
         lse, q_want = gibbs_step(nu[t], rho[t])
         worst = max(worst, float(np.abs(log_phi[t] - lse).max()))
@@ -460,15 +405,13 @@ def residual_from_policy(mdp: FiniteMdp, policy: MemoryPolicy, beta: float) -> f
     residual reduces to the fixed-point gap on the policy itself: how much one
     further sweep would move q on the massed pairs.
     """
-    belief, nu = forward_pass(mdp, policy)
-    rho, log_phi, q_new = backward_pass(mdp, nu, beta, policy.degree)
-    iterate = SolverIterate(
-        belief=belief,
-        nu=tuple(nu),
-        rho=tuple(rho),
-        log_phi=tuple(log_phi),
-        policy=policy,
-    )
+    return _certificate(mdp, policy, beta, *forward_pass(mdp, policy))
+
+
+def _certificate(mdp, policy, beta, belief, nu) -> float:
+    """``residual_from_policy`` given the policy's forward pass."""
+    rho, log_phi, _ = backward_pass(mdp, nu, beta, policy.degree)
+    iterate = SolverIterate(belief, tuple(nu), tuple(rho), tuple(log_phi), policy)
     return stationarity_residual(mdp, iterate, beta)
 
 

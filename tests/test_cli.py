@@ -67,6 +67,12 @@ class TestSolveCommand:
         assert code == 4
         assert "resource guard" in capsys.readouterr().err
 
+    def test_policy_table_guard_exit_code(self, tmp_path, capsys):
+        # degree 8 would need 3e8-cell policy tables on the sample maze
+        code = run(["maze", "--sample", "--degree-n", "8", "--out-dir", tmp_path])
+        assert code == 4
+        assert "budget" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "option", [["--beta", "nan"], ["--beta", "inf"], ["--tol", "nan"]]
     )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import termdp as td
-from termdp import oracle
+from termdp import oracle, solver
 from termdp.errors import InstanceError
 from termdp.solver import (
     SolverIterate,
@@ -184,6 +184,26 @@ class TestSolve:
         r_a, r_b = td.solve(mdp, opts_a), td.solve(scaled, opts_b)
         for a, b in zip(r_a.policy.tables, r_b.policy.tables):
             assert (a == b).all()
+
+    @pytest.mark.parametrize("max_iters", [1, 3, 2000])
+    def test_k_sweep_solve_runs_k_plus_one_forward_passes(self, monkeypatch, max_iters):
+        # one forward pass per sweep plus one for the final policy, which the
+        # report's cost, information and certificate share; bare belief
+        # propagations count as forward passes too
+        calls = []
+        for name in ("forward_pass", "propagate_reduced"):
+            original = getattr(solver, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(None)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, counted)
+        mdp = oracle.random_mdp(np.random.default_rng(3), 4)
+        opts = td.SolveOptions(beta=0.9, degree=1, max_iters=max_iters)
+        rep = td.solve(mdp, opts)
+        assert rep.converged or rep.iterations == max_iters
+        assert len(calls) == rep.iterations + 1
 
     def test_fixed_point_consistency_one_extra_sweep(self):
         rng = np.random.default_rng(19)
@@ -410,6 +430,14 @@ class TestMultiStart:
         )
         assert rep.iterations <= opts.max_iters
         assert len(rep.objective_trace) == rep.iterations
+
+    @pytest.mark.parametrize("screen_iters", [0, -1])
+    def test_nonpositive_screen_iters_rejected(self, screen_iters):
+        with pytest.raises(InstanceError, match="screen_iters"):
+            td.multi_start(
+                td.build_nonconvex_toy(), td.SolveOptions(beta=1.0),
+                starts=1, seed=0, screen_iters=screen_iters,
+            )
 
     def test_roundoff_ties_go_to_the_earliest_start(self):
         # the goal lies beyond the horizon, so every policy costs the same and

@@ -1,0 +1,137 @@
+"""Sweep plan tests: kernels against independent references, cell budget.
+
+The plan's forward kernel is compared with the window scan and with
+trajectory enumeration, its backward kernel with a scalar loop written here;
+neither reference shares code with the plan.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import termdp as td
+from termdp import oracle
+from termdp.errors import ResourceError
+from termdp.solver import backward_pass, forward_pass
+
+from reference import enum_trajectory_probs
+
+TOL = 1e-12  # fixed before any comparison was run
+
+# (horizon, degree): every degree 0..3, horizons shorter than the degree too
+CASES = [(h, n) for n in range(4) for h in (2, 4)]
+
+
+def _instance(horizon: int, degree: int):
+    rng = np.random.default_rng(1000 * horizon + degree)
+    mdp = oracle.random_mdp(rng, horizon, max_states=3, max_actions=3, min_states=1)
+    return mdp, oracle.random_policy(rng, mdp, degree)
+
+
+def _flat_history(controls, cards) -> int:
+    h = 0
+    for u, card in zip(controls, cards):
+        h = h * card + u
+    return h
+
+
+def enum_beliefs_and_marginals(mdp, policy):
+    """mu_t(x, h) and nu_t(u | h) summed from the exhaustive trajectory joint."""
+    X, A, n = mdp.state_cards, mdp.action_cards, policy.degree
+    probs = enum_trajectory_probs(mdp, policy)
+    mus, joints = [], []
+    for t in range(mdp.horizon + 1):
+        span = range(max(0, t - n), t)
+        cards = [A[s] for s in span]
+        mu = np.zeros((X[t], math.prod(cards)))
+        joint = np.zeros((mu.shape[1], A[t])) if t < mdp.horizon else None
+        for (xs, us), p in probs.items():
+            h = _flat_history([us[s] for s in span], cards)
+            mu[xs[t], h] += p
+            if joint is not None:
+                joint[h, us[t]] += p
+        mus.append(mu)
+        joints.append(joint)
+    nus = [j / j.sum(axis=1, keepdims=True) for j in joints[:-1]]
+    return mus, nus
+
+
+def loop_backward(mdp, nu, beta, degree):
+    """log_phi and Gibbs policies by scalar loops over (t, x, h, u, y)."""
+    T, X, A = mdp.horizon, mdp.state_cards, mdp.action_cards
+    H = [mdp.history_size(degree, t) for t in range(T + 1)]
+    log_phi = [None] * (T + 1)
+    log_phi[T] = np.array(
+        [[-mdp.terminal_cost[x] / beta] * H[T] for x in range(X[T])]
+    )
+    tables = [None] * T
+    for t in range(T - 1, -1, -1):
+        kept = H[t + 1] // A[t] if degree else 1  # history left after the slide
+        lp = np.empty((X[t], H[t]))
+        q = np.empty((X[t], H[t], A[t]))
+        for x in range(X[t]):
+            for h in range(H[t]):
+                z = []
+                for u in range(A[t]):
+                    h_next = (h % kept) * A[t] + u if degree else 0
+                    to_go = sum(
+                        mdp.transitions[t][x, u, y] * log_phi[t + 1][y, h_next]
+                        for y in range(X[t + 1])
+                    )
+                    rho = mdp.stage_costs[t][x, u] / beta - to_go
+                    z.append(math.log(nu[t][h, u]) - rho)
+                top = max(z)
+                lse = top + math.log(sum(math.exp(v - top) for v in z))
+                lp[x, h] = lse
+                q[x, h, :] = [math.exp(v - lse) for v in z]
+        log_phi[t], tables[t] = lp, q
+    return log_phi, tables
+
+
+@pytest.mark.parametrize("horizon, degree", CASES)
+def test_forward_kernel_matches_window_scan_and_enumeration(horizon, degree):
+    mdp, pol = _instance(horizon, degree)
+    mus, nus = mdp.sweep_plan(degree).forward(pol.tables)
+    window = td.propagate_window(mdp, pol, 0, degree)
+    want_mus, want_nus = enum_beliefs_and_marginals(mdp, pol)
+    assert len(mus) == horizon + 1 and len(nus) == horizon
+    for t in range(horizon + 1):
+        scan = window.joints[t].reshape(mdp.state_cards[t], -1)
+        assert np.abs(mus[t] - scan).max() <= TOL
+        assert np.abs(mus[t] - want_mus[t]).max() <= TOL
+        np.testing.assert_allclose(
+            mus[t].sum(axis=1), window.state_marginal(t), rtol=0, atol=TOL
+        )
+    for t in range(horizon):
+        assert np.abs(nus[t] - want_nus[t]).max() <= TOL
+
+
+@pytest.mark.parametrize("horizon, degree", CASES)
+def test_backward_pass_matches_loop_reference(horizon, degree):
+    mdp, pol = _instance(horizon, degree)
+    beta = 0.7
+    _, nu = forward_pass(mdp, pol)
+    _, log_phi, q = backward_pass(mdp, nu, beta, degree)
+    want_log_phi, want_tables = loop_backward(mdp, nu, beta, degree)
+    for t in range(horizon + 1):
+        assert np.abs(log_phi[t] - want_log_phi[t]).max() <= TOL
+    for t in range(horizon):
+        assert np.abs(q.tables[t] - want_tables[t]).max() <= TOL
+
+
+def test_plan_is_cached_and_holds_views():
+    mdp, _ = _instance(4, 2)
+    plan = mdp.sweep_plan(2)
+    assert mdp.sweep_plan(2) is plan
+    for s, p in zip(plan.steps, mdp.transitions):
+        assert not s.flat.flags.owndata and np.shares_memory(s.flat, p)
+        assert not s.by_action.flags.owndata and np.shares_memory(s.by_action, p)
+
+
+def test_policy_table_cell_budget():
+    # degree 8 on the maze: 153 * 5**7 * 5 cells at t = 7, above the budget;
+    # the plan refuses before any table is allocated
+    mdp = td.build_maze(td.sample_maze_spec(horizon=10))
+    with pytest.raises(ResourceError, match="budget"):
+        td.MemoryPolicy.uniform(mdp, 8)
