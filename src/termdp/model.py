@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InstanceError, ResourceError
+from .errors import InstanceError, NumericalError, ResourceError
 
 __all__ = [
     "FiniteMdp",
@@ -205,10 +205,11 @@ class MemoryPolicy:
         for t, q in enumerate(self.tables):
             if q.ndim != 3:
                 raise InstanceError(f"policy table {t} must be 3-d, got {q.ndim}-d")
-            if (q < 0).any():
-                x, h, u = (int(i) for i in np.argwhere(q < 0)[0])
+            bad = ~(q >= 0.0)  # NaN compares false too
+            if bad.any():
+                x, h, u = (int(i) for i in np.argwhere(bad)[0])
                 raise InstanceError(
-                    f"policy table {t} negative at (x={x}, history={h}, u={u})"
+                    f"policy table {t} negative or NaN at (x={x}, history={h}, u={u})"
                 )
             sums = q.sum(axis=2)
             off = np.abs(sums - 1.0) > ROW_TOL
@@ -308,14 +309,14 @@ def check_beta(beta: float) -> None:
 
 
 def check_compatible(mdp: FiniteMdp, policy: MemoryPolicy) -> "SweepPlan":
-    """Check the policy's table shapes against the instance; return its plan."""
-    if policy.horizon != mdp.horizon:
+    """Check table shapes, past any batch axis, against the instance; get the plan."""
+    if len(policy.tables) != mdp.horizon:
         raise InstanceError(
-            f"policy horizon {policy.horizon} != instance horizon {mdp.horizon}"
+            f"policy horizon {len(policy.tables)} != instance horizon {mdp.horizon}"
         )
     plan = mdp.sweep_plan(policy.degree)
     for t, (q, step) in enumerate(zip(policy.tables, plan.steps)):
-        if q.shape != step.shape:
+        if q.shape[-3:] != step.shape:
             raise InstanceError(
                 f"policy table {t} has shape {q.shape}, instance requires {step.shape}"
             )
@@ -355,10 +356,10 @@ def gibbs_step(nu: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _action_marginal(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """nu_t(u | h) from lam_t(x, h, u) and mu_t(x, h); uniform where h is massless."""
-    joint = lam.sum(axis=0)  # (H, U)
-    mass = mu.sum(axis=0)
-    nu = np.full_like(joint, 1.0 / joint.shape[1])
-    np.divide(joint, mass[:, None], out=nu, where=mass[:, None] > 0.0)
+    joint = lam.sum(axis=-3)  # (..., H, U)
+    mass = mu.sum(axis=-2)[..., None]
+    nu = np.full_like(joint, 1.0 / joint.shape[-1])
+    np.divide(joint, mass, out=nu, where=mass > 0.0)
     return nu
 
 
@@ -382,10 +383,12 @@ class PlanStep(NamedTuple):
 class SweepPlan:
     """Shapes and kernels of the forward and backward passes at one degree.
 
-    Built once per (instance, degree) by ``FiniteMdp.sweep_plan``.  Both
-    contractions over x_{t+1} are a matvec at degree 0 and a matmul batched
-    over u_t at degree >= 1.  Raises ResourceError when a policy table would
-    exceed DEFAULT_CELL_BUDGET cells.
+    Built once per (instance, degree) by ``FiniteMdp.sweep_plan``.  Kernels
+    take one policy, or K stacked on a leading axis.  Each contraction over
+    x_{t+1} is a stacked matmul, (K, 1, n) @ (n, m) and (n, m) @ (K, m, 1) at
+    degree 0 and batched over u_t at degree >= 1, so each member's numbers are
+    its solo run's bit for bit (a 2-d (K, n) @ (n, m) gemm's are not).  Raises
+    ResourceError when one policy's ``cells`` exceed DEFAULT_CELL_BUDGET.
     """
 
     def __init__(self, mdp: FiniteMdp, degree: int) -> None:
@@ -395,17 +398,18 @@ class SweepPlan:
         for t, p in enumerate(mdp.transitions):
             x, u, y = p.shape
             h = mdp.history_size(degree, t)
-            if x * h * u > DEFAULT_CELL_BUDGET:
-                raise ResourceError(
-                    f"policy table at t={t} needs {x * h * u} cells at degree "
-                    f"{degree}, budget is {DEFAULT_CELL_BUDGET}"
-                )
             dropped, kept = slide_split(mdp, degree, t)
             steps.append(
                 PlanStep(
                     (x, h, u), dropped, kept, p.reshape(x * u, y),
                     p.transpose(1, 0, 2), mdp.stage_costs[t],
                 )
+            )
+        self.cells = sum(math.prod(s.shape) for s in steps)
+        if self.cells > DEFAULT_CELL_BUDGET:
+            raise ResourceError(
+                f"policy tables need {self.cells} cells at degree {degree}, "
+                f"budget is {DEFAULT_CELL_BUDGET}"
             )
         self.degree = degree
         self.steps = tuple(steps)
@@ -419,20 +423,22 @@ class SweepPlan:
         Appends u_t to the history and drops the oldest control once the
         window is full; at degree 0 the control never enters the history.
         """
-        s = self.steps[t]
+        s, lead = self.steps[t], lam.shape[:-3]
         if self.degree == 0:
-            return (lam.reshape(-1) @ s.flat).reshape(-1, 1)
-        pushed = np.matmul(lam.transpose(2, 1, 0), s.by_action)  # (U, H, Y)
+            return (lam.reshape(*lead, 1, -1) @ s.flat).reshape(*lead, -1, 1)
+        pushed = np.matmul(lam.swapaxes(-1, -3), s.by_action)  # (..., U, H, Y)
         if s.dropped > 1:
-            pushed = pushed.reshape(s.shape[2], s.dropped, s.kept, -1).sum(axis=1)
-        return pushed.transpose(2, 1, 0).reshape(s.flat.shape[1], -1)
+            split = (*lead, s.shape[2], s.dropped, s.kept, -1)
+            pushed = pushed.reshape(split).sum(axis=-3)
+        return pushed.swapaxes(-1, -3).reshape(*lead, s.flat.shape[1], -1)
 
     def forward(self, tables: Sequence[np.ndarray]) -> tuple[list, list]:
         """Beliefs mu_0..mu_T and action marginals nu_0..nu_{T-1} of a policy."""
-        mus = [self.initial.reshape(-1, 1)]
+        lead = tables[0].shape[:-3]
+        mus = [np.ones((*lead, 1, 1)) * self.initial[:, None]]
         nus = []
         for t, q in enumerate(tables):
-            lam = mus[-1][:, :, None] * q
+            lam = mus[-1][..., None] * q
             nus.append(_action_marginal(lam, mus[-1]))
             mus.append(self.push(t, lam))
         return mus, nus
@@ -449,28 +455,39 @@ class SweepPlan:
         rho does not depend on the history coordinate that drops out of the
         window at t + 1, so the core is computed once and repeated over it.
         """
-        s = self.steps[t]
+        s, lead = self.steps[t], log_phi_next.shape[:-2]
         if self.degree == 0:
-            summed = (s.flat @ log_phi_next[:, 0]).reshape(s.cost.shape)
-            return (s.cost / beta - summed)[:, None, :]
-        lp = log_phi_next.reshape(s.flat.shape[1], s.kept, s.shape[2])
-        summed = np.matmul(s.by_action, lp.transpose(2, 0, 1))  # (U, X, kept)
-        core = s.cost[:, None, :] / beta - summed.transpose(1, 2, 0)
+            summed = (s.flat @ log_phi_next).reshape(*lead, *s.cost.shape)
+            return (s.cost / beta - summed)[..., None, :]
+        lp = log_phi_next.reshape(*lead, s.flat.shape[1], s.kept, s.shape[2])
+        lp = lp.swapaxes(-1, -3).swapaxes(-1, -2)  # (..., U, Y, kept)
+        summed = np.matmul(s.by_action, lp).swapaxes(-3, -1)  # (..., kept, X, U)
+        core = s.cost[:, None, :] / beta - summed.swapaxes(-3, -2)
         if s.dropped == 1:
             return core
-        return core[:, None].repeat(s.dropped, axis=1).reshape(s.shape)
+        return core[..., None, :, :].repeat(s.dropped, axis=-3).reshape(*lead, *s.shape)
 
     def backward(self, nu: Sequence[np.ndarray], beta: float) -> tuple:
-        """rho_0..rho_{T-1}, log_phi_0..log_phi_T and the Gibbs policy tables."""
+        """rho_0..rho_{T-1}, log_phi_0..log_phi_T and the Gibbs policy tables.
+
+        A stack keeps no rho (None entries).  A normalizer that is not finite
+        and positive raises NumericalError; dividing entries exp(z - lse) >= 0
+        by any other gives a row that sums to 1 within a few ulps.
+        """
+        lead = nu[0].shape[:-2]
         T = len(self.steps)
         rho, tables, log_phi = [None] * T, [None] * T, [None] * (T + 1)
-        log_phi[T] = self.terminal_log_phi(beta)
+        log_phi[T] = np.ones((*lead, 1, 1)) * self.terminal_log_phi(beta)
         for t in range(T - 1, -1, -1):
-            rho[t] = self.cost_to_go(t, log_phi[t + 1], beta)
-            log_phi[t], q_t = gibbs_step(nu[t], rho[t])
+            r = self.cost_to_go(t, log_phi[t + 1], beta)
+            log_phi[t], q_t = gibbs_step(nu[t][..., None, :, :], r)
+            rho[t] = None if lead else r
             # exponent roundoff at extreme cost/beta ratios leaves row sums
             # off by more than the policy tolerance; renormalize exactly
-            tables[t] = q_t / q_t.sum(axis=2, keepdims=True)
+            norm = q_t.sum(axis=-1, keepdims=True)
+            if not norm.min() > 0.0:  # NaN fails too; terms lie in [0, 1]
+                raise NumericalError(f"non-finite or zero Gibbs normalizer at t={t}")
+            tables[t] = q_t / norm
         return rho, log_phi, tables
 
 

@@ -15,8 +15,10 @@ evaluated directly, with ``factored_objective``.
 
 Both passes run on the ``SweepPlan`` that the ``FiniteMdp`` caches per
 degree: shapes are worked out once, and each contraction over the next state
-is a matvec (degree 0) or a matmul batched over the control (degree >= 1).
-A solve's final forward pass serves both its report and its certificate.
+is a stacked matmul.  The starts of a multi-start are swept as one batch
+along a leading axis; a member leaves the batch at its own stop, and its
+numbers are bit for bit those of solving it alone.  A solve is a batch of
+one.  Its final forward pass serves both its report and its certificate.
 
 The weight beta is absorbed by dividing stage costs by beta inside the
 backward recursion; reported costs are always unscaled.  Partition functions
@@ -28,12 +30,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InstanceError, NumericalError
+from .errors import InstanceError, NumericalError, ResourceError
 from .model import (
+    DEFAULT_CELL_BUDGET,
     FiniteMdp,
     MemoryPolicy,
     ReducedBelief,
@@ -128,13 +131,24 @@ class SolveReport:
     wall_time_seconds: float
 
 
+class PolicyStack(NamedTuple):
+    """K policies of one degree, tables stacked as (K, X_t, H_t, U_t)."""
+
+    degree: int
+    tables: tuple[np.ndarray, ...]
+
+    def take(self, rows) -> "PolicyStack":
+        return PolicyStack(self.degree, tuple(q[rows] for q in self.tables))
+
+
 def forward_pass(
-    mdp: FiniteMdp, policy: MemoryPolicy
+    mdp: FiniteMdp, policy: MemoryPolicy | PolicyStack
 ) -> tuple[ReducedBelief, list[np.ndarray]]:
     """Propagate beliefs under the policy and marginalize out the state.
 
     Zero-mass histories get uniform marginals, so the backward pass always
-    sees strictly positive normalizers somewhere in each slice.
+    sees strictly positive normalizers somewhere in each slice.  A
+    ``PolicyStack`` gives beliefs and marginals stacked on its batch axis.
     """
     mus, nus = check_compatible(mdp, policy).forward(policy.tables)
     return ReducedBelief(policy.degree, tuple(mus)), nus
@@ -142,7 +156,7 @@ def forward_pass(
 
 def backward_pass(
     mdp: FiniteMdp, nu: list[np.ndarray], beta: float, degree: int
-) -> tuple[list[np.ndarray], list[np.ndarray], MemoryPolicy]:
+) -> tuple[list[np.ndarray], list[np.ndarray], MemoryPolicy | PolicyStack]:
     """Backward recursion for the modified cost, log partition, and policy.
 
     Terminal condition: log_phi at T is -terminal_cost / beta, constant in
@@ -154,22 +168,24 @@ def backward_pass(
 
     where h' is h with u appended and the oldest control dropped once the
     window is full.  rho does not depend on the dropped coordinate; it is
-    stored broadcast over it.
+    stored broadcast over it.  Marginals stacked (K, H_t, U_t) give stacked
+    log_phi, a ``PolicyStack`` and rho entries of None.  A Gibbs normalizer
+    that is not finite and positive raises NumericalError.
     """
     rho, log_phi, tables = mdp.sweep_plan(degree).backward(nu, beta)
-    return rho, log_phi, MemoryPolicy(degree, tuple(tables))
+    kind = PolicyStack if nu[0].ndim == 3 else MemoryPolicy
+    return rho, log_phi, kind(degree, tuple(tables))
 
 
 def _masked_policy_gap(
-    belief: ReducedBelief, a: MemoryPolicy, b: MemoryPolicy
+    mus: Sequence[np.ndarray], old: PolicyStack, j: int, new: PolicyStack, row: int
 ) -> float:
-    """Sup-norm policy change over (state, history) pairs carrying mass."""
+    """Sup-norm change from old[j] to new[row] over pairs with mus[row] mass."""
     gap = 0.0
-    for t in range(len(a.tables)):
-        mask = belief.mus[t] > MASS_TOL
+    for mu, qa, qb in zip(mus, old.tables, new.tables):
+        mask = mu[row] > MASS_TOL
         if mask.any():
-            diff = np.abs(a.tables[t] - b.tables[t])[mask, :]
-            gap = max(gap, float(diff.max()))
+            gap = max(gap, float(np.abs(qa[j] - qb[row])[mask, :].max()))
     return gap
 
 
@@ -189,80 +205,105 @@ def solve(mdp: FiniteMdp, opts: SolveOptions) -> SolveReport:
         q0 = MemoryPolicy.uniform(mdp, opts.degree)
     else:
         q0 = MemoryPolicy.perturbed(mdp, opts.degree, opts.seed)
-    return _solve_loop(mdp, opts, q0)
+    return _solve_batch(mdp, opts, [q0])[0]
 
 
 def _sweeps(
     mdp: FiniteMdp,
     opts: SolveOptions,
-    q0: MemoryPolicy,
+    policy: MemoryPolicy | Sequence[MemoryPolicy],
     max_iters: int,
     check_stop: bool,
 ):
-    """Shared sweep loop; returns (q, trace, iterations, converged).
+    """Sweep starts in lockstep; each ends as (q, trace, iterations, converged).
 
-    Sweep k records trace[k - 1]: the start policy's objective on the first
-    sweep, after it the free energy of sweep k - 1's backward pass.
+    Returns a list of those, or one for a single MemoryPolicy.  Sweep k
+    records trace[k - 1]: the start's objective, then the free energy of
+    sweep k - 1's backward pass.  A member leaves the stack at its own stop,
+    so its numbers are its solo run's bit for bit.  A non-finite objective
+    drops its start and all later ones; the earlier starts sweep on, and the
+    earliest failure is raised, as when starts are swept one at a time.
     """
-    q = q0
-    trace: list[float] = []
-    converged = False
-    iterations = 0
-    for k in range(1, max_iters + 1):
-        belief, nu = forward_pass(mdp, q)
+    starts = [policy] if isinstance(policy, MemoryPolicy) else list(policy)
+    out = [(q0, [], 0, False) for q0 in starts]  # kept only if max_iters < 1
+    stacked = zip(*(q0.tables for q0 in starts))
+    stack = PolicyStack(opts.degree, tuple(np.stack(ts) for ts in stacked))
+    live = list(range(len(starts)))  # the start swept in each stack row
+    traces, error, k = [[] for _ in starts], None, 0
+    while live and k < max_iters:
+        k += 1
+        belief, nu = forward_pass(mdp, stack)
+        mus = belief.mus
         if k == 1:
-            value = factored_objective(mdp, q, nu, opts.beta, belief=belief)
-        trace.append(value)
-        if not math.isfinite(value):
-            raise NumericalError(f"non-finite objective at iteration {k}")
-        _, log_phi, q_new = backward_pass(mdp, nu, opts.beta, opts.degree)
-        value = free_energy(log_phi[0], mdp.initial, opts.beta)
-        iterations = k
-        if (
-            check_stop
-            and len(trace) >= 2
-            and abs(trace[-2] - trace[-1]) < opts.tol_objective
-            and _masked_policy_gap(belief, q, q_new) < opts.tol_residual
-        ):
-            q = q_new
-            converged = True
+            values = [
+                factored_objective(mdp, q0, [n[i] for n in nu], opts.beta,
+                                   ReducedBelief(q0.degree, tuple(m[i] for m in mus)))
+                for i, q0 in enumerate(starts)
+            ]
+        tested = []  # rows that pass the objective test, which comes first
+        for row, i in enumerate(live):
+            tr = traces[i]
+            tr.append(values[row])
+            if not math.isfinite(values[row]):
+                error = NumericalError(f"non-finite objective at iteration {k}")
+                live, stack = live[:row], stack.take(slice(row))
+                mus, nu = [m[:row] for m in mus], [n[:row] for n in nu]
+                break
+            if check_stop and len(tr) > 1 and abs(tr[-2] - tr[-1]) < opts.tol_objective:
+                tested.append(row)
+        if not live:
             break
-        q = q_new
-    return q, trace, iterations, converged
+        # only the tested members' old tables outlive the backward pass
+        old, stack = stack.take(tested) if tested else None, None
+        log_phi, stack = backward_pass(mdp, nu, opts.beta, opts.degree)[1:]
+        values = [free_energy(lp, mdp.initial, opts.beta) for lp in log_phi[0]]
+        del log_phi
+        stops = {
+            row for j, row in enumerate(tested)
+            if _masked_policy_gap(mus, old, j, stack, row) < opts.tol_residual
+        }
+        stay = [r for r in range(len(live)) if r not in stops and k < max_iters]
+        for row, i in enumerate(live):
+            if row not in stay:  # copied out unless the whole stack leaves
+                q = tuple(t[row].copy() if stay else t[row] for t in stack.tables)
+                out[i] = (MemoryPolicy(opts.degree, q), traces[i], k, row in stops)
+        if len(stay) < len(live):
+            live, values = [live[r] for r in stay], [values[r] for r in stay]
+            stack = stack.take(stay)
+    if error is not None:
+        raise error
+    return out[0] if isinstance(policy, MemoryPolicy) else out
 
 
-def _solve_loop(
+def _solve_batch(
     mdp: FiniteMdp,
     opts: SolveOptions,
-    q0: MemoryPolicy,
+    starts: list[MemoryPolicy],
     iters_used: int = 0,
-    trace_prefix: list[float] | None = None,
-) -> SolveReport:
+    trace_prefix: Sequence[float] = (),
+) -> list[SolveReport]:
+    """Sweep the starts as one batch, then report on each (see multi_start)."""
     start = time.perf_counter()
-    budget = opts.max_iters - iters_used
-    q, trace, iterations, converged = _sweeps(mdp, opts, q0, budget, True)
-    # canonicalizing only rewrites massless slices, so q's forward pass is
-    # final's, bit for bit
-    belief, nu = forward_pass(mdp, q)
-    final = canonicalize_policy(mdp, q, belief)
-    cost = expected_cost(mdp, final, belief)
-    info = float(per_step_information(mdp, final, belief).sum())
-    residual = _certificate(mdp, final, opts.beta, belief, nu)
-    elapsed = time.perf_counter() - start
-    full_trace = (trace_prefix or []) + trace
-    return SolveReport(
-        policy=final,
-        beta=opts.beta,
-        degree=opts.degree,
-        cost=cost,
-        information_nats=info,
-        total=cost + opts.beta * info,
-        residual=residual,
-        iterations=iters_used + iterations,
-        converged=converged,
-        objective_trace=np.asarray(full_trace),
-        wall_time_seconds=elapsed,
-    )
+    swept = _sweeps(mdp, opts, starts, opts.max_iters - iters_used, True)
+    sweep_time = time.perf_counter() - start
+    reports = []
+    for q, trace, iterations, converged in swept:
+        start = time.perf_counter()
+        # canonicalizing only rewrites massless slices, so q's forward pass is
+        # final's, bit for bit
+        belief, nu = forward_pass(mdp, q)
+        final = canonicalize_policy(mdp, q, belief)
+        cost = expected_cost(mdp, final, belief)
+        info = float(per_step_information(mdp, final, belief).sum())
+        reports.append(SolveReport(
+            policy=final, beta=opts.beta, degree=opts.degree, cost=cost,
+            information_nats=info, total=cost + opts.beta * info,
+            residual=_certificate(mdp, final, opts.beta, belief, nu),
+            iterations=iters_used + iterations, converged=converged,
+            objective_trace=np.asarray([*trace_prefix, *trace]),
+            wall_time_seconds=sweep_time + time.perf_counter() - start,
+        ))
+    return reports
 
 
 def backward_induction(
@@ -337,25 +378,33 @@ def multi_start(
     polished, within the rest of max_iters, into the one report returned;
     values agreeing to 12 digits tie and go to the earliest start.  Otherwise
     every start is solved fully.  Both modes are reproducible bit for bit.
+
+    The starts are swept as one batch, each leaving it at its own stop, and
+    every report equals that of the start solved alone, except that its wall
+    time is the batch's sweep time plus its own report tail.  Stacked starts
+    over DEFAULT_CELL_BUDGET cells raise ResourceError before any is built.
     """
-    if starts < 0 or starts + int(include_uniform) + plan_starts < 1:
+    count = starts + int(include_uniform) + plan_starts
+    if starts < 0 or count < 1:
         raise InstanceError("multi-start needs at least one start")
     if screen_iters is not None and screen_iters < 1:
         raise InstanceError(f"screen_iters must be positive, got {screen_iters}")
+    cells = count * mdp.sweep_plan(opts.degree).cells
+    if cells > DEFAULT_CELL_BUDGET:
+        raise ResourceError(f"{count} stacked starts need {cells} cells, over budget")
     rng = np.random.default_rng(seed)
     start_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=starts)]
     inits = [MemoryPolicy.uniform(mdp, opts.degree)] if include_uniform else []
     inits.extend(plan_start_policies(mdp, opts.degree, plan_starts))
     inits.extend(MemoryPolicy.perturbed(mdp, opts.degree, s) for s in start_seeds)
     if screen_iters is None:
-        return [_solve_loop(mdp, opts, q0) for q0 in inits]
-    screen_budget = min(screen_iters, opts.max_iters)
-    screened = [_sweeps(mdp, opts, q0, screen_budget, True) for q0 in inits]
+        return _solve_batch(mdp, opts, inits)
+    screened = _sweeps(mdp, opts, inits, min(screen_iters, opts.max_iters), True)
     low = min(trace[-1] for _, trace, _, _ in screened)
     q, trace, iters, _ = next(
         s for s in screened if s[1][-1] - low <= 1e-12 * abs(low)
     )
-    return [_solve_loop(mdp, opts, q, iters_used=iters, trace_prefix=trace)]
+    return _solve_batch(mdp, opts, [q], iters_used=iters, trace_prefix=trace)
 
 
 def stationarity_residual(

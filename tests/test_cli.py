@@ -73,6 +73,13 @@ class TestSolveCommand:
         assert code == 4
         assert "budget" in capsys.readouterr().err
 
+    def test_whole_policy_guard_exit_code(self, tmp_path, capsys):
+        # degree 6 on the sample maze: every table is under the budget, but
+        # the 55 tables hold 5.9e8 cells (4.7 GB); refused before allocating
+        code = run(["maze", "--sample", "--degree-n", "6", "--out-dir", tmp_path])
+        assert code == 4
+        assert "budget" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "option", [["--beta", "nan"], ["--beta", "inf"], ["--tol", "nan"]]
     )

@@ -91,6 +91,12 @@ class TestMemoryPolicy:
         with pytest.raises(InstanceError, match="sums to"):
             td.MemoryPolicy(0, (q,))
 
+    @pytest.mark.parametrize("fill", [np.nan, -np.inf])
+    def test_non_finite_table_rejected(self, fill):
+        # NaN compares false with both the sign and the row-sum check
+        with pytest.raises(InstanceError, match="NaN"):
+            td.MemoryPolicy(0, (np.full((2, 1, 2), fill),))
+
     def test_perturbed_is_normalized_and_positive(self):
         mdp = td.build_nonconvex_toy()
         pol = td.MemoryPolicy.perturbed(mdp, 1, seed=3, magnitude=0.5)

@@ -8,7 +8,8 @@ import pytest
 
 import termdp as td
 from termdp import oracle, solver
-from termdp.errors import InstanceError
+from termdp.errors import InstanceError, NumericalError, ResourceError
+from termdp.model import DEFAULT_CELL_BUDGET
 from termdp.solver import (
     SolverIterate,
     backward_pass,
@@ -399,6 +400,17 @@ class TestFreeEnergy:
         np.testing.assert_allclose(rep.objective_trace, want, rtol=1e-12, atol=0)
 
 
+def assert_same_report(a, b):
+    """Every SolveReport field but the wall time, bit for bit."""
+    assert [q.tobytes() for q in a.policy.tables] == [
+        q.tobytes() for q in b.policy.tables
+    ]
+    assert a.objective_trace.tobytes() == b.objective_trace.tobytes()
+    assert (a.iterations, a.converged, a.residual, a.cost, a.total) == (
+        b.iterations, b.converged, b.residual, b.cost, b.total
+    )
+
+
 class TestMultiStart:
     def test_plan_starts_have_full_support(self):
         mdp = td.build_maze(td.sample_maze_spec(horizon=10))
@@ -430,6 +442,68 @@ class TestMultiStart:
         )
         assert rep.iterations <= opts.max_iters
         assert len(rep.objective_trace) == rep.iterations
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_batched_starts_equal_starts_run_alone(self, degree):
+        mdp = oracle.random_mdp(np.random.default_rng(40), 4, 4, 3)
+        opts = td.SolveOptions(beta=0.6, degree=degree, max_iters=300)
+        # the start set multi_start builds: uniform, 2 plans, 3 perturbed
+        seeds = np.random.default_rng(5).integers(0, 2**63 - 1, size=3)
+        starts = [td.MemoryPolicy.uniform(mdp, degree)]
+        starts += plan_start_policies(mdp, degree, 2)
+        starts += [td.MemoryPolicy.perturbed(mdp, degree, int(s)) for s in seeds]
+        full = td.multi_start(mdp, opts, starts=3, seed=5, plan_starts=2)
+        # members leave the batch at different sweeps
+        assert len({r.iterations for r in full}) > 1
+        for rep, q0 in zip(full, starts, strict=True):
+            assert_same_report(rep, solver._solve_batch(mdp, opts, [q0])[0])
+        # screened: the batch screens as each start alone would, and the
+        # winner is polished as a batch of one
+        alone = [solver._sweeps(mdp, opts, q0, 9, True) for q0 in starts]
+        batch = solver._sweeps(mdp, opts, starts, 9, True)
+        for (qa, *rest_a), (qb, *rest_b) in zip(batch, alone, strict=True):
+            assert [a.tobytes() for a in qa.tables] == [b.tobytes() for b in qb.tables]
+            assert rest_a == rest_b  # trace, iterations, converged
+        low = min(tr[-1] for _, tr, _, _ in alone)
+        q, tr, iters, _ = next(
+            s for s in alone if s[1][-1] - low <= 1e-12 * abs(low)
+        )
+        want = solver._solve_batch(mdp, opts, [q], iters_used=iters, trace_prefix=tr)
+        (got,) = td.multi_start(
+            mdp, opts, starts=3, seed=5, plan_starts=2, screen_iters=9
+        )
+        assert_same_report(got, want[0])
+
+    @pytest.mark.parametrize(
+        "poisoned, message",
+        [({2: 3, 1: 6}, "iteration 7"), ({2: 3, 1: 6, 0: 8}, "iteration 9")],
+    )
+    def test_earliest_failing_start_is_raised(self, monkeypatch, poisoned, message):
+        # a start's sweep k + 1 records trace[k]; make chosen ones non-finite.
+        # The failure raised is the earliest start's, as if the starts ran one
+        # after another, so start 0 must sweep on after starts 1 and 2 fail
+        mdp = oracle.random_mdp(np.random.default_rng(40), 4, 4, 3)
+        opts = td.SolveOptions(beta=0.6, max_iters=300)
+        traces = [r.objective_trace for r in td.multi_start(mdp, opts, 2, seed=5)]
+        poison = {traces[i][k] for i, k in poisoned.items()}
+        assert sum(v in poison for tr in traces for v in tr) == len(poisoned)
+        real = solver.free_energy
+
+        def free_energy(*args):
+            value = real(*args)
+            return math.nan if value in poison else value
+
+        monkeypatch.setattr(solver, "free_energy", free_energy)
+        with pytest.raises(NumericalError, match=f"{message}$"):
+            td.multi_start(mdp, opts, 2, seed=5)
+
+    def test_stacked_starts_over_budget_raise(self):
+        # degree 3 on the T=55 maze: one policy holds 5.0e6 cells, five
+        # stacked starts 2.5e7; refused before any start is built
+        mdp = td.build_maze(td.sample_maze_spec(horizon=55))
+        assert mdp.sweep_plan(3).cells < DEFAULT_CELL_BUDGET
+        with pytest.raises(ResourceError, match="budget"):
+            td.multi_start(mdp, td.SolveOptions(beta=1.0, degree=3), starts=4, seed=0)
 
     @pytest.mark.parametrize("screen_iters", [0, -1])
     def test_nonpositive_screen_iters_rejected(self, screen_iters):

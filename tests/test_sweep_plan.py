@@ -12,7 +12,8 @@ import pytest
 
 import termdp as td
 from termdp import oracle
-from termdp.errors import ResourceError
+from termdp.errors import NumericalError, ResourceError
+from termdp.model import DEFAULT_CELL_BUDGET
 from termdp.solver import backward_pass, forward_pass
 
 from reference import enum_trajectory_probs
@@ -120,6 +121,38 @@ def test_backward_pass_matches_loop_reference(horizon, degree):
         assert np.abs(q.tables[t] - want_tables[t]).max() <= TOL
 
 
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize("horizon, degree", CASES)
+def test_stacked_kernels_equal_single_calls(horizon, degree, k):
+    # K policies stacked on a leading axis give, member by member, exactly
+    # the arrays of K single calls
+    mdp, _ = _instance(horizon, degree)
+    rng = np.random.default_rng(10 * k + degree)
+    pols = [oracle.random_policy(rng, mdp, degree) for _ in range(k)]
+    plan = mdp.sweep_plan(degree)
+    stacked = [np.stack(ts) for ts in zip(*(p.tables for p in pols))]
+    mus, nus = plan.forward(stacked)
+    rho, log_phi, tables = plan.backward(nus, 0.7)
+    assert rho == [None] * horizon
+    for i, pol in enumerate(pols):
+        mus_i, nus_i = plan.forward(pol.tables)
+        _, log_phi_i, tables_i = plan.backward(nus_i, 0.7)
+        for got, want in [(mus, mus_i), (nus, nus_i), (log_phi, log_phi_i),
+                          (tables, tables_i)]:
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape[1:] == b.shape and np.array_equal(a[i], b)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_marginal_raises_numerical_error():
+    mdp, pol = _instance(4, 1)
+    _, nu = forward_pass(mdp, pol)
+    nu[2] = np.full_like(nu[2], np.nan)
+    with pytest.raises(NumericalError, match="normalizer at t=2"):
+        backward_pass(mdp, nu, 0.7, 1)
+
+
 def test_plan_is_cached_and_holds_views():
     mdp, _ = _instance(4, 2)
     plan = mdp.sweep_plan(2)
@@ -135,3 +168,16 @@ def test_policy_table_cell_budget():
     mdp = td.build_maze(td.sample_maze_spec(horizon=10))
     with pytest.raises(ResourceError, match="budget"):
         td.MemoryPolicy.uniform(mdp, 8)
+
+
+def test_cell_budget_bounds_the_whole_policy():
+    # degree 6 on the T=55 maze: each table is under the budget, the 55 of
+    # them hold 5.9e8 cells; shapes are read without building the plan
+    mdp = td.build_maze(td.sample_maze_spec(horizon=55))
+    cells = [
+        mdp.state_cards[t] * mdp.history_size(6, t) * mdp.action_cards[t]
+        for t in range(mdp.horizon)
+    ]
+    assert max(cells) < DEFAULT_CELL_BUDGET < sum(cells)
+    with pytest.raises(ResourceError, match="budget"):
+        mdp.sweep_plan(6)
