@@ -205,20 +205,7 @@ class MemoryPolicy:
         for t, q in enumerate(self.tables):
             if q.ndim != 3:
                 raise InstanceError(f"policy table {t} must be 3-d, got {q.ndim}-d")
-            bad = ~(q >= 0.0)  # NaN compares false too
-            if bad.any():
-                x, h, u = (int(i) for i in np.argwhere(bad)[0])
-                raise InstanceError(
-                    f"policy table {t} negative or NaN at (x={x}, history={h}, u={u})"
-                )
-            sums = q.sum(axis=2)
-            off = np.abs(sums - 1.0) > ROW_TOL
-            if off.any():
-                x, h = (int(i) for i in np.argwhere(off)[0])
-                raise InstanceError(
-                    f"policy table {t} slice (x={x}, history={h}) sums to "
-                    f"{sums[x, h]!r}, expected 1"
-                )
+        check_tables(self.tables)
 
     @property
     def horizon(self) -> int:
@@ -306,6 +293,25 @@ def check_beta(beta: float) -> None:
 # ---------------------------------------------------------------------------
 # Sweep plan: shapes and kernels of the forward and backward passes
 # ---------------------------------------------------------------------------
+
+
+def check_tables(tables: Sequence[np.ndarray]) -> None:
+    """Reject action slices that are not distributions, past any batch axis."""
+    for t, q in enumerate(tables):
+        bad = ~(q >= 0.0)  # NaN compares false too
+        if bad.any():
+            *_, x, h, u = (int(i) for i in np.argwhere(bad)[0])
+            raise InstanceError(
+                f"policy table {t} negative or NaN at (x={x}, history={h}, u={u})"
+            )
+        sums = q.sum(axis=-1)
+        off = np.abs(sums - 1.0) > ROW_TOL
+        if off.any():
+            at = tuple(int(i) for i in np.argwhere(off)[0])
+            raise InstanceError(
+                f"policy table {t} slice (x={at[-2]}, history={at[-1]}) sums "
+                f"to {sums[at]!r}, expected 1"
+            )
 
 
 def check_compatible(mdp: FiniteMdp, policy: MemoryPolicy) -> "SweepPlan":
@@ -741,7 +747,7 @@ def induced_action_marginals(
     if belief is None:
         return check_compatible(mdp, policy).forward(policy.tables)[1]
     return [
-        _action_marginal(mu[:, :, None] * q, mu)
+        _action_marginal(mu[..., None] * q, mu)
         for mu, q in zip(belief.mus, policy.tables)
     ]
 
@@ -839,7 +845,8 @@ def canonicalize_policy(
 
     The replaced slices carry no probability mass, so every functional of the
     policy is unchanged; the canonical form makes reports deterministic and
-    keeps policy comparisons meaningful.
+    keeps policy comparisons meaningful.  Tables and beliefs stacked on a
+    batch axis (a solver ``PolicyStack``) give the stack of the same type.
     """
     if belief is None:
         belief = propagate_reduced(mdp, policy)
@@ -848,6 +855,6 @@ def canonicalize_policy(
         q = np.array(policy.tables[t])
         dead = belief.mus[t] == 0.0
         if dead.any():
-            q[dead, :] = 1.0 / q.shape[2]
+            q[dead, :] = 1.0 / q.shape[-1]
         tables.append(q)
-    return MemoryPolicy(policy.degree, tuple(tables))
+    return type(policy)(policy.degree, tuple(tables))

@@ -21,9 +21,11 @@ import numpy as np
 
 from .errors import InstanceError, ResourceError
 from .model import (
+    DEFAULT_CELL_BUDGET,
     FiniteMdp,
     MemoryPolicy,
     check_beta,
+    check_tables,
     conditional_mutual_information,
     gibbs_step,
     slide_split,
@@ -31,6 +33,7 @@ from .model import (
     transfer_entropy_terms,
 )
 from .solver import (
+    PolicyStack,
     SolveOptions,
     backward_induction,
     classical_blahut,
@@ -175,20 +178,15 @@ def bellman_landscape_stage2(
 ) -> LandscapeGrid:
     """Second-stage optimal value over the one-dimensional belief simplex.
 
-    Each grid point solves the single-stage convex problem to convergence;
-    the resulting curve is the nonconvex continuation value of the first
-    stage.
+    Each grid point solves the single-stage convex problem to convergence,
+    all of them in one batched ``classical_blahut`` call; the resulting curve
+    is the nonconvex continuation value of the first stage.
     """
     _require_toy_shape(mdp)
     _check_resolution(resolution)
     lambdas = np.linspace(0.0, 1.0, resolution)
-    cost = np.asarray(mdp.stage_costs[1])
-    values = np.array(
-        [
-            classical_blahut(np.array([lam, 1.0 - lam]), cost, beta).value
-            for lam in lambdas
-        ]
-    )
+    priors = np.stack([lambdas, 1.0 - lambdas], axis=1)
+    values = classical_blahut(priors, np.asarray(mdp.stage_costs[1]), beta).value
     return LandscapeGrid(axes=(lambdas,), values=values)
 
 
@@ -219,6 +217,11 @@ def objective_landscape_stage1(
     residual grows about linearly with the distance to a true stationary
     point, so the saddle threshold defaults to six tenths of the grid
     spacing: enough to always catch the cell nearest a true saddle.
+
+    The continuations of the distinct second-stage priors are solved in one
+    batched ``classical_blahut`` call, and the cells' policies certified as
+    stacks of at most DEFAULT_CELL_BUDGET cells; every value and residual
+    equals that of its cell computed alone.
     """
     _require_toy_shape(mdp)
     _check_resolution(resolution)
@@ -229,18 +232,11 @@ def objective_landscape_stage1(
     c0 = np.asarray(mdp.stage_costs[0])
     c1 = np.asarray(mdp.stage_costs[1])
     p0 = np.asarray(mdp.transitions[0])
-    values = np.empty((resolution, resolution))
-    residuals = np.empty((resolution, resolution))
-    inner_cache: dict[float, tuple[float, np.ndarray]] = {}
-
-    def inner(lam: float) -> tuple[float, np.ndarray]:
-        got = inner_cache.get(lam)
-        if got is None:
-            sol = classical_blahut(np.array([lam, 1.0 - lam]), c1, beta)
-            got = (sol.value, sol.policy)
-            inner_cache[lam] = got
-        return got
-
+    cells = resolution * resolution
+    first = np.empty(cells)  # first-stage cost + beta * information
+    q1s = np.empty((cells, 2, 1, 2))
+    slot = np.empty(cells, dtype=int)  # index of the cell's lam in lams
+    lams: dict[float, int] = {}
     for i, th0 in enumerate(thetas):
         for j, th1 in enumerate(thetas):
             q1 = np.array([[th0, 1.0 - th0], [th1, 1.0 - th1]])
@@ -248,24 +244,27 @@ def objective_landscape_stage1(
             stage = float(np.sum(joint * c0))
             info = conditional_mutual_information(joint, (0,), (1,))
             mu1 = np.einsum("xu,xuy->y", joint, p0)
-            lam = float(mu1[0])
-            v2, q2 = inner(lam)
-            values[i, j] = stage + beta * info + v2
-            policy = MemoryPolicy(
-                0, (q1[:, None, :], q2[:, None, :])
-            )
-            residuals[i, j] = residual_from_policy(mdp, policy, beta)
+            k = i * resolution + j
+            first[k], q1s[k, :, 0] = stage + beta * info, q1
+            slot[k] = lams.setdefault(float(mu1[0]), len(lams))
+    lam = np.array(list(lams))
+    inner = classical_blahut(np.stack([lam, 1.0 - lam], axis=1), c1, beta)
+    values = (first + inner.value[slot]).reshape(resolution, resolution)
+    residuals = np.empty(cells)
+    size = max(1, DEFAULT_CELL_BUDGET // mdp.sweep_plan(0).cells)
+    for k in range(0, cells, size):  # stacks within the cell budget
+        part = slice(k, k + size)
+        tables = (q1s[part], inner.policy[slot[part]][:, :, None, :])
+        check_tables(tables)
+        residuals[part] = residual_from_policy(mdp, PolicyStack(0, tables), beta)
 
     minima = _strict_local_minima(values)
     classification = np.full(values.shape, "", dtype="<U16")
     for cell in minima:
         classification[cell] = "local_min"
-    saddles = []
-    for i in range(resolution):
-        for j in range(resolution):
-            if classification[i, j] == "" and residuals[i, j] < saddle_tol:
-                classification[i, j] = "saddle_candidate"
-                saddles.append((i, j))
+    near = (classification == "") & (residuals.reshape(values.shape) < saddle_tol)
+    saddles = [(int(i), int(j)) for i, j in np.argwhere(near)]
+    classification[near] = "saddle_candidate"
     return LandscapeGrid(
         axes=(thetas, thetas),
         values=values,

@@ -18,7 +18,8 @@ degree: shapes are worked out once, and each contraction over the next state
 is a stacked matmul.  The starts of a multi-start are swept as one batch
 along a leading axis; a member leaves the batch at its own stop, and its
 numbers are bit for bit those of solving it alone.  A solve is a batch of
-one.  Its final forward pass serves both its report and its certificate.
+one.  One stacked final forward pass serves the reports and the batch's one
+stacked certificate.
 
 The weight beta is absorbed by dividing stage costs by beta inside the
 backward recursion; reported costs are always unscaled.  Partition functions
@@ -34,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InstanceError, NumericalError, ResourceError
+from .errors import InstanceError, NumericalError
 from .model import (
     DEFAULT_CELL_BUDGET,
     FiniteMdp,
@@ -111,7 +112,7 @@ class SolverIterate:
     nu: tuple[np.ndarray, ...]
     rho: tuple[np.ndarray, ...]
     log_phi: tuple[np.ndarray, ...]
-    policy: MemoryPolicy
+    policy: MemoryPolicy | PolicyStack
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,11 @@ class PolicyStack(NamedTuple):
 
     degree: int
     tables: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, degree: int, policies: Sequence[MemoryPolicy]) -> "PolicyStack":
+        stacked = zip(*(q.tables for q in policies))
+        return cls(degree, tuple(np.stack(ts) for ts in stacked))
 
     def take(self, rows) -> "PolicyStack":
         return PolicyStack(self.degree, tuple(q[rows] for q in self.tables))
@@ -226,8 +232,7 @@ def _sweeps(
     """
     starts = [policy] if isinstance(policy, MemoryPolicy) else list(policy)
     out = [(q0, [], 0, False) for q0 in starts]  # kept only if max_iters < 1
-    stacked = zip(*(q0.tables for q0 in starts))
-    stack = PolicyStack(opts.degree, tuple(np.stack(ts) for ts in stacked))
+    stack = PolicyStack.of(opts.degree, starts)
     live = list(range(len(starts)))  # the start swept in each stack row
     traces, error, k = [[] for _ in starts], None, 0
     while live and k < max_iters:
@@ -285,25 +290,32 @@ def _solve_batch(
     """Sweep the starts as one batch, then report on each (see multi_start)."""
     start = time.perf_counter()
     swept = _sweeps(mdp, opts, starts, opts.max_iters - iters_used, True)
-    sweep_time = time.perf_counter() - start
-    reports = []
-    for q, trace, iterations, converged in swept:
-        start = time.perf_counter()
-        # canonicalizing only rewrites massless slices, so q's forward pass is
-        # final's, bit for bit
-        belief, nu = forward_pass(mdp, q)
-        final = canonicalize_policy(mdp, q, belief)
-        cost = expected_cost(mdp, final, belief)
-        info = float(per_step_information(mdp, final, belief).sum())
-        reports.append(SolveReport(
+    stack = PolicyStack.of(opts.degree, [s[0] for s in swept])
+    # canonicalizing only rewrites massless slices, so the swept policies'
+    # forward pass is the final policies', bit for bit
+    belief, nu = forward_pass(mdp, stack)
+    finals = canonicalize_policy(mdp, stack, belief)
+    residuals = _certificate(mdp, finals, opts.beta, belief, nu)
+    tails = []
+    for i, (_, trace, iterations, converged) in enumerate(swept):
+        final = MemoryPolicy(opts.degree, tuple(q[i] for q in finals.tables))
+        own = ReducedBelief(opts.degree, tuple(mu[i] for mu in belief.mus))
+        cost = expected_cost(mdp, final, own)
+        info = float(per_step_information(mdp, final, own).sum())
+        tails.append((final, cost, info, trace, iterations, converged))
+    seconds = time.perf_counter() - start
+    return [
+        SolveReport(
             policy=final, beta=opts.beta, degree=opts.degree, cost=cost,
             information_nats=info, total=cost + opts.beta * info,
-            residual=_certificate(mdp, final, opts.beta, belief, nu),
-            iterations=iters_used + iterations, converged=converged,
+            residual=float(residual), iterations=iters_used + iterations,
+            converged=converged,
             objective_trace=np.asarray([*trace_prefix, *trace]),
-            wall_time_seconds=sweep_time + time.perf_counter() - start,
-        ))
-    return reports
+            wall_time_seconds=seconds,
+        )
+        for residual, (final, cost, info, trace, iterations, converged)
+        in zip(residuals, tails)
+    ]
 
 
 def backward_induction(
@@ -381,25 +393,25 @@ def multi_start(
 
     The starts are swept as one batch, each leaving it at its own stop, and
     every report equals that of the start solved alone, except that its wall
-    time is the batch's sweep time plus its own report tail.  Stacked starts
-    over DEFAULT_CELL_BUDGET cells raise ResourceError before any is built.
+    time is that of its whole batch.  Starts whose stacked tables exceed
+    DEFAULT_CELL_BUDGET cells are swept in consecutive batches that fit.
     """
     count = starts + int(include_uniform) + plan_starts
     if starts < 0 or count < 1:
         raise InstanceError("multi-start needs at least one start")
     if screen_iters is not None and screen_iters < 1:
         raise InstanceError(f"screen_iters must be positive, got {screen_iters}")
-    cells = count * mdp.sweep_plan(opts.degree).cells
-    if cells > DEFAULT_CELL_BUDGET:
-        raise ResourceError(f"{count} stacked starts need {cells} cells, over budget")
+    size = max(1, DEFAULT_CELL_BUDGET // mdp.sweep_plan(opts.degree).cells)
     rng = np.random.default_rng(seed)
     start_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=starts)]
     inits = [MemoryPolicy.uniform(mdp, opts.degree)] if include_uniform else []
     inits.extend(plan_start_policies(mdp, opts.degree, plan_starts))
     inits.extend(MemoryPolicy.perturbed(mdp, opts.degree, s) for s in start_seeds)
+    chunks = [inits[i:i + size] for i in range(0, count, size)]
     if screen_iters is None:
-        return _solve_batch(mdp, opts, inits)
-    screened = _sweeps(mdp, opts, inits, min(screen_iters, opts.max_iters), True)
+        return [r for chunk in chunks for r in _solve_batch(mdp, opts, chunk)]
+    sweeps = min(screen_iters, opts.max_iters)
+    screened = [s for chunk in chunks for s in _sweeps(mdp, opts, chunk, sweeps, True)]
     low = min(trace[-1] for _, trace, _, _ in screened)
     q, trace, iters, _ = next(
         s for s in screened if s[1][-1] - low <= 1e-12 * abs(low)
@@ -409,64 +421,74 @@ def multi_start(
 
 def stationarity_residual(
     mdp: FiniteMdp, iterate: SolverIterate, beta: float
-) -> float:
+) -> float | np.ndarray:
     """Max sup-norm violation of the five stationarity relations.
 
     The belief recursion and the cost-to-go relations are checked everywhere;
     the marginal relation and the policy relation only where the relevant
     belief mass exceeds 1e-12 (they are only pinned down almost everywhere).
-    Returns 0 at an exact fixed point.
+    Returns 0 at an exact fixed point.  An iterate of a ``PolicyStack``, every
+    array stacked on its batch axis, gives one residual per member.
     """
     T = mdp.horizon
     belief, nu, rho, log_phi, q = (
         iterate.belief, iterate.nu, iterate.rho, iterate.log_phi, iterate.policy
     )
     plan = mdp.sweep_plan(q.degree)
-    worst = float(np.abs(belief.mus[0] - mdp.initial.reshape(-1, 1)).max())
+    lead = q.tables[0].ndim - 3
+
+    def sup(diff, where=True):  # per member, over the entries where holds
+        axes = tuple(range(lead, diff.ndim))
+        return np.abs(diff).max(axis=axes, where=where, initial=0.0)
+
+    worst = sup(belief.mus[0] - mdp.initial.reshape(-1, 1))
     for t in range(T):
-        nxt = plan.push(t, belief.mus[t][:, :, None] * q.tables[t])
-        worst = max(worst, float(np.abs(belief.mus[t + 1] - nxt).max()))
+        nxt = plan.push(t, belief.mus[t][..., None] * q.tables[t])
+        worst = np.maximum(worst, sup(belief.mus[t + 1] - nxt))
     fresh_nu = induced_action_marginals(mdp, q, belief)
     for t in range(T):
-        mass = belief.mus[t].sum(axis=0) > MASS_TOL
-        if mass.any():
-            worst = max(
-                worst, float(np.abs(nu[t] - fresh_nu[t])[mass, :].max())
-            )
-    term = plan.terminal_log_phi(beta)
-    worst = max(worst, float(np.abs(log_phi[T] - term).max()))
+        mass = belief.mus[t].sum(axis=-2) > MASS_TOL
+        worst = np.maximum(worst, sup(nu[t] - fresh_nu[t], mass[..., None]))
+    worst = np.maximum(worst, sup(log_phi[T] - plan.terminal_log_phi(beta)))
     for t in range(T - 1, -1, -1):
         want_rho = plan.cost_to_go(t, log_phi[t + 1], beta)
-        worst = max(worst, float(np.abs(rho[t] - want_rho).max()))
-        lse, q_want = gibbs_step(nu[t], rho[t])
-        worst = max(worst, float(np.abs(log_phi[t] - lse).max()))
+        worst = np.maximum(worst, sup(rho[t] - want_rho))
+        lse, q_want = gibbs_step(nu[t][..., None, :, :], rho[t])
+        worst = np.maximum(worst, sup(log_phi[t] - lse))
         mask = belief.mus[t] > MASS_TOL
-        if mask.any():
-            diff = np.abs(q.tables[t] - q_want)[mask, :]
-            worst = max(worst, float(diff.max()))
-    return worst
+        worst = np.maximum(worst, sup(q.tables[t] - q_want, mask[..., None]))
+    return worst if lead else float(worst)
 
 
-def residual_from_policy(mdp: FiniteMdp, policy: MemoryPolicy, beta: float) -> float:
+def residual_from_policy(
+    mdp: FiniteMdp, policy: MemoryPolicy | PolicyStack, beta: float
+) -> float | np.ndarray:
     """Stationarity residual of the iterate one sweep builds from a policy.
 
     The forward and backward relations then hold by construction, so the
     residual reduces to the fixed-point gap on the policy itself: how much one
-    further sweep would move q on the massed pairs.
+    further sweep would move q on the massed pairs.  A ``PolicyStack`` gives
+    one residual per member, each equal to its single call's.
     """
     return _certificate(mdp, policy, beta, *forward_pass(mdp, policy))
 
 
-def _certificate(mdp, policy, beta, belief, nu) -> float:
+def _certificate(mdp, policy, beta, belief, nu):
     """``residual_from_policy`` given the policy's forward pass."""
-    rho, log_phi, _ = backward_pass(mdp, nu, beta, policy.degree)
+    plan = mdp.sweep_plan(policy.degree)
+    log_phi = backward_pass(mdp, nu, beta, policy.degree)[1]
+    # a stacked backward pass keeps no rho; the kernel's own call rebuilds it
+    rho = [plan.cost_to_go(t, log_phi[t + 1], beta) for t in range(mdp.horizon)]
     iterate = SolverIterate(belief, tuple(nu), tuple(rho), tuple(log_phi), policy)
     return stationarity_residual(mdp, iterate, beta)
 
 
 @dataclass(frozen=True)
 class ClassicalSolution:
-    """Fixed point of the single-stage alternating iteration."""
+    """Fixed point of the single-stage alternating iteration.
+
+    Stacked priors give every field stacked on their batch axis.
+    """
 
     policy: np.ndarray
     marginal: np.ndarray
@@ -487,41 +509,51 @@ def classical_blahut(
     The problem is convex, so the fixed point is the global optimum.  Returns
     the conditional policy, its action marginal, and the optimal value
     -beta * sum_x p(x) log phi(x) in unscaled units (equal to E c + beta I).
+
+    Priors stacked as (N, Z) are solved in lockstep and give every field
+    stacked on that axis.  Each member stops at its own stop (value change
+    and policy gap over its massed states both below tol) and its numbers are
+    those of solving it alone, bit for bit; a 1-d prior is a batch of one.
     """
     p = np.asarray(prior, dtype=float)
     c = np.asarray(cost, dtype=float)
-    if p.ndim != 1 or c.ndim != 2 or c.shape[0] != p.shape[0]:
+    if p.ndim not in (1, 2) or c.ndim != 2 or c.shape[0] != p.shape[-1]:
         raise InstanceError(
             f"prior shape {p.shape} and cost shape {c.shape} are incompatible"
         )
-    if (p < 0).any() or abs(float(p.sum()) - 1.0) > 1e-9:
+    ps = p.reshape(-1, p.shape[-1])
+    if not ((ps >= 0).all() and (np.abs(ps.sum(axis=1) - 1.0) <= 1e-9).all()):
         raise InstanceError("prior is not a probability distribution")
     check_beta(beta)
     scaled = c / beta
     n_u = c.shape[1]
-    q = np.full_like(c, 1.0 / n_u)
-    value = math.inf
-    converged = False
-    iterations = 0
+    q = np.full((len(ps), *c.shape), 1.0 / n_u)
+    out = q.copy()
+    value = np.full(len(ps), math.inf)
+    iterations = np.zeros(len(ps), dtype=int)
+    converged = np.zeros(len(ps), dtype=bool)
+    live = np.arange(len(ps))  # the member in each row of q
+    pl, massed = ps[:, None, :], (ps > 0.0)[:, :, None]
     for k in range(1, max_iters + 1):
-        log_phi, q_new = gibbs_step(p @ q, scaled)
-        q_new /= q_new.sum(axis=1, keepdims=True)
-        new_value = -beta * float(p @ log_phi)
-        gap = float(np.abs(q_new - q)[p > 0.0, :].max()) if (p > 0).any() else 0.0
-        q = q_new
-        iterations = k
-        if abs(new_value - value) < tol and gap < tol:
-            value = new_value
-            converged = True
-            break
-        value = new_value
-    if (p == 0.0).any():
-        q = q.copy()
-        q[p == 0.0, :] = 1.0 / n_u
-    return ClassicalSolution(
-        policy=q, marginal=p @ q, value=value, iterations=iterations,
-        converged=converged,
-    )
+        log_phi, q_new = gibbs_step(pl @ q, scaled)
+        q_new /= q_new.sum(axis=2, keepdims=True)
+        new_value = -beta * (pl @ log_phi[:, :, None])[:, 0, 0]
+        gap = np.abs(q_new - q).max(axis=(1, 2), where=massed, initial=0.0)
+        stop = (np.abs(new_value - value[live]) < tol) & (gap < tol)
+        q, value[live] = q_new, new_value
+        done = stop | (k == max_iters)
+        if done.any():  # a member leaves the batch at its own stop
+            out[live[done]], iterations[live[done]] = q[done], k
+            converged[live[stop]] = True
+            live, q, pl, massed = (a[~done] for a in (live, q, pl, massed))
+            if not len(live):
+                break
+    out[ps == 0.0] = 1.0 / n_u
+    marginal = (ps[:, None, :] @ out)[:, 0]
+    if p.ndim == 1:
+        return ClassicalSolution(out[0], marginal[0], float(value[0]),
+                                 int(iterations[0]), bool(converged[0]))
+    return ClassicalSolution(out, marginal, value, iterations, converged)
 
 
 def free_energy(log_phi_first: np.ndarray, initial: np.ndarray, beta: float) -> float:

@@ -1,5 +1,6 @@
 """Oracle tests: value iteration, exhaustive grids, landscapes, suites."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import termdp as td
 from termdp import oracle
 from termdp.errors import InstanceError, ResourceError
-from termdp.model import induced_action_marginals
+from termdp.model import conditional_mutual_information, induced_action_marginals
 
 
 def shortest_path_chain():
@@ -21,6 +22,32 @@ def shortest_path_chain():
     term = np.array([10.0, 10.0, 0.0])
     init = np.array([1.0, 0.0, 0.0])
     return td.FiniteMdp((p,) * 2, (cost,) * 2, term, init)
+
+
+@functools.cache
+def per_cell_landscape(resolution, beta=1.0):
+    """Stage-1 values and residuals of the toy, one certificate a cell and one
+    Blahut solve a distinct second-stage prior."""
+    mdp = td.build_nonconvex_toy()
+    c0, c1 = mdp.stage_costs
+    inner = functools.cache(
+        lambda lam: td.classical_blahut(np.array([lam, 1.0 - lam]), c1, beta)
+    )
+    thetas = np.linspace(0.0, 1.0, resolution)
+    values = np.empty((resolution, resolution))
+    residuals = np.empty((resolution, resolution))
+    for i, th0 in enumerate(thetas):
+        for j, th1 in enumerate(thetas):
+            q1 = np.array([[th0, 1.0 - th0], [th1, 1.0 - th1]])
+            joint = mdp.initial[:, None] * q1
+            stage = float(np.sum(joint * c0))
+            info = conditional_mutual_information(joint, (0,), (1,))
+            lam = float(np.einsum("xu,xuy->y", joint, mdp.transitions[0])[0])
+            sol = inner(lam)
+            values[i, j] = stage + beta * info + sol.value
+            policy = td.MemoryPolicy(0, (q1[:, None, :], sol.policy[:, None, :]))
+            residuals[i, j] = td.residual_from_policy(mdp, policy, beta)
+    return values, residuals
 
 
 class TestValueIteration:
@@ -113,6 +140,50 @@ class TestLandscapes:
             grid.values, grid.values[::-1, ::-1].T, atol=1e-12
         )
         assert len(grid.saddles) >= 1
+
+    @pytest.mark.parametrize("resolution", [21, 31])
+    @pytest.mark.parametrize("per_chunk", [None, 50, 400])
+    def test_stage1_landscape_equals_per_cell_loop(
+        self, monkeypatch, resolution, per_chunk
+    ):
+        # the batched landscape (one Blahut call over the distinct priors,
+        # stacked certificates in chunks of per_chunk cells) against the
+        # per-cell loop, bit for bit
+        toy = td.build_nonconvex_toy()
+        want_values, want_residuals = per_cell_landscape(resolution)
+        want_curve = [
+            td.classical_blahut(np.array([lam, 1.0 - lam]), toy.stage_costs[1]).value
+            for lam in np.linspace(0.0, 1.0, resolution)
+        ]
+        stacks = []
+        real = oracle.residual_from_policy
+
+        def residual_from_policy(mdp, policy, beta):
+            stacks.append(real(mdp, policy, beta))
+            return stacks[-1]
+
+        monkeypatch.setattr(oracle, "residual_from_policy", residual_from_policy)
+        if per_chunk is not None:
+            budget = per_chunk * toy.sweep_plan(0).cells
+            monkeypatch.setattr(oracle, "DEFAULT_CELL_BUDGET", budget)
+        grid = oracle.objective_landscape_stage1(toy, resolution)
+        cells = resolution**2
+        assert len(stacks) == -(-cells // (per_chunk or cells))
+        assert np.array_equal(np.concatenate(stacks), want_residuals.ravel())
+        assert np.array_equal(grid.values, want_values)
+        saddle_tol = 0.6 / (resolution - 1)
+        minima = oracle._strict_local_minima(want_values)
+        saddles = [
+            (i, j) for i in range(resolution) for j in range(resolution)
+            if (i, j) not in minima and want_residuals[i, j] < saddle_tol
+        ]
+        assert grid.minima == tuple(minima) and grid.saddles == tuple(saddles)
+        kinds = np.full(grid.values.shape, "", dtype="<U16")
+        kinds[tuple(np.array(minima).T)] = "local_min"
+        kinds[tuple(np.array(saddles).T)] = "saddle_candidate"
+        assert np.array_equal(grid.classification, kinds)
+        curve = oracle.bellman_landscape_stage2(toy, resolution)
+        assert np.array_equal(curve.values, want_curve)
 
     def test_solver_limit_points_land_on_stationary_cells(self):
         toy = td.build_nonconvex_toy()

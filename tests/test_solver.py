@@ -8,8 +8,8 @@ import pytest
 
 import termdp as td
 from termdp import oracle, solver
-from termdp.errors import InstanceError, NumericalError, ResourceError
-from termdp.model import DEFAULT_CELL_BUDGET
+from termdp.errors import InstanceError, NumericalError
+from termdp.model import gibbs_step
 from termdp.solver import (
     SolverIterate,
     backward_pass,
@@ -34,6 +34,26 @@ def binary_hamming(beta_scale=1.0):
         np.zeros(2),
         np.array([0.5, 0.5]),
     )
+
+
+def one_prior_blahut(p, cost, beta, max_iters):
+    """The single-prior Blahut loop: vector-matrix and dot products, one
+    prior at a time.  Returns (policy, marginal, value, iterations,
+    converged)."""
+    q = np.full_like(cost, 1.0 / cost.shape[1])
+    value, converged, iterations = math.inf, False, 0
+    for k in range(1, max_iters + 1):
+        log_phi, q_new = gibbs_step(p @ q, cost / beta)
+        q_new /= q_new.sum(axis=1, keepdims=True)
+        new_value = -beta * float(p @ log_phi)
+        gap = float(np.abs(q_new - q)[p > 0.0, :].max())
+        q, iterations = q_new, k
+        converged = abs(new_value - value) < 1e-12 and gap < 1e-12
+        value = new_value
+        if converged:
+            break
+    q[p == 0.0, :] = 1.0 / cost.shape[1]
+    return q, p @ q, value, iterations, converged
 
 
 class TestOptions:
@@ -338,6 +358,39 @@ class TestClassicalBlahut:
         )
         np.testing.assert_allclose(sol.policy[1], [0.5, 0.5], atol=1e-15)
 
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 4.0])
+    def test_batched_priors_equal_single_calls(self, beta):
+        # priors with zero entries, the two point masses, and members that
+        # stop before max_iters next to members the cap stops
+        rng = np.random.default_rng(7)
+        cost = rng.random((4, 3)) * 2.0
+        priors = rng.random((9, 4))
+        priors[2, 1] = priors[3, :2] = priors[4, 1:] = 0.0
+        priors /= priors.sum(axis=1, keepdims=True)
+        priors = np.concatenate([priors, np.eye(4)[:2]])
+        free = [one_prior_blahut(p, cost, beta, 100_000)[3] for p in priors]
+        cap = sorted(free)[len(free) // 2]
+        batch = td.classical_blahut(priors, cost, beta, max_iters=cap)
+        assert 0 < batch.converged.sum() < len(priors)
+        for i, prior in enumerate(priors):
+            want = one_prior_blahut(prior, cost, beta, cap)
+            one = td.classical_blahut(prior, cost, beta, max_iters=cap)
+            member = td.ClassicalSolution(*(f[i] for f in vars(batch).values()))
+            for sol in (one, member):
+                assert np.array_equal(sol.policy, want[0])
+                assert np.array_equal(sol.marginal, want[1])
+                assert (sol.value, sol.iterations, sol.converged) == want[2:]
+        assert isinstance(one.value, float) and isinstance(one.iterations, int)
+
+    @pytest.mark.parametrize("row", [[0.5, -0.1, 0.6], [0.5, 0.2, 0.2],
+                                     [0.5, math.nan, 0.5]])
+    def test_bad_prior_row_raises_as_alone(self, row):
+        cost = np.zeros((3, 2))
+        priors = np.array([[0.2, 0.3, 0.5], row, [1.0, 0.0, 0.0]])
+        for prior in (priors, np.array(row)):
+            with pytest.raises(InstanceError, match="not a probability distribution"):
+                td.classical_blahut(prior, cost)
+
 
 class TestFreeEnergy:
     def test_classical_symmetric_matches_cost_plus_information(self):
@@ -474,6 +527,43 @@ class TestMultiStart:
         )
         assert_same_report(got, want[0])
 
+    @pytest.mark.parametrize("degree", [0, 2])
+    def test_swept_members_are_certified_in_one_call(self, monkeypatch, degree):
+        # full mode certifies all swept members with one stacked certificate;
+        # each report's tail equals the one computed for its policy alone
+        mdp = oracle.random_mdp(np.random.default_rng(40), 4, 4, 3)
+        opts = td.SolveOptions(beta=0.6, degree=degree, max_iters=300)
+        seeds = np.random.default_rng(5).integers(0, 2**63 - 1, size=3)
+        starts = [td.MemoryPolicy.uniform(mdp, degree)]
+        starts += plan_start_policies(mdp, degree, 2)
+        starts += [td.MemoryPolicy.perturbed(mdp, degree, int(s)) for s in seeds]
+        swept = solver._sweeps(mdp, opts, starts, opts.max_iters, True)
+        stacks = []
+        real = solver._certificate
+
+        def certificate(mdp, policy, *args):
+            stacks.append(policy.tables[0].shape[0])
+            return real(mdp, policy, *args)
+
+        monkeypatch.setattr(solver, "_certificate", certificate)
+        reports = td.multi_start(mdp, opts, starts=3, seed=5, plan_starts=2)
+        assert stacks == [6]
+        monkeypatch.undo()
+        for rep, (q, trace, iterations, converged) in zip(reports, swept, strict=True):
+            belief, _ = forward_pass(mdp, q)
+            final = td.canonicalize_policy(mdp, q, belief)
+            cost = td.expected_cost(mdp, final, belief)
+            info = float(td.per_step_information(mdp, final, belief).sum())
+            assert [a.tobytes() for a in rep.policy.tables] == [
+                b.tobytes() for b in final.tables
+            ]
+            assert (rep.cost, rep.information_nats, rep.total) == (
+                cost, info, cost + opts.beta * info
+            )
+            assert rep.residual == residual_from_policy(mdp, final, opts.beta)
+            assert rep.objective_trace.tobytes() == np.asarray(trace).tobytes()
+            assert (rep.iterations, rep.converged) == (iterations, converged)
+
     @pytest.mark.parametrize(
         "poisoned, message",
         [({2: 3, 1: 6}, "iteration 7"), ({2: 3, 1: 6, 0: 8}, "iteration 9")],
@@ -497,13 +587,53 @@ class TestMultiStart:
         with pytest.raises(NumericalError, match=f"{message}$"):
             td.multi_start(mdp, opts, 2, seed=5)
 
-    def test_stacked_starts_over_budget_raise(self):
-        # degree 3 on the T=55 maze: one policy holds 5.0e6 cells, five
-        # stacked starts 2.5e7; refused before any start is built
-        mdp = td.build_maze(td.sample_maze_spec(horizon=55))
-        assert mdp.sweep_plan(3).cells < DEFAULT_CELL_BUDGET
-        with pytest.raises(ResourceError, match="budget"):
-            td.multi_start(mdp, td.SolveOptions(beta=1.0, degree=3), starts=4, seed=0)
+    @pytest.mark.parametrize("degree", [0, 1])
+    @pytest.mark.parametrize("per_chunk", [1, 2, 4])
+    def test_over_budget_starts_are_swept_in_chunks(
+        self, monkeypatch, degree, per_chunk
+    ):
+        # a cell budget that fits per_chunk stacked starts: the six starts are
+        # swept in consecutive chunks, and every report, full or screened,
+        # equals the unchunked one byte for byte
+        mdp = oracle.random_mdp(np.random.default_rng(40), 4, 4, 3)
+        opts = td.SolveOptions(beta=0.6, degree=degree, max_iters=300)
+        calls = dict(starts=3, seed=5, plan_starts=2)
+        full = td.multi_start(mdp, opts, **calls)
+        (screened,) = td.multi_start(mdp, opts, screen_iters=9, **calls)
+        batches = []
+        real = solver._sweeps
+
+        def sweeps(mdp, opts, policy, *args):
+            batches.append(1 if isinstance(policy, td.MemoryPolicy) else len(policy))
+            return real(mdp, opts, policy, *args)
+
+        monkeypatch.setattr(solver, "_sweeps", sweeps)
+        cells = mdp.sweep_plan(degree).cells
+        budget = (per_chunk + 1) * cells - 1  # fits per_chunk starts, not one more
+        monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", budget)
+        chunked = td.multi_start(mdp, opts, **calls)
+        sizes = [min(per_chunk, 6 - i) for i in range(0, 6, per_chunk)]
+        assert batches == sizes
+        for a, b in zip(chunked, full, strict=True):
+            assert_same_report(a, b)
+        batches.clear()
+        (got,) = td.multi_start(mdp, opts, screen_iters=9, **calls)
+        assert batches == sizes + [1]  # the winner is polished alone
+        assert_same_report(got, screened)
+
+    def test_chunked_screening_ties_go_to_the_earliest_start(self, monkeypatch):
+        # the tie case below, its five starts screened two at a time: the
+        # uniform start, first of the first chunk, must still win
+        mdp = td.build_maze(td.sample_maze_spec(horizon=10))
+        opts = td.SolveOptions(beta=2.0, max_iters=150)
+        calls = dict(starts=1, seed=3, plan_starts=3, screen_iters=300)
+        (whole,) = td.multi_start(mdp, opts, **calls)
+        cells = mdp.sweep_plan(0).cells
+        monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 2 * cells)
+        (chunked,) = td.multi_start(mdp, opts, **calls)
+        (first,) = td.multi_start(mdp, opts, starts=0, seed=3, screen_iters=300)
+        assert_same_report(chunked, whole)
+        assert_same_report(chunked, first)
 
     @pytest.mark.parametrize("screen_iters", [0, -1])
     def test_nonpositive_screen_iters_rejected(self, screen_iters):

@@ -5,6 +5,7 @@ trajectory enumeration, its backward kernel with a scalar loop written here;
 neither reference shares code with the plan.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ import termdp as td
 from termdp import oracle
 from termdp.errors import NumericalError, ResourceError
 from termdp.model import DEFAULT_CELL_BUDGET
-from termdp.solver import backward_pass, forward_pass
+from termdp.solver import PolicyStack, backward_pass, forward_pass, residual_from_policy
 
 from reference import enum_trajectory_probs
 
@@ -142,6 +143,44 @@ def test_stacked_kernels_equal_single_calls(horizon, degree, k):
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.shape[1:] == b.shape and np.array_equal(a[i], b)
+
+
+@functools.cache
+def _fixed_point(horizon: int, degree: int):
+    """A converged solve's policy on the case's instance: residual near 0."""
+    mdp, _ = _instance(horizon, degree)
+    rep = td.solve(mdp, td.SolveOptions(beta=0.5, degree=degree, max_iters=4000))
+    assert rep.converged
+    return rep.policy
+
+
+def _massless_policy(rng, mdp, degree):
+    """A random policy that never plays action 0, so histories holding it
+    carry no mass and the masked relations skip them."""
+    tables = []
+    for q in oracle.random_policy(rng, mdp, degree).tables:
+        q = q.copy()
+        q[..., 0] = 0.0
+        tables.append(q / q.sum(axis=2, keepdims=True))
+    return td.MemoryPolicy(degree, tuple(tables))
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize("horizon, degree", CASES)
+def test_stacked_residuals_equal_single_calls(horizon, degree, k):
+    # members cycle through a random policy, a fixed point and a policy with
+    # massless histories; the stack gives, member by member, exactly the
+    # single call's residual
+    mdp, _ = _instance(horizon, degree)
+    rng = np.random.default_rng(10 * k + degree)
+    kinds = [lambda: oracle.random_policy(rng, mdp, degree),
+             lambda: _fixed_point(horizon, degree),
+             lambda: _massless_policy(rng, mdp, degree)]
+    pols = [kinds[i % 3]() for i in range(k)]
+    got = residual_from_policy(mdp, PolicyStack.of(degree, pols), 0.5)
+    want = [residual_from_policy(mdp, p, 0.5) for p in pols]
+    assert got.shape == (k,) and np.array_equal(got, want)
+    assert max(want[1::3], default=0.0) < 1e-8 < min(want[::3])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
