@@ -286,6 +286,8 @@ def _sweep_betas(args) -> list[float]:
         )
     else:
         raise InstanceError("sweep needs --betas or --beta-min/--beta-max")
+    if not betas:
+        raise InstanceError(f"--betas {args.betas!r} lists no beta")
     return betas
 
 
@@ -370,8 +372,8 @@ def cmd_landscape(args) -> int:
             "only the built-in two-step binary landscape is supported; pass --toy"
         )
     mdp = build_nonconvex_toy()
-    curve = oracle.bellman_landscape_stage2(mdp, args.resolution, args.beta)
     grid = oracle.objective_landscape_stage1(mdp, args.resolution, args.beta)
+    curve = oracle.bellman_landscape_stage2(mdp, args.resolution, args.beta)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         args.out_dir / "v2_curve.csv",

@@ -5,8 +5,8 @@ brute-force search grids policy simplices and evaluates objectives with its
 own batched recursion, and the two-step landscapes rebuild the objective from
 single-stage convex solves.  Two steps are shared with the solver rather than
 duplicated: value iteration is the solver's ``backward_induction`` (which also
-seeds the plan starts), and the batched single-stage iteration uses the
-sweep's ``gibbs_step``.
+seeds the plan starts), and every single-stage convex solve is the solver's
+batched ``classical_blahut``.
 The property suites drive these oracles over seeded random instances and are
 shared by the test suite and the ``verify`` CLI subcommand.
 """
@@ -27,7 +27,6 @@ from .model import (
     check_beta,
     check_tables,
     conditional_mutual_information,
-    gibbs_step,
     slide_split,
     transfer_entropy,
     transfer_entropy_terms,
@@ -70,6 +69,7 @@ __all__ = [
 
 MAX_FREE_PARAMS = 6
 DEFAULT_COMBO_BUDGET = 20_000_000
+MAX_LANDSCAPE_CELLS = DEFAULT_CELL_BUDGET  # stage-1 grid cells
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +221,14 @@ def objective_landscape_stage1(
     The continuations of the distinct second-stage priors are solved in one
     batched ``classical_blahut`` call, and the cells' policies certified as
     stacks of at most DEFAULT_CELL_BUDGET cells; every value and residual
-    equals that of its cell computed alone.
+    equals that of its cell computed alone.  A grid of more than
+    DEFAULT_CELL_BUDGET cells raises ResourceError before any allocation.
     """
     _require_toy_shape(mdp)
     _check_resolution(resolution)
+    if resolution**2 > MAX_LANDSCAPE_CELLS:
+        raise ResourceError(f"a landscape of {resolution**2} cells exceeds "
+                            f"the budget {MAX_LANDSCAPE_CELLS}")
     if saddle_tol is None:
         saddle_tol = 0.6 / (resolution - 1)
     thetas = np.linspace(0.0, 1.0, resolution)
@@ -417,36 +421,6 @@ def _first_stage_grid_array(mdp: FiniteMdp, resolution: float) -> np.ndarray:
     return np.stack([np.stack([grid[k] for k in combo]) for combo in combos])
 
 
-def _batched_blahut(
-    priors: np.ndarray,
-    cost: np.ndarray,
-    beta: float,
-    tol: float = 1e-11,
-    max_iters: int = 100_000,
-) -> np.ndarray:
-    """Single-stage alternating minimization over a whole batch of priors.
-
-    priors has shape (N, Z) and cost (Z, U); returns the N optimal values of
-    E c + beta I in unscaled units.  Iterates until the worst value change
-    over the batch falls below tol.
-    """
-    scaled = cost / beta
-    n, z = priors.shape
-    u = cost.shape[1]
-    q = np.full((n, z, u), 1.0 / u)
-    values = np.full(n, np.inf)
-    for _ in range(max_iters):
-        nu = np.einsum("nz,nzu->nu", priors, q)
-        log_phi, q = gibbs_step(nu[:, None, :], scaled)
-        q /= q.sum(axis=2, keepdims=True)
-        new_values = -beta * np.einsum("nz,nz->n", priors, log_phi)
-        gap = float(np.abs(new_values - values).max())
-        values = new_values
-        if gap < tol:
-            break
-    return values
-
-
 def _batched_mutual_information(joint: np.ndarray) -> np.ndarray:
     """I(A; B) per batch entry for joints of shape (N, A, B)."""
     p_a = joint.sum(axis=2, keepdims=True)
@@ -484,9 +458,9 @@ def directed_optimum_t2(
     Two-step instances only.  The first stage is gridded; for each first-stage
     policy and each realized first control, the optimal continuation is a
     single-stage convex problem over the conditional joint of both states,
-    solved exactly (vectorized over the whole grid).  The expected terminal
-    cost is folded into the second-stage cost table.  The result is exact up
-    to the first-stage grid spacing.
+    solved exactly (one batched ``classical_blahut`` call per first control).
+    The expected terminal cost is folded into the second-stage cost table.
+    The result is exact up to the first-stage grid spacing.
     """
     check_beta(beta)
     if mdp.horizon != 2:
@@ -506,7 +480,7 @@ def directed_optimum_t2(
         safe = np.where(w[:, None] > 0.0, branch / np.maximum(w, 1e-300)[:, None], 0.0)
         uniform = np.full_like(safe, 1.0 / safe.shape[1])
         priors = np.where(w[:, None] > 0.0, safe, uniform)
-        totals += w * _batched_blahut(priors, lifted_cost, beta)
+        totals += w * classical_blahut(priors, lifted_cost, beta).value
     return float(totals.min())
 
 
@@ -542,8 +516,8 @@ def structural_reduction_check(
         c1_eff[None, None, :, :], (x0, u0, x1, u1)
     ).reshape(-1, u1)
     mu1 = full.sum(axis=(1, 2))
-    v_marg = _batched_blahut(mu1, c1_eff, beta)
-    v_lift = _batched_blahut(full.reshape(len(full), -1), lifted_cost, beta)
+    v_marg = classical_blahut(mu1, c1_eff, beta).value
+    v_lift = classical_blahut(full.reshape(len(full), -1), lifted_cost, beta).value
     return StructuralReductionReport(
         float((stage + v_marg).min()),
         float((stage + v_lift).min()),

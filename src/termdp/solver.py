@@ -19,7 +19,9 @@ is a stacked matmul.  The starts of a multi-start are swept as one batch
 along a leading axis; a member leaves the batch at its own stop, and its
 numbers are bit for bit those of solving it alone.  A solve is a batch of
 one.  One stacked final forward pass serves the reports and the batch's one
-stacked certificate.
+stacked certificate.  The stop test and the certificate measure the same
+policy gap: the sup-norm change one backward pass makes to the policy over
+the pairs with belief mass (``_policy_gap``).
 
 The weight beta is absorbed by dividing stage costs by beta inside the
 backward recursion; reported costs are always unscaled.  Partition functions
@@ -112,7 +114,7 @@ class SolverIterate:
     nu: tuple[np.ndarray, ...]
     rho: tuple[np.ndarray, ...]
     log_phi: tuple[np.ndarray, ...]
-    policy: MemoryPolicy | PolicyStack
+    policy: MemoryPolicy
 
 
 @dataclass(frozen=True)
@@ -183,16 +185,16 @@ def backward_pass(
     return rho, log_phi, kind(degree, tuple(tables))
 
 
-def _masked_policy_gap(
-    mus: Sequence[np.ndarray], old: PolicyStack, j: int, new: PolicyStack, row: int
-) -> float:
-    """Sup-norm change from old[j] to new[row] over pairs with mus[row] mass."""
-    gap = 0.0
-    for mu, qa, qb in zip(mus, old.tables, new.tables):
-        mask = mu[row] > MASS_TOL
-        if mask.any():
-            gap = max(gap, float(np.abs(qa[j] - qb[row])[mask, :].max()))
-    return gap
+def _policy_gap(mus, old_tables, new_tables) -> np.ndarray:
+    """Sup-norm change from old to new tables over pairs with mus mass.
+
+    Tables stacked on a leading batch axis give one gap per member.
+    """
+    return np.max([
+        np.abs(qa - qb).max(axis=(-3, -2, -1), where=(mu > MASS_TOL)[..., None],
+                            initial=0.0)
+        for mu, qa, qb in zip(mus, old_tables, new_tables)
+    ], axis=0)
 
 
 def solve(mdp: FiniteMdp, opts: SolveOptions) -> SolveReport:
@@ -263,10 +265,9 @@ def _sweeps(
         log_phi, stack = backward_pass(mdp, nu, opts.beta, opts.degree)[1:]
         values = [free_energy(lp, mdp.initial, opts.beta) for lp in log_phi[0]]
         del log_phi
-        stops = {
-            row for j, row in enumerate(tested)
-            if _masked_policy_gap(mus, old, j, stack, row) < opts.tol_residual
-        }
+        gaps = _policy_gap([m[tested] for m in mus], old.tables,
+                           stack.take(tested).tables) if tested else []
+        stops = {row for row, gap in zip(tested, gaps) if gap < opts.tol_residual}
         stay = [r for r in range(len(live)) if r not in stops and k < max_iters]
         for row, i in enumerate(live):
             if row not in stay:  # copied out unless the whole stack leaves
@@ -421,43 +422,39 @@ def multi_start(
 
 def stationarity_residual(
     mdp: FiniteMdp, iterate: SolverIterate, beta: float
-) -> float | np.ndarray:
+) -> float:
     """Max sup-norm violation of the five stationarity relations.
 
     The belief recursion and the cost-to-go relations are checked everywhere;
     the marginal relation and the policy relation only where the relevant
     belief mass exceeds 1e-12 (they are only pinned down almost everywhere).
-    Returns 0 at an exact fixed point.  An iterate of a ``PolicyStack``, every
-    array stacked on its batch axis, gives one residual per member.
+    Returns 0 at an exact fixed point.
     """
     T = mdp.horizon
     belief, nu, rho, log_phi, q = (
         iterate.belief, iterate.nu, iterate.rho, iterate.log_phi, iterate.policy
     )
     plan = mdp.sweep_plan(q.degree)
-    lead = q.tables[0].ndim - 3
 
-    def sup(diff, where=True):  # per member, over the entries where holds
-        axes = tuple(range(lead, diff.ndim))
-        return np.abs(diff).max(axis=axes, where=where, initial=0.0)
+    def sup(diff, where=True):  # over the entries where holds
+        return np.abs(diff).max(where=where, initial=0.0)
 
-    worst = sup(belief.mus[0] - mdp.initial.reshape(-1, 1))
+    terms = [sup(belief.mus[0] - mdp.initial.reshape(-1, 1))]
     for t in range(T):
         nxt = plan.push(t, belief.mus[t][..., None] * q.tables[t])
-        worst = np.maximum(worst, sup(belief.mus[t + 1] - nxt))
+        terms.append(sup(belief.mus[t + 1] - nxt))
     fresh_nu = induced_action_marginals(mdp, q, belief)
     for t in range(T):
-        mass = belief.mus[t].sum(axis=-2) > MASS_TOL
-        worst = np.maximum(worst, sup(nu[t] - fresh_nu[t], mass[..., None]))
-    worst = np.maximum(worst, sup(log_phi[T] - plan.terminal_log_phi(beta)))
+        mass = belief.mus[t].sum(axis=0) > MASS_TOL
+        terms.append(sup(nu[t] - fresh_nu[t], mass[:, None]))
+    terms.append(sup(log_phi[T] - plan.terminal_log_phi(beta)))
     for t in range(T - 1, -1, -1):
-        want_rho = plan.cost_to_go(t, log_phi[t + 1], beta)
-        worst = np.maximum(worst, sup(rho[t] - want_rho))
-        lse, q_want = gibbs_step(nu[t][..., None, :, :], rho[t])
-        worst = np.maximum(worst, sup(log_phi[t] - lse))
+        terms.append(sup(rho[t] - plan.cost_to_go(t, log_phi[t + 1], beta)))
+        lse, q_want = gibbs_step(nu[t][None], rho[t])
+        terms.append(sup(log_phi[t] - lse))
         mask = belief.mus[t] > MASS_TOL
-        worst = np.maximum(worst, sup(q.tables[t] - q_want, mask[..., None]))
-    return worst if lead else float(worst)
+        terms.append(sup(q.tables[t] - q_want, mask[..., None]))
+    return float(np.max(terms))
 
 
 def residual_from_policy(
@@ -465,22 +462,20 @@ def residual_from_policy(
 ) -> float | np.ndarray:
     """Stationarity residual of the iterate one sweep builds from a policy.
 
-    The forward and backward relations then hold by construction, so the
-    residual reduces to the fixed-point gap on the policy itself: how much one
-    further sweep would move q on the massed pairs.  A ``PolicyStack`` gives
-    one residual per member, each equal to its single call's.
+    Four of the five relations hold there by construction, so only the
+    policy relation is measured: the stop test's gap between the policy and
+    the tables of its own backward pass.  This equals ``stationarity_residual``
+    of that iterate up to the roundoff of renormalizing the Gibbs tables.  A
+    ``PolicyStack`` gives one residual per member, each its single call's.
     """
-    return _certificate(mdp, policy, beta, *forward_pass(mdp, policy))
+    gap = _certificate(mdp, policy, beta, *forward_pass(mdp, policy))
+    return gap if gap.ndim else float(gap)
 
 
 def _certificate(mdp, policy, beta, belief, nu):
     """``residual_from_policy`` given the policy's forward pass."""
-    plan = mdp.sweep_plan(policy.degree)
-    log_phi = backward_pass(mdp, nu, beta, policy.degree)[1]
-    # a stacked backward pass keeps no rho; the kernel's own call rebuilds it
-    rho = [plan.cost_to_go(t, log_phi[t + 1], beta) for t in range(mdp.horizon)]
-    iterate = SolverIterate(belief, tuple(nu), tuple(rho), tuple(log_phi), policy)
-    return stationarity_residual(mdp, iterate, beta)
+    fresh = backward_pass(mdp, nu, beta, policy.degree)[2]
+    return _policy_gap(belief.mus, policy.tables, fresh.tables)
 
 
 @dataclass(frozen=True)

@@ -241,9 +241,10 @@ def test_criterion_7_bound_chain():
 
 
 def test_criterion_8_per_iteration_scaling():
-    def sweep_time(horizon: int) -> float:
-        mdp = envs.build_maze(td.sample_maze_spec(horizon=horizon))
-        opts = td.SolveOptions(beta=1.0, degree=0, max_iters=20)
+    opts = td.SolveOptions(beta=1.0, degree=0, max_iters=20)
+
+    def sweep_time(mdp) -> float:
+        """Median over three 20-sweep runs of the time per sweep."""
         pol = td.MemoryPolicy.uniform(mdp, 0)
         times = []
         for _ in range(3):
@@ -252,21 +253,20 @@ def test_criterion_8_per_iteration_scaling():
             times.append((time.perf_counter() - t0) / 20)
         return sorted(times)[1]
 
-    t25, t50, t100 = sweep_time(25), sweep_time(50), sweep_time(100)
+    t25, t50, t100 = (
+        sweep_time(envs.build_maze(td.sample_maze_spec(horizon=h)))
+        for h in (25, 50, 100)
+    )
     r1, r2 = t50 / t25, t100 / t50
     linear_ok = 1.6 <= r1 <= 2.6 and 1.6 <= r2 <= 2.6
 
     # the solve path takes no window-width argument at all; bracket it with
     # evaluations at different widths and check the iteration time is flat
     mdp = envs.build_maze(td.sample_maze_spec(horizon=25))
-    pol = td.MemoryPolicy.uniform(mdp, 0)
-    opts = td.SolveOptions(beta=1.0, degree=0, max_iters=20)
     stamps = []
     for m in (0, 1):
-        td.transfer_entropy(mdp, pol, m=m, n_eval=0)
-        t0 = time.perf_counter()
-        _sweeps(mdp, opts, pol, 20, False)
-        stamps.append((time.perf_counter() - t0) / 20)
+        td.transfer_entropy(mdp, td.MemoryPolicy.uniform(mdp, 0), m=m, n_eval=0)
+        stamps.append(sweep_time(mdp))
     m_ratio = stamps[1] / stamps[0]
     m_ok = 0.5 <= m_ratio <= 2.0
     ok = linear_ok and m_ok

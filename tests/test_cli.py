@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,10 +221,33 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("betas", [",", " , ,"])
+    def test_empty_beta_list_rejected(self, tmp_path, capsys, betas):
+        code = run(["sweep", HAMMING, "--betas", betas, "--out-dir", tmp_path])
+        assert code == 2
+        assert "lists no beta" in capsys.readouterr().err
+        assert not (tmp_path / "tradeoff.csv").exists()
+
 
 class TestLandscapeCommand:
     def test_requires_toy_flag(self, tmp_path):
         assert run(["landscape", "--out-dir", tmp_path]) == 2
+
+    def test_oversized_grid_refused_before_allocation(self, tmp_path, capsys):
+        # 5000 x 5000 cells exceed the budget; the refusal comes before any
+        # grid or stage-2 curve is built, so almost nothing is allocated
+        tracemalloc.start()
+        try:
+            code = run(
+                ["landscape", "--toy", "--resolution", "5000", "--out-dir", tmp_path]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert "25000000 cells" in capsys.readouterr().err
+        assert peak < 1_000_000
+        assert not (tmp_path / "v2_curve.csv").exists()
 
     def test_emits_curves_with_classification(self, tmp_path, capsys):
         code = run(

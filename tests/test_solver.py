@@ -11,6 +11,7 @@ from termdp import oracle, solver
 from termdp.errors import InstanceError, NumericalError
 from termdp.model import gibbs_step
 from termdp.solver import (
+    PolicyStack,
     SolverIterate,
     backward_pass,
     forward_pass,
@@ -273,6 +274,13 @@ def _bumped(
     return tuple(out)
 
 
+def one_sweep_iterate(mdp, policy, beta):
+    """The iterate one sweep builds from a policy, the policy kept as is."""
+    belief, nu = forward_pass(mdp, policy)
+    rho, log_phi, _ = backward_pass(mdp, nu, beta, policy.degree)
+    return SolverIterate(belief, tuple(nu), tuple(rho), tuple(log_phi), policy)
+
+
 class TestStationarityResidualRelations:
     """Break one stationarity relation at a time on an exact iterate.
 
@@ -287,15 +295,7 @@ class TestStationarityResidualRelations:
         mdp = oracle.random_mdp(np.random.default_rng(31), 3, 3, 3)
         rep = td.solve(mdp, td.SolveOptions(beta=BETA_CERT, degree=degree))
         assert rep.converged
-        belief, nu = forward_pass(mdp, rep.policy)
-        rho, log_phi, _ = backward_pass(mdp, nu, BETA_CERT, degree)
-        return mdp, SolverIterate(
-            belief=belief,
-            nu=tuple(nu),
-            rho=tuple(rho),
-            log_phi=tuple(log_phi),
-            policy=rep.policy,
-        )
+        return mdp, one_sweep_iterate(mdp, rep.policy, BETA_CERT)
 
     def test_exact_iterate_certified(self, exact):
         mdp, it = exact
@@ -321,6 +321,60 @@ class TestStationarityResidualRelations:
         else:
             it = replace(it, log_phi=_bumped(it.log_phi, T, (0, 0)))
         assert stationarity_residual(mdp, it, BETA_CERT) >= DELTA - 1e-12
+
+
+class TestCertificateIsTheFullCheck:
+    """residual_from_policy reads only the policy relation; on the one-sweep
+    iterate the other four hold, so it equals the five-relation check."""
+
+    @pytest.fixture(scope="class", params=[0, 1, 2])
+    def policies(self, request):
+        degree = request.param
+        mdp = oracle.random_mdp(np.random.default_rng(50 + degree), 3, 3, 3)
+        rng = np.random.default_rng(60 + degree)
+        rep = td.solve(mdp, td.SolveOptions(beta=BETA_CERT, degree=degree))
+        assert rep.converged
+        pols = [oracle.random_policy(rng, mdp, degree), rep.policy,
+                oracle.random_policy(rng, mdp, degree)]
+        return mdp, pols
+
+    def test_equals_stationarity_residual(self, policies):
+        mdp, pols = policies
+        want = [
+            stationarity_residual(mdp, one_sweep_iterate(mdp, p, BETA_CERT), BETA_CERT)
+            for p in pols
+        ]
+        single = [residual_from_policy(mdp, p, BETA_CERT) for p in pols]
+        stack = PolicyStack.of(pols[0].degree, pols)
+        stacked = residual_from_policy(mdp, stack, BETA_CERT)
+        assert all(type(r) is float for r in single) and stacked.shape == (3,)
+        np.testing.assert_allclose(single, want, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(stacked, want, rtol=0.0, atol=1e-14)
+        assert want[1] < 1e-8 < min(want[0], want[2])
+
+    def test_policy_bump_detected(self, policies):
+        # bump the massed entry where the policy relation is worst, away from
+        # the Gibbs table, and take the bump back from another action
+        mdp, pols = policies
+        for policy in pols:
+            it = one_sweep_iterate(mdp, policy, BETA_CERT)
+            before = stationarity_residual(mdp, it, BETA_CERT)
+            fresh = backward_pass(mdp, list(it.nu), BETA_CERT, policy.degree)[2]
+            diffs = [q - f for q, f in zip(policy.tables, fresh.tables)]
+            scores = [np.where(mu[..., None] > 1e-12, np.abs(d), -1.0)
+                      for mu, d in zip(it.belief.mus, diffs)]
+            t = max(range(mdp.horizon), key=lambda s: scores[s].max())
+            x, h, u = np.unravel_index(scores[t].argmax(), scores[t].shape)
+            step = DELTA if diffs[t][x, h, u] >= 0.0 else -DELTA
+            tables = [np.array(q) for q in policy.tables]
+            row = tables[t][x, h]
+            other = max((a for a in range(len(row)) if a != u), key=row.__getitem__)
+            row[u] += step
+            row[other] -= step
+            assert row.min() >= 0.0
+            bumped = replace(it, policy=td.MemoryPolicy(policy.degree, tuple(tables)))
+            after = stationarity_residual(mdp, bumped, BETA_CERT)
+            assert after >= before + DELTA - 1e-12
 
 
 class TestClassicalBlahut:
