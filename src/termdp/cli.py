@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--tol", type=float, default=_env("TOL", 1e-10),
-        help="objective-change stopping tolerance",
+        help="absolute objective-change stopping tolerance (not scaled by the total)",
     )
     common.add_argument(
         "--tol-residual", type=float, default=_env("TOL_RESIDUAL", 1e-8),

@@ -327,6 +327,20 @@ def _float_array(value, name: str) -> np.ndarray:
         raise InstanceError(f"{name} is not a numeric array: {exc}") from exc
 
 
+def _slices(doc: dict, key: str, ndim: int, horizon: int) -> list[np.ndarray]:
+    """One ndim-d slice reused for every t, or a per-time list of them."""
+    value = doc[key]
+    if _depth(value) == ndim:
+        return [_float_array(value, key)] * horizon
+    if _depth(value) != ndim + 1:
+        raise InstanceError(
+            f"{key} must be a {ndim}-d slice or a list of {ndim}-d slices"
+        )
+    if len(value) != horizon:
+        raise InstanceError(f"{key} lists {len(value)} slices for horizon {horizon}")
+    return [_float_array(item, key) for item in value]
+
+
 def instance_from_dict(doc: dict) -> FiniteMdp:
     """Validate and expand an instance document into a FiniteMdp.
 
@@ -342,31 +356,9 @@ def instance_from_dict(doc: dict) -> FiniteMdp:
     horizon = doc["horizon"]
     if not isinstance(horizon, int) or horizon < 1:
         raise InstanceError(f"horizon must be a positive integer, got {horizon!r}")
-    tr = doc["transition"]
-    if _depth(tr) == 3:
-        transitions = [_float_array(tr, "transition")] * horizon
-    elif _depth(tr) == 4:
-        if len(tr) != horizon:
-            raise InstanceError(
-                f"transition lists {len(tr)} slices for horizon {horizon}"
-            )
-        transitions = [_float_array(s, "transition") for s in tr]
-    else:
-        raise InstanceError("transition must be a 3-d slice or a list of 3-d slices")
-    sc = doc["stage_cost"]
-    if _depth(sc) == 2:
-        stage_costs = [_float_array(sc, "stage_cost")] * horizon
-    elif _depth(sc) == 3:
-        if len(sc) != horizon:
-            raise InstanceError(
-                f"stage_cost lists {len(sc)} slices for horizon {horizon}"
-            )
-        stage_costs = [_float_array(s, "stage_cost") for s in sc]
-    else:
-        raise InstanceError("stage_cost must be a 2-d slice or a list of 2-d slices")
     mdp = FiniteMdp(
-        transitions=tuple(transitions),
-        stage_costs=tuple(stage_costs),
+        transitions=tuple(_slices(doc, "transition", 3, horizon)),
+        stage_costs=tuple(_slices(doc, "stage_cost", 2, horizon)),
         terminal_cost=_float_array(doc["terminal_cost"], "terminal_cost"),
         initial=_float_array(doc["initial"], "initial"),
     )
@@ -387,7 +379,7 @@ def instance_to_dict(mdp: FiniteMdp) -> dict:
     """Serialize with the stationary shorthand when slices repeat."""
     tr = [p.tolist() for p in mdp.transitions]
     sc = [c.tolist() for c in mdp.stage_costs]
-    doc = {
+    return {
         "horizon": mdp.horizon,
         "states": list(mdp.state_cards),
         "actions": list(mdp.action_cards),
@@ -396,19 +388,21 @@ def instance_to_dict(mdp: FiniteMdp) -> dict:
         "terminal_cost": mdp.terminal_cost.tolist(),
         "initial": mdp.initial.tolist(),
     }
-    return doc
 
 
-def load_instance(path: str | Path) -> FiniteMdp:
+def _read_json(path: str | Path, what: str):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise InstanceError(f"cannot read instance file {path}: {exc}") from exc
+        raise InstanceError(f"cannot read {what} file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InstanceError(f"instance file {path} is not valid JSON: {exc}") from exc
-    return instance_from_dict(doc)
+        raise InstanceError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_instance(path: str | Path) -> FiniteMdp:
+    return instance_from_dict(_read_json(path, "instance"))
 
 
 def save_instance(mdp: FiniteMdp, path: str | Path) -> None:
@@ -461,15 +455,7 @@ def maze_spec_from_dict(doc: dict) -> MazeSpec:
 
 
 def load_maze_spec(path: str | Path) -> MazeSpec:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InstanceError(f"cannot read maze file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"maze file {path} is not valid JSON: {exc}") from exc
-    return maze_spec_from_dict(doc)
+    return maze_spec_from_dict(_read_json(path, "maze"))
 
 
 def save_maze_spec(spec: MazeSpec, path: str | Path) -> None:

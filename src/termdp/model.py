@@ -265,9 +265,6 @@ class WindowJoint:
     def x_axis_count(self, t: int) -> int:
         return min(self.m, t) + 1
 
-    def u_axis_count(self, t: int) -> int:
-        return min(self.u_depth, t)
-
     def state_marginal(self, t: int) -> np.ndarray:
         j = self.joints[t]
         nx = self.x_axis_count(t)
@@ -522,24 +519,22 @@ def _window_scan(
         )
     X, A, T = mdp.state_cards, mdp.action_cards, mdp.horizon
     n = policy.degree
+
+    def guard(t: int, cells: int) -> None:
+        if cells > max_cells:
+            raise ResourceError(f"window joint at t={t} needs {cells} cells, "
+                                f"budget is {max_cells}")
+
     joint = mdp.initial.copy()  # axes (x_0,)
     for t in range(T):
         nx = min(m, t) + 1
         nu = min(u_depth, t)
         hist = mdp.history_dims(n, t)
-        if joint.size * A[t] > max_cells:
-            raise ResourceError(
-                f"window joint at t={t} needs {joint.size * A[t]} cells, "
-                f"budget is {max_cells}"
-            )
+        guard(t, joint.size * A[t])
         q_shape = (1,) * (nx - 1) + (X[t],) + (1,) * (nu - len(hist)) + hist + (A[t],)
         lam = joint[..., None] * policy.tables[t].reshape(q_shape)
         yield t, joint, lam
-        if lam.size * X[t + 1] > max_cells:
-            raise ResourceError(
-                f"window joint at t={t + 1} needs {lam.size * X[t + 1]} cells, "
-                f"budget is {max_cells}"
-            )
+        guard(t + 1, lam.size * X[t + 1])
         p_shape = (1,) * (nx - 1) + (X[t],) + (1,) * nu + (A[t], X[t + 1])
         big = lam[..., None] * mdp.transitions[t].reshape(p_shape)
         big = np.moveaxis(big, -1, nx)  # (x-axes..., x_{t+1}, u-axes..., u_t)
@@ -580,27 +575,34 @@ def propagate_window(
 # ---------------------------------------------------------------------------
 
 
+def _scalar(value: np.ndarray) -> float | np.ndarray:
+    """A Python float for one policy or joint, the array for a stack."""
+    return value if value.ndim else float(value)
+
+
 def conditional_mutual_information(
     joint: np.ndarray,
     a_axes: Sequence[int],
     b_axes: Sequence[int],
     c_axes: Sequence[int] = (),
-) -> float:
+) -> float | np.ndarray:
     """I(A; B | C) in nats from an exact joint array.
 
-    Terms with zero joint mass contribute zero (0 log 0 = 0).  The three
-    axis groups must partition the joint's axes exactly.
+    Terms with zero joint mass contribute zero (0 log 0 = 0).  Axes outside
+    the three groups are batch axes: joints stacked (N, ...) give one value
+    per member, each its single call's bit for bit.  A joint without batch
+    axes gives a float.
     """
     p = np.asarray(joint, dtype=float)
-    a_axes = tuple(a_axes)
-    b_axes = tuple(b_axes)
+    a_axes, b_axes = tuple(a_axes), tuple(b_axes)
     p_ac = p.sum(axis=b_axes, keepdims=True)
     p_cb = p.sum(axis=a_axes, keepdims=True)
     p_c = p_ac.sum(axis=a_axes, keepdims=True)
     mask = p > 0.0
     ratio = np.ones_like(p)
     np.divide(p * p_c, p_ac * p_cb, out=ratio, where=mask)
-    return float(np.sum(p * np.log(ratio), where=mask))
+    groups = (*a_axes, *b_axes, *tuple(c_axes))
+    return _scalar(np.sum(p * np.log(ratio), axis=groups, where=mask))
 
 
 def transfer_entropy_terms(
@@ -752,37 +754,58 @@ def induced_action_marginals(
     ]
 
 
+def _information_terms(policy, nu: Sequence[np.ndarray], belief: ReducedBelief):
+    """Per step t: lam_t = mu_t q_t, sum lam_t log(q_t / nu_t), starved flag.
+
+    Only entries with joint mass count.  Starved means nu_t is not positive
+    somewhere lam_t is (the term is +inf; those entries are left out of the
+    sum).  Stacks give a value and a flag per member, its single call's.
+    """
+    for mu, q, n in zip(belief.mus, policy.tables, nu):
+        lam = mu[..., None] * q
+        n = np.asarray(n, dtype=float)[..., None, :, :]
+        mask = lam > 0.0
+        fed = n > 0.0
+        ratio = np.ones_like(lam)
+        np.divide(q, n, out=ratio, where=mask & fed)
+        info = np.sum(lam * np.log(ratio), axis=(-3, -2, -1), where=mask)
+        yield lam, info, (mask & ~fed).any(axis=(-3, -2, -1))
+
+
+def _terminal_cost(mdp: FiniteMdp, belief: ReducedBelief) -> np.ndarray:
+    """Expected terminal cost; (K, 1, X) @ (X, 1) keeps each member's bits."""
+    marginal = belief.mus[-1].sum(axis=-1)[..., None, :]
+    return (marginal @ mdp.terminal_cost[:, None])[..., 0, 0]
+
+
 def per_step_information(
     mdp: FiniteMdp, policy: MemoryPolicy, belief: ReducedBelief | None = None
 ) -> np.ndarray:
-    """I(x_t; u_t | recent controls) per step at the policy's own degree."""
+    """I(x_t; u_t | recent controls) per step at the policy's own degree.
+
+    Tables and beliefs stacked on a batch axis give shape (K, T).
+    """
     if belief is None:
         belief = propagate_reduced(mdp, policy)
     nus = induced_action_marginals(mdp, policy, belief)
-    terms = []
-    for t in range(mdp.horizon):
-        mu = belief.mus[t]
-        q = policy.tables[t]
-        lam = mu[:, :, None] * q
-        mask = lam > 0.0
-        ratio = np.ones_like(lam)
-        np.divide(q, nus[t][None, :, :], out=ratio, where=mask)
-        terms.append(float(np.sum(lam * np.log(ratio), where=mask)))
-    return np.asarray(terms)
+    infos = [info for _, info, _ in _information_terms(policy, nus, belief)]
+    return np.stack(infos, axis=-1)
 
 
 def expected_cost(
     mdp: FiniteMdp, policy: MemoryPolicy, belief: ReducedBelief | None = None
-) -> float:
-    """Expected stage-additive cost of the policy, terminal term included."""
+) -> float | np.ndarray:
+    """Expected stage-additive cost of the policy, terminal term included.
+
+    Tables and beliefs stacked on a batch axis give one cost per member.
+    """
     if belief is None:
         belief = propagate_reduced(mdp, policy)
     total = 0.0
-    for t in range(mdp.horizon):
-        lam = (belief.mus[t][:, :, None] * policy.tables[t]).sum(axis=1)  # (X, U)
-        total += float(np.sum(lam * mdp.stage_costs[t]))
-    total += float(belief.state_marginal(mdp.horizon) @ mdp.terminal_cost)
-    return total
+    for mu, q, c in zip(belief.mus, policy.tables, mdp.stage_costs):
+        lam = (mu[..., None] * q).sum(axis=-2)  # (..., X, U)
+        total = total + np.sum(lam * c, axis=(-2, -1))
+    return _scalar(total + _terminal_cost(mdp, belief))
 
 
 def objective(
@@ -809,33 +832,27 @@ def factored_objective(
     nu: Sequence[np.ndarray],
     beta: float,
     belief: ReducedBelief | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Stage-wise objective with a free action-marginal block.
 
     Evaluates sum_t E[c_t + beta * log(q_t / nu_t)] + terminal cost with the
     beliefs induced by the policy alone.  Returns +inf when some nu entry is
     zero where the corresponding joint policy mass is positive; equals
     ``objective(...).total`` when nu is the induced marginal, and is never
-    below it for any other feasible nu.
+    below it for any other feasible nu.  Tables, marginals and beliefs
+    stacked on a batch axis give one value per member.
     """
     check_beta(beta)
     if belief is None:
         belief = propagate_reduced(mdp, policy)
-    total = 0.0
-    for t in range(mdp.horizon):
-        mu = belief.mus[t]
-        q = policy.tables[t]
-        lam = mu[:, :, None] * q
-        nu_b = np.asarray(nu[t], dtype=float)[None, :, :]
-        mask = lam > 0.0
-        if np.any(mask & (np.broadcast_to(nu_b, lam.shape) <= 0.0)):
-            return math.inf
-        ratio = np.ones_like(lam)
-        np.divide(q, nu_b, out=ratio, where=mask)
-        total += float(np.sum(lam * mdp.stage_costs[t][:, None, :]))
-        total += beta * float(np.sum(lam * np.log(ratio), where=mask))
-    total += float(belief.state_marginal(mdp.horizon) @ mdp.terminal_cost)
-    return total
+    total, starved = 0.0, False
+    steps = _information_terms(policy, nu, belief)
+    for (lam, info, short), c in zip(steps, mdp.stage_costs):
+        total = total + np.sum(lam * c[:, None, :], axis=(-3, -2, -1))
+        total = total + beta * info
+        starved = starved | short
+    total = np.where(starved, math.inf, total + _terminal_cost(mdp, belief))
+    return _scalar(total)
 
 
 def canonicalize_policy(
@@ -850,11 +867,8 @@ def canonicalize_policy(
     """
     if belief is None:
         belief = propagate_reduced(mdp, policy)
-    tables = []
-    for t in range(mdp.horizon):
-        q = np.array(policy.tables[t])
-        dead = belief.mus[t] == 0.0
-        if dead.any():
-            q[dead, :] = 1.0 / q.shape[-1]
-        tables.append(q)
-    return type(policy)(policy.degree, tuple(tables))
+    tables = tuple(
+        np.where((mu == 0.0)[..., None], 1.0 / q.shape[-1], q)
+        for mu, q in zip(belief.mus, policy.tables)
+    )
+    return type(policy)(policy.degree, tables)

@@ -69,7 +69,17 @@ __all__ = [
 
 MAX_FREE_PARAMS = 6
 DEFAULT_COMBO_BUDGET = 20_000_000
-MAX_LANDSCAPE_CELLS = DEFAULT_CELL_BUDGET  # stage-1 grid cells
+BRUTE_FORCE_CHUNK = 32_768  # grid policies evaluated per batch
+DIRECTED_GRID_BUDGET = 100_000  # first-stage grid points of directed_optimum_t2
+SADDLE_SPACINGS = 0.6  # stage-1 saddle threshold, in grid spacings
+RATE_MONOTONE_SLACK = 1e-9  # bits a rate bound may rise before it is flagged
+# The stage-1 landscape's tracemalloc peak is 473-475 bytes per grid cell at
+# resolutions 61, 101 and 301, nearly all of it in the stacked certificate.
+# Grids whose cells times LANDSCAPE_CELL_BYTES exceed MAX_LANDSCAPE_BYTES
+# (160 MB, so resolution <= 577) are refused.  Both are fixed here, at
+# import: the certificate's chunk size follows DEFAULT_CELL_BUDGET instead.
+LANDSCAPE_CELL_BYTES = 480
+MAX_LANDSCAPE_BYTES = 8 * DEFAULT_CELL_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +212,28 @@ def _strict_local_minima(values: np.ndarray) -> list[tuple[int, int]]:
     return [(int(i), int(j)) for i, j in np.argwhere(strict)]
 
 
+def _landscape_values(
+    mdp: FiniteMdp, q1s: np.ndarray, beta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage-1 objective per cell of q1s (cells, x, 1, u), the continuation
+    policies of the distinct second-stage priors, and each cell's slot.
+
+    A function of its own so that its whole-grid temporaries are freed
+    before the certificate runs (LANDSCAPE_CELL_BYTES counts on that)."""
+    joints = mdp.initial[:, None] * q1s[:, :, 0]  # (cells, x, u)
+    first = np.sum(joints * mdp.stage_costs[0], axis=(1, 2))
+    first += beta * conditional_mutual_information(joints, (1,), (2,))
+    mu1 = np.einsum("nxu,xuy->ny", joints, mdp.transitions[0])
+    lam, slot = np.unique(mu1[:, 0], return_inverse=True)
+    priors = np.stack([lam, 1.0 - lam], axis=1)
+    inner = classical_blahut(priors, mdp.stage_costs[1], beta)
+    return first + inner.value[slot], inner.policy, slot
+
+
 def objective_landscape_stage1(
     mdp: FiniteMdp,
     resolution: int,
     beta: float = 1.0,
-    saddle_tol: float | None = None,
 ) -> LandscapeGrid:
     """First-stage objective over the two free policy parameters.
 
@@ -215,50 +242,34 @@ def objective_landscape_stage1(
     exactly solved second-stage continuation; cells are classified by strict
     8-neighborhood dominance plus the solver fixed-point residual.  The
     residual grows about linearly with the distance to a true stationary
-    point, so the saddle threshold defaults to six tenths of the grid
-    spacing: enough to always catch the cell nearest a true saddle.
+    point, so the saddle threshold is SADDLE_SPACINGS (six tenths) of the
+    grid spacing: enough to always catch the cell nearest a true saddle.
 
-    The continuations of the distinct second-stage priors are solved in one
-    batched ``classical_blahut`` call, and the cells' policies certified as
-    stacks of at most DEFAULT_CELL_BUDGET cells; every value and residual
-    equals that of its cell computed alone.  A grid of more than
-    DEFAULT_CELL_BUDGET cells raises ResourceError before any allocation.
+    The whole grid's first stage is one stacked expression, the distinct
+    second-stage priors are solved in one batched ``classical_blahut`` call,
+    and the cells' policies are certified as stacks of at most
+    DEFAULT_CELL_BUDGET cells; every value and residual equals that of its
+    cell computed alone.  A grid whose cells times LANDSCAPE_CELL_BYTES
+    exceed MAX_LANDSCAPE_BYTES raises ResourceError before any allocation.
     """
     _require_toy_shape(mdp)
     _check_resolution(resolution)
-    if resolution**2 > MAX_LANDSCAPE_CELLS:
-        raise ResourceError(f"a landscape of {resolution**2} cells exceeds "
-                            f"the budget {MAX_LANDSCAPE_CELLS}")
-    if saddle_tol is None:
-        saddle_tol = 0.6 / (resolution - 1)
-    thetas = np.linspace(0.0, 1.0, resolution)
-    mu0 = np.asarray(mdp.initial)
-    c0 = np.asarray(mdp.stage_costs[0])
-    c1 = np.asarray(mdp.stage_costs[1])
-    p0 = np.asarray(mdp.transitions[0])
     cells = resolution * resolution
-    first = np.empty(cells)  # first-stage cost + beta * information
-    q1s = np.empty((cells, 2, 1, 2))
-    slot = np.empty(cells, dtype=int)  # index of the cell's lam in lams
-    lams: dict[float, int] = {}
-    for i, th0 in enumerate(thetas):
-        for j, th1 in enumerate(thetas):
-            q1 = np.array([[th0, 1.0 - th0], [th1, 1.0 - th1]])
-            joint = mu0[:, None] * q1
-            stage = float(np.sum(joint * c0))
-            info = conditional_mutual_information(joint, (0,), (1,))
-            mu1 = np.einsum("xu,xuy->y", joint, p0)
-            k = i * resolution + j
-            first[k], q1s[k, :, 0] = stage + beta * info, q1
-            slot[k] = lams.setdefault(float(mu1[0]), len(lams))
-    lam = np.array(list(lams))
-    inner = classical_blahut(np.stack([lam, 1.0 - lam], axis=1), c1, beta)
-    values = (first + inner.value[slot]).reshape(resolution, resolution)
+    if cells * LANDSCAPE_CELL_BYTES > MAX_LANDSCAPE_BYTES:
+        raise ResourceError(
+            f"a landscape of {cells} cells needs about "
+            f"{cells * LANDSCAPE_CELL_BYTES} bytes, budget is {MAX_LANDSCAPE_BYTES}"
+        )
+    thetas = np.linspace(0.0, 1.0, resolution)
+    th = np.stack(np.meshgrid(thetas, thetas, indexing="ij"), axis=-1)
+    q1s = np.stack([th, 1.0 - th], axis=-1).reshape(cells, 2, 1, 2)
+    flat, policies, slot = _landscape_values(mdp, q1s, beta)
+    values = flat.reshape(resolution, resolution)
     residuals = np.empty(cells)
     size = max(1, DEFAULT_CELL_BUDGET // mdp.sweep_plan(0).cells)
     for k in range(0, cells, size):  # stacks within the cell budget
         part = slice(k, k + size)
-        tables = (q1s[part], inner.policy[slot[part]][:, :, None, :])
+        tables = (q1s[part], policies[slot[part]][:, :, None, :])
         check_tables(tables)
         residuals[part] = residual_from_policy(mdp, PolicyStack(0, tables), beta)
 
@@ -266,6 +277,7 @@ def objective_landscape_stage1(
     classification = np.full(values.shape, "", dtype="<U16")
     for cell in minima:
         classification[cell] = "local_min"
+    saddle_tol = SADDLE_SPACINGS / (resolution - 1)
     near = (classification == "") & (residuals.reshape(values.shape) < saddle_tol)
     saddles = [(int(i), int(j)) for i, j in np.argwhere(near)]
     classification[near] = "saddle_candidate"
@@ -349,7 +361,6 @@ def brute_force_policy_search(
     degree: int,
     resolution: float,
     combo_budget: int = DEFAULT_COMBO_BUDGET,
-    chunk: int = 32768,
 ) -> BruteForceResult:
     """Joint grid over every policy simplex; exact within the grid spacing.
 
@@ -397,8 +408,8 @@ def brute_force_policy_search(
 
     best_value = math.inf
     best_combo = 0
-    for start in range(0, combos, chunk):
-        idx = np.arange(start, min(start + chunk, combos))
+    for start in range(0, combos, BRUTE_FORCE_CHUNK):
+        idx = np.arange(start, min(start + BRUTE_FORCE_CHUNK, combos))
         totals = _batched_objective(mdp, beta, degree, tables_of(idx, (len(idx),)))
         k = int(np.argmin(totals))
         if totals[k] < best_value:
@@ -415,10 +426,9 @@ def brute_force_policy_search(
 
 def _first_stage_grid_array(mdp: FiniteMdp, resolution: float) -> np.ndarray:
     """All first-stage policies on a joint per-state simplex grid, stacked."""
-    x0 = mdp.state_cards[0]
     grid = _simplex_grid(mdp.action_cards[0], resolution)
-    combos = list(itertools.product(range(len(grid)), repeat=x0))
-    return np.stack([np.stack([grid[k] for k in combo]) for combo in combos])
+    combos = itertools.product(range(len(grid)), repeat=mdp.state_cards[0])
+    return grid[np.array(list(combos))]  # (N, X0, U0)
 
 
 def _batched_mutual_information(joint: np.ndarray) -> np.ndarray:
@@ -451,7 +461,7 @@ def _first_stage(
 
 
 def directed_optimum_t2(
-    mdp: FiniteMdp, beta: float, resolution: float, combo_budget: int = 100_000
+    mdp: FiniteMdp, beta: float, resolution: float
 ) -> float:
     """Optimum of cost + beta * directed information over unrestricted policies.
 
@@ -468,18 +478,18 @@ def directed_optimum_t2(
     x0, u0 = mdp.state_cards[0], mdp.action_cards[0]
     x1, u1 = mdp.state_cards[1], mdp.action_cards[1]
     n_items = len(_simplex_grid(u0, resolution)) ** x0
-    if n_items > combo_budget:
+    if n_items > DIRECTED_GRID_BUDGET:
         raise ResourceError(
-            f"{n_items} first-stage grid points exceed budget {combo_budget}"
+            f"{n_items} first-stage grid points exceed budget {DIRECTED_GRID_BUDGET}"
         )
     totals, full, c1_eff = _first_stage(mdp, beta, resolution)
     lifted_cost = np.broadcast_to(c1_eff[None, :, :], (x0, x1, u1)).reshape(-1, u1)
     for u in range(u0):
         branch = full[:, :, u, :].reshape(len(full), -1)  # flattened (x0, x1)
         w = branch.sum(axis=1)
-        safe = np.where(w[:, None] > 0.0, branch / np.maximum(w, 1e-300)[:, None], 0.0)
-        uniform = np.full_like(safe, 1.0 / safe.shape[1])
-        priors = np.where(w[:, None] > 0.0, safe, uniform)
+        # a first control never played gets a uniform (weightless) prior
+        priors = np.where(w[:, None] > 0.0, branch / np.maximum(w, 1e-300)[:, None],
+                          1.0 / branch.shape[1])
         totals += w * classical_blahut(priors, lifted_cost, beta).value
     return float(totals.min())
 
@@ -554,37 +564,27 @@ class RateBoundReport:
     entries: tuple[RateBoundEntry, ...]
 
 
-def rate_bound_report(
-    rows: list[dict], monotone_slack: float = 1e-9
-) -> RateBoundReport:
+def rate_bound_report(rows: list[dict]) -> RateBoundReport:
     """Assemble per-beta sweep rows into the bound table.
 
     Each row needs keys beta, cost, information_nats and optionally
     information_directed_nats.
     """
     entries = []
-    ordered = sorted(rows, key=lambda r: r["beta"])
-    prev_bits: float | None = None
-    for row in ordered:
+    prev_bits = math.inf
+    for row in sorted(rows, key=lambda r: r["beta"]):
         bits = row["information_nats"] / math.log(2.0)
-        flag = ""
-        if prev_bits is not None and bits > prev_bits + monotone_slack:
-            flag = "nonmonotone"
+        rising = bits > prev_bits + RATE_MONOTONE_SLACK
         prev_bits = bits
-        entries.append(
-            RateBoundEntry(
-                beta=float(row["beta"]),
-                cost=float(row["cost"]),
-                information_nats=float(row["information_nats"]),
-                information_directed_nats=(
-                    None
-                    if row.get("information_directed_nats") is None
-                    else float(row["information_directed_nats"])
-                ),
-                rate_lower_bound_bits=bits,
-                flag=flag,
-            )
-        )
+        directed = row.get("information_directed_nats")
+        entries.append(RateBoundEntry(
+            beta=float(row["beta"]),
+            cost=float(row["cost"]),
+            information_nats=float(row["information_nats"]),
+            information_directed_nats=None if directed is None else float(directed),
+            rate_lower_bound_bits=bits,
+            flag="nonmonotone" if rising else "",
+        ))
     return RateBoundReport(entries=tuple(entries))
 
 

@@ -10,16 +10,18 @@ objective trace is nonincreasing.
 The trace costs no pass of its own: for q = Gibbs(nu, rho) the stage terms
 c / beta + log(q / nu) telescope through log phi, so F of the policy a
 backward pass builds, against the marginals it was built from, is that pass's
-free energy -beta * E[log phi_0(x_0)].  Only the start policy's value is
-evaluated directly, with ``factored_objective``.
+free energy -beta * E[log phi_0(x_0)].  Only the starts' values are
+evaluated directly, with one stacked ``factored_objective`` call.
 
 Both passes run on the ``SweepPlan`` that the ``FiniteMdp`` caches per
 degree: shapes are worked out once, and each contraction over the next state
 is a stacked matmul.  The starts of a multi-start are swept as one batch
 along a leading axis; a member leaves the batch at its own stop, and its
 numbers are bit for bit those of solving it alone.  A solve is a batch of
-one.  One stacked final forward pass serves the reports and the batch's one
-stacked certificate.  The stop test and the certificate measure the same
+one.  The swept tables stay one ``PolicyStack``: one stacked final forward
+pass serves the batch's one stacked certificate and its stacked cost and
+information, and a ``MemoryPolicy`` is built only for a start and for a
+report.  The stop test and the certificate measure the same
 policy gap: the sup-norm change one backward pass makes to the policy over
 the pairs with belief mass (``_policy_gap``).
 
@@ -79,6 +81,9 @@ class SolveOptions:
     """Solve configuration.
 
     init is "uniform" or "perturbed"; perturbed starts need a seed.
+    tol_objective is absolute, not relative to the total: trace roundoff
+    reaches about 1.4e-11 at totals near 1e4, so at much larger totals only
+    the tol_residual half of the stop test decides.
     """
 
     beta: float
@@ -213,40 +218,40 @@ def solve(mdp: FiniteMdp, opts: SolveOptions) -> SolveReport:
         q0 = MemoryPolicy.uniform(mdp, opts.degree)
     else:
         q0 = MemoryPolicy.perturbed(mdp, opts.degree, opts.seed)
-    return _solve_batch(mdp, opts, [q0])[0]
+    return _solve_batch(mdp, opts, PolicyStack.of(opts.degree, [q0]))[0]
 
 
 def _sweeps(
     mdp: FiniteMdp,
     opts: SolveOptions,
-    policy: MemoryPolicy | Sequence[MemoryPolicy],
+    starts: MemoryPolicy | PolicyStack,
     max_iters: int,
     check_stop: bool,
-):
-    """Sweep starts in lockstep; each ends as (q, trace, iterations, converged).
+) -> tuple[PolicyStack, list[list[float]], list[int], list[bool]]:
+    """Sweep the starts in lockstep, each until its own stop or max_iters.
 
-    Returns a list of those, or one for a single MemoryPolicy.  Sweep k
-    records trace[k - 1]: the start's objective, then the free energy of
-    sweep k - 1's backward pass.  A member leaves the stack at its own stop,
-    so its numbers are its solo run's bit for bit.  A non-finite objective
-    drops its start and all later ones; the earlier starts sweep on, and the
-    earliest failure is raised, as when starts are swept one at a time.
+    Returns the start stack with each member's final tables written into it
+    in place, then each start's trace, iterations and converged flag; a
+    single MemoryPolicy is a batch of one.  Sweep k records trace[k - 1]:
+    the start's objective, then the free energy of sweep k - 1's backward
+    pass.  A member leaves the stack at its own stop, so its numbers are its
+    solo run's bit for bit.  A non-finite objective drops its start and all
+    later ones; the earlier starts sweep on, and the earliest failure is
+    raised, as when starts are swept one at a time.
     """
-    starts = [policy] if isinstance(policy, MemoryPolicy) else list(policy)
-    out = [(q0, [], 0, False) for q0 in starts]  # kept only if max_iters < 1
-    stack = PolicyStack.of(opts.degree, starts)
-    live = list(range(len(starts)))  # the start swept in each stack row
-    traces, error, k = [[] for _ in starts], None, 0
+    if isinstance(starts, MemoryPolicy):
+        starts = PolicyStack.of(starts.degree, [starts])
+    count = len(starts.tables[0])
+    traces = [[] for _ in range(count)]
+    iterations, converged = [0] * count, [False] * count
+    stack, live = starts, list(range(count))  # the start swept in each row
+    error, k = None, 0
     while live and k < max_iters:
         k += 1
         belief, nu = forward_pass(mdp, stack)
         mus = belief.mus
         if k == 1:
-            values = [
-                factored_objective(mdp, q0, [n[i] for n in nu], opts.beta,
-                                   ReducedBelief(q0.degree, tuple(m[i] for m in mus)))
-                for i, q0 in enumerate(starts)
-            ]
+            values = factored_objective(mdp, stack, nu, opts.beta, belief).tolist()
         tested = []  # rows that pass the objective test, which comes first
         for row, i in enumerate(live):
             tr = traces[i]
@@ -269,53 +274,52 @@ def _sweeps(
                            stack.take(tested).tables) if tested else []
         stops = {row for row, gap in zip(tested, gaps) if gap < opts.tol_residual}
         stay = [r for r in range(len(live)) if r not in stops and k < max_iters]
-        for row, i in enumerate(live):
-            if row not in stay:  # copied out unless the whole stack leaves
-                q = tuple(t[row].copy() if stay else t[row] for t in stack.tables)
-                out[i] = (MemoryPolicy(opts.degree, q), traces[i], k, row in stops)
-        if len(stay) < len(live):
+        gone = [r for r in range(len(live)) if r not in stay]
+        if gone:
+            ids = [live[r] for r in gone]
+            for q0, q in zip(starts.tables, stack.tables):
+                q0[ids] = q[gone]
+            for r, i in zip(gone, ids):
+                iterations[i], converged[i] = k, r in stops
             live, values = [live[r] for r in stay], [values[r] for r in stay]
             stack = stack.take(stay)
     if error is not None:
         raise error
-    return out[0] if isinstance(policy, MemoryPolicy) else out
+    return starts, traces, iterations, converged
 
 
 def _solve_batch(
     mdp: FiniteMdp,
     opts: SolveOptions,
-    starts: list[MemoryPolicy],
+    starts: PolicyStack,
     iters_used: int = 0,
     trace_prefix: Sequence[float] = (),
 ) -> list[SolveReport]:
     """Sweep the starts as one batch, then report on each (see multi_start)."""
     start = time.perf_counter()
-    swept = _sweeps(mdp, opts, starts, opts.max_iters - iters_used, True)
-    stack = PolicyStack.of(opts.degree, [s[0] for s in swept])
+    swept, traces, iterations, converged = _sweeps(
+        mdp, opts, starts, opts.max_iters - iters_used, True
+    )
     # canonicalizing only rewrites massless slices, so the swept policies'
     # forward pass is the final policies', bit for bit
-    belief, nu = forward_pass(mdp, stack)
-    finals = canonicalize_policy(mdp, stack, belief)
-    residuals = _certificate(mdp, finals, opts.beta, belief, nu)
-    tails = []
-    for i, (_, trace, iterations, converged) in enumerate(swept):
-        final = MemoryPolicy(opts.degree, tuple(q[i] for q in finals.tables))
-        own = ReducedBelief(opts.degree, tuple(mu[i] for mu in belief.mus))
-        cost = expected_cost(mdp, final, own)
-        info = float(per_step_information(mdp, final, own).sum())
-        tails.append((final, cost, info, trace, iterations, converged))
+    belief, nu = forward_pass(mdp, swept)
+    finals = canonicalize_policy(mdp, swept, belief)
+    residuals = _certificate(mdp, finals, opts.beta, belief, nu).tolist()
+    costs = expected_cost(mdp, finals, belief).tolist()
+    infos = per_step_information(mdp, finals, belief).sum(axis=-1).tolist()
     seconds = time.perf_counter() - start
     return [
         SolveReport(
-            policy=final, beta=opts.beta, degree=opts.degree, cost=cost,
+            policy=MemoryPolicy(opts.degree, tuple(q[i] for q in finals.tables)),
+            beta=opts.beta, degree=opts.degree, cost=cost,
             information_nats=info, total=cost + opts.beta * info,
-            residual=float(residual), iterations=iters_used + iterations,
-            converged=converged,
+            residual=residual, iterations=iters_used + iters, converged=stopped,
             objective_trace=np.asarray([*trace_prefix, *trace]),
             wall_time_seconds=seconds,
         )
-        for residual, (final, cost, info, trace, iterations, converged)
-        in zip(residuals, tails)
+        for i, (cost, info, residual, trace, iters, stopped) in enumerate(
+            zip(costs, infos, residuals, traces, iterations, converged)
+        )
     ]
 
 
@@ -408,16 +412,20 @@ def multi_start(
     inits = [MemoryPolicy.uniform(mdp, opts.degree)] if include_uniform else []
     inits.extend(plan_start_policies(mdp, opts.degree, plan_starts))
     inits.extend(MemoryPolicy.perturbed(mdp, opts.degree, s) for s in start_seeds)
-    chunks = [inits[i:i + size] for i in range(0, count, size)]
+    chunks = [
+        PolicyStack.of(opts.degree, inits[i:i + size]) for i in range(0, count, size)
+    ]
+    del inits  # the stacks hold the starts, and then their final tables
     if screen_iters is None:
         return [r for chunk in chunks for r in _solve_batch(mdp, opts, chunk)]
     sweeps = min(screen_iters, opts.max_iters)
-    screened = [s for chunk in chunks for s in _sweeps(mdp, opts, chunk, sweeps, True)]
-    low = min(trace[-1] for _, trace, _, _ in screened)
-    q, trace, iters, _ = next(
-        s for s in screened if s[1][-1] - low <= 1e-12 * abs(low)
-    )
-    return _solve_batch(mdp, opts, [q], iters_used=iters, trace_prefix=trace)
+    screened = [_sweeps(mdp, opts, chunk, sweeps, True) for chunk in chunks]
+    last = [trace[-1] for _, traces, _, _ in screened for trace in traces]
+    low = min(last)
+    win = next(i for i, v in enumerate(last) if v - low <= 1e-12 * abs(low))
+    (stack, traces, iterations, _), row = screened[win // size], win % size
+    return _solve_batch(mdp, opts, stack.take([row]), iters_used=iterations[row],
+                        trace_prefix=traces[row])
 
 
 def stationarity_residual(
@@ -532,6 +540,9 @@ def classical_blahut(
     for k in range(1, max_iters + 1):
         log_phi, q_new = gibbs_step(pl @ q, scaled)
         q_new /= q_new.sum(axis=2, keepdims=True)
+        # a zero-mass state's log partition may be NaN (c / beta overflows);
+        # it carries no weight, so 0 * NaN must not reach the value
+        log_phi = np.where(massed[:, :, 0], log_phi, 0.0)
         new_value = -beta * (pl @ log_phi[:, :, None])[:, 0, 0]
         gap = np.abs(q_new - q).max(axis=(1, 2), where=massed, initial=0.0)
         stop = (np.abs(new_value - value[live]) < tol) & (gap < tol)

@@ -10,7 +10,7 @@ import pytest
 
 import termdp as td
 import termdp.cli
-from termdp import envs
+from termdp import envs, oracle
 from termdp.cli import main
 from termdp.errors import NumericalError
 
@@ -249,6 +249,31 @@ class TestLandscapeCommand:
         assert peak < 1_000_000
         assert not (tmp_path / "v2_curve.csv").exists()
 
+    def test_smallest_refused_grid_exits_before_allocation(self, tmp_path, capsys):
+        # the byte guard's edge: the largest admitted resolution needs at most
+        # MAX_LANDSCAPE_BYTES, the next one is refused with nothing allocated
+        largest = math.isqrt(oracle.MAX_LANDSCAPE_BYTES // oracle.LANDSCAPE_CELL_BYTES)
+        assert largest >= 101
+        tracemalloc.start()
+        try:
+            code = run(["landscape", "--toy", "--resolution", largest + 1,
+                        "--out-dir", tmp_path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert f"{(largest + 1) ** 2} cells" in capsys.readouterr().err
+        assert peak < 1_000_000
+        assert not (tmp_path / "v2_curve.csv").exists()
+
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        # at beta 1e-320 the costs over beta overflow: the continuation solves
+        # still converge, and the certificate's Gibbs normalizer guard fires
+        code = run(["landscape", "--toy", "--beta", "1e-320", "--resolution", "11",
+                    "--out-dir", tmp_path])
+        assert code == 3
+        assert "Gibbs normalizer" in capsys.readouterr().err
+
     def test_emits_curves_with_classification(self, tmp_path, capsys):
         code = run(
             ["landscape", "--toy", "--resolution", "21", "--out-dir", tmp_path]
@@ -267,6 +292,12 @@ class TestLandscapeCommand:
 
 
 class TestMazeCommand:
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        code = run(["maze", "--sample", "--horizon", "30", "--beta", "1e-320",
+                    "--max-iters", "5", "--out-dir", tmp_path])
+        assert code == 3
+        assert "non-finite or zero Gibbs normalizer at t=29" in capsys.readouterr().err
+
     def test_snapshots_and_information_usage(self, tmp_path):
         maze = tmp_path / "maze.json"
         envs.save_maze_spec(td.sample_maze_spec(horizon=10), maze)

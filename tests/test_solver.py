@@ -412,6 +412,16 @@ class TestClassicalBlahut:
         )
         np.testing.assert_allclose(sol.policy[1], [0.5, 0.5], atol=1e-15)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_zero_prior_state_keeps_value_finite_when_costs_overflow(self):
+        # c / beta overflows, so the zero-mass state's log partition is NaN;
+        # it must not reach the value through 0 * NaN
+        toy = td.build_nonconvex_toy()
+        sol = td.classical_blahut(np.array([1.0, 0.0]), toy.stage_costs[1], 1e-320)
+        assert sol.converged and sol.iterations == 2
+        assert sol.value == 0.0
+        np.testing.assert_array_equal(sol.policy, [[1.0, 0.0], [0.5, 0.5]])
+
     @pytest.mark.parametrize("beta", [0.3, 1.0, 4.0])
     def test_batched_priors_equal_single_calls(self, beta):
         # priors with zero entries, the two point masses, and members that
@@ -563,19 +573,24 @@ class TestMultiStart:
         # members leave the batch at different sweeps
         assert len({r.iterations for r in full}) > 1
         for rep, q0 in zip(full, starts, strict=True):
-            assert_same_report(rep, solver._solve_batch(mdp, opts, [q0])[0])
+            alone = solver._solve_batch(mdp, opts, PolicyStack.of(degree, [q0]))
+            assert_same_report(rep, alone[0])
         # screened: the batch screens as each start alone would, and the
         # winner is polished as a batch of one
         alone = [solver._sweeps(mdp, opts, q0, 9, True) for q0 in starts]
-        batch = solver._sweeps(mdp, opts, starts, 9, True)
-        for (qa, *rest_a), (qb, *rest_b) in zip(batch, alone, strict=True):
-            assert [a.tobytes() for a in qa.tables] == [b.tobytes() for b in qb.tables]
-            assert rest_a == rest_b  # trace, iterations, converged
-        low = min(tr[-1] for _, tr, _, _ in alone)
-        q, tr, iters, _ = next(
-            s for s in alone if s[1][-1] - low <= 1e-12 * abs(low)
+        stack, *rest = solver._sweeps(mdp, opts, PolicyStack.of(degree, starts), 9, True)
+        assert all(len(r) == len(alone) for r in rest)
+        for i, (one, *one_rest) in enumerate(alone):
+            assert [q[i].tobytes() for q in stack.tables] == [
+                q[0].tobytes() for q in one.tables
+            ]
+            # trace, iterations, converged
+            assert [r[i] for r in rest] == [r[0] for r in one_rest]
+        low = min(traces[0][-1] for _, traces, _, _ in alone)
+        q, (tr,), (iters,), _ = next(
+            s for s in alone if s[1][0][-1] - low <= 1e-12 * abs(low)
         )
-        want = solver._solve_batch(mdp, opts, [q], iters_used=iters, trace_prefix=tr)
+        want = solver._solve_batch(mdp, opts, q, iters_used=iters, trace_prefix=tr)
         (got,) = td.multi_start(
             mdp, opts, starts=3, seed=5, plan_starts=2, screen_iters=9
         )
@@ -591,7 +606,9 @@ class TestMultiStart:
         starts = [td.MemoryPolicy.uniform(mdp, degree)]
         starts += plan_start_policies(mdp, degree, 2)
         starts += [td.MemoryPolicy.perturbed(mdp, degree, int(s)) for s in seeds]
-        swept = solver._sweeps(mdp, opts, starts, opts.max_iters, True)
+        swept = solver._sweeps(
+            mdp, opts, PolicyStack.of(degree, starts), opts.max_iters, True
+        )
         stacks = []
         real = solver._certificate
 
@@ -603,7 +620,11 @@ class TestMultiStart:
         reports = td.multi_start(mdp, opts, starts=3, seed=5, plan_starts=2)
         assert stacks == [6]
         monkeypatch.undo()
-        for rep, (q, trace, iterations, converged) in zip(reports, swept, strict=True):
+        stack, *rest = swept
+        for i, (rep, (trace, iterations, converged)) in enumerate(
+            zip(reports, zip(*rest), strict=True)
+        ):
+            q = td.MemoryPolicy(degree, tuple(t[i] for t in stack.tables))
             belief, _ = forward_pass(mdp, q)
             final = td.canonicalize_policy(mdp, q, belief)
             cost = td.expected_cost(mdp, final, belief)
@@ -658,7 +679,7 @@ class TestMultiStart:
         real = solver._sweeps
 
         def sweeps(mdp, opts, policy, *args):
-            batches.append(1 if isinstance(policy, td.MemoryPolicy) else len(policy))
+            batches.append(len(policy.tables[0]))
             return real(mdp, opts, policy, *args)
 
         monkeypatch.setattr(solver, "_sweeps", sweeps)

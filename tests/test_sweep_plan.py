@@ -14,7 +14,7 @@ import pytest
 import termdp as td
 from termdp import oracle
 from termdp.errors import NumericalError, ResourceError
-from termdp.model import DEFAULT_CELL_BUDGET
+from termdp.model import DEFAULT_CELL_BUDGET, conditional_mutual_information
 from termdp.solver import PolicyStack, backward_pass, forward_pass, residual_from_policy
 
 from reference import enum_trajectory_probs
@@ -181,6 +181,62 @@ def test_stacked_residuals_equal_single_calls(horizon, degree, k):
     want = [residual_from_policy(mdp, p, 0.5) for p in pols]
     assert got.shape == (k,) and np.array_equal(got, want)
     assert max(want[1::3], default=0.0) < 1e-8 < min(want[::3])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize("horizon, degree", CASES)
+def test_stacked_functionals_equal_single_calls(horizon, degree, k):
+    # cost, information, factored objective and conditional mutual
+    # information of a stack equal, member by member, the single calls';
+    # members cycle through random, fixed-point and massless policies, and
+    # the factored objective is also taken against the next member's
+    # marginals and against marginals starved under one member's mass
+    mdp, _ = _instance(horizon, degree)
+    rng = np.random.default_rng(10 * k + degree)
+    kinds = [lambda: oracle.random_policy(rng, mdp, degree),
+             lambda: _fixed_point(horizon, degree),
+             lambda: _massless_policy(rng, mdp, degree)]
+    pols = [kinds[i % 3]() for i in range(k)]
+    stack = PolicyStack.of(degree, pols)
+    belief, nu = forward_pass(mdp, stack)
+    other = [np.roll(n, 1, axis=0) for n in nu]
+    starved = [n.copy() for n in nu]
+    starved[-1][k // 2] = 0.0
+    beliefs = [td.propagate_reduced(mdp, p) for p in pols]
+    nus = [[n[i] for n in nu] for i in range(k)]
+    got = {
+        "cost": td.expected_cost(mdp, stack, belief),
+        "info": td.per_step_information(mdp, stack, belief),
+        "own": td.factored_objective(mdp, stack, nu, 0.6, belief),
+        "other": td.factored_objective(mdp, stack, other, 0.6, belief),
+        "starved": td.factored_objective(mdp, stack, starved, 0.6, belief),
+    }
+    want = {
+        "cost": [td.expected_cost(mdp, p, b) for p, b in zip(pols, beliefs)],
+        "info": [td.per_step_information(mdp, p, b) for p, b in zip(pols, beliefs)],
+        "own": [td.factored_objective(mdp, p, n, 0.6, b)
+                for p, n, b in zip(pols, nus, beliefs)],
+        "other": [td.factored_objective(mdp, p, nus[i - 1], 0.6, b)
+                  for i, (p, b) in enumerate(zip(pols, beliefs))],
+        "starved": [
+            td.factored_objective(mdp, p, [n[i] for n in starved], 0.6, b)
+            for i, (p, b) in enumerate(zip(pols, beliefs))
+        ],
+    }
+    for name, values in want.items():
+        assert np.array_equal(got[name], values), name
+    assert got["starved"][k // 2] == math.inf
+    assert all(type(v) is float for v in want["cost"] + want["own"])
+    # the last step's (x_t, h_t, u_t) joints, stacked: I(x; u | h); a
+    # fixed point's tiny entries can make p * p_c and p_ac * p_cb both
+    # underflow, and then the single call's NaN must come back too
+    lams = belief.mus[-2][..., None] * stack.tables[-1]
+    got_mi = conditional_mutual_information(lams, (1,), (3,), (2,))
+    want_mi = [conditional_mutual_information(lam, (0,), (2,), (1,)) for lam in lams]
+    assert got_mi.shape == (k,)
+    assert np.array_equal(got_mi, want_mi, equal_nan=True)
+    assert all(type(v) is float for v in want_mi)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
