@@ -41,6 +41,7 @@ from .model import (
 from .solver import SolveOptions, SolveReport, multi_start, solve
 
 LOG2 = math.log(2.0)
+MAX_SWEEP_BETAS = 10_000  # held with their options (176 B each) before any solve
 
 
 def _env(name: str, default):
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betas", type=str, default=None, help="comma list of betas")
     p.add_argument("--beta-min", type=float, default=None)
     p.add_argument("--beta-max", type=float, default=None)
-    p.add_argument("--beta-count", type=int, default=None)
+    p.add_argument("--beta-count", type=int, help=f"at most {MAX_SWEEP_BETAS}")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
@@ -275,20 +276,25 @@ def _sweep_betas(args) -> list[float]:
             betas = [float(b) for b in args.betas.split(",") if b.strip()]
         except ValueError as exc:
             raise InstanceError(f"cannot parse --betas {args.betas!r}") from exc
+        if not betas:
+            raise InstanceError(f"--betas {args.betas!r} lists no beta")
+        count = len(betas)
     elif args.beta_min is not None and args.beta_max is not None:
         count = 10 if args.beta_count is None else args.beta_count
         if not (args.beta_min > 0 and args.beta_max > 0 and count > 0):
             raise InstanceError(
                 "--beta-min, --beta-max and --beta-count must be positive"
             )
-        betas = list(
-            np.exp(np.linspace(math.log(args.beta_min), math.log(args.beta_max), count))
-        )
     else:
         raise InstanceError("sweep needs --betas or --beta-min/--beta-max")
-    if not betas:
-        raise InstanceError(f"--betas {args.betas!r} lists no beta")
-    return betas
+    if count > MAX_SWEEP_BETAS:
+        raise ResourceError(
+            f"a sweep of {count} betas exceeds the limit of {MAX_SWEEP_BETAS}"
+        )
+    if args.betas:
+        return betas
+    logs = np.linspace(math.log(args.beta_min), math.log(args.beta_max), count)
+    return list(np.exp(logs))
 
 
 def cmd_sweep(args) -> int:

@@ -599,8 +599,11 @@ def conditional_mutual_information(
     p_cb = p.sum(axis=a_axes, keepdims=True)
     p_c = p_ac.sum(axis=a_axes, keepdims=True)
     mask = p > 0.0
+    # p(b | a, c) / p(b | c) as two quotients in (0, 1], which tiny masses
+    # cannot underflow to 0 / 0 the way p * p_c and p_ac * p_cb can
     ratio = np.ones_like(p)
-    np.divide(p * p_c, p_ac * p_cb, out=ratio, where=mask)
+    np.divide(p, p_ac, out=ratio, where=mask)
+    np.divide(ratio, p_cb / np.where(p_c > 0.0, p_c, 1.0), out=ratio, where=mask)
     groups = (*a_axes, *b_axes, *tuple(c_axes))
     return _scalar(np.sum(p * np.log(ratio), axis=groups, where=mask))
 

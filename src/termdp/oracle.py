@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -70,14 +71,15 @@ __all__ = [
 MAX_FREE_PARAMS = 6
 DEFAULT_COMBO_BUDGET = 20_000_000
 BRUTE_FORCE_CHUNK = 32_768  # grid policies evaluated per batch
-DIRECTED_GRID_BUDGET = 100_000  # first-stage grid points of directed_optimum_t2
+# first-stage grid points of directed_optimum_t2 and structural_reduction_check
+DIRECTED_GRID_BUDGET = 100_000
 SADDLE_SPACINGS = 0.6  # stage-1 saddle threshold, in grid spacings
 RATE_MONOTONE_SLACK = 1e-9  # bits a rate bound may rise before it is flagged
 # The stage-1 landscape's tracemalloc peak is 473-475 bytes per grid cell at
 # resolutions 61, 101 and 301, nearly all of it in the stacked certificate.
 # Grids whose cells times LANDSCAPE_CELL_BYTES exceed MAX_LANDSCAPE_BYTES
-# (160 MB, so resolution <= 577) are refused.  Both are fixed here, at
-# import: the certificate's chunk size follows DEFAULT_CELL_BUDGET instead.
+# (160 MB, so resolution <= 577) are refused, so one certificate call holds
+# at most 577**2 * 8 table cells, far below DEFAULT_CELL_BUDGET.
 LANDSCAPE_CELL_BYTES = 480
 MAX_LANDSCAPE_BYTES = 8 * DEFAULT_CELL_BUDGET
 
@@ -247,9 +249,9 @@ def objective_landscape_stage1(
 
     The whole grid's first stage is one stacked expression, the distinct
     second-stage priors are solved in one batched ``classical_blahut`` call,
-    and the cells' policies are certified as stacks of at most
-    DEFAULT_CELL_BUDGET cells; every value and residual equals that of its
-    cell computed alone.  A grid whose cells times LANDSCAPE_CELL_BYTES
+    and all cells' policies are certified in one stacked
+    ``residual_from_policy`` call; every value and residual equals that of
+    its cell computed alone.  A grid whose cells times LANDSCAPE_CELL_BYTES
     exceed MAX_LANDSCAPE_BYTES raises ResourceError before any allocation.
     """
     _require_toy_shape(mdp)
@@ -265,13 +267,9 @@ def objective_landscape_stage1(
     q1s = np.stack([th, 1.0 - th], axis=-1).reshape(cells, 2, 1, 2)
     flat, policies, slot = _landscape_values(mdp, q1s, beta)
     values = flat.reshape(resolution, resolution)
-    residuals = np.empty(cells)
-    size = max(1, DEFAULT_CELL_BUDGET // mdp.sweep_plan(0).cells)
-    for k in range(0, cells, size):  # stacks within the cell budget
-        part = slice(k, k + size)
-        tables = (q1s[part], policies[slot[part]][:, :, None, :])
-        check_tables(tables)
-        residuals[part] = residual_from_policy(mdp, PolicyStack(0, tables), beta)
+    tables = (q1s, policies[slot][:, :, None, :])
+    check_tables(tables)
+    residuals = residual_from_policy(mdp, PolicyStack(0, tables), beta)
 
     minima = _strict_local_minima(values)
     classification = np.full(values.shape, "", dtype="<U16")
@@ -302,22 +300,56 @@ class BruteForceResult:
     combos: int
 
 
-def _simplex_grid(card: int, resolution: float) -> np.ndarray:
-    """All distributions over ``card`` atoms with coordinates on a 1/m grid."""
-    m = int(round(1.0 / resolution))
-    if m < 1:
-        raise InstanceError(f"resolution {resolution!r} coarser than the simplex")
-    points: list[tuple[float, ...]] = []
+def _simplex_grid(card: int, m: int) -> np.ndarray:
+    """All distributions over ``card`` atoms with coordinates on a 1/m grid,
+    in lexicographic order: stars and bars, card - 1 bars among m + card - 1
+    slots per point."""
+    slots = m + card - 1
+    bars = itertools.chain.from_iterable(itertools.combinations(range(slots), card - 1))
+    bars = np.fromiter(bars, np.intp).reshape(math.comb(slots, card - 1), card - 1)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots))
+    return (np.diff(edges, axis=1) - 1) / m
 
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            points.append(tuple(prefix + [remaining]))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
 
-    rec([], m, card)
-    return np.asarray(points, dtype=float) / m
+def _policy_grid(
+    shapes: list[tuple[int, int, int]], resolution: float, budget: int
+) -> tuple[int, Callable[..., list[np.ndarray]]]:
+    """Size of the joint grid over every (x, h) slice of policy tables with
+    the given (x, h, u) shapes, and its decoder.
+
+    Each slice ranges over the 1/m simplex grid, m = round(1 / resolution),
+    so the size is a product of stars-and-bars counts; a grid over budget
+    raises ResourceError before any point is built.  The decoder maps
+    combination indices (an int or an array) to the stacked tables, the
+    last slice varying fastest.
+    """
+    if not (0.0 < resolution < 2.0 and math.isfinite(1.0 / resolution)):
+        raise InstanceError(
+            f"grid resolution must be in (0, 2) and invertible, got {resolution!r}"
+        )
+    m = round(1.0 / resolution)
+    count = math.prod(math.comb(m + u - 1, u - 1) ** (x * h) for x, h, u in shapes)
+    if count > budget:
+        raise ResourceError(
+            f"{count} grid policies exceed the budget {budget}; "
+            "use a coarser resolution"
+        )
+    grids = [_simplex_grid(u, m) for _, _, u in shapes]
+    # one-action slices have one point and no digit, keeping np.unravel_index
+    # within its 64 dimensions (a unit radix stands in when no slice has one)
+    radices = [len(g) for (x, h, u), g in zip(shapes, grids) if u > 1
+               for _ in range(x * h)]
+
+    def decode(combo) -> list[np.ndarray]:
+        digits = iter(np.unravel_index(combo, radices or [1]))
+        zero = np.zeros(np.shape(combo), dtype=np.intp)
+        tables = []
+        for (x, h, u), grid in zip(shapes, grids):
+            idx = np.stack([next(digits) if u > 1 else zero for _ in range(x * h)], -1)
+            tables.append(grid[idx].reshape(idx.shape[:-1] + (x, h, u)))
+        return tables
+
+    return count, decode
 
 
 def _batched_objective(
@@ -365,52 +397,22 @@ def brute_force_policy_search(
     """Joint grid over every policy simplex; exact within the grid spacing.
 
     Guarded by the free-parameter count (at most 6 simplex coordinates) and
-    by the total combination budget.
+    by the total combination budget, both before any grid is built.
     """
     check_beta(beta)
     shapes = [step.shape for step in mdp.sweep_plan(degree).steps]
-    slices: list[tuple[int, int, int]] = []  # (t, x, h)
-    grids: list[np.ndarray] = []
-    free = 0
-    for t, (x_n, h_n, u_n) in enumerate(shapes):
-        free += x_n * h_n * (u_n - 1)
-        grid = _simplex_grid(u_n, resolution)
-        for x in range(x_n):
-            for h in range(h_n):
-                slices.append((t, x, h))
-                grids.append(grid)
+    free = sum(x * h * (u - 1) for x, h, u in shapes)
     if free > MAX_FREE_PARAMS:
         raise ResourceError(
             f"instance has {free} free policy parameters; brute force is "
             f"guarded at {MAX_FREE_PARAMS}"
         )
-    combos = 1
-    for g in grids:
-        combos *= len(g)
-    if combos > combo_budget:
-        raise ResourceError(
-            f"{combos} grid combinations exceed the budget {combo_budget}; "
-            "use a coarser resolution"
-        )
-    radices = [len(g) for g in grids]
-
-    def tables_of(combo, batch: tuple[int, ...] = ()) -> list[np.ndarray]:
-        """Policy tables of the combination index (or index array) combo."""
-        digits = []
-        for r in reversed(radices):
-            digits.append(combo % r)
-            combo = combo // r
-        digits.reverse()
-        tables = [np.empty(batch + shape) for shape in shapes]
-        for pos, (t, x, h) in enumerate(slices):
-            tables[t][..., x, h, :] = grids[pos][digits[pos]]
-        return tables
-
+    combos, tables_of = _policy_grid(shapes, resolution, combo_budget)
     best_value = math.inf
     best_combo = 0
     for start in range(0, combos, BRUTE_FORCE_CHUNK):
         idx = np.arange(start, min(start + BRUTE_FORCE_CHUNK, combos))
-        totals = _batched_objective(mdp, beta, degree, tables_of(idx, (len(idx),)))
+        totals = _batched_objective(mdp, beta, degree, tables_of(idx))
         k = int(np.argmin(totals))
         if totals[k] < best_value:
             best_value = float(totals[k])
@@ -422,13 +424,6 @@ def brute_force_policy_search(
 # ---------------------------------------------------------------------------
 # Two-step exhaustive optima (degree-restricted vs full history)
 # ---------------------------------------------------------------------------
-
-
-def _first_stage_grid_array(mdp: FiniteMdp, resolution: float) -> np.ndarray:
-    """All first-stage policies on a joint per-state simplex grid, stacked."""
-    grid = _simplex_grid(mdp.action_cards[0], resolution)
-    combos = itertools.product(range(len(grid)), repeat=mdp.state_cards[0])
-    return grid[np.array(list(combos))]  # (N, X0, U0)
 
 
 def _batched_mutual_information(joint: np.ndarray) -> np.ndarray:
@@ -448,9 +443,12 @@ def _first_stage(
 
     Returns the first-stage cost + beta * information per grid policy, the
     joints (N, x0, u0, x1) and the second-stage cost with the expected
-    terminal cost folded in.
+    terminal cost folded in.  Grids over DIRECTED_GRID_BUDGET points raise
+    ResourceError before any is built.
     """
-    q1s = _first_stage_grid_array(mdp, resolution)  # (N, X0, U0)
+    shape = (mdp.state_cards[0], 1, mdp.action_cards[0])
+    count, tables_of = _policy_grid([shape], resolution, DIRECTED_GRID_BUDGET)
+    q1s = tables_of(np.arange(count))[0][:, :, 0]  # (N, X0, U0)
     joint = mdp.initial[None, :, None] * q1s
     stage = np.einsum(
         "nxu,xu->n", joint, mdp.stage_costs[0]
@@ -477,13 +475,8 @@ def directed_optimum_t2(
         raise InstanceError("directed-information optimum oracle needs horizon 2")
     x0, u0 = mdp.state_cards[0], mdp.action_cards[0]
     x1, u1 = mdp.state_cards[1], mdp.action_cards[1]
-    n_items = len(_simplex_grid(u0, resolution)) ** x0
-    if n_items > DIRECTED_GRID_BUDGET:
-        raise ResourceError(
-            f"{n_items} first-stage grid points exceed budget {DIRECTED_GRID_BUDGET}"
-        )
     totals, full, c1_eff = _first_stage(mdp, beta, resolution)
-    lifted_cost = np.broadcast_to(c1_eff[None, :, :], (x0, x1, u1)).reshape(-1, u1)
+    lifted_cost = np.broadcast_to(c1_eff, (x0, x1, u1)).reshape(-1, u1)
     for u in range(u0):
         branch = full[:, :, u, :].reshape(len(full), -1)  # flattened (x0, x1)
         w = branch.sum(axis=1)
@@ -518,13 +511,10 @@ def structural_reduction_check(
         c_eff = mdp.stage_costs[0] + mdp.transitions[0] @ mdp.terminal_cost
         val = classical_blahut(mdp.initial, c_eff, beta).value
         return StructuralReductionReport(val, val, 0.0)
-    x0, u0 = mdp.state_cards[0], mdp.action_cards[0]
-    x1, u1 = mdp.state_cards[1], mdp.action_cards[1]
     stage, full, c1_eff = _first_stage(mdp, beta, resolution)
     # rows of the lifted cost follow the flattened (x0, u0, x1) source order
-    lifted_cost = np.broadcast_to(
-        c1_eff[None, None, :, :], (x0, u0, x1, u1)
-    ).reshape(-1, u1)
+    u1 = c1_eff.shape[1]
+    lifted_cost = np.broadcast_to(c1_eff, full.shape[1:] + (u1,)).reshape(-1, u1)
     mu1 = full.sum(axis=(1, 2))
     v_marg = classical_blahut(mu1, c1_eff, beta).value
     v_lift = classical_blahut(full.reshape(len(full), -1), lifted_cost, beta).value

@@ -22,6 +22,24 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def positive_cost_instance(tmp_path):
+    """Two steps, identity transitions, every stage cost positive: at a tiny
+    beta the costs over beta overflow and the Gibbs step fails."""
+    eye = np.tile(np.eye(2)[:, None, :], (1, 2, 1))
+    cost = np.array([[1.0, 2.0], [2.0, 1.0]])
+    mdp = td.FiniteMdp((eye, eye), (cost, cost), np.zeros(2), np.full(2, 0.5))
+    path = tmp_path / "positive.json"
+    envs.save_instance(mdp, path)
+    return path
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestSolveCommand:
     def test_writes_report_and_policy(self, tmp_path, capsys):
         code = run(["solve", TOY, "--beta", "1", "--out-dir", tmp_path])
@@ -89,6 +107,27 @@ class TestSolveCommand:
         assert code == 2
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        code = run(["solve", positive_cost_instance(tmp_path), "--beta", "1e-320",
+                    "--out-dir", tmp_path])
+        assert code == 3
+        assert "non-finite or zero Gibbs normalizer at t=1" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_window_information_is_strict_json(self, tmp_path):
+        # the degree-1 optimum of this instance has joint entries whose
+        # products underflow; the windowed information stays a finite number
+        rng = np.random.default_rng(2001)
+        mdp = oracle.random_mdp(rng, 2, max_states=3, max_actions=3, min_states=1)
+        path = tmp_path / "instance.json"
+        envs.save_instance(mdp, path)
+        code = run(["solve", path, "--beta", "0.5", "--degree-n", "1",
+                    "--degree-m", "1", "--out-dir", tmp_path])
+        assert code == 0
+        doc = strict_json((tmp_path / "report.json").read_text())
+        gap = abs(doc["information_nats_window"] - doc["information_nats"])
+        assert gap < 1e-12
 
     def test_bits_flag_prints_bits(self, tmp_path, capsys):
         run(["solve", HAMMING, "--beta", "1", "--bits", "--out-dir", tmp_path])
@@ -199,6 +238,39 @@ class TestSweepCommand:
         assert rows[0][7] == rows[2][7] == ""
         bounds = (tmp_path / "rate_bounds.csv").read_text().splitlines()
         assert len(bounds) == 3
+
+    def test_numerical_failure_goes_to_error_column(self, tmp_path):
+        code = run(["sweep", positive_cost_instance(tmp_path), "--betas",
+                    "1e-320,1", "--out-dir", tmp_path])
+        assert code == 0
+        rows = [
+            line.split(",")
+            for line in (tmp_path / "tradeoff.csv").read_text().splitlines()[1:]
+        ]
+        assert rows[0] == ["1e-320", "", "", "", "", "", "",
+                           "non-finite or zero Gibbs normalizer at t=1"]
+        assert rows[1][0] == "1.0" and rows[1][7] == ""
+        assert float(rows[1][4]) > 0.0
+
+    def test_oversized_beta_count_refused_before_allocation(self, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            code = run(["sweep", HAMMING, "--beta-min", "1", "--beta-max", "2",
+                        "--beta-count", "100000000", "--out-dir", tmp_path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert "100000000 betas" in capsys.readouterr().err
+        assert peak < 1_000_000
+        assert not (tmp_path / "tradeoff.csv").exists()
+
+    def test_oversized_beta_list_refused(self, tmp_path, capsys):
+        betas = ",".join(["1"] * (termdp.cli.MAX_SWEEP_BETAS + 1))
+        code = run(["sweep", HAMMING, "--betas", betas, "--out-dir", tmp_path])
+        assert code == 4
+        assert f"{termdp.cli.MAX_SWEEP_BETAS + 1} betas" in capsys.readouterr().err
+        assert not (tmp_path / "tradeoff.csv").exists()
 
     def test_non_finite_beta_rejected_before_solving(self, tmp_path, capsys):
         code = run(["sweep", HAMMING, "--betas", "nan,1", "--out-dir", tmp_path])

@@ -257,6 +257,20 @@ class TestTransferEntropy:
         )
 
 
+    def test_underflowing_mass_products_keep_terms_finite(self):
+        # a degree-1 fixed point with tiny joint entries: the products
+        # p * p_c and p_ac * p_cb both underflow, yet every term is finite
+        # and equals the reduced path's per-step information
+        rng = np.random.default_rng(2001)
+        mdp = oracle.random_mdp(rng, 2, max_states=3, max_actions=3, min_states=1)
+        rep = td.solve(mdp, td.SolveOptions(beta=0.5, degree=1, max_iters=4000))
+        assert rep.converged
+        terms = transfer_entropy_terms(mdp, rep.policy, 0, 1)
+        assert np.isfinite(terms).all()
+        want = td.per_step_information(mdp, rep.policy)
+        assert np.abs(terms - want).max() < 1e-12 < want.max()
+
+
 class TestDirectedInformation:
     def test_constant_policy_zero(self):
         mdp = det_chain(3)

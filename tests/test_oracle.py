@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,33 @@ class TestBruteForce:
         with pytest.raises(ResourceError, match="budget"):
             oracle.brute_force_policy_search(mdp, 1.0, 0, 1e-3, combo_budget=10_000)
 
+    def test_parameter_guard_fires_before_allocation(self):
+        # one step, 2 states, 5 actions: 8 free parameters; at resolution
+        # 1e-3 each slice's grid alone would hold 4e10 points
+        rng = np.random.default_rng(4)
+        mdp = oracle.random_mdp(rng, 1, max_states=2, min_states=2,
+                                max_actions=5, min_actions=5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="free policy parameters"):
+                oracle.brute_force_policy_search(mdp, 1.0, 0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_one_action_slices_need_no_digit(self):
+        # 70 one-action slices: more than np.unravel_index's 64 dimensions,
+        # but a single grid policy
+        X = 70
+        p = np.full((X, 1, X), 1.0 / X)
+        cost = np.arange(X, dtype=float)[:, None]
+        mdp = td.FiniteMdp((p,), (cost,), np.zeros(X), np.full(X, 1.0 / X))
+        brute = oracle.brute_force_policy_search(mdp, 1.0, 0, 0.1)
+        assert brute.combos == 1
+        assert brute.value == pytest.approx((X - 1) / 2, abs=1e-12)
+        assert np.array_equal(brute.policy.tables[0], np.ones((X, 1, 1)))
+
     def test_toy_global_minimum_matches_multistart(self):
         toy = td.build_nonconvex_toy()
         brute = oracle.brute_force_policy_search(toy, 1.0, 0, 0.05)
@@ -142,13 +170,10 @@ class TestLandscapes:
         assert len(grid.saddles) >= 1
 
     @pytest.mark.parametrize("resolution", [21, 31])
-    @pytest.mark.parametrize("per_chunk", [None, 50, 400])
-    def test_stage1_landscape_equals_per_cell_loop(
-        self, monkeypatch, resolution, per_chunk
-    ):
+    def test_stage1_landscape_equals_per_cell_loop(self, monkeypatch, resolution):
         # the batched landscape (one Blahut call over the distinct priors,
-        # stacked certificates in chunks of per_chunk cells) against the
-        # per-cell loop, bit for bit
+        # one stacked certificate for all cells) against the per-cell loop,
+        # bit for bit
         toy = td.build_nonconvex_toy()
         want_values, want_residuals = per_cell_landscape(resolution)
         want_curve = [
@@ -163,13 +188,9 @@ class TestLandscapes:
             return stacks[-1]
 
         monkeypatch.setattr(oracle, "residual_from_policy", residual_from_policy)
-        if per_chunk is not None:
-            budget = per_chunk * toy.sweep_plan(0).cells
-            monkeypatch.setattr(oracle, "DEFAULT_CELL_BUDGET", budget)
         grid = oracle.objective_landscape_stage1(toy, resolution)
-        cells = resolution**2
-        assert len(stacks) == -(-cells // (per_chunk or cells))
-        assert np.array_equal(np.concatenate(stacks), want_residuals.ravel())
+        assert len(stacks) == 1
+        assert np.array_equal(stacks[0], want_residuals.ravel())
         assert np.array_equal(grid.values, want_values)
         saddle_tol = 0.6 / (resolution - 1)
         minima = oracle._strict_local_minima(want_values)
@@ -217,6 +238,67 @@ class TestBetaValidation:
             oracle.structural_reduction_check(
                 td.build_nonconvex_toy(), math.nan, 0.1
             )
+
+
+def simplex_points(card, m):
+    """Compositions of m into card parts, lexicographic: the recursive
+    reference for the stars-and-bars grid."""
+    if card == 1:
+        return [(m,)]
+    return [(k, *rest) for k in range(m + 1) for rest in simplex_points(card - 1, m - k)]
+
+
+ORACLES = {
+    "brute_force": lambda mdp, res: oracle.brute_force_policy_search(mdp, 1.0, 0, res),
+    "directed": lambda mdp, res: oracle.directed_optimum_t2(mdp, 1.0, res),
+    "structural": lambda mdp, res: oracle.structural_reduction_check(mdp, 1.0, res),
+}
+
+
+class TestGridSizing:
+    @pytest.mark.parametrize("resolution", [0.0, math.nan, -0.1, math.inf])
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_resolution_must_be_positive_and_finite(self, name, resolution):
+        with pytest.raises(InstanceError, match="resolution"):
+            ORACLES[name](td.build_nonconvex_toy(), resolution)
+
+    @pytest.mark.parametrize(
+        "shapes", [[(2, 1, 3)], [(1, 1, 2), (2, 2, 2)], [(3, 1, 1), (1, 2, 4)]]
+    )
+    def test_decoder_matches_digit_loop(self, shapes):
+        # every combination index against a digit loop over the slices in
+        # (t, x, h) order, the last slice varying fastest
+        m = 3
+        count, decode = oracle._policy_grid(shapes, 1 / m, 10**6)
+        slices = [(t, x, h) for t, (xs, hs, _) in enumerate(shapes)
+                  for x in range(xs) for h in range(hs)]
+        grids = [np.array(simplex_points(shapes[t][2], m)) / m for t, _, _ in slices]
+        assert count == math.prod(len(g) for g in grids)
+        got = decode(np.arange(count))
+        for combo in range(count):
+            rest = combo
+            for pos in reversed(range(len(slices))):
+                rest, digit = divmod(rest, len(grids[pos]))
+                t, x, h = slices[pos]
+                assert np.array_equal(got[t][combo, x, h], grids[pos][digit])
+        last = decode(count - 1)
+        assert all(np.array_equal(a, b[-1]) for a, b in zip(last, got))
+
+    @pytest.mark.parametrize("name", ["directed", "structural"])
+    def test_first_stage_guard_fires_before_allocation(self, name):
+        # two steps, 3 states, 5 actions: the first-stage grid at resolution
+        # 1e-3 would hold about 7.5e31 policies
+        rng = np.random.default_rng(6)
+        mdp = oracle.random_mdp(rng, 2, max_states=3, min_states=3,
+                                max_actions=5, min_actions=5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="budget"):
+                ORACLES[name](mdp, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestStructuralReduction:
