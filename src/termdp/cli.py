@@ -492,7 +492,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # numpy's floating-point warnings stay off stderr: the guards raise
+        # the errors below, and NaN or inf results are reported as such
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except InstanceError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -46,6 +46,7 @@ __all__ = [
 
 ROW_TOL = 1e-12
 DEFAULT_CELL_BUDGET = 20_000_000
+MARGINAL_FLOOR = 1e-300  # gibbs_step takes logs of positive marginals above this
 
 
 def _frozen(values) -> np.ndarray:
@@ -350,7 +351,7 @@ def gibbs_step(nu: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Zero marginal entries get log nu = -inf and so zero policy mass.  q is
     not renormalized; callers that keep it as a policy divide by its sums.
     """
-    log_nu = np.where(nu > 0.0, np.log(np.maximum(nu, 1e-300)), -np.inf)
+    log_nu = np.where(nu > 0.0, np.log(np.maximum(nu, MARGINAL_FLOOR)), -np.inf)
     z = log_nu - cost
     zmax = z.max(axis=-1, keepdims=True)
     lse = zmax[..., 0] + np.log(np.exp(z - zmax).sum(axis=-1))

@@ -6,7 +6,8 @@ own batched recursion, and the two-step landscapes rebuild the objective from
 single-stage convex solves.  Two steps are shared with the solver rather than
 duplicated: value iteration is the solver's ``backward_induction`` (which also
 seeds the plan starts), and every single-stage convex solve is the solver's
-batched ``classical_blahut``.
+batched ``classical_blahut``, whose values are used only where its gap
+certifies them (``_certified_blahut``).
 The property suites drive these oracles over seeded random instances and are
 shared by the test suite and the ``verify`` CLI subcommand.
 """
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InstanceError, ResourceError
+from .errors import InstanceError, NumericalError, ResourceError
 from .model import (
     DEFAULT_CELL_BUDGET,
     FiniteMdp,
@@ -33,6 +34,7 @@ from .model import (
     transfer_entropy_terms,
 )
 from .solver import (
+    ClassicalSolution,
     PolicyStack,
     SolveOptions,
     backward_induction,
@@ -185,6 +187,19 @@ def _check_resolution(resolution: int) -> None:
         raise InstanceError(f"grid resolution must be >= 11, got {resolution}")
 
 
+def _certified_blahut(prior, cost, beta: float) -> ClassicalSolution:
+    """``classical_blahut``, or NumericalError unless every member's value is
+    certified within its tolerance."""
+    sol = classical_blahut(prior, cost, beta)
+    if not np.all(sol.converged):
+        size = np.size(sol.converged)
+        raise NumericalError(
+            f"{size - np.count_nonzero(sol.converged)} of {size} single-stage "
+            f"solves stopped uncertified (largest gap {np.max(sol.gap):.3e})"
+        )
+    return sol
+
+
 def bellman_landscape_stage2(
     mdp: FiniteMdp, resolution: int, beta: float = 1.0
 ) -> LandscapeGrid:
@@ -198,7 +213,7 @@ def bellman_landscape_stage2(
     _check_resolution(resolution)
     lambdas = np.linspace(0.0, 1.0, resolution)
     priors = np.stack([lambdas, 1.0 - lambdas], axis=1)
-    values = classical_blahut(priors, np.asarray(mdp.stage_costs[1]), beta).value
+    values = _certified_blahut(priors, np.asarray(mdp.stage_costs[1]), beta).value
     return LandscapeGrid(axes=(lambdas,), values=values)
 
 
@@ -228,7 +243,7 @@ def _landscape_values(
     mu1 = np.einsum("nxu,xuy->ny", joints, mdp.transitions[0])
     lam, slot = np.unique(mu1[:, 0], return_inverse=True)
     priors = np.stack([lam, 1.0 - lam], axis=1)
-    inner = classical_blahut(priors, mdp.stage_costs[1], beta)
+    inner = _certified_blahut(priors, mdp.stage_costs[1], beta)
     return first + inner.value[slot], inner.policy, slot
 
 
@@ -311,6 +326,16 @@ def _simplex_grid(card: int, m: int) -> np.ndarray:
     return (np.diff(edges, axis=1) - 1) / m
 
 
+def _grid_steps(resolution: float) -> int:
+    """Grid steps m = round(1 / resolution) of a simplex grid with spacing
+    ``resolution``, which must lie in (0, 2) and be invertible."""
+    if not (0.0 < resolution < 2.0 and math.isfinite(1.0 / resolution)):
+        raise InstanceError(
+            f"grid resolution must be in (0, 2) and invertible, got {resolution!r}"
+        )
+    return round(1.0 / resolution)
+
+
 def _policy_grid(
     shapes: list[tuple[int, int, int]], resolution: float, budget: int
 ) -> tuple[int, Callable[..., list[np.ndarray]]]:
@@ -323,11 +348,7 @@ def _policy_grid(
     combination indices (an int or an array) to the stacked tables, the
     last slice varying fastest.
     """
-    if not (0.0 < resolution < 2.0 and math.isfinite(1.0 / resolution)):
-        raise InstanceError(
-            f"grid resolution must be in (0, 2) and invertible, got {resolution!r}"
-        )
-    m = round(1.0 / resolution)
+    m = _grid_steps(resolution)
     count = math.prod(math.comb(m + u - 1, u - 1) ** (x * h) for x, h, u in shapes)
     if count > budget:
         raise ResourceError(
@@ -466,7 +487,8 @@ def directed_optimum_t2(
     Two-step instances only.  The first stage is gridded; for each first-stage
     policy and each realized first control, the optimal continuation is a
     single-stage convex problem over the conditional joint of both states,
-    solved exactly (one batched ``classical_blahut`` call per first control).
+    solved exactly (one batched ``classical_blahut`` call per first control,
+    over its distinct priors).
     The expected terminal cost is folded into the second-stage cost table.
     The result is exact up to the first-stage grid spacing.
     """
@@ -483,7 +505,9 @@ def directed_optimum_t2(
         # a first control never played gets a uniform (weightless) prior
         priors = np.where(w[:, None] > 0.0, branch / np.maximum(w, 1e-300)[:, None],
                           1.0 / branch.shape[1])
-        totals += w * classical_blahut(priors, lifted_cost, beta).value
+        distinct, slot = np.unique(priors, axis=0, return_inverse=True)
+        values = _certified_blahut(distinct, lifted_cost, beta).value
+        totals += w * values[slot.reshape(-1)]
     return float(totals.min())
 
 
@@ -507,17 +531,18 @@ def structural_reduction_check(
     check_beta(beta)
     if mdp.horizon > 2:
         raise InstanceError("structural reduction check is guarded at horizon 2")
+    _grid_steps(resolution)
     if mdp.horizon == 1:
         c_eff = mdp.stage_costs[0] + mdp.transitions[0] @ mdp.terminal_cost
-        val = classical_blahut(mdp.initial, c_eff, beta).value
+        val = _certified_blahut(mdp.initial, c_eff, beta).value
         return StructuralReductionReport(val, val, 0.0)
     stage, full, c1_eff = _first_stage(mdp, beta, resolution)
     # rows of the lifted cost follow the flattened (x0, u0, x1) source order
     u1 = c1_eff.shape[1]
     lifted_cost = np.broadcast_to(c1_eff, full.shape[1:] + (u1,)).reshape(-1, u1)
     mu1 = full.sum(axis=(1, 2))
-    v_marg = classical_blahut(mu1, c1_eff, beta).value
-    v_lift = classical_blahut(full.reshape(len(full), -1), lifted_cost, beta).value
+    v_marg = _certified_blahut(mu1, c1_eff, beta).value
+    v_lift = _certified_blahut(full.reshape(len(full), -1), lifted_cost, beta).value
     return StructuralReductionReport(
         float((stage + v_marg).min()),
         float((stage + v_lift).min()),

@@ -42,6 +42,7 @@ import numpy as np
 from .errors import InstanceError, NumericalError
 from .model import (
     DEFAULT_CELL_BUDGET,
+    MARGINAL_FLOOR,
     FiniteMdp,
     MemoryPolicy,
     ReducedBelief,
@@ -74,6 +75,8 @@ __all__ = [
 
 MASS_TOL = 1e-12
 PLAN_MIX = 0.8  # weight of the greedy action in a plan start
+STEP_GROWTH = 4.0  # factor by which classical_blahut's SqS3 step bound moves
+LOG_FLOOR = math.log(MARGINAL_FLOOR)  # floor of classical_blahut's log-marginals
 
 
 @dataclass(frozen=True)
@@ -488,16 +491,69 @@ def _certificate(mdp, policy, beta, belief, nu):
 
 @dataclass(frozen=True)
 class ClassicalSolution:
-    """Fixed point of the single-stage alternating iteration.
+    """Optimum of the single-stage problem, with its certified gap.
 
-    Stacked priors give every field stacked on their batch axis.
+    value - gap <= optimum <= value; converged means that the gap is
+    certified (see ``classical_blahut``), and iterations counts map
+    evaluations.  Stacked priors give every field stacked on their batch axis.
     """
 
     policy: np.ndarray
     marginal: np.ndarray
     value: float
+    gap: float
     iterations: int
     converged: bool
+
+
+def _log_normalize(x: np.ndarray) -> np.ndarray:
+    """Floor log-probabilities at log MARGINAL_FLOOR, then renormalize them
+    over the last axis."""
+    x = np.maximum(x, LOG_FLOOR)
+    top = x.max(axis=-1, keepdims=True)
+    return x - (top + np.log(np.exp(x - top).sum(axis=-1, keepdims=True)))
+
+
+def _squarem(
+    x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, bound: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """SqS3 extrapolation (Varadhan & Roland 2008) of stacked log-iterates.
+
+    x1 = F(x0) and x2 = F(x1) for a fixed-point map F, stacked on a leading
+    batch axis.  With r = x1 - x0 and v = x2 - 2 x1 + x0, each member takes
+    its own step length alpha = -|r| / |v|, clipped to [-bound, -1] (-1
+    gives x2 itself), to the point x0 - 2 alpha r + alpha^2 v, floored and
+    renormalized over the last axis.  Returns the points and |alpha|.
+    """
+    r = x1 - x0
+    v = x2 - x1 - r
+    axes = tuple(range(1, x0.ndim))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = -np.sqrt((r * r).sum(axis=axes) / (v * v).sum(axis=axes))
+    alpha = np.where(np.isnan(alpha), -1.0, np.clip(alpha, -bound, -1.0))
+    a = alpha.reshape(alpha.shape + (1,) * len(axes))
+    return _log_normalize(x0 - 2.0 * a * r + a * a * v), -alpha
+
+
+def _blahut_map(x, pl, scaled, massed, beta):
+    """The Blahut map at stacked log-marginals x (K, U): the value, certified
+    gap, image and Gibbs policy of each row.
+
+    With log phi from ``gibbs_step`` and s(u) = sum_x p(x) exp(-c(x, u) /
+    beta - log phi(x)), the value is -beta E log phi, the gap beta log max_u
+    s (Blahut's bound) and the image log r + log s, floored and
+    renormalized.  s is not computed as a ratio to r(u), so an action at the
+    floor still counts toward the max.  A zero-mass state's log partition
+    may be NaN (c / beta overflows); it carries no weight and is masked out.
+    """
+    log_phi, q = gibbs_step(np.exp(x)[:, None, :], scaled)
+    log_phi = np.where(massed, log_phi, 0.0)
+    value = -beta * (pl @ log_phi[:, :, None])[:, 0, 0]
+    ratio = np.where(massed[:, :, None], np.exp(-scaled - log_phi[:, :, None]), 0.0)
+    s = (pl @ ratio)[:, 0]
+    gap = beta * np.log(s.max(axis=1))
+    log_s = np.log(s, out=np.full_like(s, -np.inf), where=s > 0.0)
+    return value, gap, _log_normalize(x + log_s), q
 
 
 def classical_blahut(
@@ -507,16 +563,26 @@ def classical_blahut(
     tol: float = 1e-12,
     max_iters: int = 100_000,
 ) -> ClassicalSolution:
-    """Single-stage alternating minimization of E c + beta * I(X; U).
+    """Single-stage minimization of E c + beta * I(X; U), with a certified gap.
 
-    The problem is convex, so the fixed point is the global optimum.  Returns
-    the conditional policy, its action marginal, and the optimal value
-    -beta * sum_x p(x) log phi(x) in unscaled units (equal to E c + beta I).
+    The problem is convex in the action marginal r: the Blahut map
+    r(u) <- r(u) s_r(u) (``_blahut_map``) descends the value
+    V(r) = -beta sum_x p(x) log phi_r(x) to the global optimum, and
+    V(r) - beta log max_u s_r(u) <= optimum (Blahut 1972).  Each member
+    iterates on log r from the uniform marginal.  After two plain maps it
+    tries a SqS3 point (``_squarem``); a point whose value is higher than
+    the last plain iterate's is dropped for the plain double step, and its
+    step bound shrinks to a quarter of its step (a step taken at the bound
+    quadruples it).  A member stops at the first point after the start whose
+    gap is at most tol, or at most 2 beta eps (two ulps of s, all that float64
+    resolves), and returns that point's Gibbs policy, its action marginal,
+    V(r) in unscaled units and the gap: value - gap <= optimum <= value.
+    A member the cap stops has converged False and its last point's gap.
+    iterations counts map evaluations.
 
     Priors stacked as (N, Z) are solved in lockstep and give every field
-    stacked on that axis.  Each member stops at its own stop (value change
-    and policy gap over its massed states both below tol) and its numbers are
-    those of solving it alone, bit for bit; a 1-d prior is a batch of one.
+    stacked on that axis; each member's numbers are those of solving it
+    alone, bit for bit.  A 1-d prior is a batch of one.
     """
     p = np.asarray(prior, dtype=float)
     c = np.asarray(cost, dtype=float)
@@ -529,37 +595,55 @@ def classical_blahut(
         raise InstanceError("prior is not a probability distribution")
     check_beta(beta)
     scaled = c / beta
-    n_u = c.shape[1]
-    q = np.full((len(ps), *c.shape), 1.0 / n_u)
-    out = q.copy()
-    value = np.full(len(ps), math.inf)
-    iterations = np.zeros(len(ps), dtype=int)
-    converged = np.zeros(len(ps), dtype=bool)
-    live = np.arange(len(ps))  # the member in each row of q
-    pl, massed = ps[:, None, :], (ps > 0.0)[:, :, None]
+    stop_tol = max(tol, 2.0 * beta * np.finfo(float).eps)
+    count, n_u = len(ps), c.shape[1]
+    out = np.empty((count, *c.shape))
+    value, gap = np.empty(count), np.empty(count)
+    iterations = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    pl, massed = ps[:, None, :], ps > 0.0
+    # Each row evaluates its point x.  Phase 0: x starts a cycle (x0) and
+    # maps to x1; phase 1: x1 maps to x2, and the SqS3 point comes next;
+    # phase 2: that point is kept as the next x0 if its value is not above
+    # x1's (v1), else x2 is evaluated as a phase-0 point.
+    x = np.full((count, n_u), -math.log(n_u))
+    x0, x2, v1 = x, x, np.full(count, math.inf)
+    phase = np.zeros(count, dtype=int)
+    bound, alpha = np.ones(count), np.ones(count)  # step bound, last |alpha|
+    live = np.arange(count)  # the member in each row of the state
     for k in range(1, max_iters + 1):
-        log_phi, q_new = gibbs_step(pl @ q, scaled)
-        q_new /= q_new.sum(axis=2, keepdims=True)
-        # a zero-mass state's log partition may be NaN (c / beta overflows);
-        # it carries no weight, so 0 * NaN must not reach the value
-        log_phi = np.where(massed[:, :, 0], log_phi, 0.0)
-        new_value = -beta * (pl @ log_phi[:, :, None])[:, 0, 0]
-        gap = np.abs(q_new - q).max(axis=(1, 2), where=massed, initial=0.0)
-        stop = (np.abs(new_value - value[live]) < tol) & (gap < tol)
-        q, value[live] = q_new, new_value
+        val, g, fx, q = _blahut_map(x, pl, scaled, massed, beta)
+        stop = (g <= stop_tol) & (k > 1)
         done = stop | (k == max_iters)
         if done.any():  # a member leaves the batch at its own stop
-            out[live[done]], iterations[live[done]] = q[done], k
-            converged[live[stop]] = True
-            live, q, pl, massed = (a[~done] for a in (live, q, pl, massed))
-            if not len(live):
+            rows = live[done]
+            out[rows] = q[done] / q[done].sum(axis=2, keepdims=True)
+            value[rows], gap[rows], iterations[rows] = val[done], g[done], k
+            converged[rows] = stop[done]
+            if done.all():
                 break
+            live, pl, massed, x, fx, val, x0, x2, v1, phase, bound, alpha = (
+                a[~done] for a in
+                (live, pl, massed, x, fx, val, x0, x2, v1, phase, bound, alpha)
+            )
+        tried, step = phase == 2, phase == 1
+        kept = tried & (val <= v1)
+        bound = np.where(kept & (alpha == bound), STEP_GROWTH * bound, bound)
+        bound = np.where(tried & ~kept, np.maximum(1.0, alpha / STEP_GROWTH), bound)
+        start = (phase == 0) | kept
+        x0 = np.where(start[:, None], x, x0)
+        x2 = np.where(step[:, None], fx, x2)
+        v1 = np.where(step, val, v1)
+        nxt = np.where(start[:, None], fx, x2)
+        if step.any():
+            nxt[step], alpha[step] = _squarem(x0[step], x[step], fx[step], bound[step])
+        x, phase = nxt, np.where(start, 1, np.where(step, 2, 0))
     out[ps == 0.0] = 1.0 / n_u
     marginal = (ps[:, None, :] @ out)[:, 0]
     if p.ndim == 1:
-        return ClassicalSolution(out[0], marginal[0], float(value[0]),
+        return ClassicalSolution(out[0], marginal[0], float(value[0]), float(gap[0]),
                                  int(iterations[0]), bool(converged[0]))
-    return ClassicalSolution(out, marginal, value, iterations, converged)
+    return ClassicalSolution(out, marginal, value, gap, iterations, converged)
 
 
 def free_energy(log_phi_first: np.ndarray, initial: np.ndarray, beta: float) -> float:

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -114,6 +116,23 @@ class TestSolveCommand:
         assert code == 3
         assert "non-finite or zero Gibbs normalizer at t=1" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("instance, want", [(TOY, 0), ("positive", 3)])
+    def test_no_numpy_warnings_on_stderr(self, tmp_path, instance, want):
+        # at beta 1e-320 the costs over beta overflow; the guards report (or
+        # the run succeeds) without numpy's RuntimeWarnings on stderr
+        if instance == "positive":
+            instance = positive_cost_instance(tmp_path)
+        src = os.path.dirname(os.path.dirname(td.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "termdp.cli", "solve", str(instance),
+             "--beta", "1e-320", "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert done.returncode == want, done.stderr
+        assert "RuntimeWarning" not in done.stderr
 
     def test_window_information_is_strict_json(self, tmp_path):
         # the degree-1 optimum of this instance has joint entries whose
@@ -436,6 +455,17 @@ class TestValueIterationCommand:
         rows = (tmp_path / "vi_policy.csv").read_text().splitlines()
         assert rows[0] == "t,state,action"
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("content", [None, "{not json", '{"horizon": 2}'])
+    def test_missing_or_malformed_instance_is_input_error(self, tmp_path, capsys,
+                                                          content):
+        path = tmp_path / "instance.json"
+        if content is not None:
+            path.write_text(content)
+        code = run(["value-iteration", path, "--out-dir", tmp_path / "out"])
+        assert code == 2
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "vi_report.json").exists()
 
 
 class TestVerifyCommand:

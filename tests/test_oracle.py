@@ -3,13 +3,14 @@
 import functools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import termdp as td
 from termdp import oracle
-from termdp.errors import InstanceError, ResourceError
+from termdp.errors import InstanceError, NumericalError, ResourceError
 from termdp.model import conditional_mutual_information, induced_action_marginals
 
 
@@ -326,6 +327,44 @@ class TestStructuralReduction:
         mdp = oracle.random_mdp(rng, 3, max_states=2, max_actions=2)
         with pytest.raises(InstanceError, match="horizon"):
             oracle.structural_reduction_check(mdp, 1.0, 0.1)
+
+    @pytest.mark.parametrize("resolution", [0.0, math.nan])
+    def test_single_step_resolution_checked(self, resolution):
+        # horizon 1 needs no grid, but its resolution is an input all the same
+        rng = np.random.default_rng(21)
+        mdp = oracle.random_mdp(rng, 1, max_states=3, max_actions=3)
+        with pytest.raises(InstanceError, match=r"grid resolution must be in \(0, 2\)"):
+            oracle.structural_reduction_check(mdp, 1.0, resolution)
+
+
+def one_step_toy():
+    toy = td.build_nonconvex_toy()
+    return td.FiniteMdp(toy.transitions[:1], toy.stage_costs[:1],
+                        toy.terminal_cost, toy.initial)
+
+
+class TestCertifiedContinuations:
+    @pytest.mark.parametrize("call", [
+        lambda: oracle.bellman_landscape_stage2(td.build_nonconvex_toy(), 11),
+        lambda: oracle.objective_landscape_stage1(td.build_nonconvex_toy(), 11),
+        lambda: oracle.directed_optimum_t2(td.build_nonconvex_toy(), 1.0, 0.25),
+        lambda: oracle.structural_reduction_check(td.build_nonconvex_toy(), 1.0, 0.25),
+        lambda: oracle.structural_reduction_check(one_step_toy(), 1.0, 0.25),
+    ], ids=["stage2", "stage1", "directed", "structural", "structural-one-step"])
+    def test_uncertified_member_raises(self, monkeypatch, call):
+        # the last member of every solve reports a gap its tol does not cover
+        real = oracle.classical_blahut
+
+        def last_uncertified(prior, cost, beta):
+            sol = real(prior, cost, beta)
+            converged = np.array(sol.converged)
+            converged.flat[-1] = False
+            return replace(sol, converged=converged)
+
+        monkeypatch.setattr(oracle, "classical_blahut", last_uncertified)
+        uncertified = r"^1 of \d+ single-stage solves stopped uncertified"
+        with pytest.raises(NumericalError, match=uncertified):
+            call()
 
 
 class TestBoundChain:

@@ -38,23 +38,27 @@ def binary_hamming(beta_scale=1.0):
 
 
 def one_prior_blahut(p, cost, beta, max_iters):
-    """The single-prior Blahut loop: vector-matrix and dot products, one
-    prior at a time.  Returns (policy, marginal, value, iterations,
-    converged)."""
+    """The plain Blahut loop, one prior at a time: alternate the Gibbs policy
+    and its action marginal for max_iters iterations, or until the value no
+    longer decreases (the descent has stalled at roundoff).  Returns the
+    value."""
     q = np.full_like(cost, 1.0 / cost.shape[1])
-    value, converged, iterations = math.inf, False, 0
-    for k in range(1, max_iters + 1):
+    value = math.inf
+    for _ in range(max_iters):
         log_phi, q_new = gibbs_step(p @ q, cost / beta)
         q_new /= q_new.sum(axis=1, keepdims=True)
         new_value = -beta * float(p @ log_phi)
-        gap = float(np.abs(q_new - q)[p > 0.0, :].max())
-        q, iterations = q_new, k
-        converged = abs(new_value - value) < 1e-12 and gap < 1e-12
-        value = new_value
-        if converged:
+        if not new_value < value:
             break
-    q[p == 0.0, :] = 1.0 / cost.shape[1]
-    return q, p @ q, value, iterations, converged
+        q, value = q_new, new_value
+    return value
+
+
+def eq10_trial(seed):
+    """The instance and beta of criterion 7's trial drawn from seed."""
+    rng = np.random.default_rng(seed)
+    mdp = oracle.random_mdp(rng, 2, max_states=2, max_actions=2)
+    return mdp, float(rng.uniform(0.2, 2.0))
 
 
 class TestOptions:
@@ -432,19 +436,56 @@ class TestClassicalBlahut:
         priors[2, 1] = priors[3, :2] = priors[4, 1:] = 0.0
         priors /= priors.sum(axis=1, keepdims=True)
         priors = np.concatenate([priors, np.eye(4)[:2]])
-        free = [one_prior_blahut(p, cost, beta, 100_000)[3] for p in priors]
-        cap = sorted(free)[len(free) // 2]
+        free = td.classical_blahut(priors, cost, beta)
+        assert free.converged.all() and (free.gap <= 1e-12).all()
+        for prior, value, gap in zip(priors, free.value, free.gap):
+            # the certified bracket holds the plain loop's limit, up to the
+            # roundoff of the gap (the bound is tight for some members)
+            plain = one_prior_blahut(prior, cost, beta, 100_000)
+            assert value - gap <= plain + 1e-15 and plain <= value + 1e-12
+        cap = int(np.sort(free.iterations)[len(priors) // 2])
         batch = td.classical_blahut(priors, cost, beta, max_iters=cap)
         assert 0 < batch.converged.sum() < len(priors)
+        assert (batch.iterations <= cap).all()
         for i, prior in enumerate(priors):
-            want = one_prior_blahut(prior, cost, beta, cap)
             one = td.classical_blahut(prior, cost, beta, max_iters=cap)
             member = td.ClassicalSolution(*(f[i] for f in vars(batch).values()))
-            for sol in (one, member):
-                assert np.array_equal(sol.policy, want[0])
-                assert np.array_equal(sol.marginal, want[1])
-                assert (sol.value, sol.iterations, sol.converged) == want[2:]
-        assert isinstance(one.value, float) and isinstance(one.iterations, int)
+            for name, field in vars(one).items():
+                assert np.array_equal(field, getattr(member, name)), name
+            assert one.converged == (one.gap <= 1e-12)
+        assert isinstance(one.value, float) and isinstance(one.gap, float)
+        assert isinstance(one.iterations, int)
+
+    @pytest.mark.parametrize("beta", [1e4, 1e7])
+    def test_large_beta_certified_to_roundoff(self, beta):
+        # two ulps of s (2 beta eps) exceed tol here, so the stop asks for
+        # what float64 resolves; the tol alone left members at the cap
+        rng = np.random.default_rng(7)
+        cost = rng.random((4, 3)) * 2.0
+        priors = rng.random((9, 4))
+        priors /= priors.sum(axis=1, keepdims=True)
+        sol = td.classical_blahut(priors, cost, beta)
+        assert sol.converged.all() and sol.iterations.max() < 100
+        assert (sol.gap <= 2.0 * beta * np.finfo(float).eps).all()
+
+    @pytest.mark.parametrize("seed", [907_003, 907_008])
+    def test_criterion_7_boundary_priors_certified(self, monkeypatch, seed):
+        # these trials hold the priors whose optimum puts no mass on an
+        # action; the plain loop left them at its 100,000-iteration cap
+        solutions = []
+        real = oracle.classical_blahut
+
+        def recorded(prior, cost, beta):
+            solutions.append(real(prior, cost, beta))
+            return solutions[-1]
+
+        monkeypatch.setattr(oracle, "classical_blahut", recorded)
+        mdp, beta = eq10_trial(seed)
+        oracle.directed_optimum_t2(mdp, beta, 0.05)
+        assert len(solutions) == mdp.action_cards[0]
+        for sol in solutions:
+            assert sol.converged.all() and sol.gap.max() <= 1e-12
+            assert sol.iterations.max() < 200
 
     @pytest.mark.parametrize("row", [[0.5, -0.1, 0.6], [0.5, 0.2, 0.2],
                                      [0.5, math.nan, 0.5]])
