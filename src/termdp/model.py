@@ -359,11 +359,15 @@ def gibbs_step(nu: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _action_marginal(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """nu_t(u | h) from lam_t(x, h, u) and mu_t(x, h); uniform where h is massless."""
+    """nu_t(u | h) from lam_t(x, h, u) and mu_t(x, h); uniform where h is massless.
+
+    A history whose joint row underflows to 0 (a subnormal mass spread over
+    the actions) counts as massless too.
+    """
     joint = lam.sum(axis=-3)  # (..., H, U)
     mass = mu.sum(axis=-2)[..., None]
     nu = np.full_like(joint, 1.0 / joint.shape[-1])
-    np.divide(joint, mass, out=nu, where=mass > 0.0)
+    np.divide(joint, mass, out=nu, where=joint.any(axis=-1, keepdims=True))
     return nu
 
 

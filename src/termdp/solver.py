@@ -11,7 +11,8 @@ The trace costs no pass of its own: for q = Gibbs(nu, rho) the stage terms
 c / beta + log(q / nu) telescope through log phi, so F of the policy a
 backward pass builds, against the marginals it was built from, is that pass's
 free energy -beta * E[log phi_0(x_0)].  Only the starts' values are
-evaluated directly, with one stacked ``factored_objective`` call.
+evaluated directly, with one stacked ``factored_objective`` call, and the
+values of the extrapolated points that ``_sweeps`` tries after its warm-up.
 
 Both passes run on the ``SweepPlan`` that the ``FiniteMdp`` caches per
 degree: shapes are worked out once, and each contraction over the next state
@@ -41,6 +42,7 @@ import numpy as np
 
 from .errors import InstanceError, NumericalError
 from .model import (
+    _terminal_cost,
     DEFAULT_CELL_BUDGET,
     MARGINAL_FLOOR,
     FiniteMdp,
@@ -75,7 +77,8 @@ __all__ = [
 
 MASS_TOL = 1e-12
 PLAN_MIX = 0.8  # weight of the greedy action in a plan start
-STEP_GROWTH = 4.0  # factor by which classical_blahut's SqS3 step bound moves
+STEP_GROWTH = 4.0  # factor by which a SqS3 step bound moves
+EXTRAPOLATE_AFTER = 50  # plain sweeps of a start before _sweeps extrapolates
 LOG_FLOOR = math.log(MARGINAL_FLOOR)  # floor of classical_blahut's log-marginals
 
 
@@ -230,6 +233,7 @@ def _sweeps(
     starts: MemoryPolicy | PolicyStack,
     max_iters: int,
     check_stop: bool,
+    done: int = 0,
 ) -> tuple[PolicyStack, list[list[float]], list[int], list[bool]]:
     """Sweep the starts in lockstep, each until its own stop or max_iters.
 
@@ -241,6 +245,22 @@ def _sweeps(
     solo run's bit for bit.  A non-finite objective drops its start and all
     later ones; the earlier starts sweep on, and the earliest failure is
     raised, as when starts are swept one at a time.
+
+    Once the starts have had EXTRAPOLATE_AFTER sweeps (``done`` of them
+    before this call), the sweep map is extrapolated: after every two plain
+    sweeps each member tries a SqS3 point (``_squarem``) built from the log
+    tables of its last three policies, flattened into one row
+    (``_FlatTables``), so one step length serves its T tables; the step
+    bound moves as in ``classical_blahut``.  The next sweep
+    starts from the point and evaluates its true objective on the point's
+    forward pass.  The member keeps the point, and records that objective,
+    if it is no higher than its last trace value, so the trace still
+    descends; otherwise it sweeps its plain policy, as if no point had been
+    tried.  A kept point that breaks a Gibbs normalizer in the backward pass
+    is dropped the same way, and its sweep makes no stop test.  A member may
+    not stop on the sweep of a kept point or the next one, and past the
+    warm-up it stops only when the stop test passes on two consecutive
+    sweeps outside that hold; a pass during the hold ends its extrapolation.
     """
     if isinstance(starts, MemoryPolicy):
         starts = PolicyStack.of(starts.degree, [starts])
@@ -248,6 +268,11 @@ def _sweeps(
     traces = [[] for _ in range(count)]
     iterations, converged = [0] * count, [False] * count
     stack, live = starts, list(range(count))  # the start swept in each row
+    # per row: SqS3 step bound (0 once the member takes no more points), the
+    # last sweep it may not stop on, the last sweep its stop test passed, and
+    # the flattened log tables of the cycle's policies
+    bound, hold, passed_at = np.ones(count), [0] * count, [0] * count
+    logs, trial, flat = [], None, None
     error, k = None, 0
     while live and k < max_iters:
         k += 1
@@ -255,6 +280,13 @@ def _sweeps(
         mus = belief.mus
         if k == 1:
             values = factored_objective(mdp, stack, nu, opts.beta, belief).tolist()
+        kept = None
+        if trial is not None:  # the stack holds SqS3 points
+            (plain, plain_values, points, q, x2, alpha, tried), trial = trial, None
+            value = flat.objective(mdp, opts.beta, belief, nu, points, q)
+            kept = tried & (value <= [traces[i][-1] for i in live])
+            _resweep(mdp, plain, np.flatnonzero(tried & ~kept), mus, nu)
+            values = np.where(kept, value, plain_values).tolist()
         tested = []  # rows that pass the objective test, which comes first
         for row, i in enumerate(live):
             tr = traces[i]
@@ -270,12 +302,41 @@ def _sweeps(
             break
         # only the tested members' old tables outlive the backward pass
         old, stack = stack.take(tested) if tested else None, None
-        log_phi, stack = backward_pass(mdp, nu, opts.beta, opts.degree)[1:]
+        try:
+            log_phi, stack = backward_pass(mdp, nu, opts.beta, opts.degree)[1:]
+        except NumericalError:
+            if kept is None:
+                raise
+            broken = [r for r in np.flatnonzero(kept[:len(live)])
+                      if _breaks(mdp, [n[r:r + 1] for n in nu], opts)]
+            kept[broken] = False
+            _resweep(mdp, plain, broken, mus, nu)
+            for r in broken:
+                traces[live[r]][-1] = plain_values[r]
+            if tested:  # the broken rows make no stop test on this sweep
+                rows = [j for j, row in enumerate(tested) if row not in broken]
+                tested, old = [tested[j] for j in rows], old.take(rows)
+            log_phi, stack = backward_pass(mdp, nu, opts.beta, opts.degree)[1:]
+        if kept is not None:
+            for r in np.flatnonzero(kept):
+                hold[r] = k + 1
+            bound = np.where(kept, np.where(alpha == bound, STEP_GROWTH * bound, bound),
+                             np.where(tried, np.maximum(1.0, alpha / STEP_GROWTH), bound))
+            # the next cycle starts from the policy this sweep swept
+            logs = [np.where(kept[:, None], points, x2)]
         values = [free_energy(lp, mdp.initial, opts.beta) for lp in log_phi[0]]
         del log_phi
         gaps = _policy_gap([m[tested] for m in mus], old.tables,
                            stack.take(tested).tables) if tested else []
-        stops = {row for row, gap in zip(tested, gaps) if gap < opts.tol_residual}
+        passed = [row for row, gap in zip(tested, gaps) if gap < opts.tol_residual]
+        # past the warm-up a member stops on the second of two passing sweeps
+        # after its hold; one that passes during it takes no more points
+        stops = {row for row in passed if done + k <= EXTRAPOLATE_AFTER
+                 or (k - 1 > hold[row] and passed_at[row] == k - 1)}
+        for row in passed:
+            passed_at[row] = k
+            if k <= hold[row]:
+                bound[row] = 0.0
         stay = [r for r in range(len(live)) if r not in stops and k < max_iters]
         gone = [r for r in range(len(live)) if r not in stay]
         if gone:
@@ -286,9 +347,44 @@ def _sweeps(
                 iterations[i], converged[i] = k, r in stops
             live, values = [live[r] for r in stay], [values[r] for r in stay]
             stack = stack.take(stay)
+        if len(stay) < len(hold):  # rows left the stack or failed
+            bound = bound[stay]
+            hold, passed_at = [hold[r] for r in stay], [passed_at[r] for r in stay]
+            logs = [x[stay] for x in logs]
+        if done + k < EXTRAPOLATE_AFTER or not live:
+            continue
+        # each member's tables as one row: a fixed number of calls per cycle
+        flat = flat or _FlatTables.of(mdp.sweep_plan(opts.degree))
+        swept = flat.join(stack.tables)
+        logs.append(np.log(np.maximum(swept, MARGINAL_FLOOR)))
+        if len(logs) == 3:
+            points, alpha = _squarem(*logs, bound, flat.rows)
+            tried = bound > 0.0
+            q = np.exp(points)
+            if not tried.all():
+                q[~tried] = swept[~tried]
+            trial = (stack, values, points, q, logs[2], alpha, tried)
+            stack, logs = PolicyStack(opts.degree, flat.split(q)), []
     if error is not None:
         raise error
     return starts, traces, iterations, converged
+
+
+def _resweep(mdp, plain, rows, mus, nu) -> None:
+    """Write the forward pass of the plain stack's rows into mus and nu."""
+    if len(rows):
+        belief, fresh = forward_pass(mdp, plain.take(rows))
+        for ours, theirs in zip((*mus, *nu), (*belief.mus, *fresh)):
+            ours[rows] = theirs
+
+
+def _breaks(mdp, nu, opts) -> bool:
+    """Whether one member's backward pass raises NumericalError."""
+    try:
+        backward_pass(mdp, nu, opts.beta, opts.degree)
+    except NumericalError:
+        return True
+    return False
 
 
 def _solve_batch(
@@ -301,7 +397,7 @@ def _solve_batch(
     """Sweep the starts as one batch, then report on each (see multi_start)."""
     start = time.perf_counter()
     swept, traces, iterations, converged = _sweeps(
-        mdp, opts, starts, opts.max_iters - iters_used, True
+        mdp, opts, starts, opts.max_iters - iters_used, True, iters_used
     )
     # canonicalizing only rewrites massless slices, so the swept policies'
     # forward pass is the final policies', bit for bit
@@ -506,33 +602,97 @@ class ClassicalSolution:
     converged: bool
 
 
-def _log_normalize(x: np.ndarray) -> np.ndarray:
+def _log_normalize(x: np.ndarray, rows=None) -> np.ndarray:
     """Floor log-probabilities at log MARGINAL_FLOOR, then renormalize them
-    over the last axis."""
+    over the last axis, or over its segments given rows = (starts, row_of):
+    the index where each segment starts, and the segment of each entry."""
     x = np.maximum(x, LOG_FLOOR)
-    top = x.max(axis=-1, keepdims=True)
-    return x - (top + np.log(np.exp(x - top).sum(axis=-1, keepdims=True)))
+    if rows is None:
+        top = x.max(axis=-1, keepdims=True)
+        return x - (top + np.log(np.exp(x - top).sum(axis=-1, keepdims=True)))
+    starts, row_of = rows
+    top = np.maximum.reduceat(x, starts, axis=-1)
+    lse = top + np.log(np.add.reduceat(np.exp(x - top[:, row_of]), starts, axis=-1))
+    return x - lse[:, row_of]
+
+
+class _FlatTables(NamedTuple):
+    """A policy's T tables flattened in C order into one row.
+
+    ``shapes`` and ``spans`` are the tables' shapes and slices of the row,
+    ``rows`` = (starts, row_of) is ``_log_normalize``'s, with one segment per
+    (t, x, h), and ``nu_of`` and ``cost`` give each entry's index into the
+    concatenated flattened marginals and its stage cost.
+    """
+
+    shapes: tuple[tuple[int, int, int], ...]
+    spans: tuple[slice, ...]
+    rows: tuple[np.ndarray, np.ndarray]
+    nu_of: np.ndarray
+    cost: np.ndarray
+
+    @classmethod
+    def of(cls, plan) -> "_FlatTables":
+        lengths, nu_of, cost, seen = [], [], [], 0
+        for s in plan.steps:
+            x, h, u = s.shape
+            lengths.append(np.full(x * h, u))
+            nu_of.append(seen + np.arange(x * h * u) % (h * u))
+            cost.append(np.broadcast_to(s.cost[:, None, :], s.shape).ravel())
+            seen += h * u
+        lengths = np.concatenate(lengths)
+        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        row_of = np.repeat(np.arange(len(lengths)), lengths)
+        ends = np.cumsum([0] + [math.prod(s.shape) for s in plan.steps]).tolist()
+        spans = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
+        return cls(tuple(s.shape for s in plan.steps), spans, (starts, row_of),
+                   np.concatenate(nu_of), np.concatenate(cost))
+
+    def join(self, tables: Sequence[np.ndarray]) -> np.ndarray:
+        """Stacked tables as one row per member."""
+        return np.concatenate([q.reshape(len(q), -1) for q in tables], axis=1)
+
+    def split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Stacked tables, as views of one row per member."""
+        return tuple(flat[:, span].reshape(len(flat), *shape)
+                     for span, shape in zip(self.spans, self.shapes))
+
+    def objective(self, mdp, beta, belief, nu, log_q, q) -> np.ndarray:
+        """``factored_objective`` of flattened tables q = exp(log_q) against
+        their own marginals nu: sum lam (c + beta log(q / nu)) over the
+        entries with joint mass lam, plus the terminal cost."""
+        k = len(q)
+        mu = np.concatenate([m.reshape(k, -1) for m in belief.mus[:-1]], axis=1)
+        lam = mu[:, self.rows[1]] * q
+        nu = np.concatenate([n.reshape(k, -1) for n in nu], axis=1)[:, self.nu_of]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = self.cost + beta * (log_q - np.log(nu))
+            total = np.sum(lam * gain, axis=1, where=lam > 0.0)
+        return total + _terminal_cost(mdp, belief)
 
 
 def _squarem(
-    x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, bound: np.ndarray
+    x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, bound: np.ndarray, rows=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """SqS3 extrapolation (Varadhan & Roland 2008) of stacked log-iterates.
 
     x1 = F(x0) and x2 = F(x1) for a fixed-point map F, stacked on a leading
-    batch axis.  With r = x1 - x0 and v = x2 - 2 x1 + x0, each member takes
-    its own step length alpha = -|r| / |v|, clipped to [-bound, -1] (-1
-    gives x2 itself), to the point x0 - 2 alpha r + alpha^2 v, floored and
-    renormalized over the last axis.  Returns the points and |alpha|.
+    batch axis: a marginal per member, or all its policy tables flattened
+    into one row, so that one step length serves them all.  With r = x1 -
+    x0 and v = x2 - 2 x1 + x0, each member takes its own step length
+    alpha = -|r| / |v|, clipped to [-bound, -1] (-1 gives x2 itself), to the
+    point x0 - 2 alpha r + alpha^2 v, floored and renormalized by
+    ``_log_normalize`` (over the last axis, or over its rows).  Returns the
+    points and |alpha|.
     """
     r = x1 - x0
     v = x2 - x1 - r
     axes = tuple(range(1, x0.ndim))
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = -np.sqrt((r * r).sum(axis=axes) / (v * v).sum(axis=axes))
-    alpha = np.where(np.isnan(alpha), -1.0, np.clip(alpha, -bound, -1.0))
+    alpha = np.where(np.isnan(alpha), -1.0, np.minimum(np.maximum(alpha, -bound), -1.0))
     a = alpha.reshape(alpha.shape + (1,) * len(axes))
-    return _log_normalize(x0 - 2.0 * a * r + a * a * v), -alpha
+    return _log_normalize(x0 - 2.0 * a * r + a * a * v, rows), -alpha
 
 
 def _blahut_map(x, pl, scaled, massed, beta):
@@ -577,8 +737,9 @@ def classical_blahut(
     gap is at most tol, or at most 2 beta eps (two ulps of s, all that float64
     resolves), and returns that point's Gibbs policy, its action marginal,
     V(r) in unscaled units and the gap: value - gap <= optimum <= value.
-    A member the cap stops has converged False and its last point's gap.
-    iterations counts map evaluations.
+    A member the cap stops has converged False and returns the lowest-valued
+    point of its run, with that point's gap.  iterations counts map
+    evaluations.
 
     Priors stacked as (N, Z) are solved in lockstep and give every field
     stacked on that axis; each member's numbers are those of solving it
@@ -610,11 +771,19 @@ def classical_blahut(
     x0, x2, v1 = x, x, np.full(count, math.inf)
     phase = np.zeros(count, dtype=int)
     bound, alpha = np.ones(count), np.ones(count)  # step bound, last |alpha|
+    best, best_x = np.full(count, math.inf), x  # lowest value so far, its point
     live = np.arange(count)  # the member in each row of the state
     for k in range(1, max_iters + 1):
         val, g, fx, q = _blahut_map(x, pl, scaled, massed, beta)
+        lower = val < best
+        best, best_x = np.where(lower, val, best), np.where(lower[:, None], x, best_x)
         stop = (g <= stop_tol) & (k > 1)
         done = stop | (k == max_iters)
+        if k == max_iters and not stop.all():  # the capped return their best
+            cap = ~stop
+            val[cap], g[cap], _, q[cap] = _blahut_map(
+                best_x[cap], pl[cap], scaled, massed[cap], beta
+            )
         if done.any():  # a member leaves the batch at its own stop
             rows = live[done]
             out[rows] = q[done] / q[done].sum(axis=2, keepdims=True)
@@ -622,10 +791,9 @@ def classical_blahut(
             converged[rows] = stop[done]
             if done.all():
                 break
-            live, pl, massed, x, fx, val, x0, x2, v1, phase, bound, alpha = (
-                a[~done] for a in
-                (live, pl, massed, x, fx, val, x0, x2, v1, phase, bound, alpha)
-            )
+            (live, pl, massed, x, fx, val, x0, x2, v1, phase, bound, alpha, best,
+             best_x) = (a[~done] for a in (live, pl, massed, x, fx, val, x0, x2, v1,
+                                            phase, bound, alpha, best, best_x))
         tried, step = phase == 2, phase == 1
         kept = tried & (val <= v1)
         bound = np.where(kept & (alpha == bound), STEP_GROWTH * bound, bound)

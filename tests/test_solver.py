@@ -54,6 +54,17 @@ def one_prior_blahut(p, cost, beta, max_iters):
     return value
 
 
+def criterion_1_draw(seed, i):
+    """Draw i of the criterion-1 sequence started at seed * 1000 + i."""
+    rng = np.random.default_rng(seed * 1000 + i)
+    mdp = oracle.random_mdp(rng, int(rng.integers(1, 11)), 5, 5)
+    opts = td.SolveOptions(
+        beta=float(rng.uniform(0.1, 3.0)), degree=int(rng.integers(0, 3)),
+        init="perturbed", seed=i, max_iters=400,
+    )
+    return mdp, opts
+
+
 def eq10_trial(seed):
     """The instance and beta of criterion 7's trial drawn from seed."""
     rng = np.random.default_rng(seed)
@@ -215,8 +226,9 @@ class TestSolve:
     def test_k_sweep_solve_runs_k_plus_one_forward_passes(self, monkeypatch, max_iters):
         # one forward pass per sweep plus one for the final policy, which the
         # report's cost, information and certificate share; bare belief
-        # propagations count as forward passes too
-        calls = []
+        # propagations count as forward passes too.  A dropped SqS3 point
+        # costs one more: its sweep then propagates the plain policy
+        calls, dropped = [], []
         for name in ("forward_pass", "propagate_reduced"):
             original = getattr(solver, name)
 
@@ -225,11 +237,42 @@ class TestSolve:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(solver, name, counted)
+        real_resweep = solver._resweep
+
+        def resweep(mdp, plain, rows, mus, nu):
+            dropped.extend(rows)
+            return real_resweep(mdp, plain, rows, mus, nu)
+
+        monkeypatch.setattr(solver, "_resweep", resweep)
         mdp = oracle.random_mdp(np.random.default_rng(3), 4)
         opts = td.SolveOptions(beta=0.9, degree=1, max_iters=max_iters)
         rep = td.solve(mdp, opts)
         assert rep.converged or rep.iterations == max_iters
-        assert len(calls) == rep.iterations + 1
+        assert len(calls) == rep.iterations + 1 + len(dropped)
+
+    @pytest.mark.parametrize("seed, i", [(7, 7), (2, 9), (18, 14)])
+    def test_no_false_convergence_after_extrapolation(self, seed, i):
+        # criterion-1 draws where a stop shortly after a kept SqS3 point
+        # claimed convergence with a certificate of 1.0e-8 to 2.4e-8
+        mdp, opts = criterion_1_draw(seed, i)
+        rep = td.solve(mdp, opts)
+        assert rep.iterations > solver.EXTRAPOLATE_AFTER
+        assert not rep.converged or rep.residual < opts.tol_residual
+        trace = rep.objective_trace
+        assert (trace[1:] - trace[:-1] <= 1e-12).all()
+
+    def test_extrapolation_cuts_sweeps_without_changing_the_optimum(self, monkeypatch):
+        # the same draw with the extrapolation pushed past the cap: fewer
+        # sweeps to a certified stop, and the same stationary value
+        mdp, opts = criterion_1_draw(910, 8)
+        opts = replace(opts, max_iters=2000)
+        fast = td.solve(mdp, opts)
+        monkeypatch.setattr(solver, "EXTRAPOLATE_AFTER", opts.max_iters)
+        plain = td.solve(mdp, opts)
+        assert fast.converged and plain.converged
+        assert fast.iterations < plain.iterations / 2
+        assert fast.residual < opts.tol_residual
+        assert abs(fast.total - plain.total) < 1e-12
 
     def test_fixed_point_consistency_one_extra_sweep(self):
         rng = np.random.default_rng(19)
@@ -487,6 +530,35 @@ class TestClassicalBlahut:
             assert sol.converged.all() and sol.gap.max() <= 1e-12
             assert sol.iterations.max() < 200
 
+    def test_capped_member_returns_the_best_point_of_its_run(self, monkeypatch):
+        # a cap can fall right after a dropped SqS3 point; the member then
+        # returns the lowest value its run evaluated, and that point's gap
+        visited = []
+        real = solver._blahut_map
+
+        def recorded(x, *args):
+            out = real(x, *args)
+            visited.append(out[0][0])
+            return out
+
+        monkeypatch.setattr(solver, "_blahut_map", recorded)
+        rng = np.random.default_rng(7)
+        cost = rng.random((4, 3)) * 2.0
+        prior = rng.random(4)
+        prior /= prior.sum()
+        optimum = td.classical_blahut(prior, cost, 0.3).value
+        after_drop = 0
+        for cap in range(2, 30):
+            visited.clear()
+            sol = td.classical_blahut(prior, cost, 0.3, max_iters=cap)
+            if sol.converged:
+                break
+            run = visited[:cap]
+            after_drop += run[-1] > min(run)
+            assert sol.value == min(run) and sol.iterations == cap
+            assert optimum <= sol.value and sol.value - sol.gap <= optimum + 1e-15
+        assert after_drop > 0
+
     @pytest.mark.parametrize("row", [[0.5, -0.1, 0.6], [0.5, 0.2, 0.2],
                                      [0.5, math.nan, 0.5]])
     def test_bad_prior_row_raises_as_alone(self, row):
@@ -539,6 +611,29 @@ class TestFreeEnergy:
         want = td.factored_objective(mdp, q_new, nu, beta)
         got = free_energy(log_phi[0], mdp.initial, beta)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_flat_objective_equals_factored_objective(self, degree):
+        # the SqS3 points' objective, computed on flattened tables, against
+        # the reference functional; a member that never plays action 0 has
+        # zero entries and massless histories
+        rng = np.random.default_rng(60 + degree)
+        mdp = oracle.random_mdp(rng, 5)
+        pols = [oracle.random_policy(rng, mdp, degree) for _ in range(2)]
+        tables = []
+        for q in oracle.random_policy(rng, mdp, degree).tables:
+            q = q.copy()
+            q[..., 0] = 0.0
+            tables.append(q / q.sum(axis=2, keepdims=True))
+        stack = PolicyStack.of(degree, [*pols, td.MemoryPolicy(degree, tuple(tables))])
+        flat = solver._FlatTables.of(mdp.sweep_plan(degree))
+        q = flat.join(stack.tables)
+        assert all(np.array_equal(a, b) for a, b in zip(flat.split(q), stack.tables))
+        belief, nu = forward_pass(mdp, stack)
+        with np.errstate(divide="ignore"):
+            got = flat.objective(mdp, 0.8, belief, nu, np.log(q), q)
+        want = td.factored_objective(mdp, stack, nu, 0.8, belief)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_solve_trace_equals_factored_objective_of_hand_sweeps(self):
         rng = np.random.default_rng(41)
@@ -604,7 +699,7 @@ class TestMultiStart:
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_batched_starts_equal_starts_run_alone(self, degree):
         mdp = oracle.random_mdp(np.random.default_rng(40), 4, 4, 3)
-        opts = td.SolveOptions(beta=0.6, degree=degree, max_iters=300)
+        opts = td.SolveOptions(beta=0.8, degree=degree, max_iters=300)
         # the start set multi_start builds: uniform, 2 plans, 3 perturbed
         seeds = np.random.default_rng(5).integers(0, 2**63 - 1, size=3)
         starts = [td.MemoryPolicy.uniform(mdp, degree)]
@@ -636,6 +731,35 @@ class TestMultiStart:
             mdp, opts, starts=3, seed=5, plan_starts=2, screen_iters=9
         )
         assert_same_report(got, want[0])
+
+    def test_members_that_keep_sqs3_points_equal_their_solo_solves(self, monkeypatch):
+        # degree 1, every start past EXTRAPOLATE_AFTER: members keep SqS3
+        # points (a kept point's objective enters the trace) and leave at
+        # their own sweeps, each report its start's solo solve bit for bit
+        mdp = oracle.random_mdp(np.random.default_rng(40), 4, 4, 3)
+        opts = td.SolveOptions(beta=0.8, degree=1, max_iters=300)
+        full = td.multi_start(mdp, opts, starts=3, seed=5, plan_starts=2)
+        assert len({r.iterations for r in full}) > 1
+        seeds = np.random.default_rng(5).integers(0, 2**63 - 1, size=3)
+        starts = [td.MemoryPolicy.uniform(mdp, 1)] + plan_start_policies(mdp, 1, 2)
+        starts += [td.MemoryPolicy.perturbed(mdp, 1, int(s)) for s in seeds]
+        values = []  # the objectives of the SqS3 points tried
+        real = solver._FlatTables.objective
+
+        def recorded(self, *args):
+            out = real(self, *args)
+            values.extend(out.tolist())
+            return out
+
+        monkeypatch.setattr(solver._FlatTables, "objective", recorded)
+        kept = 0
+        for rep, q0 in zip(full, starts, strict=True):
+            values.clear()
+            (alone,) = solver._solve_batch(mdp, opts, PolicyStack.of(1, [q0]))
+            assert_same_report(rep, alone)
+            assert alone.iterations > solver.EXTRAPOLATE_AFTER
+            kept += len(set(values) & set(alone.objective_trace.tolist()))
+        assert kept > 0
 
     @pytest.mark.parametrize("degree", [0, 2])
     def test_swept_members_are_certified_in_one_call(self, monkeypatch, degree):

@@ -247,6 +247,27 @@ def test_nan_marginal_raises_numerical_error():
         backward_pass(mdp, nu, 0.7, 1)
 
 
+def test_subnormal_mass_history_gets_uniform_marginal():
+    # the history u_0 = 1 has mass 5e-324, and every entry of its joint row,
+    # 5e-324 / 3, underflows to 0: the history counts as massless, so its
+    # marginal is uniform and the backward pass stays finite
+    mdp = td.FiniteMdp(
+        (np.ones((1, 2, 1)), np.ones((1, 3, 1))),
+        (np.zeros((1, 2)), np.array([[0.0, 1.0, 2.0]])),
+        np.zeros(1),
+        np.ones(1),
+    )
+    q0 = np.array([[[1.0, 5e-324]]])
+    q1 = np.full((1, 2, 3), 1.0 / 3.0)
+    plan = mdp.sweep_plan(1)
+    mus, nus = plan.forward((q0, q1))
+    assert mus[1][0, 1] == 5e-324 and not (mus[1][0, 1] * q1[0, 1]).any()
+    assert np.array_equal(nus[1], np.full((2, 3), 1.0 / 3.0))
+    _, log_phi, tables = plan.backward(nus, 0.7)
+    assert all(np.isfinite(lp).all() for lp in log_phi)
+    np.testing.assert_allclose(tables[1].sum(axis=-1), 1.0, rtol=0, atol=TOL)
+
+
 def test_plan_is_cached_and_holds_views():
     mdp, _ = _instance(4, 2)
     plan = mdp.sweep_plan(2)
