@@ -42,6 +42,7 @@ from .solver import SolveOptions, SolveReport, multi_start, solve
 
 LOG2 = math.log(2.0)
 MAX_SWEEP_BETAS = 10_000  # held with their options (176 B each) before any solve
+MAX_STARTS = 1_000  # multi_start builds every start (KBs each) before solving
 
 
 def _env(name: str, default):
@@ -116,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=_env("SEED", 0))
     common.add_argument(
         "--starts", type=int, default=_env("STARTS", 1),
-        help="number of seeded random restarts (uniform start always included)",
+        help="number of seeded random restarts (uniform start always included), "
+        f"at most {MAX_STARTS}",
     )
     common.add_argument(
         "--out-dir", type=Path, default=_env("OUT_DIR", "."),
@@ -492,6 +494,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "starts", 0) > MAX_STARTS:  # before any start is built
+            raise ResourceError(f"{args.starts} starts exceed the limit of {MAX_STARTS}")
         # numpy's floating-point warnings stay off stderr: the guards raise
         # the errors below, and NaN or inf results are reported as such
         with np.errstate(all="ignore"):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -47,6 +48,7 @@ __all__ = [
 ROW_TOL = 1e-12
 DEFAULT_CELL_BUDGET = 20_000_000
 MARGINAL_FLOOR = 1e-300  # gibbs_step takes logs of positive marginals above this
+LOG_FLOOR = math.log(MARGINAL_FLOOR)  # floor of the solver's log-probabilities
 
 
 def _frozen(values) -> np.ndarray:
@@ -397,6 +399,7 @@ class SweepPlan:
     degree 0 and batched over u_t at degree >= 1, so each member's numbers are
     its solo run's bit for bit (a 2-d (K, n) @ (n, m) gemm's are not).  Raises
     ResourceError when one policy's ``cells`` exceed DEFAULT_CELL_BUDGET.
+    ``layout``, the tables flattened into one row, is built on first use.
     """
 
     def __init__(self, mdp: FiniteMdp, degree: int) -> None:
@@ -497,6 +500,76 @@ class SweepPlan:
                 raise NumericalError(f"non-finite or zero Gibbs normalizer at t={t}")
             tables[t] = q_t / norm
         return rho, log_phi, tables
+
+    @cached_property
+    def layout(self) -> "FlatLayout":
+        return FlatLayout.of(self)
+
+
+class FlatLayout(NamedTuple):
+    """A policy's T tables flattened in C order into one row.
+
+    ``shapes`` and ``spans`` are the tables' shapes and slices of the row,
+    ``starts`` and ``row_of`` the index where each (t, x, h) segment starts
+    and the segment of each entry, and ``nu_of`` and ``cost`` give each
+    entry's index into the concatenated flattened marginals and its stage
+    cost.  Stacked tables give one row per member.
+    """
+
+    shapes: tuple[tuple[int, int, int], ...]
+    spans: tuple[slice, ...]
+    starts: np.ndarray
+    row_of: np.ndarray
+    nu_of: np.ndarray
+    cost: np.ndarray
+
+    @classmethod
+    def of(cls, plan: SweepPlan) -> "FlatLayout":
+        lengths, nu_of, cost, seen = [], [], [], 0
+        for s in plan.steps:
+            x, h, u = s.shape
+            lengths.append(np.full(x * h, u))
+            nu_of.append(seen + np.arange(x * h * u) % (h * u))
+            cost.append(np.broadcast_to(s.cost[:, None, :], s.shape).ravel())
+            seen += h * u
+        lengths = np.concatenate(lengths)
+        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        row_of = np.repeat(np.arange(len(lengths)), lengths)
+        ends = np.cumsum([0] + [math.prod(s.shape) for s in plan.steps]).tolist()
+        spans = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
+        return cls(tuple(s.shape for s in plan.steps), spans, starts, row_of,
+                   np.concatenate(nu_of), np.concatenate(cost))
+
+    def join(self, tables: Sequence[np.ndarray]) -> np.ndarray:
+        """Stacked tables as one row per member."""
+        return np.concatenate([q.reshape(len(q), -1) for q in tables], axis=1)
+
+    def split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Stacked tables, as views of one row per member."""
+        return tuple(flat[:, span].reshape(len(flat), *shape)
+                     for span, shape in zip(self.spans, self.shapes))
+
+    def log_normalize(self, x: np.ndarray) -> np.ndarray:
+        """Floor flattened log-tables at LOG_FLOOR, then renormalize each
+        (t, x, h) segment."""
+        x = np.maximum(x, LOG_FLOOR)
+        top = np.maximum.reduceat(x, self.starts, axis=-1)
+        lse = np.log(np.add.reduceat(np.exp(x - top[:, self.row_of]), self.starts,
+                                     axis=-1))
+        return x - (top + lse)[:, self.row_of]
+
+    def objective(self, mdp, beta, belief, nu, log_q, q) -> np.ndarray:
+        """``factored_objective`` of flattened tables q = exp(log_q) against
+        their own marginals nu: sum lam (c + beta log(q / nu)) over the
+        entries with joint mass lam, plus the terminal cost."""
+        k = len(q)
+        mu = np.concatenate([m.reshape(k, -1) for m in belief.mus[:-1]], axis=1)
+        lam = mu[:, self.row_of] * q
+        nu = np.concatenate([n.reshape(k, -1) for n in nu], axis=1)[:, self.nu_of]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = self.cost + beta * (log_q - np.log(nu))
+            total = np.sum(lam * gain, axis=1, where=lam > 0.0)
+        return total + _terminal_cost(mdp, belief)
 
 
 def propagate_reduced(mdp: FiniteMdp, policy: MemoryPolicy) -> ReducedBelief:

@@ -42,8 +42,8 @@ import numpy as np
 
 from .errors import InstanceError, NumericalError
 from .model import (
-    _terminal_cost,
     DEFAULT_CELL_BUDGET,
+    LOG_FLOOR,
     MARGINAL_FLOOR,
     FiniteMdp,
     MemoryPolicy,
@@ -79,7 +79,6 @@ MASS_TOL = 1e-12
 PLAN_MIX = 0.8  # weight of the greedy action in a plan start
 STEP_GROWTH = 4.0  # factor by which a SqS3 step bound moves
 EXTRAPOLATE_AFTER = 50  # plain sweeps of a start before _sweeps extrapolates
-LOG_FLOOR = math.log(MARGINAL_FLOOR)  # floor of classical_blahut's log-marginals
 
 
 @dataclass(frozen=True)
@@ -247,20 +246,18 @@ def _sweeps(
     raised, as when starts are swept one at a time.
 
     Once the starts have had EXTRAPOLATE_AFTER sweeps (``done`` of them
-    before this call), the sweep map is extrapolated: after every two plain
-    sweeps each member tries a SqS3 point (``_squarem``) built from the log
-    tables of its last three policies, flattened into one row
-    (``_FlatTables``), so one step length serves its T tables; the step
-    bound moves as in ``classical_blahut``.  The next sweep
-    starts from the point and evaluates its true objective on the point's
-    forward pass.  The member keeps the point, and records that objective,
-    if it is no higher than its last trace value, so the trace still
-    descends; otherwise it sweeps its plain policy, as if no point had been
-    tried.  A kept point that breaks a Gibbs normalizer in the backward pass
-    is dropped the same way, and its sweep makes no stop test.  A member may
-    not stop on the sweep of a kept point or the next one, and past the
-    warm-up it stops only when the stop test passes on two consecutive
-    sweeps outside that hold; a pass during the hold ends its extrapolation.
+    before this call), the sweep map is extrapolated as in
+    ``classical_blahut``: after every two plain sweeps each member tries a
+    SqS3 point (``_squarem``) built from the log tables of its last three
+    policies, flattened into one row by the plan's ``layout``, so that one
+    step length serves its T tables.  The next sweep judges the point on its
+    forward pass: the member keeps it, and records its objective, if that is
+    no higher than its last trace value, so the trace still descends;
+    otherwise the same sweep propagates and sweeps the plain policy, stop
+    test included, as if no point had been tried.  A member may not stop on
+    the sweep of a kept point or the next one, and past the warm-up it stops
+    only when the stop test passes on two consecutive sweeps outside that
+    hold; a pass during the hold ends its extrapolation.
     """
     if isinstance(starts, MemoryPolicy):
         starts = PolicyStack.of(starts.degree, [starts])
@@ -271,8 +268,8 @@ def _sweeps(
     # per row: SqS3 step bound (0 once the member takes no more points), the
     # last sweep it may not stop on, the last sweep its stop test passed, and
     # the flattened log tables of the cycle's policies
-    bound, hold, passed_at = np.ones(count), [0] * count, [0] * count
-    logs, trial, flat = [], None, None
+    bound, hold, passed_at = np.ones(count), np.zeros(count, int), np.zeros(count, int)
+    logs, trial = [], None
     error, k = None, 0
     while live and k < max_iters:
         k += 1
@@ -280,13 +277,19 @@ def _sweeps(
         mus = belief.mus
         if k == 1:
             values = factored_objective(mdp, stack, nu, opts.beta, belief).tolist()
-        kept = None
-        if trial is not None:  # the stack holds SqS3 points
-            (plain, plain_values, points, q, x2, alpha, tried), trial = trial, None
-            value = flat.objective(mdp, opts.beta, belief, nu, points, q)
+        if trial is not None:  # the stack holds SqS3 points: judge them
+            (points, alpha, q, swept), trial = trial, None
+            value = layout.objective(mdp, opts.beta, belief, nu, points, q)
+            tried = bound > 0.0
             kept = tried & (value <= [traces[i][-1] for i in live])
-            _resweep(mdp, plain, np.flatnonzero(tried & ~kept), mus, nu)
-            values = np.where(kept, value, plain_values).tolist()
+            dropped = np.flatnonzero(tried & ~kept)
+            q[dropped] = swept[dropped]  # the stack's tables are views of q
+            _resweep(mdp, stack, dropped, mus, nu)
+            values = np.where(kept, value, values).tolist()
+            bound = _step_bound(bound, alpha, tried, kept)
+            hold[kept] = k + 1
+            # the next cycle starts from the policy this sweep sweeps
+            logs = [np.where(kept[:, None], points, logs[2])]
         tested = []  # rows that pass the objective test, which comes first
         for row, i in enumerate(live):
             tr = traces[i]
@@ -302,28 +305,7 @@ def _sweeps(
             break
         # only the tested members' old tables outlive the backward pass
         old, stack = stack.take(tested) if tested else None, None
-        try:
-            log_phi, stack = backward_pass(mdp, nu, opts.beta, opts.degree)[1:]
-        except NumericalError:
-            if kept is None:
-                raise
-            broken = [r for r in np.flatnonzero(kept[:len(live)])
-                      if _breaks(mdp, [n[r:r + 1] for n in nu], opts)]
-            kept[broken] = False
-            _resweep(mdp, plain, broken, mus, nu)
-            for r in broken:
-                traces[live[r]][-1] = plain_values[r]
-            if tested:  # the broken rows make no stop test on this sweep
-                rows = [j for j, row in enumerate(tested) if row not in broken]
-                tested, old = [tested[j] for j in rows], old.take(rows)
-            log_phi, stack = backward_pass(mdp, nu, opts.beta, opts.degree)[1:]
-        if kept is not None:
-            for r in np.flatnonzero(kept):
-                hold[r] = k + 1
-            bound = np.where(kept, np.where(alpha == bound, STEP_GROWTH * bound, bound),
-                             np.where(tried, np.maximum(1.0, alpha / STEP_GROWTH), bound))
-            # the next cycle starts from the policy this sweep swept
-            logs = [np.where(kept[:, None], points, x2)]
+        log_phi, stack = backward_pass(mdp, nu, opts.beta, opts.degree)[1:]
         values = [free_energy(lp, mdp.initial, opts.beta) for lp in log_phi[0]]
         del log_phi
         gaps = _policy_gap([m[tested] for m in mus], old.tables,
@@ -348,43 +330,31 @@ def _sweeps(
             live, values = [live[r] for r in stay], [values[r] for r in stay]
             stack = stack.take(stay)
         if len(stay) < len(hold):  # rows left the stack or failed
-            bound = bound[stay]
-            hold, passed_at = [hold[r] for r in stay], [passed_at[r] for r in stay]
+            bound, hold, passed_at = bound[stay], hold[stay], passed_at[stay]
             logs = [x[stay] for x in logs]
         if done + k < EXTRAPOLATE_AFTER or not live:
             continue
         # each member's tables as one row: a fixed number of calls per cycle
-        flat = flat or _FlatTables.of(mdp.sweep_plan(opts.degree))
-        swept = flat.join(stack.tables)
+        layout = mdp.sweep_plan(opts.degree).layout
+        swept = layout.join(stack.tables)
         logs.append(np.log(np.maximum(swept, MARGINAL_FLOOR)))
         if len(logs) == 3:
-            points, alpha = _squarem(*logs, bound, flat.rows)
-            tried = bound > 0.0
-            q = np.exp(points)
-            if not tried.all():
-                q[~tried] = swept[~tried]
-            trial = (stack, values, points, q, logs[2], alpha, tried)
-            stack, logs = PolicyStack(opts.degree, flat.split(q)), []
+            points, alpha = _squarem(*logs, bound)
+            points = layout.log_normalize(points)
+            q = np.where((bound > 0.0)[:, None], np.exp(points), swept)
+            trial = (points, alpha, q, swept)
+            stack = PolicyStack(opts.degree, layout.split(q))
     if error is not None:
         raise error
     return starts, traces, iterations, converged
 
 
-def _resweep(mdp, plain, rows, mus, nu) -> None:
-    """Write the forward pass of the plain stack's rows into mus and nu."""
+def _resweep(mdp, stack, rows, mus, nu) -> None:
+    """Write the forward pass of the stack's rows into mus and nu."""
     if len(rows):
-        belief, fresh = forward_pass(mdp, plain.take(rows))
+        belief, fresh = forward_pass(mdp, stack.take(rows))
         for ours, theirs in zip((*mus, *nu), (*belief.mus, *fresh)):
             ours[rows] = theirs
-
-
-def _breaks(mdp, nu, opts) -> bool:
-    """Whether one member's backward pass raises NumericalError."""
-    try:
-        backward_pass(mdp, nu, opts.beta, opts.degree)
-    except NumericalError:
-        return True
-    return False
 
 
 def _solve_batch(
@@ -602,97 +572,42 @@ class ClassicalSolution:
     converged: bool
 
 
-def _log_normalize(x: np.ndarray, rows=None) -> np.ndarray:
-    """Floor log-probabilities at log MARGINAL_FLOOR, then renormalize them
-    over the last axis, or over its segments given rows = (starts, row_of):
-    the index where each segment starts, and the segment of each entry."""
+def _log_normalize(x: np.ndarray) -> np.ndarray:
+    """Floor log-probabilities at LOG_FLOOR, then renormalize the last axis."""
     x = np.maximum(x, LOG_FLOOR)
-    if rows is None:
-        top = x.max(axis=-1, keepdims=True)
-        return x - (top + np.log(np.exp(x - top).sum(axis=-1, keepdims=True)))
-    starts, row_of = rows
-    top = np.maximum.reduceat(x, starts, axis=-1)
-    lse = top + np.log(np.add.reduceat(np.exp(x - top[:, row_of]), starts, axis=-1))
-    return x - lse[:, row_of]
-
-
-class _FlatTables(NamedTuple):
-    """A policy's T tables flattened in C order into one row.
-
-    ``shapes`` and ``spans`` are the tables' shapes and slices of the row,
-    ``rows`` = (starts, row_of) is ``_log_normalize``'s, with one segment per
-    (t, x, h), and ``nu_of`` and ``cost`` give each entry's index into the
-    concatenated flattened marginals and its stage cost.
-    """
-
-    shapes: tuple[tuple[int, int, int], ...]
-    spans: tuple[slice, ...]
-    rows: tuple[np.ndarray, np.ndarray]
-    nu_of: np.ndarray
-    cost: np.ndarray
-
-    @classmethod
-    def of(cls, plan) -> "_FlatTables":
-        lengths, nu_of, cost, seen = [], [], [], 0
-        for s in plan.steps:
-            x, h, u = s.shape
-            lengths.append(np.full(x * h, u))
-            nu_of.append(seen + np.arange(x * h * u) % (h * u))
-            cost.append(np.broadcast_to(s.cost[:, None, :], s.shape).ravel())
-            seen += h * u
-        lengths = np.concatenate(lengths)
-        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        row_of = np.repeat(np.arange(len(lengths)), lengths)
-        ends = np.cumsum([0] + [math.prod(s.shape) for s in plan.steps]).tolist()
-        spans = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
-        return cls(tuple(s.shape for s in plan.steps), spans, (starts, row_of),
-                   np.concatenate(nu_of), np.concatenate(cost))
-
-    def join(self, tables: Sequence[np.ndarray]) -> np.ndarray:
-        """Stacked tables as one row per member."""
-        return np.concatenate([q.reshape(len(q), -1) for q in tables], axis=1)
-
-    def split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Stacked tables, as views of one row per member."""
-        return tuple(flat[:, span].reshape(len(flat), *shape)
-                     for span, shape in zip(self.spans, self.shapes))
-
-    def objective(self, mdp, beta, belief, nu, log_q, q) -> np.ndarray:
-        """``factored_objective`` of flattened tables q = exp(log_q) against
-        their own marginals nu: sum lam (c + beta log(q / nu)) over the
-        entries with joint mass lam, plus the terminal cost."""
-        k = len(q)
-        mu = np.concatenate([m.reshape(k, -1) for m in belief.mus[:-1]], axis=1)
-        lam = mu[:, self.rows[1]] * q
-        nu = np.concatenate([n.reshape(k, -1) for n in nu], axis=1)[:, self.nu_of]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = self.cost + beta * (log_q - np.log(nu))
-            total = np.sum(lam * gain, axis=1, where=lam > 0.0)
-        return total + _terminal_cost(mdp, belief)
+    top = x.max(axis=-1, keepdims=True)
+    return x - (top + np.log(np.exp(x - top).sum(axis=-1, keepdims=True)))
 
 
 def _squarem(
-    x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, bound: np.ndarray, rows=None
+    x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, bound: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """SqS3 extrapolation (Varadhan & Roland 2008) of stacked log-iterates.
 
-    x1 = F(x0) and x2 = F(x1) for a fixed-point map F, stacked on a leading
-    batch axis: a marginal per member, or all its policy tables flattened
-    into one row, so that one step length serves them all.  With r = x1 -
-    x0 and v = x2 - 2 x1 + x0, each member takes its own step length
-    alpha = -|r| / |v|, clipped to [-bound, -1] (-1 gives x2 itself), to the
-    point x0 - 2 alpha r + alpha^2 v, floored and renormalized by
-    ``_log_normalize`` (over the last axis, or over its rows).  Returns the
-    points and |alpha|.
+    x1 = F(x0) and x2 = F(x1) for a fixed-point map F, one row per member: a
+    marginal, or all its policy tables flattened into one row, so that one
+    step length serves them all.  With r = x1 - x0 and v = x2 - 2 x1 + x0,
+    each member takes its own step length alpha = -|r| / |v|, clipped to
+    [-bound, -1] (-1 gives x2 itself), to the point x0 - 2 alpha r + alpha^2
+    v.  Returns the points, which the caller floors and renormalizes, and
+    |alpha|.
     """
     r = x1 - x0
     v = x2 - x1 - r
-    axes = tuple(range(1, x0.ndim))
     with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = -np.sqrt((r * r).sum(axis=axes) / (v * v).sum(axis=axes))
+        alpha = -np.sqrt((r * r).sum(axis=1) / (v * v).sum(axis=1))
     alpha = np.where(np.isnan(alpha), -1.0, np.minimum(np.maximum(alpha, -bound), -1.0))
-    a = alpha.reshape(alpha.shape + (1,) * len(axes))
-    return _log_normalize(x0 - 2.0 * a * r + a * a * v, rows), -alpha
+    a = alpha[:, None]
+    return x0 - 2.0 * a * r + a * a * v, -alpha
+
+
+def _step_bound(bound, alpha, tried, kept) -> np.ndarray:
+    """SqS3 step bounds after judging the points: a kept point taken at its
+    bound multiplies the bound by STEP_GROWTH, and a dropped one sets it to
+    max(1, |alpha| / STEP_GROWTH)."""
+    grown = np.where(alpha == bound, STEP_GROWTH * bound, bound)
+    shrunk = np.where(tried, np.maximum(1.0, alpha / STEP_GROWTH), bound)
+    return np.where(kept, grown, shrunk)
 
 
 def _blahut_map(x, pl, scaled, massed, beta):
@@ -730,16 +645,17 @@ def classical_blahut(
     V(r) = -beta sum_x p(x) log phi_r(x) to the global optimum, and
     V(r) - beta log max_u s_r(u) <= optimum (Blahut 1972).  Each member
     iterates on log r from the uniform marginal.  After two plain maps it
-    tries a SqS3 point (``_squarem``); a point whose value is higher than
-    the last plain iterate's is dropped for the plain double step, and its
-    step bound shrinks to a quarter of its step (a step taken at the bound
-    quadruples it).  A member stops at the first point after the start whose
-    gap is at most tol, or at most 2 beta eps (two ulps of s, all that float64
-    resolves), and returns that point's Gibbs policy, its action marginal,
-    V(r) in unscaled units and the gap: value - gap <= optimum <= value.
-    A member the cap stops has converged False and returns the lowest-valued
-    point of its run, with that point's gap.  iterations counts map
-    evaluations.
+    tries a SqS3 point (``_squarem``) and judges it in the step that
+    evaluates it: a point whose value is higher than the last plain
+    iterate's is dropped for the plain double step, which the member
+    evaluates in the same step, and its step bound shrinks to a quarter of
+    its step (a step taken at the bound quadruples it).  A member stops at
+    the first point after the start whose gap is at most tol, or at most
+    2 beta eps (two ulps of s, all that float64 resolves), and returns that
+    point's Gibbs policy, its action marginal, V(r) in unscaled units and the
+    gap: value - gap <= optimum <= value.  A member the cap stops has
+    converged False and returns the lowest-valued point of its run, with that
+    point's gap.  iterations counts map evaluations.
 
     Priors stacked as (N, Z) are solved in lockstep and give every field
     stacked on that axis; each member's numbers are those of solving it
@@ -763,49 +679,54 @@ def classical_blahut(
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     pl, massed = ps[:, None, :], ps > 0.0
-    # Each row evaluates its point x.  Phase 0: x starts a cycle (x0) and
-    # maps to x1; phase 1: x1 maps to x2, and the SqS3 point comes next;
-    # phase 2: that point is kept as the next x0 if its value is not above
-    # x1's (v1), else x2 is evaluated as a phase-0 point.
+    # Odd steps evaluate the x0 that starts a cycle (the uniform marginal at
+    # first, then the point judged there); even steps evaluate x1 = F(x0),
+    # with value v1, and build the next point from x0, x1 and x2 = F(x1).
     x = np.full((count, n_u), -math.log(n_u))
     x0, x2, v1 = x, x, np.full(count, math.inf)
-    phase = np.zeros(count, dtype=int)
     bound, alpha = np.ones(count), np.ones(count)  # step bound, last |alpha|
-    best, best_x = np.full(count, math.inf), x  # lowest value so far, its point
+    best, best_x = np.full(count, math.inf), x.copy()  # lowest value, its point
     live = np.arange(count)  # the member in each row of the state
     for k in range(1, max_iters + 1):
         val, g, fx, q = _blahut_map(x, pl, scaled, massed, beta)
+        iterations[live] += 1
         lower = val < best
-        best, best_x = np.where(lower, val, best), np.where(lower[:, None], x, best_x)
+        best[lower], best_x[lower] = val[lower], x[lower]
+        if k % 2 and k > 1:  # x is a SqS3 point
+            kept = val <= v1
+            bound = _step_bound(bound, alpha, True, kept)
+            fall = ~kept & ~(g <= stop_tol) & (iterations[live] < max_iters)
+            if fall.any():  # x2 replaces the dropped points in this step
+                x[fall] = x2[fall]
+                val[fall], g[fall], fx[fall], q[fall] = _blahut_map(
+                    x2[fall], pl[fall], scaled, massed[fall], beta
+                )
+                iterations[live[fall]] += 1
+                lower = val < best
+                best[lower], best_x[lower] = val[lower], x[lower]
         stop = (g <= stop_tol) & (k > 1)
-        done = stop | (k == max_iters)
-        if k == max_iters and not stop.all():  # the capped return their best
-            cap = ~stop
+        done = stop | (iterations[live] == max_iters)
+        cap = done & ~stop
+        if cap.any():  # the capped return their best
             val[cap], g[cap], _, q[cap] = _blahut_map(
                 best_x[cap], pl[cap], scaled, massed[cap], beta
             )
         if done.any():  # a member leaves the batch at its own stop
             rows = live[done]
             out[rows] = q[done] / q[done].sum(axis=2, keepdims=True)
-            value[rows], gap[rows], iterations[rows] = val[done], g[done], k
+            value[rows], gap[rows] = val[done], g[done]
             converged[rows] = stop[done]
             if done.all():
                 break
-            (live, pl, massed, x, fx, val, x0, x2, v1, phase, bound, alpha, best,
+            (live, pl, massed, x, fx, val, x0, x2, v1, bound, alpha, best,
              best_x) = (a[~done] for a in (live, pl, massed, x, fx, val, x0, x2, v1,
-                                            phase, bound, alpha, best, best_x))
-        tried, step = phase == 2, phase == 1
-        kept = tried & (val <= v1)
-        bound = np.where(kept & (alpha == bound), STEP_GROWTH * bound, bound)
-        bound = np.where(tried & ~kept, np.maximum(1.0, alpha / STEP_GROWTH), bound)
-        start = (phase == 0) | kept
-        x0 = np.where(start[:, None], x, x0)
-        x2 = np.where(step[:, None], fx, x2)
-        v1 = np.where(step, val, v1)
-        nxt = np.where(start[:, None], fx, x2)
-        if step.any():
-            nxt[step], alpha[step] = _squarem(x0[step], x[step], fx[step], bound[step])
-        x, phase = nxt, np.where(start, 1, np.where(step, 2, 0))
+                                           bound, alpha, best, best_x))
+        if k % 2:
+            x0, x = x, fx
+        else:
+            x2, v1 = fx, val
+            x, alpha = _squarem(x0, x, fx, bound)
+            x = _log_normalize(x)
     out[ps == 0.0] = 1.0 / n_u
     marginal = (ps[:, None, :] @ out)[:, 0]
     if p.ndim == 1:

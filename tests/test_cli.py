@@ -445,6 +445,25 @@ class TestMazeCommand:
             ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv", [["solve", TOY], ["sweep", HAMMING, "--betas", "1"], ["maze", "--sample"]]
+)
+def test_oversized_starts_refused_before_allocation(tmp_path, capsys, argv):
+    # multi_start builds every start before it solves any; the refusal comes
+    # before the instance is even loaded
+    tracemalloc.start()
+    try:
+        code = run([*argv, "--starts", termdp.cli.MAX_STARTS + 1,
+                    "--out-dir", tmp_path / "out"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert f"{termdp.cli.MAX_STARTS + 1} starts" in capsys.readouterr().err
+    assert peak < 1_000_000
+    assert not (tmp_path / "out").exists()
+
+
 class TestValueIterationCommand:
     def test_reports_optimal_cost(self, tmp_path, capsys):
         code = run(["value-iteration", TOY, "--out-dir", tmp_path])

@@ -9,7 +9,7 @@ import pytest
 import termdp as td
 from termdp import oracle, solver
 from termdp.errors import InstanceError, NumericalError
-from termdp.model import gibbs_step
+from termdp.model import FlatLayout, gibbs_step
 from termdp.solver import (
     PolicyStack,
     SolverIterate,
@@ -155,6 +155,26 @@ class TestBackwardPass:
                 q.tables[t].sum(axis=2), 1.0, atol=1e-12
             )
 
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("beta", [1e-3, 1e-1, 1e1, 1e3, 1e5])
+    def test_floored_stack_sweeps_without_a_zero_normalizer(self, degree, beta):
+        # a kept SqS3 point may hold entries at the 1e-300 floor; every
+        # massed history's marginal keeps a positive entry all the same, so
+        # the backward pass of the stack's own forward pass cannot fail
+        rng = np.random.default_rng(80 + degree)
+        mdp = oracle.random_mdp(rng, 5)
+        layout = mdp.sweep_plan(degree).layout
+        shape = (6, len(layout.cost))
+        x = np.where(rng.random(shape) < 0.4, rng.uniform(-5.0, 0.0, shape), -1e3)
+        q = np.exp(layout.log_normalize(x))
+        stack = PolicyStack(degree, layout.split(q))
+        assert (q < 1e-290).mean() > 0.3  # at the floor, up to renormalizing
+        _, nu = forward_pass(mdp, stack)
+        _, log_phi, fresh = backward_pass(mdp, nu, beta, degree)
+        assert all(np.isfinite(lp).all() for lp in log_phi)
+        for table in fresh.tables:
+            np.testing.assert_allclose(table.sum(axis=-1), 1.0, atol=1e-12)
+
 
 class TestSolve:
     def test_classical_case_recovered(self):
@@ -249,6 +269,36 @@ class TestSolve:
         rep = td.solve(mdp, opts)
         assert rep.converged or rep.iterations == max_iters
         assert len(calls) == rep.iterations + 1 + len(dropped)
+
+    @pytest.mark.parametrize("i", [29, 69])
+    def test_stop_test_of_a_dropped_point_measures_the_plain_policy(self, monkeypatch, i):
+        # criterion-1 draws where the stop test runs on the sweep of a
+        # dropped SqS3 point: its gap is the plain policy's own residual
+        events = []
+        for name in ("_resweep", "backward_pass", "_policy_gap"):
+            original = getattr(solver, name)
+
+            def logged(*args, _name=name, _original=original):
+                out = _original(*args)
+                if _name == "_resweep" and len(args[2]):
+                    stack = args[1].take(args[2])
+                    events.append((_name, td.MemoryPolicy(
+                        stack.degree, tuple(q[0] for q in stack.tables))))
+                elif _name != "_resweep":
+                    events.append((_name, out))
+                return out
+
+            monkeypatch.setattr(solver, name, logged)
+        mdp, opts = criterion_1_draw(910, i)
+        td.solve(mdp, opts)
+        monkeypatch.undo()
+        names = [name for name, _ in events]
+        tested = [j for j in range(len(events) - 2) if names[j:j + 3] == [
+            "_resweep", "backward_pass", "_policy_gap"]]
+        assert tested
+        for j in tested:
+            plain, gap = events[j][1], events[j + 2][1]
+            assert gap == residual_from_policy(mdp, plain, opts.beta)
 
     @pytest.mark.parametrize("seed, i", [(7, 7), (2, 9), (18, 14)])
     def test_no_false_convergence_after_extrapolation(self, seed, i):
@@ -559,6 +609,34 @@ class TestClassicalBlahut:
             assert optimum <= sol.value and sol.value - sol.gap <= optimum + 1e-15
         assert after_drop > 0
 
+    def test_a_dropped_point_counts_its_fallback_evaluation(self, monkeypatch):
+        # a member that drops its SqS3 point evaluates the plain double step
+        # in the same step; iterations counts both, alone and in a batch
+        evaluated = []
+        real = solver._blahut_map
+
+        def recorded(x, *args):
+            out = real(x, *args)
+            evaluated.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver, "_blahut_map", recorded)
+        rng = np.random.default_rng(7)
+        cost = rng.random((4, 3)) * 2.0
+        priors = rng.random((9, 4))
+        priors /= priors.sum(axis=1, keepdims=True)
+        batch = td.classical_blahut(priors, cost, 0.3)
+        assert batch.converged.all()
+        assert sum(len(v) for v in evaluated) == batch.iterations.sum()
+        drops = 0
+        for prior, iterations in zip(priors, batch.iterations):
+            evaluated.clear()
+            one = td.classical_blahut(prior, cost, 0.3)
+            values = [v[0] for v in evaluated]
+            assert one.iterations == len(values) == iterations
+            drops += sum(b > a for a, b in zip(values, values[1:]))
+        assert drops > 0
+
     @pytest.mark.parametrize("row", [[0.5, -0.1, 0.6], [0.5, 0.2, 0.2],
                                      [0.5, math.nan, 0.5]])
     def test_bad_prior_row_raises_as_alone(self, row):
@@ -626,7 +704,7 @@ class TestFreeEnergy:
             q[..., 0] = 0.0
             tables.append(q / q.sum(axis=2, keepdims=True))
         stack = PolicyStack.of(degree, [*pols, td.MemoryPolicy(degree, tuple(tables))])
-        flat = solver._FlatTables.of(mdp.sweep_plan(degree))
+        flat = mdp.sweep_plan(degree).layout
         q = flat.join(stack.tables)
         assert all(np.array_equal(a, b) for a, b in zip(flat.split(q), stack.tables))
         belief, nu = forward_pass(mdp, stack)
@@ -744,14 +822,14 @@ class TestMultiStart:
         starts = [td.MemoryPolicy.uniform(mdp, 1)] + plan_start_policies(mdp, 1, 2)
         starts += [td.MemoryPolicy.perturbed(mdp, 1, int(s)) for s in seeds]
         values = []  # the objectives of the SqS3 points tried
-        real = solver._FlatTables.objective
+        real = FlatLayout.objective
 
         def recorded(self, *args):
             out = real(self, *args)
             values.extend(out.tolist())
             return out
 
-        monkeypatch.setattr(solver._FlatTables, "objective", recorded)
+        monkeypatch.setattr(FlatLayout, "objective", recorded)
         kept = 0
         for rep, q0 in zip(full, starts, strict=True):
             values.clear()

@@ -7,6 +7,7 @@ neither reference shares code with the plan.
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ import termdp as td
 from termdp import oracle
 from termdp.errors import NumericalError, ResourceError
 from termdp.model import DEFAULT_CELL_BUDGET, conditional_mutual_information
-from termdp.solver import PolicyStack, backward_pass, forward_pass, residual_from_policy
+from termdp.solver import (
+    EXTRAPOLATE_AFTER,
+    PolicyStack,
+    backward_pass,
+    forward_pass,
+    residual_from_policy,
+)
 
 from reference import enum_trajectory_probs
 
@@ -275,6 +282,16 @@ def test_plan_is_cached_and_holds_views():
     for s, p in zip(plan.steps, mdp.transitions):
         assert not s.flat.flags.owndata and np.shares_memory(s.flat, p)
         assert not s.by_action.flags.owndata and np.shares_memory(s.by_action, p)
+    # the flat layout is built once, by the first sweep past the warm-up
+    opts = td.SolveOptions(beta=1.0, degree=2, tol_objective=1e-300,
+                           tol_residual=1e-300, max_iters=EXTRAPOLATE_AFTER)
+    td.solve(mdp, opts)
+    assert "layout" not in vars(plan)
+    td.solve(mdp, replace(opts, max_iters=EXTRAPOLATE_AFTER + 1))
+    layout = vars(plan)["layout"]
+    assert plan.layout is layout
+    assert layout.shapes == tuple(s.shape for s in plan.steps)
+    assert layout.spans[-1].stop == len(layout.cost) == plan.cells
 
 
 def test_policy_table_cell_budget():
