@@ -186,9 +186,10 @@ def backward_pass(
 
     where h' is h with u appended and the oldest control dropped once the
     window is full.  rho does not depend on the dropped coordinate; it is
-    stored broadcast over it.  Marginals stacked (K, H_t, U_t) give stacked
-    log_phi, a ``PolicyStack`` and rho entries of None.  A Gibbs normalizer
-    that is not finite and positive raises NumericalError.
+    stored broadcast over it, as an (x, h, u) view of an action-major array.
+    Marginals stacked (K, H_t, U_t) give stacked log_phi, a ``PolicyStack``
+    and rho entries of None.  A Gibbs normalizer that is not finite and
+    positive raises NumericalError.
     """
     rho, log_phi, tables = mdp.sweep_plan(degree).backward(nu, beta)
     kind = PolicyStack if nu[0].ndim == 3 else MemoryPolicy
@@ -526,8 +527,9 @@ def stationarity_residual(
         terms.append(sup(nu[t] - fresh_nu[t], mass[:, None]))
     terms.append(sup(log_phi[T] - plan.terminal_log_phi(beta)))
     for t in range(T - 1, -1, -1):
-        terms.append(sup(rho[t] - plan.cost_to_go(t, log_phi[t + 1], beta)))
-        lse, q_want = gibbs_step(nu[t][None], rho[t])
+        by_action = np.moveaxis(rho[t], -1, -3)
+        terms.append(sup(by_action - plan.cost_to_go(t, log_phi[t + 1], beta)))
+        lse, q_want = gibbs_step(nu[t], by_action)
         terms.append(sup(log_phi[t] - lse))
         mask = belief.mus[t] > MASS_TOL
         terms.append(sup(q.tables[t] - q_want, mask[..., None]))
@@ -542,7 +544,7 @@ def residual_from_policy(
     Four of the five relations hold there by construction, so only the
     policy relation is measured: the stop test's gap between the policy and
     the tables of its own backward pass.  This equals ``stationarity_residual``
-    of that iterate up to the roundoff of renormalizing the Gibbs tables.  A
+    of that iterate, whose policy relation is checked by the same Gibbs step.  A
     ``PolicyStack`` gives one residual per member, each its single call's.
     """
     gap = _certificate(mdp, policy, beta, *forward_pass(mdp, policy))
@@ -621,14 +623,14 @@ def _blahut_map(x, pl, scaled, massed, beta):
     floor still counts toward the max.  A zero-mass state's log partition
     may be NaN (c / beta overflows); it carries no weight and is masked out.
     """
-    log_phi, q = gibbs_step(np.exp(x)[:, None, :], scaled)
-    log_phi = np.where(massed, log_phi, 0.0)
+    log_phi, q = gibbs_step(np.exp(x)[:, None, :], scaled.T[:, :, None])
+    log_phi = np.where(massed, log_phi[..., 0], 0.0)
     value = -beta * (pl @ log_phi[:, :, None])[:, 0, 0]
     ratio = np.where(massed[:, :, None], np.exp(-scaled - log_phi[:, :, None]), 0.0)
     s = (pl @ ratio)[:, 0]
     gap = beta * np.log(s.max(axis=1))
     log_s = np.log(s, out=np.full_like(s, -np.inf), where=s > 0.0)
-    return value, gap, _log_normalize(x + log_s), q
+    return value, gap, _log_normalize(x + log_s), q[:, :, 0]
 
 
 def classical_blahut(
@@ -713,7 +715,7 @@ def classical_blahut(
             )
         if done.any():  # a member leaves the batch at its own stop
             rows = live[done]
-            out[rows] = q[done] / q[done].sum(axis=2, keepdims=True)
+            out[rows] = q[done]
             value[rows], gap[rows] = val[done], g[done]
             converged[rows] = stop[done]
             if done.all():

@@ -9,7 +9,7 @@ import pytest
 import termdp as td
 from termdp import oracle, solver
 from termdp.errors import InstanceError, NumericalError
-from termdp.model import FlatLayout, gibbs_step
+from termdp.model import FlatLayout
 from termdp.solver import (
     PolicyStack,
     SolverIterate,
@@ -41,12 +41,16 @@ def one_prior_blahut(p, cost, beta, max_iters):
     """The plain Blahut loop, one prior at a time: alternate the Gibbs policy
     and its action marginal for max_iters iterations, or until the value no
     longer decreases (the descent has stalled at roundoff).  Returns the
-    value."""
+    value.  Its log-sum-exp is its own, not the solver's ``gibbs_step``."""
     q = np.full_like(cost, 1.0 / cost.shape[1])
     value = math.inf
     for _ in range(max_iters):
-        log_phi, q_new = gibbs_step(p @ q, cost / beta)
-        q_new /= q_new.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore"):  # unused actions get log 0 = -inf
+            z = np.log(p @ q) - cost / beta
+        top = z.max(axis=1, keepdims=True)
+        w = np.exp(z - top)
+        log_phi = top[:, 0] + np.log(w.sum(axis=1))
+        q_new = w / w.sum(axis=1, keepdims=True)
         new_value = -beta * float(p @ log_phi)
         if not new_value < value:
             break

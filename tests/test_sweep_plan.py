@@ -15,7 +15,7 @@ import pytest
 import termdp as td
 from termdp import oracle
 from termdp.errors import NumericalError, ResourceError
-from termdp.model import DEFAULT_CELL_BUDGET, conditional_mutual_information
+from termdp.model import DEFAULT_CELL_BUDGET, ROW_TOL, conditional_mutual_information
 from termdp.solver import (
     EXTRAPOLATE_AFTER,
     PolicyStack,
@@ -32,9 +32,10 @@ TOL = 1e-12  # fixed before any comparison was run
 CASES = [(h, n) for n in range(4) for h in (2, 4)]
 
 
-def _instance(horizon: int, degree: int):
+def _instance(horizon: int, degree: int, actions: tuple[int, int] = (2, 3)):
     rng = np.random.default_rng(1000 * horizon + degree)
-    mdp = oracle.random_mdp(rng, horizon, max_states=3, max_actions=3, min_states=1)
+    mdp = oracle.random_mdp(rng, horizon, max_states=3, min_states=1,
+                            min_actions=actions[0], max_actions=actions[1])
     return mdp, oracle.random_policy(rng, mdp, degree)
 
 
@@ -116,10 +117,14 @@ def test_forward_kernel_matches_window_scan_and_enumeration(horizon, degree):
         assert np.abs(nus[t] - want_nus[t]).max() <= TOL
 
 
-@pytest.mark.parametrize("horizon, degree", CASES)
-def test_backward_pass_matches_loop_reference(horizon, degree):
-    mdp, pol = _instance(horizon, degree)
-    beta = 0.7
+@pytest.mark.parametrize("horizon, degree, actions, beta", [
+    *(pytest.param(h, n, (2, 3), 0.7, id=f"{h}-{n}") for h, n in CASES),
+    # 9-12 actions, more than the 8 below which numpy sums a contiguous axis
+    # in order, and cost / beta spanning hundreds; no pass renormalizes rows
+    *(pytest.param(3, n, (9, 12), 3e-3, id=f"wide-{n}") for n in (0, 1)),
+])
+def test_backward_pass_matches_loop_reference(horizon, degree, actions, beta):
+    mdp, pol = _instance(horizon, degree, actions)
     _, nu = forward_pass(mdp, pol)
     _, log_phi, q = backward_pass(mdp, nu, beta, degree)
     want_log_phi, want_tables = loop_backward(mdp, nu, beta, degree)
@@ -127,6 +132,7 @@ def test_backward_pass_matches_loop_reference(horizon, degree):
         assert np.abs(log_phi[t] - want_log_phi[t]).max() <= TOL
     for t in range(horizon):
         assert np.abs(q.tables[t] - want_tables[t]).max() <= TOL
+        assert np.abs(q.tables[t].sum(axis=-1) - 1.0).max() <= ROW_TOL
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
@@ -292,6 +298,14 @@ def test_plan_is_cached_and_holds_views():
     assert plan.layout is layout
     assert layout.shapes == tuple(s.shape for s in plan.steps)
     assert layout.spans[-1].stop == len(layout.cost) == plan.cells
+    # the T=55 maze repeats one transition array, and every step's kernels
+    # are views of that one buffer
+    maze = td.build_maze(td.sample_maze_spec(horizon=55))
+    buffer = maze.transitions[0]
+    steps = maze.sweep_plan(0).steps
+    assert len(steps) == 55
+    for s in steps:
+        assert np.shares_memory(s.flat, buffer) and np.shares_memory(s.by_action, buffer)
 
 
 def test_policy_table_cell_budget():
