@@ -243,19 +243,23 @@ def test_criterion_7_bound_chain():
 def test_criterion_8_per_iteration_scaling():
     opts = td.SolveOptions(beta=1.0, degree=0, max_iters=20)
 
-    def sweep_time(mdp) -> float:
-        """Median over three 20-sweep runs of the time per sweep."""
-        pol = td.MemoryPolicy.uniform(mdp, 0)
-        times = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            _sweeps(mdp, opts, pol, 20, False)
-            times.append((time.perf_counter() - t0) / 20)
-        return sorted(times)[1]
+    def sweep_times(mdps, rounds=7) -> list[float]:
+        """Per instance, the median time per sweep over `rounds` 20-sweep
+        runs, the instances alternating within each round.  One untimed
+        sweep first builds each plan and its sparse tables."""
+        pols = [td.MemoryPolicy.uniform(mdp, 0) for mdp in mdps]
+        for mdp, pol in zip(mdps, pols):
+            _sweeps(mdp, opts, pol, 1, False)
+        times = [[] for _ in mdps]
+        for _ in range(rounds):
+            for mdp, pol, runs in zip(mdps, pols, times):
+                t0 = time.perf_counter()
+                _sweeps(mdp, opts, pol, 20, False)
+                runs.append((time.perf_counter() - t0) / 20)
+        return [float(np.median(runs)) for runs in times]
 
-    t25, t50, t100 = (
-        sweep_time(envs.build_maze(td.sample_maze_spec(horizon=h)))
-        for h in (25, 50, 100)
+    t25, t50, t100 = sweep_times(
+        [envs.build_maze(td.sample_maze_spec(horizon=h)) for h in (25, 50, 100)]
     )
     r1, r2 = t50 / t25, t100 / t50
     linear_ok = 1.6 <= r1 <= 2.6 and 1.6 <= r2 <= 2.6
@@ -266,7 +270,7 @@ def test_criterion_8_per_iteration_scaling():
     stamps = []
     for m in (0, 1):
         td.transfer_entropy(mdp, td.MemoryPolicy.uniform(mdp, 0), m=m, n_eval=0)
-        stamps.append(sweep_time(mdp))
+        stamps += sweep_times([mdp])
     m_ratio = stamps[1] / stamps[0]
     m_ok = 0.5 <= m_ratio <= 2.0
     ok = linear_ok and m_ok

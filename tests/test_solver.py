@@ -778,9 +778,18 @@ class TestMultiStart:
         assert rep.iterations <= opts.max_iters
         assert len(rep.objective_trace) == rep.iterations
 
-    @pytest.mark.parametrize("degree", [0, 1, 2])
-    def test_batched_starts_equal_starts_run_alone(self, degree):
-        mdp = oracle.random_mdp(np.random.default_rng(40), 4, 4, 3)
+    @pytest.mark.parametrize("degree, maze", [
+        *(pytest.param(n, False, id=str(n)) for n in (0, 1, 2)),
+        # the T=25 sample maze, on the plan's gather path; its members pass
+        # EXTRAPOLATE_AFTER and converge at different sweeps
+        pytest.param(0, True, id="maze-0"),
+    ])
+    def test_batched_starts_equal_starts_run_alone(self, degree, maze):
+        if maze:
+            mdp = td.build_maze(td.sample_maze_spec(horizon=25))
+            assert mdp.sweep_plan(degree).steps[0].gather is not None
+        else:
+            mdp = oracle.random_mdp(np.random.default_rng(40), 4, 4, 3)
         opts = td.SolveOptions(beta=0.8, degree=degree, max_iters=300)
         # the start set multi_start builds: uniform, 2 plans, 3 perturbed
         seeds = np.random.default_rng(5).integers(0, 2**63 - 1, size=3)

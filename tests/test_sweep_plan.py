@@ -1,8 +1,9 @@
 """Sweep plan tests: kernels against independent references, cell budget.
 
 The plan's forward kernel is compared with the window scan and with
-trajectory enumeration, its backward kernel with a scalar loop written here;
-neither reference shares code with the plan.
+trajectory enumeration (on the maze, too large to enumerate, with scalar
+loops over the scan), its backward kernel with a scalar loop written here;
+no reference shares code with the plan.
 """
 
 import functools
@@ -13,9 +14,14 @@ import numpy as np
 import pytest
 
 import termdp as td
-from termdp import oracle
+from termdp import model, oracle
 from termdp.errors import NumericalError, ResourceError
-from termdp.model import DEFAULT_CELL_BUDGET, ROW_TOL, conditional_mutual_information
+from termdp.model import (
+    DEFAULT_CELL_BUDGET,
+    GATHER_RATIO,
+    ROW_TOL,
+    conditional_mutual_information,
+)
 from termdp.solver import (
     EXTRAPOLATE_AFTER,
     PolicyStack,
@@ -30,12 +36,22 @@ TOL = 1e-12  # fixed before any comparison was run
 
 # (horizon, degree): every degree 0..3, horizons shorter than the degree too
 CASES = [(h, n) for n in range(4) for h in (2, 4)]
+# (horizon, degree, maze): the random dense cases, on the plan's dense path,
+# and the T=3 sample maze (153 states, 1.2% dense), on its gather path
+PATH_CASES = [
+    *(pytest.param(h, n, False, id=f"{h}-{n}") for h, n in CASES),
+    *(pytest.param(3, n, True, id=f"maze-{n}") for n in range(3)),
+]
 
 
-def _instance(horizon: int, degree: int, actions: tuple[int, int] = (2, 3)):
+def _instance(horizon: int, degree: int, actions: tuple[int, int] = (2, 3),
+              maze: bool = False):
     rng = np.random.default_rng(1000 * horizon + degree)
-    mdp = oracle.random_mdp(rng, horizon, max_states=3, min_states=1,
-                            min_actions=actions[0], max_actions=actions[1])
+    if maze:
+        mdp = td.build_maze(td.sample_maze_spec(horizon=horizon))
+    else:
+        mdp = oracle.random_mdp(rng, horizon, max_states=3, min_states=1,
+                                min_actions=actions[0], max_actions=actions[1])
     return mdp, oracle.random_policy(rng, mdp, degree)
 
 
@@ -65,6 +81,21 @@ def enum_beliefs_and_marginals(mdp, policy):
         joints.append(joint)
     nus = [j / j.sum(axis=1, keepdims=True) for j in joints[:-1]]
     return mus, nus
+
+
+def scan_marginals(window, policy):
+    """nu_t(u | h) by scalar loops over (x, h, u) from the window scan's
+    joints mu_t(x, h) and the policy; every history must carry mass."""
+    nus = []
+    for t, q in enumerate(policy.tables):
+        mu = window.joints[t].reshape(q.shape[:2])
+        joint = np.zeros(q.shape[1:])
+        for x in range(q.shape[0]):
+            for h in range(q.shape[1]):
+                for u in range(q.shape[2]):
+                    joint[h, u] += mu[x, h] * q[x, h, u]
+        nus.append(joint / joint.sum(axis=1, keepdims=True))
+    return nus
 
 
 def loop_backward(mdp, nu, beta, degree):
@@ -99,17 +130,23 @@ def loop_backward(mdp, nu, beta, degree):
     return log_phi, tables
 
 
-@pytest.mark.parametrize("horizon, degree", CASES)
-def test_forward_kernel_matches_window_scan_and_enumeration(horizon, degree):
-    mdp, pol = _instance(horizon, degree)
-    mus, nus = mdp.sweep_plan(degree).forward(pol.tables)
+@pytest.mark.parametrize("horizon, degree, maze", PATH_CASES)
+def test_forward_kernel_matches_window_scan_and_enumeration(horizon, degree, maze):
+    mdp, pol = _instance(horizon, degree, maze=maze)
+    plan = mdp.sweep_plan(degree)
+    assert all((s.gather is not None) == maze for s in plan.steps)
+    mus, nus = plan.forward(pol.tables)
     window = td.propagate_window(mdp, pol, 0, degree)
-    want_mus, want_nus = enum_beliefs_and_marginals(mdp, pol)
+    if maze:  # too many trajectories to enumerate
+        want_mus, want_nus = None, scan_marginals(window, pol)
+    else:
+        want_mus, want_nus = enum_beliefs_and_marginals(mdp, pol)
     assert len(mus) == horizon + 1 and len(nus) == horizon
     for t in range(horizon + 1):
         scan = window.joints[t].reshape(mdp.state_cards[t], -1)
         assert np.abs(mus[t] - scan).max() <= TOL
-        assert np.abs(mus[t] - want_mus[t]).max() <= TOL
+        if want_mus is not None:
+            assert np.abs(mus[t] - want_mus[t]).max() <= TOL
         np.testing.assert_allclose(
             mus[t].sum(axis=1), window.state_marginal(t), rtol=0, atol=TOL
         )
@@ -117,14 +154,16 @@ def test_forward_kernel_matches_window_scan_and_enumeration(horizon, degree):
         assert np.abs(nus[t] - want_nus[t]).max() <= TOL
 
 
-@pytest.mark.parametrize("horizon, degree, actions, beta", [
-    *(pytest.param(h, n, (2, 3), 0.7, id=f"{h}-{n}") for h, n in CASES),
+@pytest.mark.parametrize("horizon, degree, actions, beta, maze", [
+    *(pytest.param(h, n, (2, 3), 0.7, False, id=f"{h}-{n}") for h, n in CASES),
     # 9-12 actions, more than the 8 below which numpy sums a contiguous axis
     # in order, and cost / beta spanning hundreds; no pass renormalizes rows
-    *(pytest.param(3, n, (9, 12), 3e-3, id=f"wide-{n}") for n in (0, 1)),
+    *(pytest.param(3, n, (9, 12), 3e-3, False, id=f"wide-{n}") for n in (0, 1)),
+    # the gather path, at criterion 10's beta 1
+    *(pytest.param(3, n, None, 1.0, True, id=f"maze-{n}") for n in range(3)),
 ])
-def test_backward_pass_matches_loop_reference(horizon, degree, actions, beta):
-    mdp, pol = _instance(horizon, degree, actions)
+def test_backward_pass_matches_loop_reference(horizon, degree, actions, beta, maze):
+    mdp, pol = _instance(horizon, degree, actions, maze)
     _, nu = forward_pass(mdp, pol)
     _, log_phi, q = backward_pass(mdp, nu, beta, degree)
     want_log_phi, want_tables = loop_backward(mdp, nu, beta, degree)
@@ -136,11 +175,11 @@ def test_backward_pass_matches_loop_reference(horizon, degree, actions, beta):
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
-@pytest.mark.parametrize("horizon, degree", CASES)
-def test_stacked_kernels_equal_single_calls(horizon, degree, k):
+@pytest.mark.parametrize("horizon, degree, maze", PATH_CASES)
+def test_stacked_kernels_equal_single_calls(horizon, degree, maze, k):
     # K policies stacked on a leading axis give, member by member, exactly
-    # the arrays of K single calls
-    mdp, _ = _instance(horizon, degree)
+    # the arrays of K single calls, on both contraction paths
+    mdp, _ = _instance(horizon, degree, maze=maze)
     rng = np.random.default_rng(10 * k + degree)
     pols = [oracle.random_policy(rng, mdp, degree) for _ in range(k)]
     plan = mdp.sweep_plan(degree)
@@ -281,7 +320,17 @@ def test_subnormal_mass_history_gets_uniform_marginal():
     np.testing.assert_allclose(tables[1].sum(axis=-1), 1.0, rtol=0, atol=TOL)
 
 
-def test_plan_is_cached_and_holds_views():
+def _ring(n: int, reset: float = 0.0) -> td.FiniteMdp:
+    """n states on a ring, one action: stay or step on, each with probability
+    (1 - reset) / 2, and jump to state 0 with the rest."""
+    p = np.zeros((n, 1, n))
+    for x in range(n):
+        p[x, 0, [x, (x + 1) % n]] = (1.0 - reset) / 2
+    p[:, 0, 0] += reset
+    return td.FiniteMdp((p,), (np.zeros((n, 1)),), np.zeros(n), np.full(n, 1.0 / n))
+
+
+def test_plan_is_cached_and_holds_views(monkeypatch):
     mdp, _ = _instance(4, 2)
     plan = mdp.sweep_plan(2)
     assert mdp.sweep_plan(2) is plan
@@ -299,13 +348,36 @@ def test_plan_is_cached_and_holds_views():
     assert layout.shapes == tuple(s.shape for s in plan.steps)
     assert layout.spans[-1].stop == len(layout.cost) == plan.cells
     # the T=55 maze repeats one transition array, and every step's kernels
-    # are views of that one buffer
+    # are views of that one buffer; its sparse tables are built once, and
+    # every step shares them
+    built, real = [], model.Gather.of
+
+    def spy(p, per_action):
+        built.append(p)
+        return real(p, per_action)
+
+    monkeypatch.setattr(model.Gather, "of", spy)
     maze = td.build_maze(td.sample_maze_spec(horizon=55))
     buffer = maze.transitions[0]
     steps = maze.sweep_plan(0).steps
-    assert len(steps) == 55
+    assert len(steps) == 55 and len(built) == 1 and built[0] is buffer
+    assert steps[0].gather is not None
     for s in steps:
         assert np.shares_memory(s.flat, buffer) and np.shares_memory(s.by_action, buffer)
+        assert s.gather is steps[0].gather
+    # a criterion-1 draw (every transition positive) keeps the dense path
+    rng = np.random.default_rng(910_000)
+    draw = oracle.random_mdp(rng, int(rng.integers(1, 11)), 5, 5)
+    assert all(s.gather is None for s in draw.sweep_plan(0).steps)
+    # the selection: a ring of n states has at most 2 successors and 2
+    # predecessors per state, so it gathers from n = 2 * GATHER_RATIO states
+    # on; with resets, state 0's n predecessors make its padded width n
+    for n, reset, gathers in [(2 * GATHER_RATIO, 0.0, True),
+                              (2 * GATHER_RATIO - 1, 0.0, False),
+                              (4 * GATHER_RATIO, 1e-3, False)]:
+        for degree in (0, 1):
+            (step,) = _ring(n, reset).sweep_plan(degree).steps
+            assert (step.gather is not None) == gathers, (n, reset, degree)
 
 
 def test_policy_table_cell_budget():
