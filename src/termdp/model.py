@@ -28,6 +28,7 @@ __all__ = [
     "FiniteMdp",
     "MemoryPolicy",
     "SweepPlan",
+    "Restriction",
     "ReducedBelief",
     "WindowJoint",
     "ObjectiveValue",
@@ -68,8 +69,8 @@ class FiniteMdp:
     ``transitions[t][x, u]`` is a probability row.  ``stage_costs[t]`` has
     shape (X_t, U_t), ``terminal_cost`` shape (X_T,), ``initial`` shape
     (X_0,).  Arrays are made read-only on construction; instances are safe to
-    share between threads.  Sweep plans are built on first use and cached
-    per memory degree.
+    share between threads.  Sweep plans (one per memory degree) and the
+    ``restriction`` to the reachable states are built on first use and cached.
     """
 
     transitions: tuple[np.ndarray, ...]
@@ -114,6 +115,28 @@ class FiniteMdp:
         if plan is None:
             plan = self._plans[degree] = SweepPlan(self, degree)
         return plan
+
+    @cached_property
+    def restriction(self) -> "Restriction":
+        """The instance on the states it can reach, built on first use: the
+        support of ``initial`` pushed through ``transitions > 0``.  Steps that
+        repeat (states, next states, transition buffer) share one buffer."""
+        states = [np.flatnonzero(self.initial > 0.0)]
+        for p in self.transitions:
+            states.append(np.flatnonzero((p[states[-1]] > 0.0).any(axis=(0, 1))))
+        if all(len(s) == x for s, x in zip(states, self.state_cards)):
+            return Restriction(tuple(states), self.state_cards, self)
+        buffers, transitions = {}, []
+        for s, nxt, p in zip(states, states[1:], self.transitions):
+            key = (s.tobytes(), nxt.tobytes(), p.__array_interface__["data"][0])
+            if key not in buffers:
+                buffers[key] = _frozen(p[s][:, :, nxt])
+            transitions.append(buffers[key])
+        sub = FiniteMdp(
+            tuple(transitions), tuple(c[s] for c, s in zip(self.stage_costs, states)),
+            self.terminal_cost[states[-1]], self.initial[states[0]],
+        )
+        return Restriction(tuple(states), self.state_cards, sub)
 
     def history_span(self, degree: int, t: int) -> range:
         """Decision times whose controls a degree-n history at time t covers."""
@@ -191,6 +214,34 @@ class FiniteMdp:
             raise InstanceError(
                 f"initial distribution sums to {float(self.initial.sum())!r}"
             )
+
+
+class Restriction(NamedTuple):
+    """An instance on its reachable states (``FiniteMdp.restriction``):
+    ``states[t]`` indexes the states reachable at t = 0..T, ``cards`` holds
+    the instance's state counts, and ``mdp`` is the instance on ``states``,
+    or the instance itself where all are reachable (README, Sweeps)."""
+
+    states: tuple[np.ndarray, ...]
+    cards: tuple[int, ...]
+    mdp: FiniteMdp
+
+    def restrict(self, tables: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+        """Tables, past any batch axis, at the reachable rows; tables that
+        have only those rows already pass through."""
+        return tuple(q if q.shape[-3] == len(s) else q[..., s, :, :]
+                     for q, s in zip(tables, self.states))
+
+    def widen(self, tables: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+        """Restricted tables at the instance's shapes, uniform at unreachable rows."""
+        out = []
+        for q, s, x in zip(tables, self.states, self.cards):
+            if len(s) < x:
+                full = np.full((*q.shape[:-3], x, *q.shape[-2:]), 1.0 / q.shape[-1])
+                full[..., s, :, :] = q
+                q = full
+            out.append(q)
+        return tuple(out)
 
 
 @dataclass(frozen=True)

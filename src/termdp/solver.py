@@ -24,7 +24,8 @@ pass serves the batch's one stacked certificate and its stacked cost and
 information, and a ``MemoryPolicy`` is built only for a start and for a
 report.  The stop test and the certificate measure the same
 policy gap: the sup-norm change one backward pass makes to the policy over
-the pairs with belief mass (``_policy_gap``).
+the pairs with belief mass (``_policy_gap``).  ``solve`` and ``multi_start``
+sweep the instance's reachable states (``FiniteMdp.restriction``).
 
 The weight beta is absorbed by dividing stage costs by beta inside the
 backward recursion; reported costs are always unscaled.  Partition functions
@@ -365,8 +366,11 @@ def _solve_batch(
     iters_used: int = 0,
     trace_prefix: Sequence[float] = (),
 ) -> list[SolveReport]:
-    """Sweep the starts as one batch, then report on each (see multi_start)."""
+    """Sweep the starts as one batch on the instance's reachable states, then
+    report on each, its policy at the instance's shapes (see multi_start)."""
     start = time.perf_counter()
+    cut = mdp.restriction
+    mdp, starts = cut.mdp, PolicyStack(starts.degree, cut.restrict(starts.tables))
     swept, traces, iterations, converged = _sweeps(
         mdp, opts, starts, opts.max_iters - iters_used, True, iters_used
     )
@@ -380,7 +384,7 @@ def _solve_batch(
     seconds = time.perf_counter() - start
     return [
         SolveReport(
-            policy=MemoryPolicy(opts.degree, tuple(q[i] for q in finals.tables)),
+            policy=MemoryPolicy(opts.degree, cut.widen([q[i] for q in finals.tables])),
             beta=opts.beta, degree=opts.degree, cost=cost,
             information_nats=info, total=cost + opts.beta * info,
             residual=residual, iterations=iters_used + iters, converged=stopped,
@@ -440,6 +444,8 @@ def plan_start_policies(
             tables.append(q)
         policy = MemoryPolicy(degree, tuple(tables))
         plans.append(policy)
+        if len(plans) == count:  # no further plan reads the penalties
+            break
         belief = propagate_reduced(mdp, policy)
         for t in range(mdp.horizon):
             occupied = belief.mus[t].sum(axis=1) > 1e-3
@@ -470,26 +476,32 @@ def multi_start(
     every report equals that of the start solved alone, except that its wall
     time is that of its whole batch.  Starts whose stacked tables exceed
     DEFAULT_CELL_BUDGET cells are swept in consecutive batches that fit.
+    Starts are drawn on the instance's shapes and swept on their reachable
+    rows; the reported policies have uniform rows at unreachable states.
     """
     count = starts + int(include_uniform) + plan_starts
     if starts < 0 or count < 1:
         raise InstanceError("multi-start needs at least one start")
     if screen_iters is not None and screen_iters < 1:
         raise InstanceError(f"screen_iters must be positive, got {screen_iters}")
-    size = max(1, DEFAULT_CELL_BUDGET // mdp.sweep_plan(opts.degree).cells)
+    mdp.sweep_plan(opts.degree)  # one policy over the budget raises here
+    cut = mdp.restriction
+    size = max(1, DEFAULT_CELL_BUDGET // cut.mdp.sweep_plan(opts.degree).cells)
     rng = np.random.default_rng(seed)
     start_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=starts)]
     inits = [MemoryPolicy.uniform(mdp, opts.degree)] if include_uniform else []
     inits.extend(plan_start_policies(mdp, opts.degree, plan_starts))
     inits.extend(MemoryPolicy.perturbed(mdp, opts.degree, s) for s in start_seeds)
+    inits = [cut.restrict(q.tables) for q in inits]  # drawn full, swept restricted
     chunks = [
-        PolicyStack.of(opts.degree, inits[i:i + size]) for i in range(0, count, size)
+        PolicyStack(opts.degree, tuple(map(np.stack, zip(*inits[i:i + size]))))
+        for i in range(0, count, size)
     ]
     del inits  # the stacks hold the starts, and then their final tables
     if screen_iters is None:
         return [r for chunk in chunks for r in _solve_batch(mdp, opts, chunk)]
     sweeps = min(screen_iters, opts.max_iters)
-    screened = [_sweeps(mdp, opts, chunk, sweeps, True) for chunk in chunks]
+    screened = [_sweeps(cut.mdp, opts, chunk, sweeps, True) for chunk in chunks]
     last = [trace[-1] for _, traces, _, _ in screened for trace in traces]
     low = min(last)
     win = next(i for i, v in enumerate(last) if v - low <= 1e-12 * abs(low))

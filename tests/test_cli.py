@@ -444,6 +444,23 @@ class TestMazeCommand:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_deterministic_outputs_past_the_warm_up(self, tmp_path):
+        # at horizon 25 the goal is within reach, so the solve screens
+        # between routes and sweeps past EXTRAPOLATE_AFTER into SqS3 points
+        maze = tmp_path / "maze.json"
+        envs.save_maze_spec(td.sample_maze_spec(horizon=25), maze)
+        files = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            code = run(["maze", maze, "--beta", "2", "--seed", "3",
+                        "--max-iters", "150", "--out-dir", out])
+            assert code == 0
+            files.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert files[0] == files[1]
+        report = json.loads(files[0]["report.json"])
+        assert report["iterations"] > td.solver.EXTRAPOLATE_AFTER
+        assert report["converged"]
+
 
 @pytest.mark.parametrize(
     "argv", [["solve", TOY], ["sweep", HAMMING, "--betas", "1"], ["maze", "--sample"]]

@@ -803,9 +803,14 @@ class TestMultiStart:
             alone = solver._solve_batch(mdp, opts, PolicyStack.of(degree, [q0]))
             assert_same_report(rep, alone[0])
         # screened: the batch screens as each start alone would, and the
-        # winner is polished as a batch of one
-        alone = [solver._sweeps(mdp, opts, q0, 9, True) for q0 in starts]
-        stack, *rest = solver._sweeps(mdp, opts, PolicyStack.of(degree, starts), 9, True)
+        # winner is polished as a batch of one.  multi_start screens on the
+        # reachable states, whose sums round differently from the full maze's
+        cut = mdp.restriction
+        starts = [td.MemoryPolicy(degree, cut.restrict(q.tables)) for q in starts]
+        alone = [solver._sweeps(cut.mdp, opts, q0, 9, True) for q0 in starts]
+        stack, *rest = solver._sweeps(
+            cut.mdp, opts, PolicyStack.of(degree, starts), 9, True
+        )
         assert all(len(r) == len(alone) for r in rest)
         for i, (one, *one_rest) in enumerate(alone):
             assert [q[i].tobytes() for q in stack.tables] == [
@@ -959,7 +964,7 @@ class TestMultiStart:
         opts = td.SolveOptions(beta=2.0, max_iters=150)
         calls = dict(starts=1, seed=3, plan_starts=3, screen_iters=300)
         (whole,) = td.multi_start(mdp, opts, **calls)
-        cells = mdp.sweep_plan(0).cells
+        cells = mdp.restriction.mdp.sweep_plan(0).cells  # what the chunks hold
         monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 2 * cells)
         (chunked,) = td.multi_start(mdp, opts, **calls)
         (first,) = td.multi_start(mdp, opts, starts=0, seed=3, screen_iters=300)
