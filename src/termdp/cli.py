@@ -496,6 +496,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "starts", 0) > MAX_STARTS:  # before any start is built
             raise ResourceError(f"{args.starts} starts exceed the limit of {MAX_STARTS}")
+        if getattr(args, "seed", 0) < 0:  # numpy's generators refuse it
+            raise InstanceError(f"seed must be nonnegative, got {args.seed}")
         # numpy's floating-point warnings stay off stderr: the guards raise
         # the errors below, and NaN or inf results are reported as such
         with np.errstate(all="ignore"):

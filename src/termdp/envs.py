@@ -424,6 +424,16 @@ def maze_spec_to_dict(spec: MazeSpec) -> dict:
     }
 
 
+def _json(value, name: str, kind: type):
+    """A maze field of one JSON kind, int or bool: a bool is not an integer,
+    and a float such as 2.7 is malformed, not rounded."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise InstanceError(
+            f"maze document has a malformed value: {name} {value!r} is not {kind.__name__}"
+        )
+    return value
+
+
 def maze_spec_from_dict(doc: dict) -> MazeSpec:
     if not isinstance(doc, dict):
         raise InstanceError("maze document must be a JSON object")
@@ -437,18 +447,20 @@ def maze_spec_from_dict(doc: dict) -> MazeSpec:
                 raise InstanceError(
                     f"wall entry {item!r} is not a [cell, direction] pair"
                 )
-            walls.add((int(item[0]), str(item[1])))
+            walls.add((_json(item[0], "wall cell", int), str(item[1])))
         return MazeSpec(
-            width=int(doc["width"]),
-            height=int(doc["height"]),
+            width=_json(doc["width"], "width", int),
+            height=_json(doc["height"], "height", int),
             walls=frozenset(walls),
-            start=int(doc["start"]),
-            goal=int(doc["goal"]),
+            start=_json(doc["start"], "start", int),
+            goal=_json(doc["goal"], "goal", int),
             p_intended=float(doc.get("p_intended", 0.8)),
             p_slip=float(doc.get("p_slip", 0.05)),
-            horizon=int(doc.get("horizon", 55)),
+            horizon=_json(doc.get("horizon", 55), "horizon", int),
             terminal_penalty=float(doc.get("terminal_penalty", 10000.0)),
-            intended_slip_share=bool(doc.get("intended_slip_share", True)),
+            intended_slip_share=_json(
+                doc.get("intended_slip_share", True), "intended_slip_share", bool
+            ),
         )
     except (TypeError, ValueError) as exc:
         raise InstanceError(f"maze document has a malformed value: {exc}") from exc

@@ -50,9 +50,6 @@ ROW_TOL = 1e-12
 DEFAULT_CELL_BUDGET = 20_000_000
 MARGINAL_FLOOR = 1e-300  # gibbs_step takes logs of positive marginals above this
 LOG_FLOOR = math.log(MARGINAL_FLOOR)  # floor of the solver's log-probabilities
-# A plan gathers where each padded sparse table is at most 1/GATHER_RATIO as
-# wide as the dense axis it replaces (break-even measured in README, Sweeps)
-GATHER_RATIO = 12
 
 
 def _frozen(values) -> np.ndarray:
@@ -207,6 +204,9 @@ class FiniteMdp:
                 f"initial distribution shape {self.initial.shape} does not match "
                 f"{self.transitions[0].shape[0]} states"
             )
+        if not np.isfinite(self.initial).all():
+            idx = int(np.argwhere(~np.isfinite(self.initial))[0][0])
+            raise InstanceError(f"initial distribution non-finite at x={idx}")
         if (self.initial < 0).any():
             idx = int(np.argwhere(self.initial < 0)[0][0])
             raise InstanceError(f"initial distribution negative at x={idx}")
@@ -220,7 +220,9 @@ class Restriction(NamedTuple):
     """An instance on its reachable states (``FiniteMdp.restriction``):
     ``states[t]`` indexes the states reachable at t = 0..T, ``cards`` holds
     the instance's state counts, and ``mdp`` is the instance on ``states``,
-    or the instance itself where all are reachable (README, Sweeps)."""
+    or the instance itself where all are reachable (README, Sweeps).  Its
+    steps that repeat (states, next states, buffer) share one restricted
+    transition buffer, so their plan steps' matmuls read one operand."""
 
     states: tuple[np.ndarray, ...]
     cards: tuple[int, ...]
@@ -283,6 +285,8 @@ class MemoryPolicy:
         """
         if not 0.0 < magnitude < 1.0:
             raise InstanceError(f"perturbation magnitude {magnitude!r} not in (0, 1)")
+        if seed < 0:
+            raise InstanceError(f"seed must be nonnegative, got {seed}")
         steps = mdp.sweep_plan(degree).steps
         rng = np.random.default_rng(seed)
         tables = []
@@ -430,64 +434,14 @@ def _action_marginal(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return nu
 
 
-def _padded(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices and values of each column's nonzeros in a 2-d array, on a
-    leading pad axis as wide as the fullest column: (width, columns).  A
-    column with fewer nonzeros is padded with rows where it is zero."""
-    width = np.count_nonzero(a, axis=0).max()
-    rows = np.argsort(a.T == 0.0, axis=1, kind="stable")[:, :width]
-    return rows.T.copy(), np.take_along_axis(a.T, rows, axis=1).T.copy()
-
-
-def _contract(a: np.ndarray, idx: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """sum_w a[..., idx[w]] * weight[w]: a gather on a's last axis, reduced
-    over the pad axis, which leads idx (numpy reduces a leading axis fast)."""
-    e = a.take(idx, axis=-1)
-    e *= weight
-    return np.add.reduce(e, axis=-idx.ndim)
-
-
-class Gather(NamedTuple):
-    """Padded sparse tables of one transition array (X, U, Y).
-
-    ``succ`` (W, U, X) holds the next states of each (x, u) and ``pred`` the
-    flat (x * U + u) predecessors of each next state: (W, Y) over all pairs
-    at degree 0, (W, U, Y) per action at degree >= 1, where ``succ`` indexes
-    the flat (u * Y + y) too.  Pads have probability 0.
-    """
-
-    succ: np.ndarray
-    succ_p: np.ndarray
-    pred: np.ndarray
-    pred_p: np.ndarray
-
-    @classmethod
-    def of(cls, p: np.ndarray, per_action: bool) -> "Gather | None":
-        """The tables, or None where a padded table is wider than
-        1 / GATHER_RATIO of the dense axis it replaces."""
-        x, u, y = p.shape
-        if np.count_nonzero(p) * GATHER_RATIO > p.size:  # too dense on average
-            return None
-        succ, succ_p = _padded(p.transpose(2, 1, 0).reshape(y, u * x))
-        pred, pred_p = _padded(p.reshape(x, u * y) if per_action else p.reshape(x * u, y))
-        if GATHER_RATIO * max(len(succ) / y, len(pred) / (x if per_action else x * u)) > 1:
-            return None
-        if per_action:
-            succ += np.arange(u * x) // x * y
-            pred = pred * u + np.arange(u * y) // y
-        shape = (-1, u, y) if per_action else (-1, y)
-        return cls(succ.reshape(-1, u, x), succ_p.reshape(-1, u, x),
-                   pred.reshape(shape), pred_p.reshape(shape))
-
-
 class PlanStep(NamedTuple):
     """Decision time t of a sweep plan.
 
     ``shape`` is the policy table shape (X_t, H_t, U_t); ``dropped * kept``
     splits H_t by the oldest control, which leaves the window at t + 1.
     ``flat`` (X_t * U_t, X_{t+1}) and ``by_action`` (U_t, X_t, X_{t+1}) are
-    views of ``transitions[t]``, not copies.  ``gather`` holds its sparse
-    tables, None where the dense contractions are faster.
+    views of ``transitions[t]``, not copies, and the only operands of the
+    plan's contractions with the transitions.
     """
 
     shape: tuple[int, int, int]
@@ -496,19 +450,17 @@ class PlanStep(NamedTuple):
     flat: np.ndarray
     by_action: np.ndarray
     cost: np.ndarray
-    gather: Gather | None
 
 
 class SweepPlan:
     """Shapes and kernels of the forward and backward passes at one degree.
 
     Built once per (instance, degree) by ``FiniteMdp.sweep_plan``.  Kernels
-    take one policy, or K stacked on a leading axis.  Each contraction over
-    x_{t+1} is a stacked matmul, (K, 1, n) @ (n, m) and (n, m) @ (K, m, 1) at
+    take one policy, or K stacked on a leading axis.  The two contractions
+    over x_{t+1}, ``push`` and ``cost_to_go``, are stacked matmuls on every
+    instance, dense or sparse: (K, 1, n) @ (n, m) and (n, m) @ (K, m, 1) at
     degree 0 and batched over u_t at degree >= 1, so each member's numbers are
-    its solo run's bit for bit (a 2-d (K, n) @ (n, m) gemm's are not).  On a
-    sparse transition array it is a gather instead (``Gather``, built once
-    per distinct buffer), whose pad-axis sums are per member too.  Raises
+    its solo run's bit for bit (a 2-d (K, n) @ (n, m) gemm's are not).  Raises
     ResourceError when one policy's ``cells`` exceed DEFAULT_CELL_BUDGET.
     ``layout``, the tables flattened into one row, is built on first use.
     """
@@ -516,18 +468,15 @@ class SweepPlan:
     def __init__(self, mdp: FiniteMdp, degree: int) -> None:
         if degree < 0:
             raise InstanceError("memory degree must be nonnegative")
-        steps, gathers = [], {}
+        steps = []
         for t, p in enumerate(mdp.transitions):
             x, u, y = p.shape
             h = mdp.history_size(degree, t)
             dropped, kept = slide_split(mdp, degree, t)
-            buffer = (p.__array_interface__["data"][0], p.shape)  # p is contiguous
-            if buffer not in gathers:
-                gathers[buffer] = Gather.of(p, degree > 0)
             steps.append(
                 PlanStep(
                     (x, h, u), dropped, kept, p.reshape(x * u, y),
-                    p.transpose(1, 0, 2), mdp.stage_costs[t], gathers[buffer],
+                    p.transpose(1, 0, 2), mdp.stage_costs[t],
                 )
             )
         self.cells = sum(math.prod(s.shape) for s in steps)
@@ -549,16 +498,9 @@ class SweepPlan:
         window is full; at degree 0 the control never enters the history.
         """
         s, lead = self.steps[t], lam.shape[:-3]
-        g = s.gather
         if self.degree == 0:
-            if g is None:
-                return (lam.reshape(*lead, 1, -1) @ s.flat).reshape(*lead, -1, 1)
-            return _contract(lam.reshape(*lead, -1), g.pred, g.pred_p)[..., None]
-        if g is None:
-            pushed = np.matmul(lam.swapaxes(-1, -3), s.by_action)  # (..., U, H, Y)
-        else:
-            by_pair = lam.swapaxes(-2, -3).reshape(*lead, s.shape[1], -1)  # (..., H, X U)
-            pushed = _contract(by_pair, g.pred, g.pred_p).swapaxes(-2, -3)
+            return (lam.reshape(*lead, 1, -1) @ s.flat).reshape(*lead, -1, 1)
+        pushed = np.matmul(lam.swapaxes(-1, -3), s.by_action)  # (..., U, H, Y)
         if s.dropped > 1:
             split = (*lead, s.shape[2], s.dropped, s.kept, -1)
             pushed = pushed.reshape(split).sum(axis=-3)
@@ -589,19 +531,11 @@ class SweepPlan:
         t + 1, so the core is computed once and repeated over it.
         """
         s, lead = self.steps[t], log_phi_next.shape[:-2]
-        g = s.gather
         scaled = s.cost.T[:, :, None] / beta  # (U, X, 1)
         if self.degree == 0:
-            if g is None:
-                return scaled - s.by_action @ log_phi_next[..., None, :, :]
-            return scaled - _contract(log_phi_next[..., 0], g.succ, g.succ_p)[..., None]
+            return scaled - s.by_action @ log_phi_next[..., None, :, :]
         lp = log_phi_next.reshape(*lead, s.flat.shape[1], s.kept, s.shape[2])
-        if g is None:
-            core = scaled - s.by_action @ lp.swapaxes(-1, -3).swapaxes(-1, -2)
-        else:  # rows (u, y) per kept history; the gather gives (..., kept, U, X)
-            by_pair = lp.swapaxes(-1, -3).swapaxes(-2, -3).reshape(*lead, s.kept, -1)
-            expect = _contract(by_pair, g.succ, g.succ_p)
-            core = scaled - expect.swapaxes(-3, -1).swapaxes(-3, -2)
+        core = scaled - s.by_action @ lp.swapaxes(-1, -3).swapaxes(-1, -2)
         if s.dropped == 1:
             return core
         return core[..., None, :].repeat(s.dropped, axis=-2).reshape(*core.shape[:-1], -1)

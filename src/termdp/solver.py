@@ -484,6 +484,8 @@ def multi_start(
         raise InstanceError("multi-start needs at least one start")
     if screen_iters is not None and screen_iters < 1:
         raise InstanceError(f"screen_iters must be positive, got {screen_iters}")
+    if seed < 0:
+        raise InstanceError(f"seed must be nonnegative, got {seed}")
     mdp.sweep_plan(opts.degree)  # one policy over the budget raises here
     cut = mdp.restriction
     size = max(1, DEFAULT_CELL_BUDGET // cut.mdp.sweep_plan(opts.degree).cells)

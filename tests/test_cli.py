@@ -429,6 +429,21 @@ class TestMazeCommand:
         assert code == 2
         assert "malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("intended_slip_share", "false"), ("horizon", 2.7), ("start", 34.9),
+        ("horizon", True),
+    ])
+    def test_spec_values_are_not_coerced(self, tmp_path, capsys, field, value):
+        doc = envs.maze_spec_to_dict(td.sample_maze_spec(horizon=8))
+        doc[field] = value
+        maze = tmp_path / "maze.json"
+        maze.write_text(json.dumps(doc))
+        code = run(["maze", maze, "--out-dir", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "input error" in err and "malformed" in err and field in err
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic_outputs(self, tmp_path):
         maze = tmp_path / "maze.json"
         envs.save_maze_spec(td.sample_maze_spec(horizon=10), maze)
@@ -478,6 +493,38 @@ def test_oversized_starts_refused_before_allocation(tmp_path, capsys, argv):
     assert code == 4
     assert f"{termdp.cli.MAX_STARTS + 1} starts" in capsys.readouterr().err
     assert peak < 1_000_000
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", TOY], ["sweep", HAMMING, "--betas", "1"], ["landscape", "--toy"],
+    ["maze", "--sample"], ["value-iteration", TOY], ["verify"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_negative_seed_is_input_error(tmp_path, capsys, monkeypatch, argv, source):
+    # numpy's generators raise ValueError on it; verify would exit 1, which
+    # reads as a failed suite
+    if source == "flag":
+        argv = [*argv, "--seed", "-1"]
+    else:
+        monkeypatch.setenv("TERMDP_SEED", "-1")
+    code = run([*argv, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error: seed must be nonnegative" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_initial_is_input_error(tmp_path, capsys):
+    # Python's json reads the NaN literal
+    doc = envs.instance_to_dict(envs.load_instance(HAMMING))
+    doc["initial"] = [float("nan"), 1.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code = run(["solve", path, "--out-dir", tmp_path / "out"])
+    assert code == 2
+    assert "input error: initial distribution non-finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

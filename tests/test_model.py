@@ -79,6 +79,14 @@ class TestFiniteMdpValidation:
         with pytest.raises(InstanceError, match="initial"):
             td.FiniteMdp((p,), (np.zeros((2, 2)),), np.zeros(2), np.array([0.6, 0.5]))
 
+    @pytest.mark.parametrize("initial", [[np.nan, 1.0], [np.inf, 1.0]],
+                             ids=["nan", "inf"])
+    def test_non_finite_initial_rejected(self, initial):
+        # NaN compares false with both the sign and the sum check
+        p = np.full((2, 2, 2), 0.5)
+        with pytest.raises(InstanceError, match="initial distribution non-finite"):
+            td.FiniteMdp((p,), (np.zeros((2, 2)),), np.zeros(2), np.array(initial))
+
     def test_arrays_frozen(self):
         mdp = td.build_nonconvex_toy()
         with pytest.raises(ValueError):
@@ -109,6 +117,10 @@ class TestMemoryPolicy:
         mdp = td.build_nonconvex_toy()
         with pytest.raises(InstanceError, match="magnitude"):
             td.MemoryPolicy.perturbed(mdp, 0, seed=1, magnitude=1.0)
+
+    def test_perturbed_refuses_negative_seed(self):
+        with pytest.raises(InstanceError, match="seed"):
+            td.MemoryPolicy.perturbed(td.build_nonconvex_toy(), 0, -5)
 
     def test_dimension_mismatch_detected(self):
         mdp = td.build_nonconvex_toy()

@@ -780,14 +780,13 @@ class TestMultiStart:
 
     @pytest.mark.parametrize("degree, maze", [
         *(pytest.param(n, False, id=str(n)) for n in (0, 1, 2)),
-        # the T=25 sample maze, on the plan's gather path; its members pass
-        # EXTRAPOLATE_AFTER and converge at different sweeps
+        # the T=25 sample maze; its members pass EXTRAPOLATE_AFTER and
+        # converge at different sweeps
         pytest.param(0, True, id="maze-0"),
     ])
     def test_batched_starts_equal_starts_run_alone(self, degree, maze):
         if maze:
             mdp = td.build_maze(td.sample_maze_spec(horizon=25))
-            assert mdp.sweep_plan(degree).steps[0].gather is not None
         else:
             mdp = oracle.random_mdp(np.random.default_rng(40), 4, 4, 3)
         opts = td.SolveOptions(beta=0.8, degree=degree, max_iters=300)
@@ -978,6 +977,13 @@ class TestMultiStart:
                 td.build_nonconvex_toy(), td.SolveOptions(beta=1.0),
                 starts=1, seed=0, screen_iters=screen_iters,
             )
+
+    def test_negative_seed_rejected(self):
+        toy, opts = td.build_nonconvex_toy(), td.SolveOptions(beta=1.0)
+        with pytest.raises(InstanceError, match="seed"):
+            td.multi_start(toy, opts, starts=1, seed=-1)
+        with pytest.raises(InstanceError, match="seed"):
+            td.solve(toy, replace(opts, init="perturbed", seed=-1))
 
     def test_roundoff_ties_go_to_the_earliest_start(self):
         # the goal lies beyond the horizon, so every policy costs the same and

@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 import termdp as td
-from termdp import model, oracle
+from termdp import oracle
 from termdp.errors import NumericalError, ResourceError
 from termdp.model import (
     DEFAULT_CELL_BUDGET,
-    GATHER_RATIO,
     ROW_TOL,
     conditional_mutual_information,
 )
@@ -36,8 +35,8 @@ TOL = 1e-12  # fixed before any comparison was run
 
 # (horizon, degree): every degree 0..3, horizons shorter than the degree too
 CASES = [(h, n) for n in range(4) for h in (2, 4)]
-# (horizon, degree, maze): the random dense cases, on the plan's dense path,
-# and the T=3 sample maze (153 states, 1.2% dense), on its gather path
+# (horizon, degree, maze): the random dense cases and the T=3 sample maze
+# (153 states, 1.2% dense)
 PATH_CASES = [
     *(pytest.param(h, n, False, id=f"{h}-{n}") for h, n in CASES),
     *(pytest.param(3, n, True, id=f"maze-{n}") for n in range(3)),
@@ -133,9 +132,7 @@ def loop_backward(mdp, nu, beta, degree):
 @pytest.mark.parametrize("horizon, degree, maze", PATH_CASES)
 def test_forward_kernel_matches_window_scan_and_enumeration(horizon, degree, maze):
     mdp, pol = _instance(horizon, degree, maze=maze)
-    plan = mdp.sweep_plan(degree)
-    assert all((s.gather is not None) == maze for s in plan.steps)
-    mus, nus = plan.forward(pol.tables)
+    mus, nus = mdp.sweep_plan(degree).forward(pol.tables)
     window = td.propagate_window(mdp, pol, 0, degree)
     if maze:  # too many trajectories to enumerate
         want_mus, want_nus = None, scan_marginals(window, pol)
@@ -154,16 +151,14 @@ def test_forward_kernel_matches_window_scan_and_enumeration(horizon, degree, maz
         assert np.abs(nus[t] - want_nus[t]).max() <= TOL
 
 
-@pytest.mark.parametrize("horizon, degree, actions, beta, maze", [
-    *(pytest.param(h, n, (2, 3), 0.7, False, id=f"{h}-{n}") for h, n in CASES),
+@pytest.mark.parametrize("horizon, degree, actions, beta", [
+    *(pytest.param(h, n, (2, 3), 0.7, id=f"{h}-{n}") for h, n in CASES),
     # 9-12 actions, more than the 8 below which numpy sums a contiguous axis
     # in order, and cost / beta spanning hundreds; no pass renormalizes rows
-    *(pytest.param(3, n, (9, 12), 3e-3, False, id=f"wide-{n}") for n in (0, 1)),
-    # the gather path, at criterion 10's beta 1
-    *(pytest.param(3, n, None, 1.0, True, id=f"maze-{n}") for n in range(3)),
+    *(pytest.param(3, n, (9, 12), 3e-3, id=f"wide-{n}") for n in (0, 1)),
 ])
-def test_backward_pass_matches_loop_reference(horizon, degree, actions, beta, maze):
-    mdp, pol = _instance(horizon, degree, actions, maze)
+def test_backward_pass_matches_loop_reference(horizon, degree, actions, beta):
+    mdp, pol = _instance(horizon, degree, actions)
     _, nu = forward_pass(mdp, pol)
     _, log_phi, q = backward_pass(mdp, nu, beta, degree)
     want_log_phi, want_tables = loop_backward(mdp, nu, beta, degree)
@@ -178,7 +173,7 @@ def test_backward_pass_matches_loop_reference(horizon, degree, actions, beta, ma
 @pytest.mark.parametrize("horizon, degree, maze", PATH_CASES)
 def test_stacked_kernels_equal_single_calls(horizon, degree, maze, k):
     # K policies stacked on a leading axis give, member by member, exactly
-    # the arrays of K single calls, on both contraction paths
+    # the arrays of K single calls
     mdp, _ = _instance(horizon, degree, maze=maze)
     rng = np.random.default_rng(10 * k + degree)
     pols = [oracle.random_policy(rng, mdp, degree) for _ in range(k)]
@@ -320,17 +315,7 @@ def test_subnormal_mass_history_gets_uniform_marginal():
     np.testing.assert_allclose(tables[1].sum(axis=-1), 1.0, rtol=0, atol=TOL)
 
 
-def _ring(n: int, reset: float = 0.0) -> td.FiniteMdp:
-    """n states on a ring, one action: stay or step on, each with probability
-    (1 - reset) / 2, and jump to state 0 with the rest."""
-    p = np.zeros((n, 1, n))
-    for x in range(n):
-        p[x, 0, [x, (x + 1) % n]] = (1.0 - reset) / 2
-    p[:, 0, 0] += reset
-    return td.FiniteMdp((p,), (np.zeros((n, 1)),), np.zeros(n), np.full(n, 1.0 / n))
-
-
-def test_plan_is_cached_and_holds_views(monkeypatch):
+def test_plan_is_cached_and_holds_views():
     mdp, _ = _instance(4, 2)
     plan = mdp.sweep_plan(2)
     assert mdp.sweep_plan(2) is plan
@@ -348,36 +333,13 @@ def test_plan_is_cached_and_holds_views(monkeypatch):
     assert layout.shapes == tuple(s.shape for s in plan.steps)
     assert layout.spans[-1].stop == len(layout.cost) == plan.cells
     # the T=55 maze repeats one transition array, and every step's kernels
-    # are views of that one buffer; its sparse tables are built once, and
-    # every step shares them
-    built, real = [], model.Gather.of
-
-    def spy(p, per_action):
-        built.append(p)
-        return real(p, per_action)
-
-    monkeypatch.setattr(model.Gather, "of", spy)
+    # are views of that one buffer
     maze = td.build_maze(td.sample_maze_spec(horizon=55))
     buffer = maze.transitions[0]
     steps = maze.sweep_plan(0).steps
-    assert len(steps) == 55 and len(built) == 1 and built[0] is buffer
-    assert steps[0].gather is not None
+    assert len(steps) == 55
     for s in steps:
         assert np.shares_memory(s.flat, buffer) and np.shares_memory(s.by_action, buffer)
-        assert s.gather is steps[0].gather
-    # a criterion-1 draw (every transition positive) keeps the dense path
-    rng = np.random.default_rng(910_000)
-    draw = oracle.random_mdp(rng, int(rng.integers(1, 11)), 5, 5)
-    assert all(s.gather is None for s in draw.sweep_plan(0).steps)
-    # the selection: a ring of n states has at most 2 successors and 2
-    # predecessors per state, so it gathers from n = 2 * GATHER_RATIO states
-    # on; with resets, state 0's n predecessors make its padded width n
-    for n, reset, gathers in [(2 * GATHER_RATIO, 0.0, True),
-                              (2 * GATHER_RATIO - 1, 0.0, False),
-                              (4 * GATHER_RATIO, 1e-3, False)]:
-        for degree in (0, 1):
-            (step,) = _ring(n, reset).sweep_plan(degree).steps
-            assert (step.gather is not None) == gathers, (n, reset, degree)
 
 
 def test_policy_table_cell_budget():
