@@ -425,13 +425,18 @@ def maze_spec_to_dict(spec: MazeSpec) -> dict:
 
 
 def _json(value, name: str, kind: type):
-    """A maze field of one JSON kind, int or bool: a bool is not an integer,
-    and a float such as 2.7 is malformed, not rounded."""
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise InstanceError(
-            f"maze document has a malformed value: {name} {value!r} is not {kind.__name__}"
-        )
-    return value
+    """A maze field of one JSON kind, int, float or bool: a bool is not a
+    number, a float such as 2.7 is malformed as an int, not rounded, and an
+    int such as 10000 is a float, but a string such as "0.8" is not."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) == (kind is bool) and isinstance(value, kinds):
+        try:
+            return kind(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise InstanceError(
+        f"maze document has a malformed value: {name} {value!r} is not {kind.__name__}"
+    )
 
 
 def maze_spec_from_dict(doc: dict) -> MazeSpec:
@@ -454,10 +459,12 @@ def maze_spec_from_dict(doc: dict) -> MazeSpec:
             walls=frozenset(walls),
             start=_json(doc["start"], "start", int),
             goal=_json(doc["goal"], "goal", int),
-            p_intended=float(doc.get("p_intended", 0.8)),
-            p_slip=float(doc.get("p_slip", 0.05)),
+            p_intended=_json(doc.get("p_intended", 0.8), "p_intended", float),
+            p_slip=_json(doc.get("p_slip", 0.05), "p_slip", float),
             horizon=_json(doc.get("horizon", 55), "horizon", int),
-            terminal_penalty=float(doc.get("terminal_penalty", 10000.0)),
+            terminal_penalty=_json(
+                doc.get("terminal_penalty", 10000.0), "terminal_penalty", float
+            ),
             intended_slip_share=_json(
                 doc.get("intended_slip_share", True), "intended_slip_share", bool
             ),

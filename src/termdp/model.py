@@ -272,8 +272,7 @@ class MemoryPolicy:
 
     @classmethod
     def uniform(cls, mdp: FiniteMdp, degree: int) -> "MemoryPolicy":
-        steps = mdp.sweep_plan(degree).steps
-        return cls(degree, tuple(np.full(s.shape, 1.0 / s.shape[2]) for s in steps))
+        return cls(degree, uniform_tables(mdp, degree))
 
     @classmethod
     def perturbed(
@@ -283,17 +282,27 @@ class MemoryPolicy:
 
         magnitude must lie in (0, 1) so every entry stays strictly positive.
         """
-        if not 0.0 < magnitude < 1.0:
-            raise InstanceError(f"perturbation magnitude {magnitude!r} not in (0, 1)")
-        if seed < 0:
-            raise InstanceError(f"seed must be nonnegative, got {seed}")
-        steps = mdp.sweep_plan(degree).steps
-        rng = np.random.default_rng(seed)
-        tables = []
-        for s in steps:
-            raw = 1.0 + magnitude * (2.0 * rng.random(s.shape) - 1.0)
-            tables.append(raw / raw.sum(axis=2, keepdims=True))
-        return cls(degree, tuple(tables))
+        return cls(degree, perturbed_tables(mdp, degree, seed, magnitude))
+
+
+def uniform_tables(mdp: FiniteMdp, degree: int) -> tuple[np.ndarray, ...]:
+    """The uniform policy's tables, distributions by construction."""
+    steps = mdp.sweep_plan(degree).steps
+    return tuple(np.full(s.shape, 1.0 / s.shape[2]) for s in steps)
+
+
+def perturbed_tables(mdp: FiniteMdp, degree: int, seed: int, magnitude: float = 0.1):
+    """The tables of ``MemoryPolicy.perturbed``, distributions by construction."""
+    if not 0.0 < magnitude < 1.0:
+        raise InstanceError(f"perturbation magnitude {magnitude!r} not in (0, 1)")
+    if seed < 0:
+        raise InstanceError(f"seed must be nonnegative, got {seed}")
+    rng = np.random.default_rng(seed)
+    tables = []
+    for s in mdp.sweep_plan(degree).steps:
+        raw = 1.0 + magnitude * (2.0 * rng.random(s.shape) - 1.0)
+        tables.append(raw / raw.sum(axis=2, keepdims=True))
+    return tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -400,38 +409,37 @@ def slide_split(mdp: FiniteMdp, degree: int, t: int) -> tuple[int, int]:
     return 1, h
 
 
-def gibbs_step(nu: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log partition and Gibbs policy of marginals against an action-major cost.
+def log_marginals(nu: np.ndarray) -> np.ndarray:
+    """log nu floored at LOG_FLOOR, and -inf (zero policy mass) at zero entries."""
+    return np.where(nu > 0.0, np.log(np.maximum(nu, MARGINAL_FLOOR)), -np.inf)
 
-    With nu (..., H, U) and cost (..., U, X, H), z = log nu - cost is reduced
-    over its leading action axis (numpy reduces a short last axis ~10x slower):
+
+def gibbs_step(z: np.ndarray, q=None, log_phi=None) -> tuple[np.ndarray, np.ndarray]:
+    """Log partition and Gibbs policy of z = log nu - cost (..., U, X, H),
+    which is overwritten, over its leading action axis (numpy reduces a
+    short last axis ~10x slower); into q and log_phi if given:
 
         log_phi = max_u z + log s,   s = sum_u e,   e = exp(z - max_u z)
         q       = e / s, as (..., X, H, U)
-
-    Zero marginal entries get log nu = -inf and so zero policy mass.
     """
-    log_nu = np.where(nu > 0.0, np.log(np.maximum(nu, MARGINAL_FLOOR)), -np.inf)
-    z = log_nu.swapaxes(-1, -2)[..., None, :] - cost
-    top = z.max(axis=-3)
+    top = np.maximum.reduce(z, axis=-3)
     np.exp(np.subtract(z, top[..., None, :, :], out=z), out=z)  # z is now e
-    s = z.sum(axis=-3)
-    q = np.empty((*s.shape, z.shape[-3]))
+    s = np.add.reduce(z, axis=-3)
+    if q is None:
+        q = np.empty((*s.shape, z.shape[-3]))
     np.divide(z, s[..., None, :, :], out=q.swapaxes(-1, -3).swapaxes(-1, -2))
-    return top + np.log(s), q
+    return np.add(top, np.log(s), out=log_phi), q
 
 
-def _action_marginal(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """nu_t(u | h) from lam_t(x, h, u) and mu_t(x, h); uniform where h is massless.
-
-    A history whose joint row underflows to 0 (a subnormal mass spread over
-    the actions) counts as massless too.
-    """
-    joint = lam.sum(axis=-3)  # (..., H, U)
-    mass = mu.sum(axis=-2)[..., None]
-    nu = np.full_like(joint, 1.0 / joint.shape[-1])
-    np.divide(joint, mass, out=nu, where=joint.any(axis=-1, keepdims=True))
-    return nu
+def _bin_sums(index: np.ndarray, weights: np.ndarray, bins: int) -> np.ndarray:
+    """Sums of rows (..., n) into ``bins`` bins by ``index``, one row per
+    member; a bin adds its entries from 0 in row order, as a sum over a
+    strided axis does."""
+    lead = weights.shape[:-1]
+    count = math.prod(lead)
+    if count > 1:
+        index = (index + bins * np.arange(count)[:, None]).ravel()
+    return np.bincount(index, weights.ravel(), count * bins).reshape(*lead, bins)
 
 
 class PlanStep(NamedTuple):
@@ -452,17 +460,29 @@ class PlanStep(NamedTuple):
     cost: np.ndarray
 
 
+class Flow(NamedTuple):
+    """A forward pass as ``layout`` rows: beliefs mu_0..mu_T and action
+    marginals nu_0..nu_{T-1}."""
+
+    mu: np.ndarray
+    nu: np.ndarray
+
+
 class SweepPlan:
     """Shapes and kernels of the forward and backward passes at one degree.
 
-    Built once per (instance, degree) by ``FiniteMdp.sweep_plan``.  Kernels
-    take one policy, or K stacked on a leading axis.  The two contractions
-    over x_{t+1}, ``push`` and ``cost_to_go``, are stacked matmuls on every
-    instance, dense or sparse: (K, 1, n) @ (n, m) and (n, m) @ (K, m, 1) at
-    degree 0 and batched over u_t at degree >= 1, so each member's numbers are
-    its solo run's bit for bit (a 2-d (K, n) @ (n, m) gemm's are not).  Raises
-    ResourceError when one policy's ``cells`` exceed DEFAULT_CELL_BUDGET.
-    ``layout``, the tables flattened into one row, is built on first use.
+    Built once per (instance, degree) by ``FiniteMdp.sweep_plan``; kernels
+    take one policy, or K stacked on a leading axis.  Only the two
+    recursions run step by step: lam_t = mu_t q_t and ``push`` forward,
+    ``cost_to_go`` and the Gibbs step backward.  The action marginals, log nu
+    and the finiteness check of log_phi run once per pass on the rows of the
+    plan's ``layout`` that ``forward_flat`` and ``backward_flat`` return
+    (``forward`` and ``backward`` give per-step views); the scaled costs are
+    kept per beta.  ``push`` and ``cost_to_go`` are stacked matmuls, (K, 1, n)
+    @ (n, m) and (n, m) @ (K, m, 1) at degree 0 and batched over u_t above,
+    so each member's numbers are its solo run's bit for bit (a 2-d (K, n) @
+    (n, m) gemm's are not).  Raises ResourceError when one policy's
+    ``cells`` exceed DEFAULT_CELL_BUDGET.
     """
 
     def __init__(self, mdp: FiniteMdp, degree: int) -> None:
@@ -490,122 +510,195 @@ class SweepPlan:
         self.initial = mdp.initial
         self.terminal_cost = mdp.terminal_cost
         self.terminal_histories = mdp.history_size(degree, mdp.horizon)
+        self._scaled = (None, None)  # the last beta, and scaled(beta)
 
-    def push(self, t: int, lam: np.ndarray) -> np.ndarray:
-        """mu_{t+1} from the joint lam_t(x, h, u) = mu_t(x, h) q_t(u | x, h).
-
-        Appends u_t to the history and drops the oldest control once the
-        window is full; at degree 0 the control never enters the history.
-        """
+    def push(self, t: int, lam: np.ndarray, out=None) -> np.ndarray:
+        """mu_{t+1}, into ``out`` if given, from lam_t(x, h, u) = mu_t(x, h)
+        q_t(u | x, h): u_t joins the history and the oldest control leaves
+        once the window is full; at degree 0 no control enters it."""
         s, lead = self.steps[t], lam.shape[:-3]
+        y, u = s.flat.shape[1], s.shape[2]
+        if out is None:
+            out = np.empty((*lead, y, 1 if self.degree == 0 else s.kept * u))
         if self.degree == 0:
-            return (lam.reshape(*lead, 1, -1) @ s.flat).reshape(*lead, -1, 1)
+            np.matmul(lam.reshape(*lead, 1, -1), s.flat, out=out.reshape(*lead, 1, y))
+            return out
         pushed = np.matmul(lam.swapaxes(-1, -3), s.by_action)  # (..., U, H, Y)
         if s.dropped > 1:
-            split = (*lead, s.shape[2], s.dropped, s.kept, -1)
-            pushed = pushed.reshape(split).sum(axis=-3)
-        return pushed.swapaxes(-1, -3).reshape(*lead, s.flat.shape[1], -1)
+            pushed = pushed.reshape(*lead, u, s.dropped, s.kept, -1).sum(axis=-3)
+        out.reshape(*lead, y, s.kept, u)[...] = pushed.swapaxes(-1, -3)
+        return out
+
+    def forward_flat(self, tables: Sequence[np.ndarray]) -> Flow:
+        """The forward pass of a policy's tables."""
+        lay, lead = self.layout, tables[0].shape[:-3]
+        mu = np.empty((*lead, lay.beliefs.size))
+        lam = np.empty((*lead, lay.tables.size))
+        mus, lams = lay.beliefs.split(mu), lay.tables.split(lam)
+        mus[0][...] = self.initial[:, None]
+        for t, q in enumerate(tables):
+            np.multiply(mus[t][..., None], q, out=lams[t])
+            self.push(t, lams[t], out=mus[t + 1])
+        return Flow(mu, lay.action_marginals(mu, lam))
 
     def forward(self, tables: Sequence[np.ndarray]) -> tuple[list, list]:
         """Beliefs mu_0..mu_T and action marginals nu_0..nu_{T-1} of a policy."""
-        lead = tables[0].shape[:-3]
-        mus = [np.ones((*lead, 1, 1)) * self.initial[:, None]]
-        nus = []
-        for t, q in enumerate(tables):
-            lam = mus[-1][..., None] * q
-            nus.append(_action_marginal(lam, mus[-1]))
-            mus.append(self.push(t, lam))
-        return mus, nus
+        flow = self.forward_flat(tables)
+        lay = self.layout
+        return list(lay.beliefs.split(flow.mu)), list(lay.marginals.split(flow.nu))
 
-    def terminal_log_phi(self, beta: float) -> np.ndarray:
-        """-terminal_cost / beta, repeated over the histories at T."""
-        return (-self.terminal_cost / beta)[:, None].repeat(
-            self.terminal_histories, axis=1
-        )
+    def scaled(self, beta: float) -> tuple[tuple, np.ndarray]:
+        """c_t / beta as (U, X, 1) for each t, and log_phi_T = -terminal_cost
+        / beta repeated over the histories at T; kept for the last beta."""
+        if self._scaled[0] != beta:
+            with np.errstate(over="ignore"):  # backward_flat raises on inf
+                costs = tuple(s.cost.T[:, :, None] / beta for s in self.steps)
+                log_phi = (-self.terminal_cost / beta)[:, None]
+            self._scaled = (beta, (costs, log_phi.repeat(self.terminal_histories, 1)))
+        return self._scaled[1]
 
     def cost_to_go(self, t: int, log_phi_next: np.ndarray, beta: float) -> np.ndarray:
-        """rho_t(u, x, h) = c_t(x, u) / beta - E[log_phi_{t+1}(x_{t+1}, h')].
-
-        Action-major, the order ``by_action``'s matmul gives.  rho does not
-        depend on the history coordinate that drops out of the window at
-        t + 1, so the core is computed once and repeated over it.
-        """
+        """rho_t(u, x, h) = c_t(x, u) / beta - E[log_phi_{t+1}(x_{t+1}, h')],
+        action-major as ``by_action``'s matmul gives it, (..., U, X, 1, kept):
+        not repeated over the coordinate that leaves the window at t + 1."""
         s, lead = self.steps[t], log_phi_next.shape[:-2]
-        scaled = s.cost.T[:, :, None] / beta  # (U, X, 1)
+        scaled = self.scaled(beta)[0][t]
         if self.degree == 0:
-            return scaled - s.by_action @ log_phi_next[..., None, :, :]
+            return (scaled - s.by_action @ log_phi_next[..., None, :, :])[..., None]
         lp = log_phi_next.reshape(*lead, s.flat.shape[1], s.kept, s.shape[2])
         core = scaled - s.by_action @ lp.swapaxes(-1, -3).swapaxes(-1, -2)
-        if s.dropped == 1:
-            return core
-        return core[..., None, :].repeat(s.dropped, axis=-2).reshape(*core.shape[:-1], -1)
+        return core[..., None, :]
+
+    def rho_table(self, t: int, rho: np.ndarray) -> np.ndarray:
+        """A ``cost_to_go`` rho_t as an (..., X, H, U) table, broadcast over
+        the dropped coordinate: a view where strides can express that."""
+        s = self.steps[t]
+        full = np.broadcast_to(rho, (*rho.shape[:-2], s.dropped, s.kept))
+        return np.moveaxis(full.reshape(*rho.shape[:-2], -1), -3, -1)
+
+    def backward_flat(self, nu: np.ndarray, beta: float) -> tuple:
+        """Rows of log_phi_0..log_phi_T and of the Gibbs policy tables (one
+        C-ordered row per member) of a marginals row, and rho_0..rho_{T-1}
+        from ``cost_to_go`` (None entries for a stack).  A log_phi_t that is
+        not finite (a Gibbs normalizer that is not finite and positive)
+        raises NumericalError for the largest such t, and no RuntimeWarning."""
+        lay, lead = self.layout, nu.shape[:-1]
+        log_nu = lay.marginals.split(log_marginals(nu))
+        q = np.empty((*lead, lay.tables.size))
+        log_phi = np.empty((*lead, lay.beliefs.size))
+        tables, log_phis = lay.tables.split(q), lay.beliefs.split(log_phi)
+        rho = [None] * len(self.steps)
+        with np.errstate(all="ignore"):  # the check below raises
+            log_phis[-1][...] = self.scaled(beta)[1]
+            for t in range(len(self.steps) - 1, -1, -1):
+                s, (x, h, u) = self.steps[t], self.steps[t].shape
+                r = self.cost_to_go(t, log_phis[t + 1], beta)
+                rho[t] = None if lead else r  # a stack keeps no rho
+                ln = log_nu[t].swapaxes(-1, -2).reshape(*lead, u, 1, s.dropped, s.kept)
+                z = np.empty((*lead, u, x, h))
+                np.subtract(ln, r, out=z.reshape(*lead, u, x, s.dropped, s.kept))
+                gibbs_step(z, tables[t], log_phis[t])
+        if not np.isfinite(log_phi[..., :lay.beliefs.spans[-1].start]).all():
+            t = max(t for t, lp in enumerate(log_phis[:-1]) if not np.isfinite(lp).all())
+            raise NumericalError(f"non-finite or zero Gibbs normalizer at t={t}")
+        return log_phi, q, rho
 
     def backward(self, nu: Sequence[np.ndarray], beta: float) -> tuple:
-        """rho_0..rho_{T-1}, log_phi_0..log_phi_T and the Gibbs policy tables.
-
-        rho_t is an (X, H, U) view of the action-major cost-to-go; a stack
-        keeps no rho (None entries).  A log_phi that is not finite (a Gibbs
-        normalizer that is not finite and positive) raises NumericalError.
-        """
-        lead = nu[0].shape[:-2]
-        T = len(self.steps)
-        rho, tables, log_phi = [None] * T, [None] * T, [None] * (T + 1)
-        log_phi[T] = np.ones((*lead, 1, 1)) * self.terminal_log_phi(beta)
-        for t in range(T - 1, -1, -1):
-            r = self.cost_to_go(t, log_phi[t + 1], beta)
-            log_phi[t], tables[t] = gibbs_step(nu[t], r)
-            if not np.isfinite(log_phi[t]).all():
-                raise NumericalError(f"non-finite or zero Gibbs normalizer at t={t}")
-            rho[t] = None if lead else r.transpose(1, 2, 0)
-        return rho, log_phi, tables
+        """rho_0..rho_{T-1} (``rho_table``; None for a stack), log_phi_0..log_phi_T
+        and the Gibbs policy tables of per-step marginals."""
+        lay = self.layout
+        log_phi, q, rho = self.backward_flat(lay.marginals.join(nu), beta)
+        rho = [r if r is None else self.rho_table(t, r) for t, r in enumerate(rho)]
+        return rho, list(lay.beliefs.split(log_phi)), list(lay.tables.split(q))
 
     @cached_property
     def layout(self) -> "FlatLayout":
         return FlatLayout.of(self)
 
 
-class FlatLayout(NamedTuple):
-    """A policy's T tables flattened in C order into one row.
+class Space(NamedTuple):
+    """Per-step arrays laid end to end in C order: shapes, slices, length."""
 
-    ``shapes`` and ``spans`` are the tables' shapes and slices of the row,
-    ``starts`` and ``row_of`` the index where each (t, x, h) segment starts
-    and the segment of each entry, and ``nu_of`` and ``cost`` give each
-    entry's index into the concatenated flattened marginals and its stage
-    cost.  Stacked tables give one row per member.
-    """
-
-    shapes: tuple[tuple[int, int, int], ...]
+    shapes: tuple[tuple[int, ...], ...]
     spans: tuple[slice, ...]
+    size: int
+
+    @classmethod
+    def of(cls, shapes: Sequence[tuple[int, ...]]) -> "Space":
+        ends = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
+        return cls(tuple(shapes), tuple(map(slice, ends, ends[1:])), ends[-1])
+
+    def split(self, row: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The per-step arrays of rows (..., size), as views."""
+        lead = row.shape[:-1]
+        return tuple(row[..., span].reshape(*lead, *shape)
+                     for span, shape in zip(self.spans, self.shapes))
+
+    def join(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """Per-step arrays, past any batch axis, as rows: a copy."""
+        lead = arrays[0].shape[:arrays[0].ndim - len(self.shapes[0])]
+        return np.concatenate([a.reshape(*lead, -1) for a in arrays], axis=-1)
+
+
+class FlatLayout(NamedTuple):
+    """A plan's per-step arrays as one row per member, in three ``Space``s:
+    ``tables`` for q_t and lam_t(x, h, u), ``beliefs`` for mu_t and
+    log_phi_t(x, h) with t <= T, ``marginals`` for nu_t(h, u).  For each
+    tables entry, ``row_of`` is its (t, x, h) segment and beliefs index,
+    ``nu_of`` its marginals index and ``cost`` its stage cost; ``starts``
+    begin the segments.  ``mass_of`` and ``history_of`` give the (t, h) of
+    each beliefs and marginals entry (terminal beliefs go to bin
+    ``histories``), and ``uniform`` each marginal entry's 1 / U_t."""
+
+    tables: Space
+    beliefs: Space
+    marginals: Space
     starts: np.ndarray
     row_of: np.ndarray
     nu_of: np.ndarray
     cost: np.ndarray
+    mass_of: np.ndarray
+    history_of: np.ndarray
+    uniform: np.ndarray
+    histories: int
 
     @classmethod
     def of(cls, plan: SweepPlan) -> "FlatLayout":
-        lengths, nu_of, cost, seen = [], [], [], 0
+        lengths, nu_of, cost, mass_of, history_of, uniform = [], [], [], [], [], []
+        seen = histories = 0
         for s in plan.steps:
             x, h, u = s.shape
             lengths.append(np.full(x * h, u))
             nu_of.append(seen + np.arange(x * h * u) % (h * u))
             cost.append(np.broadcast_to(s.cost[:, None, :], s.shape).ravel())
-            seen += h * u
+            mass_of.append(histories + np.arange(x * h) % h)
+            history_of.append(np.repeat(histories + np.arange(h), u))
+            uniform.append(np.full(h * u, 1.0 / u))
+            seen, histories = seen + h * u, histories + h
+        terminal = (len(plan.terminal_cost), plan.terminal_histories)
+        mass_of.append(np.full(math.prod(terminal), histories))
         lengths = np.concatenate(lengths)
-        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        row_of = np.repeat(np.arange(len(lengths)), lengths)
-        ends = np.cumsum([0] + [math.prod(s.shape) for s in plan.steps]).tolist()
-        spans = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
-        return cls(tuple(s.shape for s in plan.steps), spans, starts, row_of,
-                   np.concatenate(nu_of), np.concatenate(cost))
+        return cls(
+            Space.of([s.shape for s in plan.steps]),
+            Space.of([s.shape[:2] for s in plan.steps] + [terminal]),
+            Space.of([s.shape[1:] for s in plan.steps]),
+            np.concatenate([[0], np.cumsum(lengths)[:-1]]),
+            np.repeat(np.arange(len(lengths)), lengths),
+            *map(np.concatenate, (nu_of, cost, mass_of, history_of, uniform)),
+            histories,
+        )
 
-    def join(self, tables: Sequence[np.ndarray]) -> np.ndarray:
-        """Stacked tables as one row per member."""
-        return np.concatenate([q.reshape(len(q), -1) for q in tables], axis=1)
-
-    def split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Stacked tables, as views of one row per member."""
-        return tuple(flat[:, span].reshape(len(flat), *shape)
-                     for span, shape in zip(self.spans, self.shapes))
+    def action_marginals(self, mu: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """nu_t(u | h) of all steps from rows of mu and lam: lam summed over x
+        over mu summed over x, uniform where h is massless, which a history
+        whose joint row underflows to 0 (a subnormal mass spread over the
+        actions) counts as too."""
+        joint = _bin_sums(self.nu_of, lam, self.marginals.size)
+        mass = _bin_sums(self.mass_of, mu, self.histories + 1)[..., self.history_of]
+        fed = _bin_sums(self.history_of, joint, self.histories)[..., self.history_of]
+        nu = np.empty_like(joint)
+        nu[...] = self.uniform
+        return np.divide(joint, mass, out=nu, where=fed != 0.0)
 
     def log_normalize(self, x: np.ndarray) -> np.ndarray:
         """Floor flattened log-tables at LOG_FLOOR, then renormalize each
@@ -616,18 +709,15 @@ class FlatLayout(NamedTuple):
                                      axis=-1))
         return x - (top + lse)[:, self.row_of]
 
-    def objective(self, mdp, beta, belief, nu, log_q, q) -> np.ndarray:
-        """``factored_objective`` of flattened tables q = exp(log_q) against
-        their own marginals nu: sum lam (c + beta log(q / nu)) over the
-        entries with joint mass lam, plus the terminal cost."""
-        k = len(q)
-        mu = np.concatenate([m.reshape(k, -1) for m in belief.mus[:-1]], axis=1)
-        lam = mu[:, self.row_of] * q
-        nu = np.concatenate([n.reshape(k, -1) for n in nu], axis=1)[:, self.nu_of]
+    def objective(self, mdp, beta, flow: Flow, log_q, q) -> np.ndarray:
+        """``factored_objective`` of table rows q = exp(log_q) from their
+        forward pass: sum lam (c + beta log(q / nu)) over the entries with
+        joint mass lam = mu q, plus the terminal cost."""
+        lam = flow.mu[..., self.row_of] * q
         with np.errstate(divide="ignore", invalid="ignore"):
-            gain = self.cost + beta * (log_q - np.log(nu))
-            total = np.sum(lam * gain, axis=1, where=lam > 0.0)
-        return total + _terminal_cost(mdp, belief)
+            gain = self.cost + beta * (log_q - np.log(flow.nu[..., self.nu_of]))
+            total = np.sum(lam * gain, axis=-1, where=lam > 0.0)
+        return total + _terminal_cost(mdp, self.beliefs.split(flow.mu)[-1])
 
 
 def propagate_reduced(mdp: FiniteMdp, policy: MemoryPolicy) -> ReducedBelief:
@@ -885,12 +975,13 @@ def induced_action_marginals(
     Returns per-time arrays of shape (H_t, U_t).  Histories with zero mass
     get the uniform distribution.
     """
+    plan = check_compatible(mdp, policy)
     if belief is None:
-        return check_compatible(mdp, policy).forward(policy.tables)[1]
-    return [
-        _action_marginal(mu[..., None] * q, mu)
-        for mu, q in zip(belief.mus, policy.tables)
-    ]
+        return plan.forward(policy.tables)[1]
+    lay = plan.layout
+    lam = [mu[..., None] * q for mu, q in zip(belief.mus, policy.tables)]
+    nu = lay.action_marginals(lay.beliefs.join(belief.mus), lay.tables.join(lam))
+    return list(lay.marginals.split(nu))
 
 
 def _information_terms(policy, nu: Sequence[np.ndarray], belief: ReducedBelief):
@@ -911,9 +1002,10 @@ def _information_terms(policy, nu: Sequence[np.ndarray], belief: ReducedBelief):
         yield lam, info, (mask & ~fed).any(axis=(-3, -2, -1))
 
 
-def _terminal_cost(mdp: FiniteMdp, belief: ReducedBelief) -> np.ndarray:
-    """Expected terminal cost; (K, 1, X) @ (X, 1) keeps each member's bits."""
-    marginal = belief.mus[-1].sum(axis=-1)[..., None, :]
+def _terminal_cost(mdp: FiniteMdp, mu: np.ndarray) -> np.ndarray:
+    """Expected terminal cost of the terminal belief mu_T; (K, 1, X) @ (X, 1)
+    keeps each member's bits."""
+    marginal = mu.sum(axis=-1)[..., None, :]
     return (marginal @ mdp.terminal_cost[:, None])[..., 0, 0]
 
 
@@ -944,7 +1036,7 @@ def expected_cost(
     for mu, q, c in zip(belief.mus, policy.tables, mdp.stage_costs):
         lam = (mu[..., None] * q).sum(axis=-2)  # (..., X, U)
         total = total + np.sum(lam * c, axis=(-2, -1))
-    return _scalar(total + _terminal_cost(mdp, belief))
+    return _scalar(total + _terminal_cost(mdp, belief.mus[-1]))
 
 
 def objective(
@@ -990,7 +1082,7 @@ def factored_objective(
         total = total + np.sum(lam * c[:, None, :], axis=(-3, -2, -1))
         total = total + beta * info
         starved = starved | short
-    total = np.where(starved, math.inf, total + _terminal_cost(mdp, belief))
+    total = np.where(starved, math.inf, total + _terminal_cost(mdp, belief.mus[-1]))
     return _scalar(total)
 
 

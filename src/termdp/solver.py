@@ -15,17 +15,16 @@ evaluated directly, with one stacked ``factored_objective`` call, and the
 values of the extrapolated points that ``_sweeps`` tries after its warm-up.
 
 Both passes run on the ``SweepPlan`` that the ``FiniteMdp`` caches per
-degree: shapes are worked out once, and each contraction over the next state
-is a stacked matmul.  The starts of a multi-start are swept as one batch
-along a leading axis; a member leaves the batch at its own stop, and its
-numbers are bit for bit those of solving it alone.  A solve is a batch of
-one.  The swept tables stay one ``PolicyStack``: one stacked final forward
-pass serves the batch's one stacked certificate and its stacked cost and
-information, and a ``MemoryPolicy`` is built only for a start and for a
-report.  The stop test and the certificate measure the same
-policy gap: the sup-norm change one backward pass makes to the policy over
-the pairs with belief mass (``_policy_gap``).  ``solve`` and ``multi_start``
-sweep the instance's reachable states (``FiniteMdp.restriction``).
+degree, whose kernels the sweeps call directly on one row of tables per
+member (``SweepPlan.layout``).  The starts of a multi-start are swept as one
+batch; a member leaves it at its own stop, and its numbers are bit for bit
+those of solving it alone.  A solve is a batch of one.  One stacked final
+forward pass serves the batch's certificate and its cost and information,
+and a ``MemoryPolicy`` is built only for a ``solve``'s start and for a
+report.  The stop test and the certificate measure the same policy gap: the
+sup-norm change one backward pass makes to the policy where there is belief
+mass (``_policy_gap``).  ``solve`` and ``multi_start`` sweep the reachable
+states (``FiniteMdp.restriction``).
 
 The weight beta is absorbed by dividing stage costs by beta inside the
 backward recursion; reported costs are always unscaled.  Partition functions
@@ -47,6 +46,7 @@ from .model import (
     LOG_FLOOR,
     MARGINAL_FLOOR,
     FiniteMdp,
+    Flow,
     MemoryPolicy,
     ReducedBelief,
     expected_cost,
@@ -56,8 +56,10 @@ from .model import (
     check_compatible,
     gibbs_step,
     induced_action_marginals,
+    log_marginals,
     per_step_information,
-    propagate_reduced,
+    perturbed_tables,
+    uniform_tables,
 )
 
 __all__ = [
@@ -186,27 +188,22 @@ def backward_pass(
         q_t(u|x, h)      = exp(log nu_t(u|h) - rho_t(x, h, u) - log_phi_t(x, h))
 
     where h' is h with u appended and the oldest control dropped once the
-    window is full.  rho does not depend on the dropped coordinate; it is
-    stored broadcast over it, as an (x, h, u) view of an action-major array.
-    Marginals stacked (K, H_t, U_t) give stacked log_phi, a ``PolicyStack``
-    and rho entries of None.  A Gibbs normalizer that is not finite and
-    positive raises NumericalError.
+    window is full; rho is broadcast over the dropped coordinate, on which it
+    does not depend.  Marginals stacked (K, H_t, U_t) give stacked log_phi, a
+    ``PolicyStack`` and rho entries of None.  A Gibbs normalizer that is not
+    finite and positive raises NumericalError.
     """
     rho, log_phi, tables = mdp.sweep_plan(degree).backward(nu, beta)
     kind = PolicyStack if nu[0].ndim == 3 else MemoryPolicy
     return rho, log_phi, kind(degree, tuple(tables))
 
 
-def _policy_gap(mus, old_tables, new_tables) -> np.ndarray:
-    """Sup-norm change from old to new tables over pairs with mus mass.
-
-    Tables stacked on a leading batch axis give one gap per member.
-    """
-    return np.max([
-        np.abs(qa - qb).max(axis=(-3, -2, -1), where=(mu > MASS_TOL)[..., None],
-                            initial=0.0)
-        for mu, qa, qb in zip(mus, old_tables, new_tables)
-    ], axis=0)
+def _policy_gap(layout, mu, old, new) -> np.ndarray:
+    """Sup-norm change from old to new table rows over the entries whose
+    (t, x, h) has belief mass in the beliefs row mu; rows stacked on a
+    leading batch axis give one gap per member."""
+    massed = np.take(mu, layout.row_of, axis=-1) > MASS_TOL
+    return np.abs(old - new).max(axis=-1, where=massed, initial=0.0)
 
 
 def solve(mdp: FiniteMdp, opts: SolveOptions) -> SolveReport:
@@ -245,14 +242,16 @@ def _sweeps(
     pass.  A member leaves the stack at its own stop, so its numbers are its
     solo run's bit for bit.  A non-finite objective drops its start and all
     later ones; the earlier starts sweep on, and the earliest failure is
-    raised, as when starts are swept one at a time.
+    raised, as when starts are swept one at a time.  The sweeps keep each
+    member's tables as one C-ordered row of the plan's ``layout`` and call
+    the plan's row kernels directly: the callers check the starts' shapes.
 
     Once the starts have had EXTRAPOLATE_AFTER sweeps (``done`` of them
     before this call), the sweep map is extrapolated as in
     ``classical_blahut``: after every two plain sweeps each member tries a
     SqS3 point (``_squarem``) built from the log tables of its last three
-    policies, flattened into one row by the plan's ``layout``, so that one
-    step length serves its T tables.  The next sweep judges the point on its
+    policies, each one row of the plan's ``layout``, so that one step length
+    serves its T tables.  The next sweep judges the point on its
     forward pass: the member keeps it, and records its objective, if that is
     no higher than its last trace value, so the trace still descends;
     otherwise the same sweep propagates and sweeps the plain policy, stop
@@ -263,30 +262,36 @@ def _sweeps(
     """
     if isinstance(starts, MemoryPolicy):
         starts = PolicyStack.of(starts.degree, [starts])
-    count = len(starts.tables[0])
+    plan = mdp.sweep_plan(opts.degree)
+    layout = plan.layout
+    q = layout.tables.join(starts.tables)  # the live members' tables
+    count = len(q)
     traces = [[] for _ in range(count)]
     iterations, converged = [0] * count, [False] * count
-    stack, live = starts, list(range(count))  # the start swept in each row
+    live = list(range(count))  # the start swept in each row
     # per row: SqS3 step bound (0 once the member takes no more points), the
     # last sweep it may not stop on, the last sweep its stop test passed, and
-    # the flattened log tables of the cycle's policies
+    # the log tables of the cycle's policies
     bound, hold, passed_at = np.ones(count), np.zeros(count, int), np.zeros(count, int)
     logs, trial = [], None
     error, k = None, 0
     while live and k < max_iters:
         k += 1
-        belief, nu = forward_pass(mdp, stack)
-        mus = belief.mus
+        flow = plan.forward_flat(layout.tables.split(q))
         if k == 1:
-            values = factored_objective(mdp, stack, nu, opts.beta, belief).tolist()
-        if trial is not None:  # the stack holds SqS3 points: judge them
-            (points, alpha, q, swept), trial = trial, None
-            value = layout.objective(mdp, opts.beta, belief, nu, points, q)
+            belief = ReducedBelief(opts.degree, layout.beliefs.split(flow.mu))
+            values = factored_objective(
+                mdp, PolicyStack(opts.degree, layout.tables.split(q)),
+                layout.marginals.split(flow.nu), opts.beta, belief,
+            ).tolist()
+        if trial is not None:  # q holds SqS3 points: judge them
+            (points, alpha, swept), trial = trial, None
+            value = layout.objective(mdp, opts.beta, flow, points, q)
             tried = bound > 0.0
             kept = tried & (value <= [traces[i][-1] for i in live])
             dropped = np.flatnonzero(tried & ~kept)
-            q[dropped] = swept[dropped]  # the stack's tables are views of q
-            _resweep(mdp, stack, dropped, mus, nu)
+            q[dropped] = swept[dropped]
+            _resweep(plan, q, dropped, flow)
             values = np.where(kept, value, values).tolist()
             bound = _step_bound(bound, alpha, tried, kept)
             hold[kept] = k + 1
@@ -298,20 +303,20 @@ def _sweeps(
             tr.append(values[row])
             if not math.isfinite(values[row]):
                 error = NumericalError(f"non-finite objective at iteration {k}")
-                live, stack = live[:row], stack.take(slice(row))
-                mus, nu = [m[:row] for m in mus], [n[:row] for n in nu]
+                live, q = live[:row], q[:row]
+                flow = Flow(*(x[:row] for x in flow))
                 break
             if check_stop and len(tr) > 1 and abs(tr[-2] - tr[-1]) < opts.tol_objective:
                 tested.append(row)
         if not live:
             break
         # only the tested members' old tables outlive the backward pass
-        old, stack = stack.take(tested) if tested else None, None
-        log_phi, stack = backward_pass(mdp, nu, opts.beta, opts.degree)[1:]
-        values = [free_energy(lp, mdp.initial, opts.beta) for lp in log_phi[0]]
-        del log_phi
-        gaps = _policy_gap([m[tested] for m in mus], old.tables,
-                           stack.take(tested).tables) if tested else []
+        old, q = q[tested] if tested else None, None
+        log_phi, q, _ = plan.backward_flat(flow.nu, opts.beta)
+        first = log_phi[:, layout.beliefs.spans[0]]
+        values = [free_energy(lp, mdp.initial, opts.beta) for lp in first]
+        del log_phi, first
+        gaps = _policy_gap(layout, flow.mu[tested], old, q[tested]) if tested else []
         passed = [row for row, gap in zip(tested, gaps) if gap < opts.tol_residual]
         # past the warm-up a member stops on the second of two passing sweeps
         # after its hold; one that passes during it takes no more points
@@ -325,37 +330,33 @@ def _sweeps(
         gone = [r for r in range(len(live)) if r not in stay]
         if gone:
             ids = [live[r] for r in gone]
-            for q0, q in zip(starts.tables, stack.tables):
-                q0[ids] = q[gone]
+            for q0, q1 in zip(starts.tables, layout.tables.split(q)):
+                q0[ids] = q1[gone]
             for r, i in zip(gone, ids):
                 iterations[i], converged[i] = k, r in stops
             live, values = [live[r] for r in stay], [values[r] for r in stay]
-            stack = stack.take(stay)
+            q = q[stay]
         if len(stay) < len(hold):  # rows left the stack or failed
             bound, hold, passed_at = bound[stay], hold[stay], passed_at[stay]
             logs = [x[stay] for x in logs]
         if done + k < EXTRAPOLATE_AFTER or not live:
             continue
-        # each member's tables as one row: a fixed number of calls per cycle
-        layout = mdp.sweep_plan(opts.degree).layout
-        swept = layout.join(stack.tables)
-        logs.append(np.log(np.maximum(swept, MARGINAL_FLOOR)))
+        logs.append(np.log(np.maximum(q, MARGINAL_FLOOR)))
         if len(logs) == 3:
             points, alpha = _squarem(*logs, bound)
             points = layout.log_normalize(points)
-            q = np.where((bound > 0.0)[:, None], np.exp(points), swept)
-            trial = (points, alpha, q, swept)
-            stack = PolicyStack(opts.degree, layout.split(q))
+            trial = (points, alpha, q)
+            q = np.where((bound > 0.0)[:, None], np.exp(points), q)
     if error is not None:
         raise error
     return starts, traces, iterations, converged
 
 
-def _resweep(mdp, stack, rows, mus, nu) -> None:
-    """Write the forward pass of the stack's rows into mus and nu."""
+def _resweep(plan, q, rows, flow) -> None:
+    """Write the forward pass of the table rows q[rows] into the flow's rows."""
     if len(rows):
-        belief, fresh = forward_pass(mdp, stack.take(rows))
-        for ours, theirs in zip((*mus, *nu), (*belief.mus, *fresh)):
+        fresh = plan.forward_flat(plan.layout.tables.split(q[rows]))
+        for ours, theirs in zip(flow, fresh):
             ours[rows] = theirs
 
 
@@ -376,9 +377,11 @@ def _solve_batch(
     )
     # canonicalizing only rewrites massless slices, so the swept policies'
     # forward pass is the final policies', bit for bit
-    belief, nu = forward_pass(mdp, swept)
+    plan = mdp.sweep_plan(opts.degree)
+    flow = plan.forward_flat(swept.tables)
+    belief = ReducedBelief(opts.degree, plan.layout.beliefs.split(flow.mu))
     finals = canonicalize_policy(mdp, swept, belief)
-    residuals = _certificate(mdp, finals, opts.beta, belief, nu).tolist()
+    residuals = _certificate(mdp, finals, opts.beta, flow).tolist()
     costs = expected_cost(mdp, finals, belief).tolist()
     infos = per_step_information(mdp, finals, belief).sum(axis=-1).tolist()
     seconds = time.perf_counter() - start
@@ -427,7 +430,12 @@ def plan_start_policies(
     the previous plan occupies, which forces qualitatively different behavior
     (alternative routes) into the start set.  Deterministic, no seed needed.
     """
-    steps = mdp.sweep_plan(degree).steps
+    return [MemoryPolicy(degree, tables) for tables in _plan_tables(mdp, degree, count)]
+
+
+def _plan_tables(mdp: FiniteMdp, degree: int, count: int) -> list[tuple]:
+    """The tables of ``plan_start_policies``, distributions by construction."""
+    plan = mdp.sweep_plan(degree)
     scale = max(1.0, max(float(np.abs(c).max()) for c in mdp.stage_costs))
     penalties = [np.zeros(c.shape[0]) for c in mdp.stage_costs]
     plans = []
@@ -437,19 +445,18 @@ def plan_start_policies(
         ]
         actions, _ = backward_induction(mdp, costs)
         tables = []
-        for s, greedy in zip(steps, actions):
+        for s, greedy in zip(plan.steps, actions):
             x, _, u = s.shape
             q = np.full(s.shape, (1.0 - PLAN_MIX) / u)
             q[np.arange(x), :, greedy] += PLAN_MIX
             tables.append(q)
-        policy = MemoryPolicy(degree, tuple(tables))
-        plans.append(policy)
+        plans.append(tuple(tables))
         if len(plans) == count:  # no further plan reads the penalties
             break
-        belief = propagate_reduced(mdp, policy)
-        for t in range(mdp.horizon):
-            occupied = belief.mus[t].sum(axis=1) > 1e-3
-            penalties[t] = penalties[t] + 2.0 * scale * occupied
+        mu = plan.initial[:, None]  # beliefs by push alone: no layout needed
+        for t, q in enumerate(tables):
+            penalties[t] = penalties[t] + 2.0 * scale * (mu.sum(axis=1) > 1e-3)
+            mu = plan.push(t, mu[..., None] * q)
     return plans
 
 
@@ -491,10 +498,11 @@ def multi_start(
     size = max(1, DEFAULT_CELL_BUDGET // cut.mdp.sweep_plan(opts.degree).cells)
     rng = np.random.default_rng(seed)
     start_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=starts)]
-    inits = [MemoryPolicy.uniform(mdp, opts.degree)] if include_uniform else []
-    inits.extend(plan_start_policies(mdp, opts.degree, plan_starts))
-    inits.extend(MemoryPolicy.perturbed(mdp, opts.degree, s) for s in start_seeds)
-    inits = [cut.restrict(q.tables) for q in inits]  # drawn full, swept restricted
+    # starts built valid need no check: drawn full, swept restricted
+    inits = [uniform_tables(mdp, opts.degree)] if include_uniform else []
+    inits.extend(_plan_tables(mdp, opts.degree, plan_starts))
+    inits.extend(perturbed_tables(mdp, opts.degree, s) for s in start_seeds)
+    inits = [cut.restrict(tables) for tables in inits]
     chunks = [
         PolicyStack(opts.degree, tuple(map(np.stack, zip(*inits[i:i + size]))))
         for i in range(0, count, size)
@@ -539,11 +547,13 @@ def stationarity_residual(
     for t in range(T):
         mass = belief.mus[t].sum(axis=0) > MASS_TOL
         terms.append(sup(nu[t] - fresh_nu[t], mass[:, None]))
-    terms.append(sup(log_phi[T] - plan.terminal_log_phi(beta)))
+    terms.append(sup(log_phi[T] - plan.scaled(beta)[1]))
     for t in range(T - 1, -1, -1):
-        by_action = np.moveaxis(rho[t], -1, -3)
-        terms.append(sup(by_action - plan.cost_to_go(t, log_phi[t + 1], beta)))
-        lse, q_want = gibbs_step(nu[t], by_action)
+        r = plan.cost_to_go(t, log_phi[t + 1], beta)
+        terms.append(sup(rho[t] - plan.rho_table(t, r)))
+        z = (log_marginals(nu[t]).swapaxes(-1, -2)[..., None, :]
+             - np.moveaxis(rho[t], -1, -3))
+        lse, q_want = gibbs_step(z)
         terms.append(sup(log_phi[t] - lse))
         mask = belief.mus[t] > MASS_TOL
         terms.append(sup(q.tables[t] - q_want, mask[..., None]))
@@ -561,14 +571,17 @@ def residual_from_policy(
     of that iterate, whose policy relation is checked by the same Gibbs step.  A
     ``PolicyStack`` gives one residual per member, each its single call's.
     """
-    gap = _certificate(mdp, policy, beta, *forward_pass(mdp, policy))
+    flow = check_compatible(mdp, policy).forward_flat(policy.tables)
+    gap = _certificate(mdp, policy, beta, flow)
     return gap if gap.ndim else float(gap)
 
 
-def _certificate(mdp, policy, beta, belief, nu):
+def _certificate(mdp, policy, beta, flow):
     """``residual_from_policy`` given the policy's forward pass."""
-    fresh = backward_pass(mdp, nu, beta, policy.degree)[2]
-    return _policy_gap(belief.mus, policy.tables, fresh.tables)
+    plan = mdp.sweep_plan(policy.degree)
+    fresh = plan.backward_flat(flow.nu, beta)[1]
+    old = plan.layout.tables.join(policy.tables)
+    return _policy_gap(plan.layout, flow.mu, old, fresh)
 
 
 @dataclass(frozen=True)
@@ -637,7 +650,8 @@ def _blahut_map(x, pl, scaled, massed, beta):
     floor still counts toward the max.  A zero-mass state's log partition
     may be NaN (c / beta overflows); it carries no weight and is masked out.
     """
-    log_phi, q = gibbs_step(np.exp(x)[:, None, :], scaled.T[:, :, None])
+    z = log_marginals(np.exp(x))[:, :, None, None] - scaled.T[:, :, None]
+    log_phi, q = gibbs_step(z)
     log_phi = np.where(massed, log_phi[..., 0], 0.0)
     value = -beta * (pl @ log_phi[:, :, None])[:, 0, 0]
     ratio = np.where(massed[:, :, None], np.exp(-scaled - log_phi[:, :, None]), 0.0)

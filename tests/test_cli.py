@@ -431,7 +431,8 @@ class TestMazeCommand:
 
     @pytest.mark.parametrize("field, value", [
         ("intended_slip_share", "false"), ("horizon", 2.7), ("start", 34.9),
-        ("horizon", True),
+        ("horizon", True), ("p_intended", "0.8"), ("terminal_penalty", "1e4"),
+        ("p_slip", True), ("terminal_penalty", 10**400),
     ])
     def test_spec_values_are_not_coerced(self, tmp_path, capsys, field, value):
         doc = envs.maze_spec_to_dict(td.sample_maze_spec(horizon=8))
@@ -443,6 +444,12 @@ class TestMazeCommand:
         assert code == 2
         assert "input error" in err and "malformed" in err and field in err
         assert not (tmp_path / "out").exists()
+
+    def test_integer_float_field_loads(self):
+        doc = envs.maze_spec_to_dict(td.sample_maze_spec(horizon=8))
+        doc["terminal_penalty"] = 10000
+        spec = envs.maze_spec_from_dict(doc)
+        assert spec.terminal_penalty == 10000.0 and type(spec.terminal_penalty) is float
 
     def test_deterministic_outputs(self, tmp_path):
         maze = tmp_path / "maze.json"

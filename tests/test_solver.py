@@ -9,7 +9,7 @@ import pytest
 import termdp as td
 from termdp import oracle, solver
 from termdp.errors import InstanceError, NumericalError
-from termdp.model import FlatLayout
+from termdp.model import FlatLayout, SweepPlan
 from termdp.solver import (
     PolicyStack,
     SolverIterate,
@@ -171,7 +171,7 @@ class TestBackwardPass:
         shape = (6, len(layout.cost))
         x = np.where(rng.random(shape) < 0.4, rng.uniform(-5.0, 0.0, shape), -1e3)
         q = np.exp(layout.log_normalize(x))
-        stack = PolicyStack(degree, layout.split(q))
+        stack = PolicyStack(degree, layout.tables.split(q))
         assert (q < 1e-290).mean() > 0.3  # at the floor, up to renormalizing
         _, nu = forward_pass(mdp, stack)
         _, log_phi, fresh = backward_pass(mdp, nu, beta, degree)
@@ -249,23 +249,22 @@ class TestSolve:
     @pytest.mark.parametrize("max_iters", [1, 3, 2000])
     def test_k_sweep_solve_runs_k_plus_one_forward_passes(self, monkeypatch, max_iters):
         # one forward pass per sweep plus one for the final policy, which the
-        # report's cost, information and certificate share; bare belief
-        # propagations count as forward passes too.  A dropped SqS3 point
+        # report's cost, information and certificate share; every forward
+        # pass runs the plan's one forward kernel.  A dropped SqS3 point
         # costs one more: its sweep then propagates the plain policy
         calls, dropped = [], []
-        for name in ("forward_pass", "propagate_reduced"):
-            original = getattr(solver, name)
+        original = SweepPlan.forward_flat
 
-            def counted(*args, _original=original, **kwargs):
-                calls.append(None)
-                return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(solver, name, counted)
+        monkeypatch.setattr(SweepPlan, "forward_flat", counted)
         real_resweep = solver._resweep
 
-        def resweep(mdp, plain, rows, mus, nu):
+        def resweep(plan, q, rows, flow):
             dropped.extend(rows)
-            return real_resweep(mdp, plain, rows, mus, nu)
+            return real_resweep(plan, q, rows, flow)
 
         monkeypatch.setattr(solver, "_resweep", resweep)
         mdp = oracle.random_mdp(np.random.default_rng(3), 4)
@@ -279,26 +278,27 @@ class TestSolve:
         # criterion-1 draws where the stop test runs on the sweep of a
         # dropped SqS3 point: its gap is the plain policy's own residual
         events = []
-        for name in ("_resweep", "backward_pass", "_policy_gap"):
-            original = getattr(solver, name)
+        for owner, name in ((solver, "_resweep"), (SweepPlan, "backward_flat"),
+                            (solver, "_policy_gap")):
+            original = getattr(owner, name)
 
             def logged(*args, _name=name, _original=original):
                 out = _original(*args)
                 if _name == "_resweep" and len(args[2]):
-                    stack = args[1].take(args[2])
-                    events.append((_name, td.MemoryPolicy(
-                        stack.degree, tuple(q[0] for q in stack.tables))))
+                    plan, q, rows, _ = args
+                    tables = plan.layout.tables.split(q[rows][0])
+                    events.append((_name, td.MemoryPolicy(plan.degree, tables)))
                 elif _name != "_resweep":
                     events.append((_name, out))
                 return out
 
-            monkeypatch.setattr(solver, name, logged)
+            monkeypatch.setattr(owner, name, logged)
         mdp, opts = criterion_1_draw(910, i)
         td.solve(mdp, opts)
         monkeypatch.undo()
         names = [name for name, _ in events]
         tested = [j for j in range(len(events) - 2) if names[j:j + 3] == [
-            "_resweep", "backward_pass", "_policy_gap"]]
+            "_resweep", "backward_flat", "_policy_gap"]]
         assert tested
         for j in tested:
             plain, gap = events[j][1], events[j + 2][1]
@@ -708,12 +708,13 @@ class TestFreeEnergy:
             q[..., 0] = 0.0
             tables.append(q / q.sum(axis=2, keepdims=True))
         stack = PolicyStack.of(degree, [*pols, td.MemoryPolicy(degree, tuple(tables))])
-        flat = mdp.sweep_plan(degree).layout
-        q = flat.join(stack.tables)
-        assert all(np.array_equal(a, b) for a, b in zip(flat.split(q), stack.tables))
+        plan = mdp.sweep_plan(degree)
+        flat = plan.layout
+        q = flat.tables.join(stack.tables)
+        assert all(np.array_equal(a, b) for a, b in zip(flat.tables.split(q), stack.tables))
         belief, nu = forward_pass(mdp, stack)
         with np.errstate(divide="ignore"):
-            got = flat.objective(mdp, 0.8, belief, nu, np.log(q), q)
+            got = flat.objective(mdp, 0.8, plan.forward_flat(stack.tables), np.log(q), q)
         want = td.factored_objective(mdp, stack, nu, 0.8, belief)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 

@@ -8,7 +8,8 @@ no reference shares code with the plan.
 
 import functools
 import math
-from dataclasses import replace
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from termdp.errors import NumericalError, ResourceError
 from termdp.model import (
     DEFAULT_CELL_BUDGET,
     ROW_TOL,
+    SweepPlan,
     conditional_mutual_information,
 )
 from termdp.solver import (
@@ -315,6 +317,114 @@ def test_subnormal_mass_history_gets_uniform_marginal():
     np.testing.assert_allclose(tables[1].sum(axis=-1), 1.0, rtol=0, atol=TOL)
 
 
+def _per_step_marginals(mus, tables):
+    """nu_t as the sweeps computed them step by step before the per-pass
+    bin sums: lam summed over the x axis over mu summed over it, uniform
+    where the history's joint row is all 0; and whether some history has
+    zero mass, and whether some history has mass but an all-0 joint row."""
+    nus, massless, underflow = [], False, False
+    for mu, q in zip(mus, tables):
+        joint = (mu[..., None] * q).sum(axis=-3)
+        mass = mu.sum(axis=-2)[..., None]
+        fed = joint.any(axis=-1, keepdims=True)
+        nu = np.full_like(joint, 1.0 / joint.shape[-1])
+        np.divide(joint, mass, out=nu, where=fed)
+        nus.append(nu)
+        massless |= bool((mass == 0.0).any())
+        underflow |= bool(((mass > 0.0) & ~fed).any())
+    return nus, massless, underflow
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_per_pass_marginals_equal_per_step_sums(degree, k):
+    # the one bin sum per pass adds, per (t, h, u), the entries in the
+    # order the per-step sums over x did: equal bit for bit, on members with
+    # massless histories (never action 0) and, on test_subnormal_mass_
+    # history_gets_uniform_marginal's instance one step longer, with a
+    # history of mass 5e-324 whose joint row underflows to 0
+    mdp, _ = _instance(4, degree)
+    rng = np.random.default_rng(70 + 10 * k + degree)
+    kinds = [lambda: oracle.random_policy(rng, mdp, degree),
+             lambda: _massless_policy(rng, mdp, degree)]
+    tiny = td.FiniteMdp(
+        (np.ones((1, 2, 1)), np.ones((1, 3, 1)), np.ones((1, 2, 1))),
+        (np.zeros((1, 2)), np.array([[0.0, 1.0, 2.0]]), np.zeros((1, 2))),
+        np.zeros(1),
+        np.ones(1),
+    )
+    q0 = np.array([[[1.0, 5e-324]]])
+    q1 = np.full(tiny.sweep_plan(degree).steps[1].shape, 1.0 / 3.0)
+    cases = [
+        (mdp, [kinds[(i + 1) % 2]() for i in range(k)]),
+        (tiny, [td.MemoryPolicy(degree, (q0, q1, oracle.random_policy(
+            rng, tiny, degree).tables[2])) for _ in range(k)]),
+    ]
+    seen = []
+    for inst, pols in cases:
+        tables = [np.stack(ts) for ts in zip(*(p.tables for p in pols))]
+        if k == 1:
+            tables = [q[0] for q in tables]
+        mus, nus = inst.sweep_plan(degree).forward(tables)
+        want, *flags = _per_step_marginals(mus, tables)
+        assert all(np.array_equal(a, b) for a, b in zip(nus, want, strict=True))
+        seen.append(flags)
+    assert [any(f) for f in zip(*seen)] == [degree > 0, degree > 0]
+
+
+def test_sweep_tables_are_views_of_one_c_ordered_row_per_member(monkeypatch):
+    # every forward pass of a multi-start's sweeps, past the warm-up too,
+    # reads stack tables that are views of one C-ordered row per member,
+    # and the backward pass of a stack returns such views
+    mdp = oracle.random_mdp(np.random.default_rng(40), 4, 4, 3)
+    opts = td.SolveOptions(beta=0.6, degree=1, max_iters=EXTRAPOLATE_AFTER + 20)
+    seen = []
+    real = SweepPlan.forward_flat
+
+    def forward_flat(plan, tables):
+        if sys._getframe(1).f_code.co_name in ("_sweeps", "_resweep"):
+            seen.append(tables)
+        return real(plan, tables)
+
+    monkeypatch.setattr(SweepPlan, "forward_flat", forward_flat)
+    td.multi_start(mdp, opts, starts=2, seed=5, plan_starts=1)
+    monkeypatch.undo()
+    cells = mdp.sweep_plan(1).cells
+
+    def one_row_per_member(tables):
+        row = tables[0].base
+        return (row.ndim == 2 and row.shape[1] == cells and row.flags.c_contiguous
+                and all(q.base is row for q in tables)
+                and all(q[i].flags.c_contiguous for q in tables for i in range(len(q))))
+
+    assert len(seen) > EXTRAPOLATE_AFTER and all(map(one_row_per_member, seen))
+    pols = [oracle.random_policy(np.random.default_rng(i), mdp, 1) for i in range(3)]
+    _, nu = forward_pass(mdp, PolicyStack.of(1, pols))
+    assert one_row_per_member(backward_pass(mdp, nu, 0.6, 1)[2].tables)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("degree, poisoned, beta, t", [
+    (0, (1, 3), 0.7, 3), (1, (0, 2), 0.7, 2), (2, (), 5e-324, 3),
+])
+def test_nonfinite_normalizer_names_its_largest_step(degree, poisoned, beta, t, stacked):
+    # the finiteness of log_phi is checked once per pass, after the whole
+    # recursion: the error names the largest failing step, as the check of
+    # every step on the way down did, and no RuntimeWarning escapes
+    mdp, pol = _instance(4, degree)
+    policy = PolicyStack.of(degree, [pol] * 3) if stacked else pol
+    _, nu = forward_pass(mdp, policy)
+    for s in poisoned:
+        if stacked:
+            nu[s][1] = np.nan
+        else:
+            nu[s] = np.full_like(nu[s], np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"normalizer at t={t}$"):
+            backward_pass(mdp, nu, beta, degree)
+
+
 def test_plan_is_cached_and_holds_views():
     mdp, _ = _instance(4, 2)
     plan = mdp.sweep_plan(2)
@@ -322,16 +432,17 @@ def test_plan_is_cached_and_holds_views():
     for s, p in zip(plan.steps, mdp.transitions):
         assert not s.flat.flags.owndata and np.shares_memory(s.flat, p)
         assert not s.by_action.flags.owndata and np.shares_memory(s.by_action, p)
-    # the flat layout is built once, by the first sweep past the warm-up
-    opts = td.SolveOptions(beta=1.0, degree=2, tol_objective=1e-300,
-                           tol_residual=1e-300, max_iters=EXTRAPOLATE_AFTER)
-    td.solve(mdp, opts)
+    # the flat layout is built once, by the first forward pass, whose rows
+    # it lays out, and serves the sweeps past the warm-up too
     assert "layout" not in vars(plan)
-    td.solve(mdp, replace(opts, max_iters=EXTRAPOLATE_AFTER + 1))
+    forward_pass(mdp, td.MemoryPolicy.uniform(mdp, 2))
     layout = vars(plan)["layout"]
+    opts = td.SolveOptions(beta=1.0, degree=2, tol_objective=1e-300,
+                           tol_residual=1e-300, max_iters=EXTRAPOLATE_AFTER + 1)
+    td.solve(mdp, opts)
     assert plan.layout is layout
-    assert layout.shapes == tuple(s.shape for s in plan.steps)
-    assert layout.spans[-1].stop == len(layout.cost) == plan.cells
+    assert layout.tables.shapes == tuple(s.shape for s in plan.steps)
+    assert layout.tables.size == len(layout.cost) == plan.cells
     # the T=55 maze repeats one transition array, and every step's kernels
     # are views of that one buffer
     maze = td.build_maze(td.sample_maze_spec(horizon=55))
