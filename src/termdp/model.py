@@ -66,8 +66,8 @@ class FiniteMdp:
     ``transitions[t][x, u]`` is a probability row.  ``stage_costs[t]`` has
     shape (X_t, U_t), ``terminal_cost`` shape (X_T,), ``initial`` shape
     (X_0,).  Arrays are made read-only on construction; instances are safe to
-    share between threads.  Sweep plans (one per memory degree) and the
-    ``restriction`` to the reachable states are built on first use and cached.
+    share between threads.  Sweep plans and plan starts' greedy actions (per
+    memory degree) and the ``restriction`` are built on first use and cached.
     """
 
     transitions: tuple[np.ndarray, ...]
@@ -76,6 +76,7 @@ class FiniteMdp:
     initial: np.ndarray
     _cards: tuple = field(init=False, repr=False, compare=False)
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _starts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -291,16 +292,17 @@ def uniform_tables(mdp: FiniteMdp, degree: int) -> tuple[np.ndarray, ...]:
     return tuple(np.full(s.shape, 1.0 / s.shape[2]) for s in steps)
 
 
-def perturbed_tables(mdp: FiniteMdp, degree: int, seed: int, magnitude: float = 0.1):
-    """The tables of ``MemoryPolicy.perturbed``, distributions by construction."""
+def perturbed_tables(mdp: FiniteMdp, degree: int, seed: int, magnitude: float = 0.1,
+                     states=None):
+    """``MemoryPolicy.perturbed``'s tables (or rows ``states``), valid as built."""
     if not 0.0 < magnitude < 1.0:
         raise InstanceError(f"perturbation magnitude {magnitude!r} not in (0, 1)")
     if seed < 0:
         raise InstanceError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     tables = []
-    for s in mdp.sweep_plan(degree).steps:
-        raw = 1.0 + magnitude * (2.0 * rng.random(s.shape) - 1.0)
+    for s, r in zip(mdp.sweep_plan(degree).steps, states or [Ellipsis] * mdp.horizon):
+        raw = 1.0 + magnitude * (2.0 * rng.random(s.shape)[r] - 1.0)
         tables.append(raw / raw.sum(axis=2, keepdims=True))
     return tuple(tables)
 
@@ -432,11 +434,14 @@ def gibbs_step(z: np.ndarray, q=None, log_phi=None) -> tuple[np.ndarray, np.ndar
 
 
 def _bin_sums(index: np.ndarray, weights: np.ndarray, bins: int) -> np.ndarray:
-    """Sums of rows (..., n) into ``bins`` bins by ``index``, one row per
-    member; a bin adds its entries from 0 in row order, as a sum over a
-    strided axis does."""
-    lead = weights.shape[:-1]
+    """Sums of rows (..., n) into ``bins`` bins by ``index``, each bin in row
+    order, as a strided sum adds: one bincount per row of a stack of rows of 1000
+    or more entries, else one over a (K, n) offset index, the cheaper below that."""
+    lead, n = weights.shape[:-1], weights.shape[-1]
     count = math.prod(lead)
+    if count > 1 and n >= 1000:
+        sums = [np.bincount(index, w, bins) for w in weights.reshape(-1, n)]
+        return np.concatenate(sums).reshape(*lead, bins)
     if count > 1:
         index = (index + bins * np.arange(count)[:, None]).ravel()
     return np.bincount(index, weights.ravel(), count * bins).reshape(*lead, bins)

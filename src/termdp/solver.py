@@ -428,35 +428,48 @@ def plan_start_policies(
     Plan 1 blends the cost-greedy deterministic policy with uniform; each
     further plan re-solves the planning problem after surcharging the states
     the previous plan occupies, which forces qualitatively different behavior
-    (alternative routes) into the start set.  Deterministic, no seed needed.
+    (alternative routes) into the start set.  Deterministic, cached per degree.
     """
-    return [MemoryPolicy(degree, tables) for tables in _plan_tables(mdp, degree, count)]
-
-
-def _plan_tables(mdp: FiniteMdp, degree: int, count: int) -> list[tuple]:
-    """The tables of ``plan_start_policies``, distributions by construction."""
+    if count < 0:
+        raise InstanceError(f"plan start count must be nonnegative, got {count}")
     plan = mdp.sweep_plan(degree)
+    return [MemoryPolicy(degree, _plan_tables(plan, actions))
+            for actions in _plan_actions(mdp, degree, count)]
+
+
+def _plan_tables(plan, actions) -> tuple[np.ndarray, ...]:
+    """A plan start's tables at a plan's shapes, PLAN_MIX on each greedy action."""
+    tables = []
+    for s, greedy in zip(plan.steps, actions):
+        q = np.full(s.shape, (1.0 - PLAN_MIX) / s.shape[2])
+        q[np.arange(len(q)), :, greedy] += PLAN_MIX
+        tables.append(q)
+    return tuple(tables)
+
+
+def _plan_actions(mdp: FiniteMdp, degree: int, count: int) -> list[tuple]:
+    """Greedy actions per step of the first ``count`` plan starts, cached per
+    degree and grown on demand: plan k + 1 reads plans 1..k only through their
+    penalties.  The DP runs on the full instance (a cut one breaks argmin ties
+    differently); the beliefs that set the penalties run on the reachable rows."""
+    plans = list(mdp._starts.get(degree, ()))
+    if len(plans) >= count:
+        return plans[:count]
+    cut = mdp.restriction
+    plan = cut.mdp.sweep_plan(degree)
     scale = max(1.0, max(float(np.abs(c).max()) for c in mdp.stage_costs))
     penalties = [np.zeros(c.shape[0]) for c in mdp.stage_costs]
-    plans = []
-    for _ in range(count):
-        costs = [
-            c + p[:, None] for c, p in zip(mdp.stage_costs, penalties)
-        ]
-        actions, _ = backward_induction(mdp, costs)
-        tables = []
-        for s, greedy in zip(plan.steps, actions):
-            x, _, u = s.shape
-            q = np.full(s.shape, (1.0 - PLAN_MIX) / u)
-            q[np.arange(x), :, greedy] += PLAN_MIX
-            tables.append(q)
-        plans.append(tuple(tables))
-        if len(plans) == count:  # no further plan reads the penalties
+    for k in range(count):
+        if k == len(plans):
+            costs = [c + p[:, None] for c, p in zip(mdp.stage_costs, penalties)]
+            plans.append(tuple(backward_induction(mdp, costs)[0]))
+        if k + 1 == count:  # no further plan reads the penalties
             break
         mu = plan.initial[:, None]  # beliefs by push alone: no layout needed
-        for t, q in enumerate(tables):
-            penalties[t] = penalties[t] + 2.0 * scale * (mu.sum(axis=1) > 1e-3)
+        for t, q in enumerate(_plan_tables(plan, map(np.take, plans[k], cut.states))):
+            penalties[t][cut.states[t]] += 2.0 * scale * (mu.sum(axis=1) > 1e-3)
             mu = plan.push(t, mu[..., None] * q)
+    mdp._starts[degree] = tuple(plans)
     return plans
 
 
@@ -483,26 +496,28 @@ def multi_start(
     every report equals that of the start solved alone, except that its wall
     time is that of its whole batch.  Starts whose stacked tables exceed
     DEFAULT_CELL_BUDGET cells are swept in consecutive batches that fit.
-    Starts are drawn on the instance's shapes and swept on their reachable
-    rows; the reported policies have uniform rows at unreachable states.
+    Starts are built and swept at their reachable rows, with the values of
+    the instance-shape starts there; reports are uniform at unreachable rows.
     """
     count = starts + int(include_uniform) + plan_starts
-    if starts < 0 or count < 1:
-        raise InstanceError("multi-start needs at least one start")
+    if starts < 0 or plan_starts < 0 or count < 1:
+        raise InstanceError("multi-start needs a start and no negative count")
     if screen_iters is not None and screen_iters < 1:
         raise InstanceError(f"screen_iters must be positive, got {screen_iters}")
     if seed < 0:
         raise InstanceError(f"seed must be nonnegative, got {seed}")
     mdp.sweep_plan(opts.degree)  # one policy over the budget raises here
     cut = mdp.restriction
-    size = max(1, DEFAULT_CELL_BUDGET // cut.mdp.sweep_plan(opts.degree).cells)
+    plan = cut.mdp.sweep_plan(opts.degree)
+    size = max(1, DEFAULT_CELL_BUDGET // plan.cells)
     rng = np.random.default_rng(seed)
     start_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=starts)]
-    # starts built valid need no check: drawn full, swept restricted
-    inits = [uniform_tables(mdp, opts.degree)] if include_uniform else []
-    inits.extend(_plan_tables(mdp, opts.degree, plan_starts))
-    inits.extend(perturbed_tables(mdp, opts.degree, s) for s in start_seeds)
-    inits = [cut.restrict(tables) for tables in inits]
+    # starts built valid need no check, at their reachable rows
+    inits = [uniform_tables(cut.mdp, opts.degree)] if include_uniform else []
+    inits.extend(_plan_tables(plan, map(np.take, actions, cut.states))
+                 for actions in _plan_actions(mdp, opts.degree, plan_starts))
+    inits.extend(perturbed_tables(mdp, opts.degree, s, states=cut.states)
+                 for s in start_seeds)
     chunks = [
         PolicyStack(opts.degree, tuple(map(np.stack, zip(*inits[i:i + size]))))
         for i in range(0, count, size)

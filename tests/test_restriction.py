@@ -85,15 +85,16 @@ class TestReachableSets:
 class TestRestrictedSolves:
     """Reports of restricted solves against full-shape math."""
 
+    # (degree, maze horizon or None for the small instance)
     CASES = [
-        pytest.param(0, False, id="maze-0"),
-        *(pytest.param(n, True, id=f"small-{n}") for n in (0, 1, 2)),
+        pytest.param(0, 25, id="maze-0"),
+        *(pytest.param(n, None, id=f"small-{n}") for n in (0, 1, 2)),
     ]
 
     @staticmethod
-    def instance(small):
-        return partly_reachable() if small else td.build_maze(
-            td.sample_maze_spec(horizon=25)
+    def instance(horizon):
+        return partly_reachable() if horizon is None else td.build_maze(
+            td.sample_maze_spec(horizon=horizon)
         )
 
     @staticmethod
@@ -109,9 +110,9 @@ class TestRestrictedSolves:
         assert abs(rep.total - full.total) <= 1e-12 * abs(full.total)
         assert abs(rep.residual - residual_from_policy(mdp, rep.policy, beta)) <= 1e-12
 
-    @pytest.mark.parametrize("degree, small", CASES)
-    def test_solve(self, monkeypatch, degree, small):
-        mdp = self.instance(small)
+    @pytest.mark.parametrize("degree, horizon", CASES)
+    def test_solve(self, monkeypatch, degree, horizon):
+        mdp = self.instance(horizon)
         opts = td.SolveOptions(beta=1.5, degree=degree, max_iters=300,
                                init="perturbed", seed=11)
         seen = capture_starts(monkeypatch)
@@ -123,9 +124,11 @@ class TestRestrictedSolves:
         assert [q[0].tobytes() for q in seen[0]] == [q.tobytes() for q in want]
 
     @pytest.mark.parametrize("screen_iters", [None, 9])
-    @pytest.mark.parametrize("degree, small", CASES)
-    def test_multi_start(self, monkeypatch, degree, small, screen_iters):
-        mdp = self.instance(small)
+    @pytest.mark.parametrize("degree, horizon", CASES + [
+        pytest.param(0, 55, id="maze55-0"), pytest.param(1, 25, id="maze-1"),
+    ])
+    def test_multi_start(self, monkeypatch, degree, horizon, screen_iters):
+        mdp = self.instance(horizon)
         opts = td.SolveOptions(beta=1.5, degree=degree, max_iters=300)
         seen = capture_starts(monkeypatch)
         reports = td.multi_start(mdp, opts, starts=2, seed=5, plan_starts=2,
@@ -133,11 +136,100 @@ class TestRestrictedSolves:
         assert len(reports) == (1 if screen_iters else 5)
         for rep in reports:
             self.check_report(mdp, rep, opts.beta)
-        # uniform, plan and perturbed starts are drawn on the full shapes,
-        # then cut to their reachable rows
+        # the starts, built at the reachable rows, are the uniform, plan and
+        # perturbed starts of the instance's shapes cut to those rows; drawn
+        # on a fresh instance, whose plan starts the cache does not serve
+        fresh = self.instance(horizon)
         seeds = np.random.default_rng(5).integers(0, 2**63 - 1, size=2)
-        starts = [td.MemoryPolicy.uniform(mdp, degree)]
-        starts += plan_start_policies(mdp, degree, 2)
-        starts += [td.MemoryPolicy.perturbed(mdp, degree, int(s)) for s in seeds]
-        want = mdp.restriction.restrict(PolicyStack.of(degree, starts).tables)
+        starts = [td.MemoryPolicy.uniform(fresh, degree)]
+        starts += plan_start_policies(fresh, degree, 2)
+        starts += [td.MemoryPolicy.perturbed(fresh, degree, int(s)) for s in seeds]
+        want = fresh.restriction.restrict(PolicyStack.of(degree, starts).tables)
         assert [q.tobytes() for q in seen[0]] == [q.tobytes() for q in want]
+
+
+def full_shape_plans(mdp, degree, count):
+    """Plan starts built and propagated on the instance's shapes: each plan's
+    beliefs, pushed through every state, set the next plan's penalties."""
+    plan = mdp.sweep_plan(degree)
+    scale = max(1.0, max(float(np.abs(c).max()) for c in mdp.stage_costs))
+    penalties = [np.zeros(c.shape[0]) for c in mdp.stage_costs]
+    plans = []
+    for _ in range(count):
+        costs = [c + p[:, None] for c, p in zip(mdp.stage_costs, penalties)]
+        actions, _ = solver.backward_induction(mdp, costs)
+        tables = []
+        for s, greedy in zip(plan.steps, actions):
+            q = np.full(s.shape, (1.0 - solver.PLAN_MIX) / s.shape[2])
+            q[np.arange(s.shape[0]), :, greedy] += solver.PLAN_MIX
+            tables.append(q)
+        plans.append(tables)
+        mu = plan.initial[:, None]
+        for t, q in enumerate(tables):
+            penalties[t] = penalties[t] + 2.0 * scale * (mu.sum(axis=1) > 1e-3)
+            mu = plan.push(t, mu[..., None] * q)
+    return plans
+
+
+class TestPlanStarts:
+    """Plan starts: computed once per (instance, degree), built at the rows
+    each caller needs."""
+
+    @pytest.mark.parametrize("degree, horizon", [
+        *((n, h) for n in (0, 1) for h in (10, 55)),
+        *((n, None) for n in (0, 1, 2)),
+    ])
+    def test_plans_equal_the_full_shape_plans(self, degree, horizon):
+        # the penalties' beliefs are pushed on the reachable rows only
+        mdp = TestRestrictedSolves.instance(horizon)
+        ours = [p.tables for p in plan_start_policies(mdp, degree, 3)]
+        want = full_shape_plans(mdp, degree, 3)
+        assert [[q.tobytes() for q in p] for p in ours] == [
+            [q.tobytes() for q in p] for p in want]
+
+    def test_backward_induction_runs_once_per_plan(self, monkeypatch):
+        # criterion 10's pair of calls (beta 10, then beta 1, plan_starts=3)
+        # on one T=55 maze, capped as the benchmark caps them: the plans do
+        # not depend on beta, so the second call computes none
+        mdp = td.build_maze(td.sample_maze_spec(horizon=55))
+        runs = []
+        real = solver.backward_induction
+
+        def spy(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "backward_induction", spy)
+        for beta in (10.0, 1.0):
+            td.multi_start(mdp, td.SolveOptions(beta=beta, max_iters=12), starts=2,
+                           seed=910, plan_starts=3, screen_iters=4)
+        assert len(runs) == 3
+        two = plan_start_policies(mdp, 0, 2)  # a prefix of the cached plans
+        assert len(runs) == 3
+        td.multi_start(mdp, td.SolveOptions(beta=1.0, max_iters=2), starts=0,
+                       seed=910, plan_starts=4, screen_iters=1)
+        assert len(runs) == 4  # the fourth plan only
+        plan_start_policies(mdp, 1, 2)
+        assert len(runs) == 6  # degree 1 plans its own
+        # the prefix and the grown list are the full-shape plans
+        want = full_shape_plans(mdp, 0, 4)
+        for ours, theirs in zip(two + plan_start_policies(mdp, 0, 4),
+                                want[:2] + want, strict=True):
+            assert [q.tobytes() for q in ours.tables] == [q.tobytes() for q in theirs]
+
+    def test_a_caller_cannot_change_the_next_starts(self, monkeypatch):
+        mdp = td.build_maze(td.sample_maze_spec(horizon=10))
+        opts = td.SolveOptions(beta=2.0, max_iters=3)
+        seen = capture_starts(monkeypatch)
+        td.multi_start(mdp, opts, starts=0, seed=3, plan_starts=2)
+        (first, second) = plan_start_policies(mdp, 0, 2)
+        want = [q.copy() for q in second.tables]
+        with pytest.raises(ValueError, match="read-only"):
+            first.tables[0][...] = 0.0
+        q = second.tables[3]
+        q.setflags(write=True)  # a caller forcing its way in writes its own copy
+        q[...] = 0.0
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(plan_start_policies(mdp, 0, 2)[1].tables, want))
+        td.multi_start(mdp, opts, starts=0, seed=3, plan_starts=2)
+        assert [a.tobytes() for a in seen[0]] == [a.tobytes() for a in seen[1]]

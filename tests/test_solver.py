@@ -986,6 +986,14 @@ class TestMultiStart:
         with pytest.raises(InstanceError, match="seed"):
             td.solve(toy, replace(opts, init="perturbed", seed=-1))
 
+    def test_negative_plan_start_count_rejected(self):
+        # plan_starts=-1 next to starts=2 counted two starts but built three
+        toy, opts = td.build_nonconvex_toy(), td.SolveOptions(beta=1.0)
+        with pytest.raises(InstanceError, match="no negative count"):
+            td.multi_start(toy, opts, starts=2, seed=0, plan_starts=-1)
+        with pytest.raises(InstanceError, match="nonnegative"):
+            plan_start_policies(toy, 0, -1)
+
     def test_roundoff_ties_go_to_the_earliest_start(self):
         # the goal lies beyond the horizon, so every policy costs the same and
         # every stationary point has total 10010; screened values differ by

@@ -28,6 +28,7 @@ from termdp.solver import (
     PolicyStack,
     backward_pass,
     forward_pass,
+    plan_start_policies,
     residual_from_policy,
 )
 
@@ -321,11 +322,14 @@ def _per_step_marginals(mus, tables):
     """nu_t as the sweeps computed them step by step before the per-pass
     bin sums: lam summed over the x axis over mu summed over it, uniform
     where the history's joint row is all 0; and whether some history has
-    zero mass, and whether some history has mass but an all-0 joint row."""
+    zero mass, and whether some history has mass but an all-0 joint row.
+    The mass adds in x order (cumsum), as a sum over a strided axis does; a
+    sum over a contiguous one (a single history) of 8 or more states adds
+    pairwise."""
     nus, massless, underflow = [], False, False
     for mu, q in zip(mus, tables):
         joint = (mu[..., None] * q).sum(axis=-3)
-        mass = mu.sum(axis=-2)[..., None]
+        mass = np.cumsum(mu, axis=-2)[..., -1, :, None]
         fed = joint.any(axis=-1, keepdims=True)
         nu = np.full_like(joint, 1.0 / joint.shape[-1])
         np.divide(joint, mass, out=nu, where=fed)
@@ -335,14 +339,16 @@ def _per_step_marginals(mus, tables):
     return nus, massless, underflow
 
 
-@pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("degree, k", [
+    *((n, k) for n in (0, 1, 2) for k in (1, 3)), (0, 6),
+])
 def test_per_pass_marginals_equal_per_step_sums(degree, k):
     # the one bin sum per pass adds, per (t, h, u), the entries in the
     # order the per-step sums over x did: equal bit for bit, on members with
     # massless histories (never action 0) and, on test_subnormal_mass_
     # history_gets_uniform_marginal's instance one step longer, with a
-    # history of mass 5e-324 whose joint row underflows to 0
+    # history of mass 5e-324 whose joint row underflows to 0; with k = 6,
+    # also on the benchmark's six maze starts at the reachable rows
     mdp, _ = _instance(4, degree)
     rng = np.random.default_rng(70 + 10 * k + degree)
     kinds = [lambda: oracle.random_policy(rng, mdp, degree),
@@ -360,6 +366,12 @@ def test_per_pass_marginals_equal_per_step_sums(degree, k):
         (tiny, [td.MemoryPolicy(degree, (q0, q1, oracle.random_policy(
             rng, tiny, degree).tables[2])) for _ in range(k)]),
     ]
+    if k == 6:
+        maze = td.build_maze(td.sample_maze_spec(horizon=55))
+        pols = [td.MemoryPolicy.uniform(maze, 0), *plan_start_policies(maze, 0, 3),
+                *(td.MemoryPolicy.perturbed(maze, 0, s) for s in (1, 2))]
+        cut = maze.restriction
+        cases.append((cut.mdp, [td.MemoryPolicy(0, cut.restrict(p.tables)) for p in pols]))
     seen = []
     for inst, pols in cases:
         tables = [np.stack(ts) for ts in zip(*(p.tables for p in pols))]
