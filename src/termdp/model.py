@@ -218,22 +218,16 @@ class FiniteMdp:
 
 
 class Restriction(NamedTuple):
-    """An instance on its reachable states (``FiniteMdp.restriction``):
-    ``states[t]`` indexes the states reachable at t = 0..T, ``cards`` holds
-    the instance's state counts, and ``mdp`` is the instance on ``states``,
-    or the instance itself where all are reachable (README, Sweeps).  Its
-    steps that repeat (states, next states, buffer) share one restricted
-    transition buffer, so their plan steps' matmuls read one operand."""
+    """An instance on its reachable states (``FiniteMdp.restriction``), where
+    the solver builds its starts: ``states[t]`` indexes the states reachable
+    at t = 0..T, ``cards`` holds the instance's state counts, and ``mdp`` is
+    the instance on ``states``, or itself where all are reachable (README,
+    Sweeps).  Its steps that repeat (states, next states, buffer) share one
+    restricted transition buffer, so their plan steps' matmuls read one operand."""
 
     states: tuple[np.ndarray, ...]
     cards: tuple[int, ...]
     mdp: FiniteMdp
-
-    def restrict(self, tables: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-        """Tables, past any batch axis, at the reachable rows; tables that
-        have only those rows already pass through."""
-        return tuple(q if q.shape[-3] == len(s) else q[..., s, :, :]
-                     for q, s in zip(tables, self.states))
 
     def widen(self, tables: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
         """Restricted tables at the instance's shapes, uniform at unreachable rows."""
@@ -480,14 +474,14 @@ class SweepPlan:
     take one policy, or K stacked on a leading axis.  Only the two
     recursions run step by step: lam_t = mu_t q_t and ``push`` forward,
     ``cost_to_go`` and the Gibbs step backward.  The action marginals, log nu
-    and the finiteness check of log_phi run once per pass on the rows of the
-    plan's ``layout`` that ``forward_flat`` and ``backward_flat`` return
-    (``forward`` and ``backward`` give per-step views); the scaled costs are
-    kept per beta.  ``push`` and ``cost_to_go`` are stacked matmuls, (K, 1, n)
-    @ (n, m) and (n, m) @ (K, m, 1) at degree 0 and batched over u_t above,
-    so each member's numbers are its solo run's bit for bit (a 2-d (K, n) @
-    (n, m) gemm's are not).  Raises ResourceError when one policy's
-    ``cells`` exceed DEFAULT_CELL_BUDGET.
+    and the finiteness check of log_phi run once per pass on rows of the
+    plan's ``layout``: ``forward_flat`` takes a tables row, as
+    ``backward_flat`` returns it (``forward`` takes per-step tables); the
+    scaled costs are kept per beta.  ``push`` and ``cost_to_go`` are stacked
+    matmuls, (K, 1, n) @ (n, m) and (n, m) @ (K, m, 1) at degree 0 and
+    batched over u_t above, so each member's numbers are its solo run's bit
+    for bit (a 2-d (K, n) @ (n, m) gemm's are not).  Raises ResourceError
+    when one policy's ``cells`` exceed DEFAULT_CELL_BUDGET.
     """
 
     def __init__(self, mdp: FiniteMdp, degree: int) -> None:
@@ -534,22 +528,22 @@ class SweepPlan:
         out.reshape(*lead, y, s.kept, u)[...] = pushed.swapaxes(-1, -3)
         return out
 
-    def forward_flat(self, tables: Sequence[np.ndarray]) -> Flow:
-        """The forward pass of a policy's tables."""
-        lay, lead = self.layout, tables[0].shape[:-3]
+    def forward_flat(self, q: np.ndarray) -> Flow:
+        """The forward pass of tables rows q (..., ``layout.tables.size``)."""
+        lay, lead = self.layout, q.shape[:-1]
         mu = np.empty((*lead, lay.beliefs.size))
         lam = np.empty((*lead, lay.tables.size))
         mus, lams = lay.beliefs.split(mu), lay.tables.split(lam)
         mus[0][...] = self.initial[:, None]
-        for t, q in enumerate(tables):
-            np.multiply(mus[t][..., None], q, out=lams[t])
+        for t, q_t in enumerate(lay.tables.split(q)):
+            np.multiply(mus[t][..., None], q_t, out=lams[t])
             self.push(t, lams[t], out=mus[t + 1])
         return Flow(mu, lay.action_marginals(mu, lam))
 
     def forward(self, tables: Sequence[np.ndarray]) -> tuple[list, list]:
         """Beliefs mu_0..mu_T and action marginals nu_0..nu_{T-1} of a policy."""
-        flow = self.forward_flat(tables)
         lay = self.layout
+        flow = self.forward_flat(lay.tables.join(tables))
         return list(lay.beliefs.split(flow.mu)), list(lay.marginals.split(flow.nu))
 
     def scaled(self, beta: float) -> tuple[tuple, np.ndarray]:
@@ -583,8 +577,7 @@ class SweepPlan:
 
     def backward_flat(self, nu: np.ndarray, beta: float) -> tuple:
         """Rows of log_phi_0..log_phi_T and of the Gibbs policy tables (one
-        C-ordered row per member) of a marginals row, and rho_0..rho_{T-1}
-        from ``cost_to_go`` (None entries for a stack).  A log_phi_t that is
+        C-ordered row per member) of a marginals row.  A log_phi_t that is
         not finite (a Gibbs normalizer that is not finite and positive)
         raises NumericalError for the largest such t, and no RuntimeWarning."""
         lay, lead = self.layout, nu.shape[:-1]
@@ -592,13 +585,11 @@ class SweepPlan:
         q = np.empty((*lead, lay.tables.size))
         log_phi = np.empty((*lead, lay.beliefs.size))
         tables, log_phis = lay.tables.split(q), lay.beliefs.split(log_phi)
-        rho = [None] * len(self.steps)
         with np.errstate(all="ignore"):  # the check below raises
             log_phis[-1][...] = self.scaled(beta)[1]
             for t in range(len(self.steps) - 1, -1, -1):
                 s, (x, h, u) = self.steps[t], self.steps[t].shape
                 r = self.cost_to_go(t, log_phis[t + 1], beta)
-                rho[t] = None if lead else r  # a stack keeps no rho
                 ln = log_nu[t].swapaxes(-1, -2).reshape(*lead, u, 1, s.dropped, s.kept)
                 z = np.empty((*lead, u, x, h))
                 np.subtract(ln, r, out=z.reshape(*lead, u, x, s.dropped, s.kept))
@@ -606,15 +597,7 @@ class SweepPlan:
         if not np.isfinite(log_phi[..., :lay.beliefs.spans[-1].start]).all():
             t = max(t for t, lp in enumerate(log_phis[:-1]) if not np.isfinite(lp).all())
             raise NumericalError(f"non-finite or zero Gibbs normalizer at t={t}")
-        return log_phi, q, rho
-
-    def backward(self, nu: Sequence[np.ndarray], beta: float) -> tuple:
-        """rho_0..rho_{T-1} (``rho_table``; None for a stack), log_phi_0..log_phi_T
-        and the Gibbs policy tables of per-step marginals."""
-        lay = self.layout
-        log_phi, q, rho = self.backward_flat(lay.marginals.join(nu), beta)
-        rho = [r if r is None else self.rho_table(t, r) for t, r in enumerate(rho)]
-        return rho, list(lay.beliefs.split(log_phi)), list(lay.tables.split(q))
+        return log_phi, q
 
     @cached_property
     def layout(self) -> "FlatLayout":

@@ -19,12 +19,12 @@ degree, whose kernels the sweeps call directly on one row of tables per
 member (``SweepPlan.layout``).  The starts of a multi-start are swept as one
 batch; a member leaves it at its own stop, and its numbers are bit for bit
 those of solving it alone.  A solve is a batch of one.  One stacked final
-forward pass serves the batch's certificate and its cost and information,
-and a ``MemoryPolicy`` is built only for a ``solve``'s start and for a
-report.  The stop test and the certificate measure the same policy gap: the
-sup-norm change one backward pass makes to the policy where there is belief
-mass (``_policy_gap``).  ``solve`` and ``multi_start`` sweep the reachable
-states (``FiniteMdp.restriction``).
+forward pass serves the batch's certificate and its cost and information.
+A policy is one tables row per member from its start, built on the
+reachable states (``FiniteMdp.restriction``), to its report, the only
+``MemoryPolicy``.  The stop test and the certificate measure the same policy
+gap: the sup-norm change one backward pass makes to the policy where there
+is belief mass (``_policy_gap``).
 
 The weight beta is absorbed by dividing stage costs by beta inside the
 backward recursion; reported costs are always unscaled.  Partition functions
@@ -104,10 +104,10 @@ class SolveOptions:
 
     def __post_init__(self) -> None:
         check_beta(self.beta)
-        if self.degree < 0:
-            raise InstanceError("memory degree must be nonnegative")
-        if self.max_iters < 1:
-            raise InstanceError("max_iters must be positive")
+        check_count("memory degree", self.degree, 0)
+        check_count("max_iters", self.max_iters, 1)
+        if self.seed is not None:
+            check_count("seed", self.seed, 0)
         for tol in (self.tol_objective, self.tol_residual):
             if not (math.isfinite(tol) and tol > 0):
                 raise InstanceError(
@@ -117,6 +117,12 @@ class SolveOptions:
             raise InstanceError(f"unknown init {self.init!r}")
         if self.init == "perturbed" and self.seed is None:
             raise InstanceError("perturbed init requires a seed")
+
+
+def check_count(name: str, n, low: int) -> None:
+    """Reject a count that is not an integer, Python or numpy, of at least low."""
+    if type(n) is bool or not isinstance(n, (int, np.integer)) or n < low:
+        raise InstanceError(f"{name} must be an integer >= {low}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -158,9 +164,6 @@ class PolicyStack(NamedTuple):
         stacked = zip(*(q.tables for q in policies))
         return cls(degree, tuple(np.stack(ts) for ts in stacked))
 
-    def take(self, rows) -> "PolicyStack":
-        return PolicyStack(self.degree, tuple(q[rows] for q in self.tables))
-
 
 def forward_pass(
     mdp: FiniteMdp, policy: MemoryPolicy | PolicyStack
@@ -189,13 +192,20 @@ def backward_pass(
 
     where h' is h with u appended and the oldest control dropped once the
     window is full; rho is broadcast over the dropped coordinate, on which it
-    does not depend.  Marginals stacked (K, H_t, U_t) give stacked log_phi, a
-    ``PolicyStack`` and rho entries of None.  A Gibbs normalizer that is not
-    finite and positive raises NumericalError.
+    does not depend; a single policy's rho is computed after the recursion
+    (``SweepPlan.backward_flat``).  Marginals stacked (K, H_t, U_t) give
+    stacked log_phi, a ``PolicyStack`` and rho entries of None.  A Gibbs
+    normalizer that is not finite and positive raises NumericalError.
     """
-    rho, log_phi, tables = mdp.sweep_plan(degree).backward(nu, beta)
-    kind = PolicyStack if nu[0].ndim == 3 else MemoryPolicy
-    return rho, log_phi, kind(degree, tuple(tables))
+    check_beta(beta)
+    plan = mdp.sweep_plan(degree)
+    lay = plan.layout
+    log_phi, q = plan.backward_flat(lay.marginals.join(nu), beta)
+    log_phi, stacked = list(lay.beliefs.split(log_phi)), nu[0].ndim == 3
+    rho = [None if stacked else plan.rho_table(t, plan.cost_to_go(t, lp, beta))
+           for t, lp in enumerate(log_phi[1:])]
+    kind = PolicyStack if stacked else MemoryPolicy
+    return rho, log_phi, kind(degree, lay.tables.split(q))
 
 
 def _policy_gap(layout, mu, old, new) -> np.ndarray:
@@ -218,33 +228,34 @@ def solve(mdp: FiniteMdp, opts: SolveOptions) -> SolveReport:
     fixed-point relation on q) is below tol_residual; the certified
     stationarity residual of the final iterate is reported either way.
     """
+    mdp.sweep_plan(opts.degree)  # one policy over the budget raises here
+    cut = mdp.restriction
     if opts.init == "uniform":
-        q0 = MemoryPolicy.uniform(mdp, opts.degree)
+        tables = uniform_tables(cut.mdp, opts.degree)
     else:
-        q0 = MemoryPolicy.perturbed(mdp, opts.degree, opts.seed)
-    return _solve_batch(mdp, opts, PolicyStack.of(opts.degree, [q0]))[0]
+        tables = perturbed_tables(mdp, opts.degree, opts.seed, states=cut.states)
+    rows = cut.mdp.sweep_plan(opts.degree).layout.tables.join(tables)
+    return _solve_batch(mdp, opts, rows[None])[0]
 
 
 def _sweeps(
     mdp: FiniteMdp,
     opts: SolveOptions,
-    starts: MemoryPolicy | PolicyStack,
+    rows: np.ndarray,
     max_iters: int,
-    check_stop: bool,
     done: int = 0,
-) -> tuple[PolicyStack, list[list[float]], list[int], list[bool]]:
-    """Sweep the starts in lockstep, each until its own stop or max_iters.
+) -> tuple[list[list[float]], list[int], list[bool]]:
+    """Sweep the start rows (K, ``layout.tables.size``) in lockstep, each
+    until its own stop or max_iters.
 
-    Returns the start stack with each member's final tables written into it
-    in place, then each start's trace, iterations and converged flag; a
-    single MemoryPolicy is a batch of one.  Sweep k records trace[k - 1]:
-    the start's objective, then the free energy of sweep k - 1's backward
-    pass.  A member leaves the stack at its own stop, so its numbers are its
-    solo run's bit for bit.  A non-finite objective drops its start and all
-    later ones; the earlier starts sweep on, and the earliest failure is
-    raised, as when starts are swept one at a time.  The sweeps keep each
-    member's tables as one C-ordered row of the plan's ``layout`` and call
-    the plan's row kernels directly: the callers check the starts' shapes.
+    Writes each member's final row into ``rows`` in place and returns each
+    start's trace, iterations and converged flag.  Sweep k records
+    trace[k - 1]: the start's objective, then the free energy of sweep
+    k - 1's backward pass.  A member leaves the stack at its own stop, so
+    its numbers are its solo run's bit for bit.  A non-finite objective
+    drops its start and all later ones; the earlier starts sweep on, and the
+    earliest failure is raised, as when starts are swept one at a time.  The
+    callers build the rows valid, at the plan's shapes.
 
     Once the starts have had EXTRAPOLATE_AFTER sweeps (``done`` of them
     before this call), the sweep map is extrapolated as in
@@ -260,11 +271,9 @@ def _sweeps(
     only when the stop test passes on two consecutive sweeps outside that
     hold; a pass during the hold ends its extrapolation.
     """
-    if isinstance(starts, MemoryPolicy):
-        starts = PolicyStack.of(starts.degree, [starts])
     plan = mdp.sweep_plan(opts.degree)
     layout = plan.layout
-    q = layout.tables.join(starts.tables)  # the live members' tables
+    q = rows  # the live members' tables; no pass writes into it
     count = len(q)
     traces = [[] for _ in range(count)]
     iterations, converged = [0] * count, [False] * count
@@ -277,7 +286,7 @@ def _sweeps(
     error, k = None, 0
     while live and k < max_iters:
         k += 1
-        flow = plan.forward_flat(layout.tables.split(q))
+        flow = plan.forward_flat(q)
         if k == 1:
             belief = ReducedBelief(opts.degree, layout.beliefs.split(flow.mu))
             values = factored_objective(
@@ -306,13 +315,13 @@ def _sweeps(
                 live, q = live[:row], q[:row]
                 flow = Flow(*(x[:row] for x in flow))
                 break
-            if check_stop and len(tr) > 1 and abs(tr[-2] - tr[-1]) < opts.tol_objective:
+            if len(tr) > 1 and abs(tr[-2] - tr[-1]) < opts.tol_objective:
                 tested.append(row)
         if not live:
             break
         # only the tested members' old tables outlive the backward pass
         old, q = q[tested] if tested else None, None
-        log_phi, q, _ = plan.backward_flat(flow.nu, opts.beta)
+        log_phi, q = plan.backward_flat(flow.nu, opts.beta)
         first = log_phi[:, layout.beliefs.spans[0]]
         values = [free_energy(lp, mdp.initial, opts.beta) for lp in first]
         del log_phi, first
@@ -330,8 +339,7 @@ def _sweeps(
         gone = [r for r in range(len(live)) if r not in stay]
         if gone:
             ids = [live[r] for r in gone]
-            for q0, q1 in zip(starts.tables, layout.tables.split(q)):
-                q0[ids] = q1[gone]
+            rows[ids] = q[gone]
             for r, i in zip(gone, ids):
                 iterations[i], converged[i] = k, r in stops
             live, values = [live[r] for r in stay], [values[r] for r in stay]
@@ -349,13 +357,13 @@ def _sweeps(
             q = np.where((bound > 0.0)[:, None], np.exp(points), q)
     if error is not None:
         raise error
-    return starts, traces, iterations, converged
+    return traces, iterations, converged
 
 
 def _resweep(plan, q, rows, flow) -> None:
     """Write the forward pass of the table rows q[rows] into the flow's rows."""
     if len(rows):
-        fresh = plan.forward_flat(plan.layout.tables.split(q[rows]))
+        fresh = plan.forward_flat(q[rows])
         for ours, theirs in zip(flow, fresh):
             ours[rows] = theirs
 
@@ -363,27 +371,27 @@ def _resweep(plan, q, rows, flow) -> None:
 def _solve_batch(
     mdp: FiniteMdp,
     opts: SolveOptions,
-    starts: PolicyStack,
+    rows: np.ndarray,
     iters_used: int = 0,
     trace_prefix: Sequence[float] = (),
 ) -> list[SolveReport]:
-    """Sweep the starts as one batch on the instance's reachable states, then
+    """Sweep the start rows, on the reachable states, as one batch, then
     report on each, its policy at the instance's shapes (see multi_start)."""
     start = time.perf_counter()
     cut = mdp.restriction
-    mdp, starts = cut.mdp, PolicyStack(starts.degree, cut.restrict(starts.tables))
-    swept, traces, iterations, converged = _sweeps(
-        mdp, opts, starts, opts.max_iters - iters_used, True, iters_used
+    traces, iterations, converged = _sweeps(
+        cut.mdp, opts, rows, opts.max_iters - iters_used, iters_used
     )
     # canonicalizing only rewrites massless slices, so the swept policies'
-    # forward pass is the final policies', bit for bit
-    plan = mdp.sweep_plan(opts.degree)
-    flow = plan.forward_flat(swept.tables)
+    # forward pass and certificate are the final policies', bit for bit
+    plan = cut.mdp.sweep_plan(opts.degree)
+    flow = plan.forward_flat(rows)
     belief = ReducedBelief(opts.degree, plan.layout.beliefs.split(flow.mu))
-    finals = canonicalize_policy(mdp, swept, belief)
-    residuals = _certificate(mdp, finals, opts.beta, flow).tolist()
-    costs = expected_cost(mdp, finals, belief).tolist()
-    infos = per_step_information(mdp, finals, belief).sum(axis=-1).tolist()
+    swept = PolicyStack(opts.degree, plan.layout.tables.split(rows))
+    finals = canonicalize_policy(cut.mdp, swept, belief)
+    residuals = _certificate(plan, rows, opts.beta, flow).tolist()
+    costs = expected_cost(cut.mdp, finals, belief).tolist()
+    infos = per_step_information(cut.mdp, finals, belief).sum(axis=-1).tolist()
     seconds = time.perf_counter() - start
     return [
         SolveReport(
@@ -499,13 +507,13 @@ def multi_start(
     Starts are built and swept at their reachable rows, with the values of
     the instance-shape starts there; reports are uniform at unreachable rows.
     """
+    for name, n in (("starts", starts), ("plan_starts", plan_starts), ("seed", seed)):
+        check_count(name, n, 0)
+    if screen_iters is not None:
+        check_count("screen_iters", screen_iters, 1)
     count = starts + int(include_uniform) + plan_starts
-    if starts < 0 or plan_starts < 0 or count < 1:
-        raise InstanceError("multi-start needs a start and no negative count")
-    if screen_iters is not None and screen_iters < 1:
-        raise InstanceError(f"screen_iters must be positive, got {screen_iters}")
-    if seed < 0:
-        raise InstanceError(f"seed must be nonnegative, got {seed}")
+    if count < 1:
+        raise InstanceError("multi-start needs a start")
     mdp.sweep_plan(opts.degree)  # one policy over the budget raises here
     cut = mdp.restriction
     plan = cut.mdp.sweep_plan(opts.degree)
@@ -518,21 +526,19 @@ def multi_start(
                  for actions in _plan_actions(mdp, opts.degree, plan_starts))
     inits.extend(perturbed_tables(mdp, opts.degree, s, states=cut.states)
                  for s in start_seeds)
-    chunks = [
-        PolicyStack(opts.degree, tuple(map(np.stack, zip(*inits[i:i + size]))))
-        for i in range(0, count, size)
-    ]
-    del inits  # the stacks hold the starts, and then their final tables
+    inits = [plan.layout.tables.join(tables) for tables in inits]
+    chunks = [np.stack(inits[i:i + size]) for i in range(0, count, size)]
+    del inits  # the chunks hold the starts, and then their final tables
     if screen_iters is None:
         return [r for chunk in chunks for r in _solve_batch(mdp, opts, chunk)]
     sweeps = min(screen_iters, opts.max_iters)
-    screened = [_sweeps(cut.mdp, opts, chunk, sweeps, True) for chunk in chunks]
-    last = [trace[-1] for _, traces, _, _ in screened for trace in traces]
+    screened = [_sweeps(cut.mdp, opts, chunk, sweeps) for chunk in chunks]
+    last = [trace[-1] for traces, _, _ in screened for trace in traces]
     low = min(last)
     win = next(i for i, v in enumerate(last) if v - low <= 1e-12 * abs(low))
-    (stack, traces, iterations, _), row = screened[win // size], win % size
-    return _solve_batch(mdp, opts, stack.take([row]), iters_used=iterations[row],
-                        trace_prefix=traces[row])
+    (traces, iterations, _), row = screened[win // size], win % size
+    return _solve_batch(mdp, opts, chunks[win // size][[row]],
+                        iters_used=iterations[row], trace_prefix=traces[row])
 
 
 def stationarity_residual(
@@ -586,17 +592,17 @@ def residual_from_policy(
     of that iterate, whose policy relation is checked by the same Gibbs step.  A
     ``PolicyStack`` gives one residual per member, each its single call's.
     """
-    flow = check_compatible(mdp, policy).forward_flat(policy.tables)
-    gap = _certificate(mdp, policy, beta, flow)
+    check_beta(beta)
+    plan = check_compatible(mdp, policy)
+    q = plan.layout.tables.join(policy.tables)
+    gap = _certificate(plan, q, beta, plan.forward_flat(q))
     return gap if gap.ndim else float(gap)
 
 
-def _certificate(mdp, policy, beta, flow):
-    """``residual_from_policy`` given the policy's forward pass."""
-    plan = mdp.sweep_plan(policy.degree)
+def _certificate(plan, q, beta, flow):
+    """``residual_from_policy`` of tables rows q given their forward pass."""
     fresh = plan.backward_flat(flow.nu, beta)[1]
-    old = plan.layout.tables.join(policy.tables)
-    return _policy_gap(plan.layout, flow.mu, old, fresh)
+    return _policy_gap(plan.layout, flow.mu, q, fresh)
 
 
 @dataclass(frozen=True)
@@ -715,7 +721,12 @@ def classical_blahut(
     ps = p.reshape(-1, p.shape[-1])
     if not ((ps >= 0).all() and (np.abs(ps.sum(axis=1) - 1.0) <= 1e-9).all()):
         raise InstanceError("prior is not a probability distribution")
+    if not np.isfinite(c).all():
+        raise InstanceError("cost has a non-finite entry")
     check_beta(beta)
+    check_count("max_iters", max_iters, 1)
+    if not (math.isfinite(tol) and tol > 0):
+        raise InstanceError(f"tol must be positive and finite, got {tol!r}")
     scaled = c / beta
     stop_tol = max(tol, 2.0 * beta * np.finfo(float).eps)
     count, n_u = len(ps), c.shape[1]

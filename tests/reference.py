@@ -112,3 +112,14 @@ def symmetric_classical_minimum(beta: float, resolution: int = 2_000_001) -> flo
         symmetric_classical_value(beta, 0.0), symmetric_classical_value(beta, 1.0)
     )
     return min(float(values.min()), endpoints)
+
+
+def reachable_rows(mdp: FiniteMdp, policies) -> np.ndarray:
+    """Policies at the instance's shapes as the solver's start rows: each
+    table cut to the reachable states by indexing, and the cut tables laid
+    end to end in C order, one row per policy."""
+    states = mdp.restriction.states
+    return np.stack([
+        np.concatenate([q[s].ravel() for q, s in zip(p.tables, states)])
+        for p in policies
+    ])

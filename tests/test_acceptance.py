@@ -245,17 +245,20 @@ def test_criterion_8_per_iteration_scaling():
 
     def sweep_times(mdps, rounds=7) -> list[float]:
         """Per instance, the median time per sweep over `rounds` 20-sweep
-        runs, the instances alternating within each round.  One untimed
-        sweep first builds each plan and its sparse tables."""
-        pols = [td.MemoryPolicy.uniform(mdp, 0) for mdp in mdps]
-        for mdp, pol in zip(mdps, pols):
-            _sweeps(mdp, opts, pol, 1, False)
+        runs from the uniform start, the instances alternating within each
+        round.  One untimed sweep first builds each plan and its layout."""
+        starts = [mdp.sweep_plan(0).layout.tables.join(
+            td.MemoryPolicy.uniform(mdp, 0).tables)[None] for mdp in mdps]
+        for mdp, start in zip(mdps, starts):
+            _sweeps(mdp, opts, start.copy(), 1)
         times = [[] for _ in mdps]
         for _ in range(rounds):
-            for mdp, pol, runs in zip(mdps, pols, times):
+            for mdp, start, runs in zip(mdps, starts, times):
+                rows = start.copy()  # the sweeps write their final rows here
                 t0 = time.perf_counter()
-                _sweeps(mdp, opts, pol, 20, False)
+                _, iterations, _ = _sweeps(mdp, opts, rows, 20)
                 runs.append((time.perf_counter() - t0) / 20)
+                assert iterations == [20]
         return [float(np.median(runs)) for runs in times]
 
     t25, t50, t100 = sweep_times(

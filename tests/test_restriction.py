@@ -5,7 +5,9 @@ import pytest
 
 import termdp as td
 from termdp import oracle, solver
-from termdp.solver import PolicyStack, plan_start_policies, residual_from_policy
+from termdp.solver import plan_start_policies, residual_from_policy
+
+from reference import reachable_rows
 
 
 def partly_reachable():
@@ -28,13 +30,13 @@ def partly_reachable():
 
 
 def capture_starts(monkeypatch):
-    """Record a copy of the start tables of every ``_sweeps`` call."""
+    """Record a copy of the start rows of every ``_sweeps`` call."""
     seen = []
     real = solver._sweeps
 
-    def sweeps(mdp, opts, starts, *args):
-        seen.append([q.copy() for q in starts.tables])
-        return real(mdp, opts, starts, *args)
+    def sweeps(mdp, opts, rows, *args):
+        seen.append(rows.copy())
+        return real(mdp, opts, rows, *args)
 
     monkeypatch.setattr(solver, "_sweeps", sweeps)
     return seen
@@ -78,7 +80,6 @@ class TestReachableSets:
         cut = mdp.restriction
         assert cut.mdp is mdp
         q = td.MemoryPolicy.uniform(mdp, 1)
-        assert all(a is b for a, b in zip(cut.restrict(q.tables), q.tables))
         assert all(a is b for a, b in zip(cut.widen(q.tables), q.tables))
 
 
@@ -118,10 +119,11 @@ class TestRestrictedSolves:
         seen = capture_starts(monkeypatch)
         rep = td.solve(mdp, opts)
         self.check_report(mdp, rep, opts.beta)
-        # the start is drawn on the full shapes and mapped in by rows
+        # the start, built at the reachable rows, is the full-shape draw cut
+        # to those rows
         drawn = td.MemoryPolicy.perturbed(mdp, degree, 11)
-        want = mdp.restriction.restrict(drawn.tables)
-        assert [q[0].tobytes() for q in seen[0]] == [q.tobytes() for q in want]
+        want = reachable_rows(mdp, [drawn])
+        assert seen[0].shape == want.shape and seen[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("screen_iters", [None, 9])
     @pytest.mark.parametrize("degree, horizon", CASES + [
@@ -144,8 +146,8 @@ class TestRestrictedSolves:
         starts = [td.MemoryPolicy.uniform(fresh, degree)]
         starts += plan_start_policies(fresh, degree, 2)
         starts += [td.MemoryPolicy.perturbed(fresh, degree, int(s)) for s in seeds]
-        want = fresh.restriction.restrict(PolicyStack.of(degree, starts).tables)
-        assert [q.tobytes() for q in seen[0]] == [q.tobytes() for q in want]
+        want = reachable_rows(fresh, starts)
+        assert seen[0].shape == want.shape and seen[0].tobytes() == want.tobytes()
 
 
 def full_shape_plans(mdp, degree, count):
@@ -232,4 +234,4 @@ class TestPlanStarts:
         assert all(np.array_equal(a, b) for a, b in
                    zip(plan_start_policies(mdp, 0, 2)[1].tables, want))
         td.multi_start(mdp, opts, starts=0, seed=3, plan_starts=2)
-        assert [a.tobytes() for a in seen[0]] == [a.tobytes() for a in seen[1]]
+        assert seen[0].tobytes() == seen[1].tobytes()

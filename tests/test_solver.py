@@ -21,7 +21,7 @@ from termdp.solver import (
     stationarity_residual,
 )
 
-from reference import symmetric_classical_minimum
+from reference import reachable_rows, symmetric_classical_minimum
 
 Q_STAR = 1.0 / (1.0 + math.exp(-1.0))  # matching probability of the
 # symmetric binary fixed point at unit information price
@@ -86,6 +86,15 @@ class TestOptions:
             td.SolveOptions(beta=1.0, init="perturbed")
         with pytest.raises(InstanceError):
             td.SolveOptions(beta=1.0, init="warm")
+        # counts are integers, Python or numpy
+        for kwargs in ({"degree": 1.5}, {"max_iters": 2.5}, {"degree": True},
+                       {"max_iters": np.float64(3.0)},
+                       {"init": "perturbed", "seed": 2.5}):
+            with pytest.raises(InstanceError, match="must be an integer"):
+                td.SolveOptions(beta=1.0, **kwargs)
+        opts = td.SolveOptions(beta=1.0, degree=np.int64(1), max_iters=np.int32(5),
+                               init="perturbed", seed=np.uint8(3))
+        assert td.solve(td.build_nonconvex_toy(), opts).iterations <= 5
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -158,6 +167,17 @@ class TestBackwardPass:
             np.testing.assert_allclose(
                 q.tables[t].sum(axis=2), 1.0, atol=1e-12
             )
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_beta_rejected_at_the_boundary(self, beta):
+        # not a NumericalError from a zero Gibbs normalizer inside the pass
+        toy = td.build_nonconvex_toy()
+        pol = td.MemoryPolicy.uniform(toy, 0)
+        _, nu = forward_pass(toy, pol)
+        with pytest.raises(InstanceError, match="beta"):
+            backward_pass(toy, nu, beta, 0)
+        with pytest.raises(InstanceError, match="beta"):
+            residual_from_policy(toy, pol, beta)
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     @pytest.mark.parametrize("beta", [1e-3, 1e-1, 1e1, 1e3, 1e5])
@@ -641,6 +661,23 @@ class TestClassicalBlahut:
             drops += sum(b > a for a, b in zip(values, values[1:]))
         assert drops > 0
 
+    @pytest.mark.parametrize("kwargs, message", [
+        # max_iters=0 returned its empty buffers, tol=nan ran to the cap
+        ({"max_iters": 0}, "max_iters"), ({"max_iters": 2.5}, "max_iters"),
+        ({"tol": math.nan}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": math.inf}, "tol"),
+    ])
+    def test_bad_cap_or_tolerance_rejected(self, kwargs, message):
+        with pytest.raises(InstanceError, match=message):
+            td.classical_blahut(np.array([0.5, 0.5]), np.eye(2), 1.0, **kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        # a NaN, or +inf in every action of a massed state, ran to the cap
+        # and returned a NaN value and gap
+        for cost in (np.array([[0.0, bad], [1.0, 0.0]]), np.array([[bad, bad], [1.0, 0.0]])):
+            with pytest.raises(InstanceError, match="non-finite"):
+                td.classical_blahut(np.array([0.5, 0.5]), cost, 1.0)
+
     @pytest.mark.parametrize("row", [[0.5, -0.1, 0.6], [0.5, 0.2, 0.2],
                                      [0.5, math.nan, 0.5]])
     def test_bad_prior_row_raises_as_alone(self, row):
@@ -714,7 +751,7 @@ class TestFreeEnergy:
         assert all(np.array_equal(a, b) for a, b in zip(flat.tables.split(q), stack.tables))
         belief, nu = forward_pass(mdp, stack)
         with np.errstate(divide="ignore"):
-            got = flat.objective(mdp, 0.8, plan.forward_flat(stack.tables), np.log(q), q)
+            got = flat.objective(mdp, 0.8, plan.forward_flat(q), np.log(q), q)
         want = td.factored_objective(mdp, stack, nu, 0.8, belief)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -800,29 +837,25 @@ class TestMultiStart:
         # members leave the batch at different sweeps
         assert len({r.iterations for r in full}) > 1
         for rep, q0 in zip(full, starts, strict=True):
-            alone = solver._solve_batch(mdp, opts, PolicyStack.of(degree, [q0]))
+            alone = solver._solve_batch(mdp, opts, reachable_rows(mdp, [q0]))
             assert_same_report(rep, alone[0])
         # screened: the batch screens as each start alone would, and the
         # winner is polished as a batch of one.  multi_start screens on the
         # reachable states, whose sums round differently from the full maze's
         cut = mdp.restriction
-        starts = [td.MemoryPolicy(degree, cut.restrict(q.tables)) for q in starts]
-        alone = [solver._sweeps(cut.mdp, opts, q0, 9, True) for q0 in starts]
-        stack, *rest = solver._sweeps(
-            cut.mdp, opts, PolicyStack.of(degree, starts), 9, True
-        )
+        rows = reachable_rows(mdp, starts)
+        ones = [rows[[i]] for i in range(len(rows))]
+        alone = [solver._sweeps(cut.mdp, opts, one, 9) for one in ones]
+        rest = solver._sweeps(cut.mdp, opts, rows, 9)
         assert all(len(r) == len(alone) for r in rest)
-        for i, (one, *one_rest) in enumerate(alone):
-            assert [q[i].tobytes() for q in stack.tables] == [
-                q[0].tobytes() for q in one.tables
-            ]
+        for i, (one, one_rest) in enumerate(zip(ones, alone)):
+            assert rows[i].tobytes() == one[0].tobytes()
             # trace, iterations, converged
             assert [r[i] for r in rest] == [r[0] for r in one_rest]
-        low = min(traces[0][-1] for _, traces, _, _ in alone)
-        q, (tr,), (iters,), _ = next(
-            s for s in alone if s[1][0][-1] - low <= 1e-12 * abs(low)
-        )
-        want = solver._solve_batch(mdp, opts, q, iters_used=iters, trace_prefix=tr)
+        low = min(traces[0][-1] for traces, _, _ in alone)
+        i = next(i for i, s in enumerate(alone) if s[0][0][-1] - low <= 1e-12 * abs(low))
+        (tr,), (iters,), _ = alone[i]
+        want = solver._solve_batch(mdp, opts, ones[i], iters_used=iters, trace_prefix=tr)
         (got,) = td.multi_start(
             mdp, opts, starts=3, seed=5, plan_starts=2, screen_iters=9
         )
@@ -851,7 +884,7 @@ class TestMultiStart:
         kept = 0
         for rep, q0 in zip(full, starts, strict=True):
             values.clear()
-            (alone,) = solver._solve_batch(mdp, opts, PolicyStack.of(1, [q0]))
+            (alone,) = solver._solve_batch(mdp, opts, reachable_rows(mdp, [q0]))
             assert_same_report(rep, alone)
             assert alone.iterations > solver.EXTRAPOLATE_AFTER
             kept += len(set(values) & set(alone.objective_trace.tolist()))
@@ -867,25 +900,24 @@ class TestMultiStart:
         starts = [td.MemoryPolicy.uniform(mdp, degree)]
         starts += plan_start_policies(mdp, degree, 2)
         starts += [td.MemoryPolicy.perturbed(mdp, degree, int(s)) for s in seeds]
-        swept = solver._sweeps(
-            mdp, opts, PolicyStack.of(degree, starts), opts.max_iters, True
-        )
+        rows = reachable_rows(mdp, starts)
+        swept = solver._sweeps(mdp.restriction.mdp, opts, rows, opts.max_iters)
         stacks = []
         real = solver._certificate
 
-        def certificate(mdp, policy, *args):
-            stacks.append(policy.tables[0].shape[0])
-            return real(mdp, policy, *args)
+        def certificate(plan, q, *args):
+            stacks.append(len(q))
+            return real(plan, q, *args)
 
         monkeypatch.setattr(solver, "_certificate", certificate)
         reports = td.multi_start(mdp, opts, starts=3, seed=5, plan_starts=2)
         assert stacks == [6]
         monkeypatch.undo()
-        stack, *rest = swept
+        layout = mdp.sweep_plan(degree).layout
         for i, (rep, (trace, iterations, converged)) in enumerate(
-            zip(reports, zip(*rest), strict=True)
+            zip(reports, zip(*swept), strict=True)
         ):
-            q = td.MemoryPolicy(degree, tuple(t[i] for t in stack.tables))
+            q = td.MemoryPolicy(degree, layout.tables.split(rows[i]))
             belief, _ = forward_pass(mdp, q)
             final = td.canonicalize_policy(mdp, q, belief)
             cost = td.expected_cost(mdp, final, belief)
@@ -939,9 +971,9 @@ class TestMultiStart:
         batches = []
         real = solver._sweeps
 
-        def sweeps(mdp, opts, policy, *args):
-            batches.append(len(policy.tables[0]))
-            return real(mdp, opts, policy, *args)
+        def sweeps(mdp, opts, rows, *args):
+            batches.append(len(rows))
+            return real(mdp, opts, rows, *args)
 
         monkeypatch.setattr(solver, "_sweeps", sweeps)
         cells = mdp.sweep_plan(degree).cells
@@ -971,7 +1003,7 @@ class TestMultiStart:
         assert_same_report(chunked, whole)
         assert_same_report(chunked, first)
 
-    @pytest.mark.parametrize("screen_iters", [0, -1])
+    @pytest.mark.parametrize("screen_iters", [0, -1, 2.5])
     def test_nonpositive_screen_iters_rejected(self, screen_iters):
         with pytest.raises(InstanceError, match="screen_iters"):
             td.multi_start(
@@ -983,14 +1015,21 @@ class TestMultiStart:
         toy, opts = td.build_nonconvex_toy(), td.SolveOptions(beta=1.0)
         with pytest.raises(InstanceError, match="seed"):
             td.multi_start(toy, opts, starts=1, seed=-1)
+        with pytest.raises(InstanceError, match="seed must be an integer"):
+            td.multi_start(toy, opts, starts=1, seed=2.5)
         with pytest.raises(InstanceError, match="seed"):
             td.solve(toy, replace(opts, init="perturbed", seed=-1))
 
     def test_negative_plan_start_count_rejected(self):
         # plan_starts=-1 next to starts=2 counted two starts but built three
         toy, opts = td.build_nonconvex_toy(), td.SolveOptions(beta=1.0)
-        with pytest.raises(InstanceError, match="no negative count"):
+        with pytest.raises(InstanceError, match="plan_starts must be an integer >= 0"):
             td.multi_start(toy, opts, starts=2, seed=0, plan_starts=-1)
+        with pytest.raises(InstanceError, match="needs a start"):
+            td.multi_start(toy, opts, starts=0, seed=0, include_uniform=False)
+        for counts in ({"starts": 1.5}, {"starts": 1, "plan_starts": 1.5}):
+            with pytest.raises(InstanceError, match="must be an integer"):
+                td.multi_start(toy, opts, seed=0, **counts)
         with pytest.raises(InstanceError, match="nonnegative"):
             plan_start_policies(toy, 0, -1)
 

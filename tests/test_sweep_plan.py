@@ -183,13 +183,13 @@ def test_stacked_kernels_equal_single_calls(horizon, degree, maze, k):
     plan = mdp.sweep_plan(degree)
     stacked = [np.stack(ts) for ts in zip(*(p.tables for p in pols))]
     mus, nus = plan.forward(stacked)
-    rho, log_phi, tables = plan.backward(nus, 0.7)
+    rho, log_phi, stack = backward_pass(mdp, nus, 0.7, degree)
     assert rho == [None] * horizon
     for i, pol in enumerate(pols):
         mus_i, nus_i = plan.forward(pol.tables)
-        _, log_phi_i, tables_i = plan.backward(nus_i, 0.7)
+        _, log_phi_i, pol_i = backward_pass(mdp, nus_i, 0.7, degree)
         for got, want in [(mus, mus_i), (nus, nus_i), (log_phi, log_phi_i),
-                          (tables, tables_i)]:
+                          (stack.tables, pol_i.tables)]:
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.shape[1:] == b.shape and np.array_equal(a[i], b)
@@ -313,9 +313,9 @@ def test_subnormal_mass_history_gets_uniform_marginal():
     mus, nus = plan.forward((q0, q1))
     assert mus[1][0, 1] == 5e-324 and not (mus[1][0, 1] * q1[0, 1]).any()
     assert np.array_equal(nus[1], np.full((2, 3), 1.0 / 3.0))
-    _, log_phi, tables = plan.backward(nus, 0.7)
+    _, log_phi, pol = backward_pass(mdp, nus, 0.7, 1)
     assert all(np.isfinite(lp).all() for lp in log_phi)
-    np.testing.assert_allclose(tables[1].sum(axis=-1), 1.0, rtol=0, atol=TOL)
+    np.testing.assert_allclose(pol.tables[1].sum(axis=-1), 1.0, rtol=0, atol=TOL)
 
 
 def _per_step_marginals(mus, tables):
@@ -371,7 +371,8 @@ def test_per_pass_marginals_equal_per_step_sums(degree, k):
         pols = [td.MemoryPolicy.uniform(maze, 0), *plan_start_policies(maze, 0, 3),
                 *(td.MemoryPolicy.perturbed(maze, 0, s) for s in (1, 2))]
         cut = maze.restriction
-        cases.append((cut.mdp, [td.MemoryPolicy(0, cut.restrict(p.tables)) for p in pols]))
+        cases.append((cut.mdp, [td.MemoryPolicy(0, tuple(
+            q[..., s, :, :] for q, s in zip(p.tables, cut.states))) for p in pols]))
     seen = []
     for inst, pols in cases:
         tables = [np.stack(ts) for ts in zip(*(p.tables for p in pols))]
@@ -386,17 +387,17 @@ def test_per_pass_marginals_equal_per_step_sums(degree, k):
 
 def test_sweep_tables_are_views_of_one_c_ordered_row_per_member(monkeypatch):
     # every forward pass of a multi-start's sweeps, past the warm-up too,
-    # reads stack tables that are views of one C-ordered row per member,
-    # and the backward pass of a stack returns such views
+    # reads one C-ordered tables row per member, and the backward pass of a
+    # stack returns per-step tables that are views of such rows
     mdp = oracle.random_mdp(np.random.default_rng(40), 4, 4, 3)
     opts = td.SolveOptions(beta=0.6, degree=1, max_iters=EXTRAPOLATE_AFTER + 20)
     seen = []
     real = SweepPlan.forward_flat
 
-    def forward_flat(plan, tables):
+    def forward_flat(plan, q):
         if sys._getframe(1).f_code.co_name in ("_sweeps", "_resweep"):
-            seen.append(tables)
-        return real(plan, tables)
+            seen.append(q)
+        return real(plan, q)
 
     monkeypatch.setattr(SweepPlan, "forward_flat", forward_flat)
     td.multi_start(mdp, opts, starts=2, seed=5, plan_starts=1)
@@ -409,7 +410,8 @@ def test_sweep_tables_are_views_of_one_c_ordered_row_per_member(monkeypatch):
                 and all(q.base is row for q in tables)
                 and all(q[i].flags.c_contiguous for q in tables for i in range(len(q))))
 
-    assert len(seen) > EXTRAPOLATE_AFTER and all(map(one_row_per_member, seen))
+    assert len(seen) > EXTRAPOLATE_AFTER and all(
+        q.ndim == 2 and q.shape[1] == cells and q.flags.c_contiguous for q in seen)
     pols = [oracle.random_policy(np.random.default_rng(i), mdp, 1) for i in range(3)]
     _, nu = forward_pass(mdp, PolicyStack.of(1, pols))
     assert one_row_per_member(backward_pass(mdp, nu, 0.6, 1)[2].tables)
