@@ -16,6 +16,8 @@ Data layout conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
@@ -67,7 +69,9 @@ class FiniteMdp:
     shape (X_t, U_t), ``terminal_cost`` shape (X_T,), ``initial`` shape
     (X_0,).  Arrays are made read-only on construction; instances are safe to
     share between threads.  Sweep plans and plan starts' greedy actions (per
-    memory degree) and the ``restriction`` are built on first use and cached.
+    memory degree) and the ``restriction`` are built on first use and cached;
+    a plan's sweep buffers are per thread (``SweepPlan``), so threads that
+    solve on one instance at once do not share them.
     """
 
     transitions: tuple[np.ndarray, ...]
@@ -253,8 +257,7 @@ class MemoryPolicy:
     tables: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise InstanceError("memory degree must be nonnegative")
+        check_count("memory degree", self.degree, 0)
         object.__setattr__(self, "tables", tuple(_frozen(q) for q in self.tables))
         for t, q in enumerate(self.tables):
             if q.ndim != 3:
@@ -291,8 +294,7 @@ def perturbed_tables(mdp: FiniteMdp, degree: int, seed: int, magnitude: float = 
     """``MemoryPolicy.perturbed``'s tables (or rows ``states``), valid as built."""
     if not 0.0 < magnitude < 1.0:
         raise InstanceError(f"perturbation magnitude {magnitude!r} not in (0, 1)")
-    if seed < 0:
-        raise InstanceError(f"seed must be nonnegative, got {seed}")
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     tables = []
     for s, r in zip(mdp.sweep_plan(degree).steps, states or [Ellipsis] * mdp.horizon):
@@ -348,9 +350,16 @@ class ObjectiveValue:
 
 
 def check_beta(beta: float) -> None:
-    """Reject an information price that is not a positive finite number."""
-    if not (math.isfinite(beta) and beta > 0):
+    """Reject an information price that is not a positive finite real number."""
+    if (type(beta) is bool or not isinstance(beta, numbers.Real)
+            or not (math.isfinite(beta) and beta > 0)):
         raise InstanceError(f"beta must be positive and finite, got {beta!r}")
+
+
+def check_count(name: str, n, low: int) -> None:
+    """Reject a count that is not an integer, Python or numpy, of at least low."""
+    if type(n) is bool or not isinstance(n, (int, np.integer)) or n < low:
+        raise InstanceError(f"{name} must be an integer >= {low}, got {n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,26 +414,41 @@ def slide_split(mdp: FiniteMdp, degree: int, t: int) -> tuple[int, int]:
     return 1, h
 
 
-def log_marginals(nu: np.ndarray) -> np.ndarray:
-    """log nu floored at LOG_FLOOR, and -inf (zero policy mass) at zero entries."""
-    return np.where(nu > 0.0, np.log(np.maximum(nu, MARGINAL_FLOOR)), -np.inf)
+def log_marginals(nu: np.ndarray, out=None) -> np.ndarray:
+    """log nu floored at LOG_FLOOR, and -inf (zero policy mass) at zero
+    entries; into out if given."""
+    out = np.maximum(nu, MARGINAL_FLOOR, out=out)
+    np.log(out, out=out)
+    np.copyto(out, -np.inf, where=~(nu > 0.0))
+    return out
 
 
-def gibbs_step(z: np.ndarray, q=None, log_phi=None) -> tuple[np.ndarray, np.ndarray]:
+def gibbs_step(z: np.ndarray, out=None):
     """Log partition and Gibbs policy of z = log nu - cost (..., U, X, H),
     which is overwritten, over its leading action axis (numpy reduces a
-    short last axis ~10x slower); into q and log_phi if given:
+    short last axis ~10x slower):
 
         log_phi = max_u z + log s,   s = sum_u e,   e = exp(z - max_u z)
         q       = e / s, as (..., X, H, U)
+
+    ``out`` holds the buffers it writes: (max, s, log_phi), each (..., 1, X,
+    H), and q viewed action-major, (..., U, X, H); the sweep workspaces
+    build them once per step.  Without ``out`` it allocates them and
+    returns log_phi (..., X, H) and q (..., X, H, U).
     """
-    top = np.maximum.reduce(z, axis=-3)
-    np.exp(np.subtract(z, top[..., None, :, :], out=z), out=z)  # z is now e
-    s = np.add.reduce(z, axis=-3)
-    if q is None:
-        q = np.empty((*s.shape, z.shape[-3]))
-    np.divide(z, s[..., None, :, :], out=q.swapaxes(-1, -3).swapaxes(-1, -2))
-    return np.add(top, np.log(s), out=log_phi), q
+    fresh = out is None
+    if fresh:
+        *lead, u, x, h = z.shape
+        q = np.empty((*lead, x, h, u))
+        out = (*(np.empty((*lead, 1, x, h)) for _ in range(3)), np.moveaxis(q, -1, -3))
+    top, s, log_phi, q_by_action = out
+    np.maximum.reduce(z, axis=-3, keepdims=True, out=top)
+    np.exp(np.subtract(z, top, out=z), out=z)  # z is now e
+    np.add.reduce(z, axis=-3, keepdims=True, out=s)
+    np.divide(z, s, out=q_by_action)
+    np.add(top, np.log(s, out=s), out=log_phi)
+    if fresh:
+        return log_phi[..., 0, :, :], q
 
 
 def _bin_sums(index: np.ndarray, weights: np.ndarray, bins: int) -> np.ndarray:
@@ -467,6 +491,98 @@ class Flow(NamedTuple):
     nu: np.ndarray
 
 
+class PushStep(NamedTuple):
+    """The operands of one ``SweepPlan.push``, as views: ``lam @ by`` into
+    ``prod``.  At degree 0 ``prod`` is mu_{t+1} itself.  Above it, ``prod``
+    is summed over the control that leaves the window (``parts``) into
+    ``summed`` where one does, and that sum or ``prod``, action axis last
+    (``moved``), is copied into ``dest``, mu_{t+1}."""
+
+    lam: np.ndarray
+    by: np.ndarray
+    prod: np.ndarray
+    parts: np.ndarray | None = None
+    summed: np.ndarray | None = None
+    moved: np.ndarray | None = None
+    dest: np.ndarray | None = None
+
+
+def _push(v: PushStep) -> None:
+    np.matmul(v.lam, v.by, out=v.prod)
+    if v.summed is not None:
+        np.add.reduce(v.parts, axis=-3, out=v.summed)
+    if v.dest is not None:
+        v.dest[...] = v.moved
+
+
+def _cost_to_go(by: np.ndarray, lp: np.ndarray, scaled: np.ndarray, out) -> None:
+    """rho = c / beta - by @ lp into out: ``SweepPlan.cost_to_go`` on its views."""
+    np.matmul(by, lp, out=out)
+    np.subtract(scaled, out, out=out)
+
+
+class BackStep(NamedTuple):
+    """The operands of one backward step, as views: ``_cost_to_go``'s
+    ``by``, ``lp`` and ``rho`` (..., U, X, kept); z = log nu - rho written as
+    ``ln - rho5`` into ``z5``, which is z (..., U, X, H) split by the
+    dropped control; and ``gibbs_step``'s ``out``."""
+
+    by: np.ndarray
+    lp: np.ndarray
+    rho: np.ndarray
+    ln: np.ndarray
+    rho5: np.ndarray
+    z5: np.ndarray
+    z: np.ndarray
+    gibbs: tuple
+
+
+class StackViews(NamedTuple):
+    """A workspace's rows for a stack of K members, (K, size) prefixes of
+    its buffers, with every step's views of them: ``forward`` holds per step
+    mu_t (K, X, H, 1), the tables row's lam_t and the ``PushStep``;
+    ``backward`` the ``BackStep``s, t ascending."""
+
+    tables: np.ndarray
+    beliefs: np.ndarray
+    log_nu: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    forward: tuple
+    backward: tuple
+
+
+class Workspace:
+    """One thread's buffers for a plan's passes on stacks of up to
+    ``capacity`` members, and their views per stack height, built on first
+    use.  One row each: ``tables`` (the policy copied in, lam in place of it
+    forward, the Gibbs tables backward), ``beliefs`` (mu forward, log phi
+    backward) and ``log_nu``; and one ``scratch``, shared by every step's
+    temporaries and sized to the largest step."""
+
+    def __init__(self, plan: "SweepPlan", capacity: int) -> None:
+        lay = plan.layout
+        self.capacity = capacity
+        self.tables = np.empty((capacity, lay.tables.size))
+        self.beliefs = np.empty((capacity, lay.beliefs.size))
+        self.log_nu = np.empty((capacity, lay.marginals.size))
+        self.scratch = np.empty(capacity * plan.scratch_cells)
+        self.stacks: dict[int, StackViews] = {}
+
+
+def _carver(buffer: np.ndarray):
+    """take(shape): consecutive C-ordered views of a flat buffer from its start."""
+    at = 0
+
+    def take(shape):
+        nonlocal at
+        n = math.prod(shape)
+        at += n
+        return buffer[at - n:at].reshape(shape)
+
+    return take
+
+
 class SweepPlan:
     """Shapes and kernels of the forward and backward passes at one degree.
 
@@ -482,12 +598,18 @@ class SweepPlan:
     batched over u_t above, so each member's numbers are its solo run's bit
     for bit (a 2-d (K, n) @ (n, m) gemm's are not).  Raises ResourceError
     when one policy's ``cells`` exceed DEFAULT_CELL_BUDGET.
+
+    ``forward_flat`` and ``backward_flat`` run in a ``Workspace`` that each
+    thread keeps per plan, built by its first pass and rebuilt only for a
+    larger stack: its rows, and every step's views of them for each stack
+    height met, are built once, so each step of a pass makes only its ufunc
+    and matmul calls.  A pass returns copies of the rows it hands out, which
+    the next pass does not overwrite.
     """
 
     def __init__(self, mdp: FiniteMdp, degree: int) -> None:
-        if degree < 0:
-            raise InstanceError("memory degree must be nonnegative")
-        steps = []
+        check_count("memory degree", degree, 0)
+        steps, scratch = [], 0
         for t, p in enumerate(mdp.transitions):
             x, u, y = p.shape
             h = mdp.history_size(degree, t)
@@ -498,6 +620,10 @@ class SweepPlan:
                     p.transpose(1, 0, 2), mdp.stage_costs[t],
                 )
             )
+            # per member: push's product and its sum over the dropped
+            # control; rho, z, and the max and sum of the Gibbs step
+            push = u * h * y + (u * kept * y if dropped > 1 else 0) if degree else 0
+            scratch = max(scratch, push, u * x * (kept + h) + 2 * x * h)
         self.cells = sum(math.prod(s.shape) for s in steps)
         if self.cells > DEFAULT_CELL_BUDGET:
             raise ResourceError(
@@ -506,39 +632,84 @@ class SweepPlan:
             )
         self.degree = degree
         self.steps = tuple(steps)
+        self.scratch_cells = scratch
         self.initial = mdp.initial
         self.terminal_cost = mdp.terminal_cost
         self.terminal_histories = mdp.history_size(degree, mdp.horizon)
         self._scaled = (None, None)  # the last beta, and scaled(beta)
+        self._local = threading.local()  # this thread's Workspace, as .space
 
     def push(self, t: int, lam: np.ndarray, out=None) -> np.ndarray:
         """mu_{t+1}, into ``out`` if given, from lam_t(x, h, u) = mu_t(x, h)
         q_t(u | x, h): u_t joins the history and the oldest control leaves
         once the window is full; at degree 0 no control enters it."""
-        s, lead = self.steps[t], lam.shape[:-3]
-        y, u = s.flat.shape[1], s.shape[2]
         if out is None:
-            out = np.empty((*lead, y, 1 if self.degree == 0 else s.kept * u))
-        if self.degree == 0:
-            np.matmul(lam.reshape(*lead, 1, -1), s.flat, out=out.reshape(*lead, 1, y))
-            return out
-        pushed = np.matmul(lam.swapaxes(-1, -3), s.by_action)  # (..., U, H, Y)
-        if s.dropped > 1:
-            pushed = pushed.reshape(*lead, u, s.dropped, s.kept, -1).sum(axis=-3)
-        out.reshape(*lead, y, s.kept, u)[...] = pushed.swapaxes(-1, -3)
+            s = self.steps[t]
+            width = 1 if self.degree == 0 else s.kept * s.shape[2]
+            out = np.empty((*lam.shape[:-3], s.flat.shape[1], width))
+        _push(self._push_step(t, lam, out, np.empty))
         return out
+
+    def _push_step(self, t: int, lam: np.ndarray, out: np.ndarray, take) -> PushStep:
+        """``push``'s views of lam_t and mu_{t+1}, its temporaries from take(shape)."""
+        s, lead = self.steps[t], lam.shape[:-3]
+        (x, h, u), y = s.shape, s.flat.shape[1]
+        if self.degree == 0:
+            return PushStep(lam.reshape(*lead, 1, -1), s.flat, out.reshape(*lead, 1, y))
+        prod = moved = take((*lead, u, h, y))  # (..., U, H, Y)
+        parts = summed = None
+        if s.dropped > 1:
+            parts = prod.reshape(*lead, u, s.dropped, s.kept, y)
+            summed = moved = take((*lead, u, s.kept, y))
+        return PushStep(lam.swapaxes(-1, -3), s.by_action, prod, parts, summed,
+                        moved.swapaxes(-1, -3), out.reshape(*lead, y, s.kept, u))
+
+    def _workspace(self, count: int) -> StackViews:
+        """This thread's workspace views for a stack of count members."""
+        space = getattr(self._local, "space", None)
+        if space is None or space.capacity < count:
+            space = self._local.space = Workspace(self, count)
+        views = space.stacks.get(count)
+        if views is None:
+            views = space.stacks[count] = self._stack_views(space, count)
+        return views
+
+    def _stack_views(self, space: Workspace, count: int) -> StackViews:
+        """Every step's views of the first count rows of space's buffers."""
+        lay = self.layout
+        tables, beliefs = space.tables[:count], space.beliefs[:count]
+        log_nu = space.log_nu[:count]
+        lams, mus = lay.tables.split(tables), lay.beliefs.split(beliefs)
+        log_nus = lay.marginals.split(log_nu)
+        forward, backward = [], []
+        for t, s in enumerate(self.steps):
+            (x, h, u), mu = s.shape, mus[t]
+            forward.append((mu[..., None], lams[t],
+                            self._push_step(t, lams[t], mus[t + 1], _carver(space.scratch))))
+            take = _carver(space.scratch)
+            rho, z = take((count, u, x, s.kept)), take((count, u, x, h))
+            gibbs = (take((count, 1, x, h)), take((count, 1, x, h)),
+                     mu.reshape(count, 1, x, h), np.moveaxis(lams[t], -1, -3))
+            ln = log_nus[t].swapaxes(-1, -2).reshape(count, u, 1, s.dropped, s.kept)
+            backward.append(BackStep(
+                s.by_action, self._next_log_phi(t, mus[t + 1]), rho, ln,
+                rho[..., None, :], z.reshape(count, u, x, s.dropped, s.kept), z, gibbs,
+            ))
+        return StackViews(tables, beliefs, log_nu, mus[0], mus[-1],
+                          tuple(forward), tuple(backward))
 
     def forward_flat(self, q: np.ndarray) -> Flow:
         """The forward pass of tables rows q (..., ``layout.tables.size``)."""
         lay, lead = self.layout, q.shape[:-1]
-        mu = np.empty((*lead, lay.beliefs.size))
-        lam = np.empty((*lead, lay.tables.size))
-        mus, lams = lay.beliefs.split(mu), lay.tables.split(lam)
-        mus[0][...] = self.initial[:, None]
-        for t, q_t in enumerate(lay.tables.split(q)):
-            np.multiply(mus[t][..., None], q_t, out=lams[t])
-            self.push(t, lams[t], out=mus[t + 1])
-        return Flow(mu, lay.action_marginals(mu, lam))
+        ws = self._workspace(math.prod(lead))
+        np.copyto(ws.tables, q.reshape(ws.tables.shape))
+        np.copyto(ws.first, self.initial[:, None])
+        for mu, lam, step in ws.forward:
+            np.multiply(mu, lam, out=lam)
+            _push(step)
+        nu = lay.action_marginals(ws.beliefs, ws.tables)
+        return Flow(ws.beliefs.reshape(*lead, lay.beliefs.size).copy(),
+                    nu.reshape(*lead, lay.marginals.size))
 
     def forward(self, tables: Sequence[np.ndarray]) -> tuple[list, list]:
         """Beliefs mu_0..mu_T and action marginals nu_0..nu_{T-1} of a policy."""
@@ -549,24 +720,35 @@ class SweepPlan:
     def scaled(self, beta: float) -> tuple[tuple, np.ndarray]:
         """c_t / beta as (U, X, 1) for each t, and log_phi_T = -terminal_cost
         / beta repeated over the histories at T; kept for the last beta."""
-        if self._scaled[0] != beta:
+        cached = self._scaled  # one read: another thread may replace it
+        if cached[0] != beta:
             with np.errstate(over="ignore"):  # backward_flat raises on inf
                 costs = tuple(s.cost.T[:, :, None] / beta for s in self.steps)
                 log_phi = (-self.terminal_cost / beta)[:, None]
-            self._scaled = (beta, (costs, log_phi.repeat(self.terminal_histories, 1)))
-        return self._scaled[1]
+            cached = self._scaled = (
+                beta, (costs, log_phi.repeat(self.terminal_histories, 1)))
+        return cached[1]
+
+    def _next_log_phi(self, t: int, log_phi_next: np.ndarray) -> np.ndarray:
+        """log_phi_{t+1} (..., Y, H_{t+1}) as the right operand of
+        ``cost_to_go``'s matmul: (..., 1, Y, 1) at degree 0, else
+        (..., U, Y, kept)."""
+        if self.degree == 0:
+            return log_phi_next[..., None, :, :]
+        s = self.steps[t]
+        lp = log_phi_next.reshape(*log_phi_next.shape[:-2], s.flat.shape[1],
+                                  s.kept, s.shape[2])
+        return lp.swapaxes(-1, -3).swapaxes(-1, -2)
 
     def cost_to_go(self, t: int, log_phi_next: np.ndarray, beta: float) -> np.ndarray:
         """rho_t(u, x, h) = c_t(x, u) / beta - E[log_phi_{t+1}(x_{t+1}, h')],
         action-major as ``by_action``'s matmul gives it, (..., U, X, 1, kept):
         not repeated over the coordinate that leaves the window at t + 1."""
-        s, lead = self.steps[t], log_phi_next.shape[:-2]
-        scaled = self.scaled(beta)[0][t]
-        if self.degree == 0:
-            return (scaled - s.by_action @ log_phi_next[..., None, :, :])[..., None]
-        lp = log_phi_next.reshape(*lead, s.flat.shape[1], s.kept, s.shape[2])
-        core = scaled - s.by_action @ lp.swapaxes(-1, -3).swapaxes(-1, -2)
-        return core[..., None, :]
+        s = self.steps[t]
+        rho = np.empty((*log_phi_next.shape[:-2], s.shape[2], s.shape[0], s.kept))
+        _cost_to_go(s.by_action, self._next_log_phi(t, log_phi_next),
+                    self.scaled(beta)[0][t], rho)
+        return rho[..., None, :]
 
     def rho_table(self, t: int, rho: np.ndarray) -> np.ndarray:
         """A ``cost_to_go`` rho_t as an (..., X, H, U) table, broadcast over
@@ -581,23 +763,23 @@ class SweepPlan:
         not finite (a Gibbs normalizer that is not finite and positive)
         raises NumericalError for the largest such t, and no RuntimeWarning."""
         lay, lead = self.layout, nu.shape[:-1]
-        log_nu = lay.marginals.split(log_marginals(nu))
-        q = np.empty((*lead, lay.tables.size))
-        log_phi = np.empty((*lead, lay.beliefs.size))
-        tables, log_phis = lay.tables.split(q), lay.beliefs.split(log_phi)
+        ws = self._workspace(math.prod(lead))
+        costs, terminal = self.scaled(beta)
+        log_marginals(nu.reshape(ws.log_nu.shape), out=ws.log_nu)
+        np.copyto(ws.last, terminal)
         with np.errstate(all="ignore"):  # the check below raises
-            log_phis[-1][...] = self.scaled(beta)[1]
-            for t in range(len(self.steps) - 1, -1, -1):
-                s, (x, h, u) = self.steps[t], self.steps[t].shape
-                r = self.cost_to_go(t, log_phis[t + 1], beta)
-                ln = log_nu[t].swapaxes(-1, -2).reshape(*lead, u, 1, s.dropped, s.kept)
-                z = np.empty((*lead, u, x, h))
-                np.subtract(ln, r, out=z.reshape(*lead, u, x, s.dropped, s.kept))
-                gibbs_step(z, tables[t], log_phis[t])
-        if not np.isfinite(log_phi[..., :lay.beliefs.spans[-1].start]).all():
-            t = max(t for t, lp in enumerate(log_phis[:-1]) if not np.isfinite(lp).all())
+            for (by, lp, rho, ln, rho5, z5, z, gibbs), scaled in zip(
+                    reversed(ws.backward), reversed(costs)):
+                _cost_to_go(by, lp, scaled, rho)
+                np.subtract(ln, rho5, out=z5)
+                gibbs_step(z, gibbs)
+        log_phi = ws.beliefs
+        if not np.isfinite(log_phi[:, :lay.beliefs.spans[-1].start]).all():
+            log_phis = lay.beliefs.split(log_phi)[:-1]
+            t = max(t for t, lp in enumerate(log_phis) if not np.isfinite(lp).all())
             raise NumericalError(f"non-finite or zero Gibbs normalizer at t={t}")
-        return log_phi, q
+        return (log_phi.reshape(*lead, lay.beliefs.size).copy(),
+                ws.tables.reshape(*lead, lay.tables.size).copy())
 
     @cached_property
     def layout(self) -> "FlatLayout":
@@ -705,7 +887,9 @@ class FlatLayout(NamedTuple):
         with np.errstate(divide="ignore", invalid="ignore"):
             gain = self.cost + beta * (log_q - np.log(flow.nu[..., self.nu_of]))
             total = np.sum(lam * gain, axis=-1, where=lam > 0.0)
-        return total + _terminal_cost(mdp, self.beliefs.split(flow.mu)[-1])
+        last = flow.mu[..., self.beliefs.spans[-1]]
+        return total + _terminal_cost(mdp, last.reshape(*last.shape[:-1],
+                                                        *self.beliefs.shapes[-1]))
 
 
 def propagate_reduced(mdp: FiniteMdp, policy: MemoryPolicy) -> ReducedBelief:

@@ -16,7 +16,7 @@ values of the extrapolated points that ``_sweeps`` tries after its warm-up.
 
 Both passes run on the ``SweepPlan`` that the ``FiniteMdp`` caches per
 degree, whose kernels the sweeps call directly on one row of tables per
-member (``SweepPlan.layout``).  The starts of a multi-start are swept as one
+member (``SweepPlan.layout``), in the plan's per-thread workspace.  The starts of a multi-start are swept as one
 batch; a member leaves it at its own stop, and its numbers are bit for bit
 those of solving it alone.  A solve is a batch of one.  One stacked final
 forward pass serves the batch's certificate and its cost and information.
@@ -54,6 +54,7 @@ from .model import (
     canonicalize_policy,
     check_beta,
     check_compatible,
+    check_count,
     gibbs_step,
     induced_action_marginals,
     log_marginals,
@@ -117,12 +118,6 @@ class SolveOptions:
             raise InstanceError(f"unknown init {self.init!r}")
         if self.init == "perturbed" and self.seed is None:
             raise InstanceError("perturbed init requires a seed")
-
-
-def check_count(name: str, n, low: int) -> None:
-    """Reject a count that is not an integer, Python or numpy, of at least low."""
-    if type(n) is bool or not isinstance(n, (int, np.integer)) or n < low:
-        raise InstanceError(f"{name} must be an integer >= {low}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -194,18 +189,37 @@ def backward_pass(
     window is full; rho is broadcast over the dropped coordinate, on which it
     does not depend; a single policy's rho is computed after the recursion
     (``SweepPlan.backward_flat``).  Marginals stacked (K, H_t, U_t) give
-    stacked log_phi, a ``PolicyStack`` and rho entries of None.  A Gibbs
-    normalizer that is not finite and positive raises NumericalError.
+    stacked log_phi, a ``PolicyStack`` and rho entries of None.  Marginals
+    that are not T arrays of shape (H_t, U_t) past one shared batch shape
+    raise InstanceError; a Gibbs normalizer that is not finite and positive
+    raises NumericalError.
     """
     check_beta(beta)
     plan = mdp.sweep_plan(degree)
     lay = plan.layout
+    nu = _check_marginals(plan, nu)
     log_phi, q = plan.backward_flat(lay.marginals.join(nu), beta)
     log_phi, stacked = list(lay.beliefs.split(log_phi)), nu[0].ndim == 3
     rho = [None if stacked else plan.rho_table(t, plan.cost_to_go(t, lp, beta))
            for t, lp in enumerate(log_phi[1:])]
     kind = PolicyStack if stacked else MemoryPolicy
     return rho, log_phi, kind(degree, lay.tables.split(q))
+
+
+def _check_marginals(plan, nu) -> list[np.ndarray]:
+    """nu as float arrays, checked: one per step, of shape (H_t, U_t) past
+    a batch shape that every step shares."""
+    nu = [np.asarray(n, dtype=float) for n in nu]
+    if len(nu) != len(plan.steps):
+        raise InstanceError(f"{len(nu)} marginals for horizon {len(plan.steps)}")
+    lead = nu[0].shape[:-2]
+    for t, (n, s) in enumerate(zip(nu, plan.steps)):
+        if n.shape != (*lead, *s.shape[1:]):
+            raise InstanceError(
+                f"marginal {t} has shape {n.shape}, instance requires "
+                f"{s.shape[1:]} after batch shape {lead}"
+            )
+    return nu
 
 
 def _policy_gap(layout, mu, old, new) -> np.ndarray:
@@ -438,8 +452,7 @@ def plan_start_policies(
     the previous plan occupies, which forces qualitatively different behavior
     (alternative routes) into the start set.  Deterministic, cached per degree.
     """
-    if count < 0:
-        raise InstanceError(f"plan start count must be nonnegative, got {count}")
+    check_count("plan start count", count, 0)
     plan = mdp.sweep_plan(degree)
     return [MemoryPolicy(degree, _plan_tables(plan, actions))
             for actions in _plan_actions(mdp, degree, count)]

@@ -2,8 +2,9 @@
 
 Everything here is written for clarity over speed and deliberately avoids
 the package's array-based code paths: trajectory probabilities come from
-explicit recursion over realizations, information terms from dictionary
-marginals.  Tests compare package outputs against these.
+explicit recursion over realizations, beliefs, marginals and information
+terms from sums over them, the backward recursion from scalar loops.  Tests
+compare package outputs against these.
 """
 
 from __future__ import annotations
@@ -40,6 +41,34 @@ def enum_trajectory_probs(mdp: FiniteMdp, policy: MemoryPolicy) -> dict:
     for x0 in range(X[0]):
         rec(0, [x0], [], float(mdp.initial[x0]))
     return probs
+
+
+def _flat_history(controls, cards) -> int:
+    h = 0
+    for u, card in zip(controls, cards):
+        h = h * card + u
+    return h
+
+
+def enum_beliefs_and_marginals(mdp, policy):
+    """mu_t(x, h) and nu_t(u | h) summed from the exhaustive trajectory joint."""
+    X, A, n = mdp.state_cards, mdp.action_cards, policy.degree
+    probs = enum_trajectory_probs(mdp, policy)
+    mus, joints = [], []
+    for t in range(mdp.horizon + 1):
+        span = range(max(0, t - n), t)
+        cards = [A[s] for s in span]
+        mu = np.zeros((X[t], math.prod(cards)))
+        joint = np.zeros((mu.shape[1], A[t])) if t < mdp.horizon else None
+        for (xs, us), p in probs.items():
+            h = _flat_history([us[s] for s in span], cards)
+            mu[xs[t], h] += p
+            if joint is not None:
+                joint[h, us[t]] += p
+        mus.append(mu)
+        joints.append(joint)
+    nus = [j / j.sum(axis=1, keepdims=True) for j in joints[:-1]]
+    return mus, nus
 
 
 def _cmi_from_dict(entries: dict) -> float:
@@ -123,3 +152,35 @@ def reachable_rows(mdp: FiniteMdp, policies) -> np.ndarray:
         np.concatenate([q[s].ravel() for q, s in zip(p.tables, states)])
         for p in policies
     ])
+
+
+def loop_backward(mdp, nu, beta, degree):
+    """log_phi and Gibbs policies by scalar loops over (t, x, h, u, y)."""
+    T, X, A = mdp.horizon, mdp.state_cards, mdp.action_cards
+    H = [mdp.history_size(degree, t) for t in range(T + 1)]
+    log_phi = [None] * (T + 1)
+    log_phi[T] = np.array(
+        [[-mdp.terminal_cost[x] / beta] * H[T] for x in range(X[T])]
+    )
+    tables = [None] * T
+    for t in range(T - 1, -1, -1):
+        kept = H[t + 1] // A[t] if degree else 1  # history left after the slide
+        lp = np.empty((X[t], H[t]))
+        q = np.empty((X[t], H[t], A[t]))
+        for x in range(X[t]):
+            for h in range(H[t]):
+                z = []
+                for u in range(A[t]):
+                    h_next = (h % kept) * A[t] + u if degree else 0
+                    to_go = sum(
+                        mdp.transitions[t][x, u, y] * log_phi[t + 1][y, h_next]
+                        for y in range(X[t + 1])
+                    )
+                    rho = mdp.stage_costs[t][x, u] / beta - to_go
+                    z.append(math.log(nu[t][h, u]) - rho)
+                top = max(z)
+                lse = top + math.log(sum(math.exp(v - top) for v in z))
+                lp[x, h] = lse
+                q[x, h, :] = [math.exp(v - lse) for v in z]
+        log_phi[t], tables[t] = lp, q
+    return log_phi, tables

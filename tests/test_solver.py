@@ -96,6 +96,26 @@ class TestOptions:
                                init="perturbed", seed=np.uint8(3))
         assert td.solve(td.build_nonconvex_toy(), opts).iterations <= 5
 
+    def test_non_integer_counts_and_non_real_beta_rejected(self):
+        # input errors (exit 2), not TypeErrors from deep inside numpy
+        toy = td.build_nonconvex_toy()
+        pol = td.MemoryPolicy.uniform(toy, 0)
+        calls = [
+            (lambda: plan_start_policies(toy, 0, 2.5), "plan start count"),
+            (lambda: plan_start_policies(toy, 1.5, 1), "memory degree"),
+            (lambda: td.MemoryPolicy.uniform(toy, 1.5), "memory degree"),
+            (lambda: td.MemoryPolicy.perturbed(toy, 0, 1.5), "seed"),
+            (lambda: td.MemoryPolicy.perturbed(toy, True, 1), "memory degree"),
+            (lambda: td.MemoryPolicy(0.5, pol.tables), "memory degree"),
+            (lambda: residual_from_policy(toy, pol, "1"), "beta"),
+            (lambda: td.SolveOptions(beta="1"), "beta"),
+            (lambda: td.SolveOptions(beta=True), "beta"),
+            (lambda: td.classical_blahut([0.5, 0.5], np.eye(2), beta=1j), "beta"),
+        ]
+        for call, match in calls:
+            with pytest.raises(InstanceError, match=match):
+                call()
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -178,6 +198,26 @@ class TestBackwardPass:
             backward_pass(toy, nu, beta, 0)
         with pytest.raises(InstanceError, match="beta"):
             residual_from_policy(toy, pol, beta)
+
+    def test_marginal_shapes_checked_at_the_boundary(self):
+        # the pass copies rows into buffers of the plan's sizes, so wrong
+        # shapes must not reach it: too few steps, (1, 7) marginals on the
+        # toy's (1, 2) steps, a step with another batch shape, 1-d marginals
+        toy = td.build_nonconvex_toy()
+        _, nu = forward_pass(toy, td.MemoryPolicy.uniform(toy, 0))
+        stacked = [np.stack([n, n]) for n in nu]
+        for bad, match in [
+            (nu[:1], "1 marginals for horizon 2"),
+            ([np.full((1, 7), 1.0 / 7.0)] * 2, r"marginal 0 has shape \(1, 7\)"),
+            ([stacked[0], stacked[1][:1]], r"marginal 1 has shape \(1, 1, 2\)"),
+            ([n[0] for n in nu], r"marginal 0 has shape \(2,\)"),
+        ]:
+            with pytest.raises(InstanceError, match=match):
+                backward_pass(toy, bad, 1.0, 0)
+        _, log_phi, stack = backward_pass(toy, stacked, 1.0, 0)
+        _, want, single = backward_pass(toy, [n.tolist() for n in nu], 1.0, 0)
+        for got, one in [(log_phi, want), (stack.tables, single.tables)]:
+            assert all(np.array_equal(a[1], b) for a, b in zip(got, one))
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     @pytest.mark.parametrize("beta", [1e-3, 1e-1, 1e1, 1e3, 1e5])
@@ -1030,7 +1070,7 @@ class TestMultiStart:
         for counts in ({"starts": 1.5}, {"starts": 1, "plan_starts": 1.5}):
             with pytest.raises(InstanceError, match="must be an integer"):
                 td.multi_start(toy, opts, seed=0, **counts)
-        with pytest.raises(InstanceError, match="nonnegative"):
+        with pytest.raises(InstanceError, match="plan start count must be an integer >= 0"):
             plan_start_policies(toy, 0, -1)
 
     def test_roundoff_ties_go_to_the_earliest_start(self):

@@ -32,7 +32,7 @@ from termdp.solver import (
     residual_from_policy,
 )
 
-from reference import enum_trajectory_probs
+from reference import enum_beliefs_and_marginals, loop_backward
 
 TOL = 1e-12  # fixed before any comparison was run
 
@@ -57,34 +57,6 @@ def _instance(horizon: int, degree: int, actions: tuple[int, int] = (2, 3),
     return mdp, oracle.random_policy(rng, mdp, degree)
 
 
-def _flat_history(controls, cards) -> int:
-    h = 0
-    for u, card in zip(controls, cards):
-        h = h * card + u
-    return h
-
-
-def enum_beliefs_and_marginals(mdp, policy):
-    """mu_t(x, h) and nu_t(u | h) summed from the exhaustive trajectory joint."""
-    X, A, n = mdp.state_cards, mdp.action_cards, policy.degree
-    probs = enum_trajectory_probs(mdp, policy)
-    mus, joints = [], []
-    for t in range(mdp.horizon + 1):
-        span = range(max(0, t - n), t)
-        cards = [A[s] for s in span]
-        mu = np.zeros((X[t], math.prod(cards)))
-        joint = np.zeros((mu.shape[1], A[t])) if t < mdp.horizon else None
-        for (xs, us), p in probs.items():
-            h = _flat_history([us[s] for s in span], cards)
-            mu[xs[t], h] += p
-            if joint is not None:
-                joint[h, us[t]] += p
-        mus.append(mu)
-        joints.append(joint)
-    nus = [j / j.sum(axis=1, keepdims=True) for j in joints[:-1]]
-    return mus, nus
-
-
 def scan_marginals(window, policy):
     """nu_t(u | h) by scalar loops over (x, h, u) from the window scan's
     joints mu_t(x, h) and the policy; every history must carry mass."""
@@ -98,38 +70,6 @@ def scan_marginals(window, policy):
                     joint[h, u] += mu[x, h] * q[x, h, u]
         nus.append(joint / joint.sum(axis=1, keepdims=True))
     return nus
-
-
-def loop_backward(mdp, nu, beta, degree):
-    """log_phi and Gibbs policies by scalar loops over (t, x, h, u, y)."""
-    T, X, A = mdp.horizon, mdp.state_cards, mdp.action_cards
-    H = [mdp.history_size(degree, t) for t in range(T + 1)]
-    log_phi = [None] * (T + 1)
-    log_phi[T] = np.array(
-        [[-mdp.terminal_cost[x] / beta] * H[T] for x in range(X[T])]
-    )
-    tables = [None] * T
-    for t in range(T - 1, -1, -1):
-        kept = H[t + 1] // A[t] if degree else 1  # history left after the slide
-        lp = np.empty((X[t], H[t]))
-        q = np.empty((X[t], H[t], A[t]))
-        for x in range(X[t]):
-            for h in range(H[t]):
-                z = []
-                for u in range(A[t]):
-                    h_next = (h % kept) * A[t] + u if degree else 0
-                    to_go = sum(
-                        mdp.transitions[t][x, u, y] * log_phi[t + 1][y, h_next]
-                        for y in range(X[t + 1])
-                    )
-                    rho = mdp.stage_costs[t][x, u] / beta - to_go
-                    z.append(math.log(nu[t][h, u]) - rho)
-                top = max(z)
-                lse = top + math.log(sum(math.exp(v - top) for v in z))
-                lp[x, h] = lse
-                q[x, h, :] = [math.exp(v - lse) for v in z]
-        log_phi[t], tables[t] = lp, q
-    return log_phi, tables
 
 
 @pytest.mark.parametrize("horizon, degree, maze", PATH_CASES)

@@ -1,0 +1,219 @@
+"""Sweep workspaces: the per-thread rows and per-step views of a plan's passes.
+
+Property tests over random horizons, state and action counts, degrees 0-2
+and stack heights: the workspace's rows equal the reference path, a
+returned row outlives later passes, members of a stack whose height changes
+stay bit for bit their solo runs, and no sweep re-splits a row after its
+first sweep.  Then threads that share one instance must reproduce
+sequential runs bit for bit.
+"""
+
+import sys
+import threading
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import termdp as td
+from termdp import oracle, solver
+from termdp.model import Space, SweepPlan
+from termdp.solver import EXTRAPOLATE_AFTER, PolicyStack, residual_from_policy
+
+from reference import enum_beliefs_and_marginals, loop_backward, reachable_rows
+
+TOL = 1e-12  # as the plan's kernel tests
+
+CASES = st.fixed_dictionaries({
+    "horizon": st.integers(1, 3),
+    "states": st.integers(1, 3),
+    "actions": st.integers(2, 3),
+    "degree": st.integers(0, 2),
+    "k": st.integers(1, 4),
+    "beta": st.floats(0.2, 5.0),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def _draw(case):
+    """The case's instance and k random policies at its degree."""
+    rng = np.random.default_rng(case["seed"])
+    mdp = oracle.random_mdp(rng, case["horizon"], case["states"], case["actions"],
+                            min_states=1, min_actions=2)
+    pols = [oracle.random_policy(rng, mdp, case["degree"]) for _ in range(case["k"])]
+    return mdp, pols
+
+
+def _rows(plan, pols):
+    return np.stack([plan.layout.tables.join(p.tables) for p in pols])
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=CASES)
+def test_workspace_rows_equal_the_reference_path(case):
+    # the stack first, then each member alone on the stack's buffers: every
+    # row equals the enumeration and the scalar backward loop, and the solo
+    # rows are the stack's bit for bit
+    mdp, pols = _draw(case)
+    plan, beta = mdp.sweep_plan(case["degree"]), case["beta"]
+    lay = plan.layout
+    flow = plan.forward_flat(_rows(plan, pols))
+    log_phi, q = plan.backward_flat(flow.nu, beta)
+    for i, pol in enumerate(pols):
+        solo = plan.forward_flat(lay.tables.join(pol.tables))
+        solo_log_phi, solo_q = plan.backward_flat(solo.nu, beta)
+        for got, want in [(flow.mu[i], solo.mu), (flow.nu[i], solo.nu),
+                          (log_phi[i], solo_log_phi), (q[i], solo_q)]:
+            assert np.array_equal(got, want)
+        mus, nus = enum_beliefs_and_marginals(mdp, pol)
+        want_log_phi, want_q = loop_backward(
+            mdp, lay.marginals.split(flow.nu[i]), beta, case["degree"])
+        for got, want in [(lay.beliefs.split(flow.mu[i]), mus),
+                          (lay.marginals.split(flow.nu[i]), nus),
+                          (lay.beliefs.split(log_phi[i]), want_log_phi),
+                          (lay.tables.split(q[i]), want_q)]:
+            assert len(got) == len(want)
+            assert all(np.abs(a - b).max() <= TOL for a, b in zip(got, want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=CASES)
+def test_returned_rows_outlive_later_passes(case):
+    # hold the first passes' rows, run passes on other policies at the same
+    # height and at height 1, and find the held rows, and the input rows,
+    # unchanged
+    mdp, pols = _draw(case)
+    plan, beta = mdp.sweep_plan(case["degree"]), case["beta"]
+    rows = _rows(plan, pols)
+    flow = plan.forward_flat(rows)
+    log_phi, q = plan.backward_flat(flow.nu, beta)
+    held = [a.copy() for a in (rows, *flow, log_phi, q)]
+    others = _rows(plan, [oracle.random_policy(np.random.default_rng(i), mdp,
+                                               case["degree"]) for i in range(len(pols))])
+    for other in (others, others[:1], others[0]):
+        plan.backward_flat(plan.forward_flat(other).nu, 2.0 * beta)
+    assert all(np.array_equal(a, b) for a, b in zip((rows, *flow, log_phi, q), held))
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=CASES)
+def test_members_of_a_changing_stack_equal_their_solo_runs(case):
+    # the stack sweeps past the warm-up, so members try SqS3 points and
+    # dropped points are reswept at smaller heights; one member starts from a
+    # fixed point and leaves early; each member's trace, stop and final row
+    # are its solo run's bit for bit
+    mdp, pols = _draw(case)
+    opts = td.SolveOptions(beta=case["beta"], degree=case["degree"],
+                           max_iters=EXTRAPOLATE_AFTER + 30)
+    fixed = td.solve(mdp, td.SolveOptions(beta=case["beta"], degree=case["degree"],
+                                          max_iters=1000))
+    starts = reachable_rows(mdp, [fixed.policy, *pols])
+    cut = mdp.restriction.mdp
+    rows = starts.copy()
+    traces, iterations, converged = solver._sweeps(cut, opts, rows, opts.max_iters)
+    for i, start in enumerate(starts):
+        solo = start[None].copy()
+        (trace,), (its,), (conv,) = solver._sweeps(cut, opts, solo, opts.max_iters)
+        assert traces[i] == trace and iterations[i] == its and converged[i] == conv
+        assert np.array_equal(rows[i], solo[0])
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=CASES)
+def test_sweeps_split_no_row_after_the_first_sweep(case):
+    # a solve, and the second run of a multi-start (the first built the views
+    # for every height its stack takes), split rows only before their first
+    # backward pass: later sweeps, SqS3 judging and resweeps included, run
+    # on the workspace's views
+    mdp, _ = _draw(case)
+    opts = td.SolveOptions(beta=case["beta"], degree=case["degree"], init="perturbed",
+                           seed=case["seed"], max_iters=EXTRAPOLATE_AFTER + 20)
+    multi = dict(starts=case["k"], seed=case["seed"], plan_starts=1)
+    td.multi_start(mdp, opts, **multi)
+    sweeps, late = [0], []
+    real_split, real_backward = Space.split, SweepPlan.backward_flat
+
+    def in_sweeps():
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code.co_name != "_sweeps":
+            frame = frame.f_back
+        return frame is not None
+
+    def split(space, row):
+        if sweeps[0] and in_sweeps():
+            late.append(sweeps[0])
+        return real_split(space, row)
+
+    def backward_flat(plan, nu, beta):
+        if sys._getframe(1).f_code.co_name == "_sweeps":
+            sweeps[0] += 1
+        return real_backward(plan, nu, beta)
+
+    Space.split, SweepPlan.backward_flat = split, backward_flat
+    try:
+        for run in (lambda: td.solve(mdp, opts), lambda: td.multi_start(mdp, opts, **multi)):
+            sweeps[0] = 0
+            run()
+            assert sweeps[0] > 1 and not late
+    finally:
+        Space.split, SweepPlan.backward_flat = real_split, real_backward
+
+
+def _fields(report):
+    """A report as comparable values: every field but the wall time."""
+    return [report.policy.degree, *report.policy.tables, report.cost,
+            report.information_nats, report.total, report.residual,
+            report.iterations, report.converged, report.objective_trace]
+
+
+def _same(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_threads_sharing_an_instance_match_sequential_runs():
+    # two threads share one fresh instance, so its restriction, plans and
+    # workspaces are built while both run; one solves and certifies single
+    # policies, the other sweeps a stack of four (another height, one plan)
+    def make():
+        return oracle.random_mdp(np.random.default_rng(21), 5, 4, 3)
+
+    def first(mdp):
+        opts = td.SolveOptions(beta=0.8, degree=1, init="perturbed", seed=4,
+                               max_iters=EXTRAPOLATE_AFTER + 40)
+        rep = td.solve(mdp, opts)
+        return [*_fields(rep), residual_from_policy(mdp, rep.policy, 0.8)]
+
+    def second(mdp):
+        opts = td.SolveOptions(beta=0.8, degree=1, max_iters=EXTRAPOLATE_AFTER + 40)
+        reps = td.multi_start(mdp, opts, starts=2, seed=9, plan_starts=1)
+        stack = PolicyStack.of(1, [r.policy for r in reps])
+        return [v for r in reps for v in _fields(r)] + [
+            residual_from_policy(mdp, stack, 1.3)]
+
+    jobs = (first, second)
+    rounds = 3
+    want = [job(make()) for job in jobs]
+    shared = make()
+    results = [[] for _ in jobs]
+    errors = []
+
+    def run(i):
+        try:
+            for _ in range(rounds):
+                results[i].append(jobs[i](shared))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    for got, expected in zip(results, want):
+        assert len(got) == rounds and all(_same(g, expected) for g in got)
