@@ -117,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=_env("SEED", 0))
     common.add_argument(
         "--starts", type=int, default=_env("STARTS", 1),
-        help="number of seeded random restarts (uniform start always included), "
-        f"at most {MAX_STARTS}",
+        help="number of seeded random restarts, at least one runs (0 runs one; "
+        f"the uniform start is always included), at most {MAX_STARTS}",
     )
     common.add_argument(
         "--out-dir", type=Path, default=_env("OUT_DIR", "."),
@@ -496,6 +496,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "starts", 0) > MAX_STARTS:  # before any start is built
             raise ResourceError(f"{args.starts} starts exceed the limit of {MAX_STARTS}")
+        if getattr(args, "starts", 0) < 0:
+            raise InstanceError(f"starts must be nonnegative, got {args.starts}")
         if getattr(args, "seed", 0) < 0:  # numpy's generators refuse it
             raise InstanceError(f"seed must be nonnegative, got {args.seed}")
         # numpy's floating-point warnings stay off stderr: the guards raise

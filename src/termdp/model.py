@@ -69,9 +69,10 @@ class FiniteMdp:
     shape (X_t, U_t), ``terminal_cost`` shape (X_T,), ``initial`` shape
     (X_0,).  Arrays are made read-only on construction; instances are safe to
     share between threads.  Sweep plans and plan starts' greedy actions (per
-    memory degree) and the ``restriction`` are built on first use and cached;
-    a plan's sweep buffers are per thread (``SweepPlan``), so threads that
-    solve on one instance at once do not share them.
+    memory degree) and the ``restriction`` are built on first use and cached,
+    once: a miss is rechecked and filled under the instance's lock.  A plan's
+    sweep buffers are per thread (``SweepPlan``), so threads that solve on one
+    instance at once do not share them.
     """
 
     transitions: tuple[np.ndarray, ...]
@@ -79,8 +80,10 @@ class FiniteMdp:
     terminal_cost: np.ndarray
     initial: np.ndarray
     _cards: tuple = field(init=False, repr=False, compare=False)
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _starts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lock: object = field(default_factory=threading.RLock, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -111,18 +114,25 @@ class FiniteMdp:
     def action_cards(self) -> tuple[int, ...]:
         return self._cards[1]
 
+    def _cached(self, key, build):
+        """The value cached at key, built by build() under the lock on a miss."""
+        if key not in self._cache:
+            with self._lock:  # a thread that waited here finds the value built
+                self._cache[key] = self._cache.get(key) or build()
+        return self._cache[key]
+
     def sweep_plan(self, degree: int) -> "SweepPlan":
         """The sweep plan at a memory degree, built on first use."""
-        plan = self._plans.get(degree)
-        if plan is None:
-            plan = self._plans[degree] = SweepPlan(self, degree)
-        return plan
+        return self._cached(degree, lambda: SweepPlan(self, degree))
 
-    @cached_property
+    @property
     def restriction(self) -> "Restriction":
         """The instance on the states it can reach, built on first use: the
         support of ``initial`` pushed through ``transitions > 0``.  Steps that
         repeat (states, next states, transition buffer) share one buffer."""
+        return self._cached("restriction", self._restrict)
+
+    def _restrict(self) -> "Restriction":
         states = [np.flatnonzero(self.initial > 0.0)]
         for p in self.transitions:
             states.append(np.flatnonzero((p[states[-1]] > 0.0).any(axis=(0, 1))))
@@ -417,6 +427,8 @@ def slide_split(mdp: FiniteMdp, degree: int, t: int) -> tuple[int, int]:
 def log_marginals(nu: np.ndarray, out=None) -> np.ndarray:
     """log nu floored at LOG_FLOOR, and -inf (zero policy mass) at zero
     entries; into out if given."""
+    if np.minimum.reduce(nu, axis=None) >= MARGINAL_FLOOR:  # no floor, no zero, no NaN
+        return np.log(nu, out=out)
     out = np.maximum(nu, MARGINAL_FLOOR, out=out)
     np.log(out, out=out)
     np.copyto(out, -np.inf, where=~(nu > 0.0))
@@ -702,8 +714,8 @@ class SweepPlan:
         """The forward pass of tables rows q (..., ``layout.tables.size``)."""
         lay, lead = self.layout, q.shape[:-1]
         ws = self._workspace(math.prod(lead))
-        np.copyto(ws.tables, q.reshape(ws.tables.shape))
-        np.copyto(ws.first, self.initial[:, None])
+        ws.tables[...] = q.reshape(ws.tables.shape)
+        ws.first[...] = self.initial[:, None]
         for mu, lam, step in ws.forward:
             np.multiply(mu, lam, out=lam)
             _push(step)
@@ -766,18 +778,20 @@ class SweepPlan:
         ws = self._workspace(math.prod(lead))
         costs, terminal = self.scaled(beta)
         log_marginals(nu.reshape(ws.log_nu.shape), out=ws.log_nu)
-        np.copyto(ws.last, terminal)
+        ws.last[...] = terminal
+        log_phi = ws.beliefs
         with np.errstate(all="ignore"):  # the check below raises
             for (by, lp, rho, ln, rho5, z5, z, gibbs), scaled in zip(
                     reversed(ws.backward), reversed(costs)):
                 _cost_to_go(by, lp, scaled, rho)
                 np.subtract(ln, rho5, out=z5)
                 gibbs_step(z, gibbs)
-        log_phi = ws.beliefs
-        if not np.isfinite(log_phi[:, :lay.beliefs.spans[-1].start]).all():
-            log_phis = lay.beliefs.split(log_phi)[:-1]
-            t = max(t for t, lp in enumerate(log_phis) if not np.isfinite(lp).all())
-            raise NumericalError(f"non-finite or zero Gibbs normalizer at t={t}")
+            total = np.add.reduce(log_phi[:, :lay.beliefs.spans[-1].start], axis=None)
+        if not math.isfinite(total):  # an entry is not finite, or the sum overflowed
+            bad = [t for t, lp in enumerate(lay.beliefs.split(log_phi)[:-1])
+                   if not np.isfinite(lp).all()]
+            if bad:
+                raise NumericalError(f"non-finite or zero Gibbs normalizer at t={bad[-1]}")
         return (log_phi.reshape(*lead, lay.beliefs.size).copy(),
                 ws.tables.reshape(*lead, lay.tables.size).copy())
 
@@ -816,14 +830,16 @@ class FlatLayout(NamedTuple):
     log_phi_t(x, h) with t <= T, ``marginals`` for nu_t(h, u).  For each
     tables entry, ``row_of`` is its (t, x, h) segment and beliefs index,
     ``nu_of`` its marginals index and ``cost`` its stage cost; ``starts``
-    begin the segments.  ``mass_of`` and ``history_of`` give the (t, h) of
-    each beliefs and marginals entry (terminal beliefs go to bin
-    ``histories``), and ``uniform`` each marginal entry's 1 / U_t."""
+    begin the segments, of ``lengths`` entries.  ``mass_of`` and
+    ``history_of`` give the (t, h) of each beliefs and marginals entry
+    (terminal beliefs go to bin ``histories``), and ``uniform`` each marginal
+    entry's 1 / U_t."""
 
     tables: Space
     beliefs: Space
     marginals: Space
     starts: np.ndarray
+    lengths: np.ndarray
     row_of: np.ndarray
     nu_of: np.ndarray
     cost: np.ndarray
@@ -852,7 +868,7 @@ class FlatLayout(NamedTuple):
             Space.of([s.shape for s in plan.steps]),
             Space.of([s.shape[:2] for s in plan.steps] + [terminal]),
             Space.of([s.shape[1:] for s in plan.steps]),
-            np.concatenate([[0], np.cumsum(lengths)[:-1]]),
+            np.concatenate([[0], np.cumsum(lengths)[:-1]]), lengths,
             np.repeat(np.arange(len(lengths)), lengths),
             *map(np.concatenate, (nu_of, cost, mass_of, history_of, uniform)),
             histories,
@@ -864,32 +880,11 @@ class FlatLayout(NamedTuple):
         whose joint row underflows to 0 (a subnormal mass spread over the
         actions) counts as too."""
         joint = _bin_sums(self.nu_of, lam, self.marginals.size)
-        mass = _bin_sums(self.mass_of, mu, self.histories + 1)[..., self.history_of]
-        fed = _bin_sums(self.history_of, joint, self.histories)[..., self.history_of]
+        mass = _bin_sums(self.mass_of, mu, self.histories + 1).take(self.history_of, -1)
+        fed = _bin_sums(self.history_of, joint, self.histories).take(self.history_of, -1)
         nu = np.empty_like(joint)
         nu[...] = self.uniform
         return np.divide(joint, mass, out=nu, where=fed != 0.0)
-
-    def log_normalize(self, x: np.ndarray) -> np.ndarray:
-        """Floor flattened log-tables at LOG_FLOOR, then renormalize each
-        (t, x, h) segment."""
-        x = np.maximum(x, LOG_FLOOR)
-        top = np.maximum.reduceat(x, self.starts, axis=-1)
-        lse = np.log(np.add.reduceat(np.exp(x - top[:, self.row_of]), self.starts,
-                                     axis=-1))
-        return x - (top + lse)[:, self.row_of]
-
-    def objective(self, mdp, beta, flow: Flow, log_q, q) -> np.ndarray:
-        """``factored_objective`` of table rows q = exp(log_q) from their
-        forward pass: sum lam (c + beta log(q / nu)) over the entries with
-        joint mass lam = mu q, plus the terminal cost."""
-        lam = flow.mu[..., self.row_of] * q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = self.cost + beta * (log_q - np.log(flow.nu[..., self.nu_of]))
-            total = np.sum(lam * gain, axis=-1, where=lam > 0.0)
-        last = flow.mu[..., self.beliefs.spans[-1]]
-        return total + _terminal_cost(mdp, last.reshape(*last.shape[:-1],
-                                                        *self.beliefs.shapes[-1]))
 
 
 def propagate_reduced(mdp: FiniteMdp, policy: MemoryPolicy) -> ReducedBelief:
@@ -1177,7 +1172,7 @@ def _information_terms(policy, nu: Sequence[np.ndarray], belief: ReducedBelief):
 def _terminal_cost(mdp: FiniteMdp, mu: np.ndarray) -> np.ndarray:
     """Expected terminal cost of the terminal belief mu_T; (K, 1, X) @ (X, 1)
     keeps each member's bits."""
-    marginal = mu.sum(axis=-1)[..., None, :]
+    marginal = np.add.reduce(mu, axis=-1)[..., None, :]
     return (marginal @ mdp.terminal_cost[:, None])[..., 0, 0]
 
 

@@ -16,15 +16,17 @@ values of the extrapolated points that ``_sweeps`` tries after its warm-up.
 
 Both passes run on the ``SweepPlan`` that the ``FiniteMdp`` caches per
 degree, whose kernels the sweeps call directly on one row of tables per
-member (``SweepPlan.layout``), in the plan's per-thread workspace.  The starts of a multi-start are swept as one
-batch; a member leaves it at its own stop, and its numbers are bit for bit
-those of solving it alone.  A solve is a batch of one.  One stacked final
-forward pass serves the batch's certificate and its cost and information.
-A policy is one tables row per member from its start, built on the
-reachable states (``FiniteMdp.restriction``), to its report, the only
-``MemoryPolicy``.  The stop test and the certificate measure the same policy
-gap: the sup-norm change one backward pass makes to the policy where there
-is belief mass (``_policy_gap``).
+member (``SweepPlan.layout``), in the plan's per-thread workspace; the
+SqS3 extrapolation past the warm-up runs on rows of its own.  The starts of
+a multi-start are swept as one batch; a member leaves it at its own stop,
+and its numbers are bit for bit those of solving it alone.  A solve is a
+batch of one.  One stacked final forward pass serves the batch's
+certificate and its cost and information.  A policy is one tables row per
+member from its start, built on the reachable states
+(``FiniteMdp.restriction``), to its report, the only ``MemoryPolicy``.  The
+stop test and the certificate measure the same policy gap: the sup-norm
+change one backward pass makes to the policy where there is belief mass
+(``_policy_gap``).
 
 The weight beta is absorbed by dividing stage costs by beta inside the
 backward recursion; reported costs are always unscaled.  Partition functions
@@ -51,6 +53,7 @@ from .model import (
     ReducedBelief,
     expected_cost,
     factored_objective,
+    _terminal_cost,
     canonicalize_policy,
     check_beta,
     check_compatible,
@@ -226,8 +229,8 @@ def _policy_gap(layout, mu, old, new) -> np.ndarray:
     """Sup-norm change from old to new table rows over the entries whose
     (t, x, h) has belief mass in the beliefs row mu; rows stacked on a
     leading batch axis give one gap per member."""
-    massed = np.take(mu, layout.row_of, axis=-1) > MASS_TOL
-    return np.abs(old - new).max(axis=-1, where=massed, initial=0.0)
+    massed = mu.take(layout.row_of, axis=-1) > MASS_TOL
+    return np.maximum.reduce(np.abs(old - new), axis=-1, where=massed, initial=0.0)
 
 
 def solve(mdp: FiniteMdp, opts: SolveOptions) -> SolveReport:
@@ -276,9 +279,10 @@ def _sweeps(
     ``classical_blahut``: after every two plain sweeps each member tries a
     SqS3 point (``_squarem``) built from the log tables of its last three
     policies, each one row of the plan's ``layout``, so that one step length
-    serves its T tables.  The next sweep judges the point on its
-    forward pass: the member keeps it, and records its objective, if that is
-    no higher than its last trace value, so the trace still descends;
+    serves its T tables, on rows built for the call (``_Cycle``).  The
+    next sweep judges the point on its forward pass: the member keeps it,
+    and records its objective, if that is no higher than its last trace
+    value, so the trace still descends;
     otherwise the same sweep propagates and sweeps the plain policy, stop
     test included, as if no point had been tried.  A member may not stop on
     the sweep of a kept point or the next one, and past the warm-up it stops
@@ -293,10 +297,9 @@ def _sweeps(
     iterations, converged = [0] * count, [False] * count
     live = list(range(count))  # the start swept in each row
     # per row: SqS3 step bound (0 once the member takes no more points), the
-    # last sweep it may not stop on, the last sweep its stop test passed, and
-    # the log tables of the cycle's policies
-    bound, hold, passed_at = np.ones(count), np.zeros(count, int), np.zeros(count, int)
-    logs, trial = [], None
+    # last sweep it may not stop on, and the last sweep its stop test passed
+    bound, hold, passed_at = [1.0] * count, [0] * count, [0] * count
+    cycle, trial = None, None  # the SqS3 cycle; the swept rows and steps of points
     error, k = None, 0
     while live and k < max_iters:
         k += 1
@@ -308,18 +311,17 @@ def _sweeps(
                 layout.marginals.split(flow.nu), opts.beta, belief,
             ).tolist()
         if trial is not None:  # q holds SqS3 points: judge them
-            (points, alpha, swept), trial = trial, None
-            value = layout.objective(mdp, opts.beta, flow, points, q)
-            tried = bound > 0.0
-            kept = tried & (value <= [traces[i][-1] for i in live])
-            dropped = np.flatnonzero(tried & ~kept)
-            q[dropped] = swept[dropped]
-            _resweep(plan, q, dropped, flow)
-            values = np.where(kept, value, values).tolist()
-            bound = _step_bound(bound, alpha, tried, kept)
-            hold[kept] = k + 1
-            # the next cycle starts from the policy this sweep sweeps
-            logs = [np.where(kept[:, None], points, logs[2])]
+            (swept, alpha), trial = trial, None
+            value = cycle.judge(mdp, opts.beta, flow)
+            kept = [b > 0.0 and v <= traces[i][-1] for b, v, i in zip(bound, value, live)]
+            dropped = [r for r, b in enumerate(bound) if b > 0.0 and not kept[r]]
+            if dropped:  # these sweep their plain policies
+                q[dropped] = swept[dropped]
+                _resweep(plan, q, dropped, flow)
+            values = [v if kp else w for v, w, kp in zip(value, values, kept)]
+            bound = _step_bound(bound, alpha, kept)
+            hold = [k + 1 if kp else h for h, kp in zip(hold, kept)]
+            cycle.restart(kept)  # from the policy this sweep sweeps
         tested = []  # rows that pass the objective test, which comes first
         for row, i in enumerate(live):
             tr = traces[i]
@@ -336,50 +338,111 @@ def _sweeps(
         # only the tested members' old tables outlive the backward pass
         old, q = q[tested] if tested else None, None
         log_phi, q = plan.backward_flat(flow.nu, opts.beta)
-        first = log_phi[:, layout.beliefs.spans[0]]
-        values = [free_energy(lp, mdp.initial, opts.beta) for lp in first]
-        del log_phi, first
-        gaps = _policy_gap(layout, flow.mu[tested], old, q[tested]) if tested else []
-        passed = [row for row, gap in zip(tested, gaps) if gap < opts.tol_residual]
-        # past the warm-up a member stops on the second of two passing sweeps
-        # after its hold; one that passes during it takes no more points
-        stops = {row for row in passed if done + k <= EXTRAPOLATE_AFTER
-                 or (k - 1 > hold[row] and passed_at[row] == k - 1)}
-        for row in passed:
-            passed_at[row] = k
-            if k <= hold[row]:
-                bound[row] = 0.0
-        stay = [r for r in range(len(live)) if r not in stops and k < max_iters]
-        gone = [r for r in range(len(live)) if r not in stay]
-        if gone:
-            ids = [live[r] for r in gone]
-            rows[ids] = q[gone]
-            for r, i in zip(gone, ids):
-                iterations[i], converged[i] = k, r in stops
-            live, values = [live[r] for r in stay], [values[r] for r in stay]
-            q = q[stay]
-        if len(stay) < len(hold):  # rows left the stack or failed
-            bound, hold, passed_at = bound[stay], hold[stay], passed_at[stay]
-            logs = [x[stay] for x in logs]
-        if done + k < EXTRAPOLATE_AFTER or not live:
+        values = [free_energy(lp, mdp.initial, opts.beta)
+                  for lp in log_phi[:, layout.beliefs.spans[0]]]
+        stops = []
+        if tested:
+            gaps = _policy_gap(layout, flow.mu[tested], old, q[tested]).tolist()
+            # past the warm-up a member stops on the second of two passing
+            # sweeps after its hold; one that passes during it takes no more points
+            for row in (r for r, gap in zip(tested, gaps) if gap < opts.tol_residual):
+                if done + k <= EXTRAPOLATE_AFTER or hold[row] < k - 1 == passed_at[row]:
+                    stops.append(row)
+                passed_at[row] = k
+                if k <= hold[row]:
+                    bound[row] = 0.0
+        if stops or k == max_iters or len(live) < len(bound):
+            stay = [r for r in range(len(live)) if r not in stops and k < max_iters]
+            gone = [r for r in range(len(live)) if r not in stay]
+            if gone:
+                ids = [live[r] for r in gone]
+                rows[ids] = q[gone]
+                for r, i in zip(gone, ids):
+                    iterations[i], converged[i] = k, r in stops
+                live, values = [live[r] for r in stay], [values[r] for r in stay]
+                q = q[stay]
+            bound, hold, passed_at = ([x[r] for r in stay] for x in (bound, hold,
+                                                                     passed_at))
+            for x in cycle.logs[:cycle.filled] if cycle else ():  # the set iterates
+                x[:len(stay)] = x[stay]
+        if done + k < EXTRAPOLATE_AFTER or not any(bound):  # none takes points
             continue
-        logs.append(np.log(np.maximum(q, MARGINAL_FLOOR)))
-        if len(logs) == 3:
-            points, alpha = _squarem(*logs, bound)
-            points = layout.log_normalize(points)
-            trial = (points, alpha, q)
-            q = np.where((bound > 0.0)[:, None], np.exp(points), q)
+        if cycle is None:
+            cycle = _Cycle(plan, len(q))
+        trial = cycle.add(q, bound)
+        if trial is not None:  # sweep the points; keep the swept rows
+            q, trial = trial[0], (q, trial[1])
     if error is not None:
         raise error
     return traces, iterations, converged
 
 
+class _Cycle:
+    """The SqS3 cycle of ``_sweeps`` on rows for a stack of up to cap members,
+    built by its first extrapolating sweep: the log iterates x0, x1, x2 (the
+    first ``filled`` set), r and v, and the point and its policy, which hold
+    the step's products first.  ``lam`` is the tables row of the plan's
+    workspace, lam = mu q after a forward pass.  Calls make only their ufunc
+    and reduceat calls."""
+
+    def __init__(self, plan, cap) -> None:
+        layout = plan.layout
+        n, m = layout.tables.size, layout.marginals.size
+        self.layout, self.lam, self.filled = layout, plan._workspace(cap).tables, 0
+        self.logs, self.pair, self.out = (np.empty((c, cap, n)) for c in (3, 2, 2))
+        self.logs, (self.point, self.policy) = list(self.logs), self.out
+        self.top, self.lse = np.empty((2, cap, len(layout.starts)))  # per segment
+        self.log_nu, self.mask = np.empty((cap, m)), np.empty((cap, n), bool)
+
+    def add(self, q, bound):
+        """Log the policy rows q as the next iterate; on the third, return the
+        rows to sweep (the point, floored and renormalized per segment, as a
+        policy where the bound is positive, else q's row) and the steps."""
+        k, lay = len(q), self.layout
+        x = self.logs[self.filled][:k]
+        np.log(np.maximum(q, MARGINAL_FLOOR, out=x), out=x)
+        self.filled += 1
+        if self.filled < 3:
+            return None
+        x, alpha = _squarem(*(log[:k] for log in self.logs), bound,
+                            (self.point[:k], self.pair[:, :k], self.out[:, :k]))
+        top, lse, e = self.top[:k], self.lse[:k], self.policy[:k]
+        np.maximum(x, LOG_FLOOR, out=x)
+        np.maximum.reduceat(x, lay.starts, axis=-1, out=top)
+        np.exp(np.subtract(x, top.repeat(lay.lengths, axis=-1), out=e), out=e)
+        np.log(np.add.reduceat(e, lay.starts, axis=-1, out=lse), out=lse)
+        np.subtract(x, np.add(top, lse, out=lse).repeat(lay.lengths, axis=-1), out=x)
+        policy = np.exp(x, out=self.policy[:k])
+        for r in (r for r, b in enumerate(bound) if not b > 0.0):
+            policy[r] = q[r]
+        return policy, alpha
+
+    def judge(self, mdp, beta, flow) -> list[float]:
+        """``factored_objective`` of the points' policies q from their forward
+        pass: sum lam (c + beta log(q / nu)) over massed entries, plus terminal."""
+        k, lay = len(flow.mu), self.layout
+        lam, gain = self.lam[:k], self.pair[0, :k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(flow.nu, out=self.log_nu[:k]).take(lay.nu_of, -1, gain, "clip")
+            np.subtract(self.point[:k], gain, out=gain)
+            np.add(lay.cost, np.multiply(beta, gain, out=gain), out=gain)
+            total = np.add.reduce(np.multiply(lam, gain, out=gain), axis=-1,
+                                  where=np.greater(lam, 0.0, out=self.mask[:k]))
+        last = flow.mu[:, lay.beliefs.spans[-1]].reshape(k, *lay.beliefs.shapes[-1])
+        return (total + _terminal_cost(mdp, last)).tolist()
+
+    def restart(self, kept) -> None:
+        """Start the next cycle at x0: the point where kept, else x2."""
+        x0 = self.logs[2]
+        for r in (r for r, kp in enumerate(kept) if kp):
+            x0[r] = self.point[r]
+        self.logs, self.filled = [x0, *self.logs[:2]], 1
+
+
 def _resweep(plan, q, rows, flow) -> None:
     """Write the forward pass of the table rows q[rows] into the flow's rows."""
-    if len(rows):
-        fresh = plan.forward_flat(q[rows])
-        for ours, theirs in zip(flow, fresh):
-            ours[rows] = theirs
+    for ours, theirs in zip(flow, plan.forward_flat(q[rows])):
+        ours[rows] = theirs
 
 
 def _solve_batch(
@@ -473,25 +536,27 @@ def _plan_actions(mdp: FiniteMdp, degree: int, count: int) -> list[tuple]:
     degree and grown on demand: plan k + 1 reads plans 1..k only through their
     penalties.  The DP runs on the full instance (a cut one breaks argmin ties
     differently); the beliefs that set the penalties run on the reachable rows."""
-    plans = list(mdp._starts.get(degree, ()))
+    plans = mdp._starts.get(degree, ())
     if len(plans) >= count:
-        return plans[:count]
-    cut = mdp.restriction
-    plan = cut.mdp.sweep_plan(degree)
-    scale = max(1.0, max(float(np.abs(c).max()) for c in mdp.stage_costs))
-    penalties = [np.zeros(c.shape[0]) for c in mdp.stage_costs]
-    for k in range(count):
-        if k == len(plans):
-            costs = [c + p[:, None] for c, p in zip(mdp.stage_costs, penalties)]
-            plans.append(tuple(backward_induction(mdp, costs)[0]))
-        if k + 1 == count:  # no further plan reads the penalties
-            break
-        mu = plan.initial[:, None]  # beliefs by push alone: no layout needed
-        for t, q in enumerate(_plan_tables(plan, map(np.take, plans[k], cut.states))):
-            penalties[t][cut.states[t]] += 2.0 * scale * (mu.sum(axis=1) > 1e-3)
-            mu = plan.push(t, mu[..., None] * q)
-    mdp._starts[degree] = tuple(plans)
-    return plans
+        return list(plans[:count])
+    with mdp._lock:  # a miss; another thread may have grown the plans since
+        plans = list(mdp._starts.get(degree, ()))
+        cut = mdp.restriction
+        plan = cut.mdp.sweep_plan(degree)
+        scale = max(1.0, max(float(np.abs(c).max()) for c in mdp.stage_costs))
+        penalties = [np.zeros(c.shape[0]) for c in mdp.stage_costs]
+        for k in range(count):
+            if k == len(plans):
+                costs = [c + p[:, None] for c, p in zip(mdp.stage_costs, penalties)]
+                plans.append(tuple(backward_induction(mdp, costs)[0]))
+            if k + 1 == count:  # no further plan reads the penalties
+                break
+            mu = plan.initial[:, None]  # beliefs by push alone: no layout needed
+            for t, q in enumerate(_plan_tables(plan, map(np.take, plans[k], cut.states))):
+                penalties[t][cut.states[t]] += 2.0 * scale * (mu.sum(axis=1) > 1e-3)
+                mu = plan.push(t, mu[..., None] * q)
+        mdp._starts[degree] = tuple(plans)
+    return plans[:count]
 
 
 def multi_start(
@@ -642,9 +707,7 @@ def _log_normalize(x: np.ndarray) -> np.ndarray:
     return x - (top + np.log(np.exp(x - top).sum(axis=-1, keepdims=True)))
 
 
-def _squarem(
-    x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, bound: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _squarem(x0, x1, x2, bound, out=None) -> tuple[np.ndarray, list[float]]:
     """SqS3 extrapolation (Varadhan & Roland 2008) of stacked log-iterates.
 
     x1 = F(x0) and x2 = F(x1) for a fixed-point map F, one row per member: a
@@ -653,24 +716,31 @@ def _squarem(
     each member takes its own step length alpha = -|r| / |v|, clipped to
     [-bound, -1] (-1 gives x2 itself), to the point x0 - 2 alpha r + alpha^2
     v.  Returns the points, which the caller floors and renormalizes, and
-    |alpha|.
+    the |alpha|, Python floats as ``bound``.  ``out`` holds (points, (r, v),
+    two product rows, of which the first may be the points' own).
     """
-    r = x1 - x0
-    v = x2 - x1 - r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = -np.sqrt((r * r).sum(axis=1) / (v * v).sum(axis=1))
-    alpha = np.where(np.isnan(alpha), -1.0, np.minimum(np.maximum(alpha, -bound), -1.0))
-    a = alpha[:, None]
-    return x0 - 2.0 * a * r + a * a * v, -alpha
+    point, rv, prod = out or (np.empty_like(x0), *np.empty((2, 2, *x0.shape)))
+    r, v = rv
+    np.subtract(x1, x0, out=r)
+    np.subtract(np.subtract(x2, x1, out=v), r, out=v)
+    rr, vv = np.add.reduce(np.multiply(rv, rv, out=prod), axis=-1).tolist()
+    # |alpha| by numpy's IEEE rules: 0 / 0 is NaN (step 1), r / 0 infinite
+    alpha = [math.sqrt(a / b if b else math.inf if a > 0.0 else math.nan)
+             for a, b in zip(rr, vv)]
+    alpha = [1.0 if a != a else max(min(a, b), 1.0) for a, b in zip(alpha, bound)]
+    coef = np.array([[-2.0 * a for a in alpha], [a * a for a in alpha]])
+    np.multiply(rv, coef[:, :, None], out=prod)
+    np.add(np.subtract(x0, prod[0], out=point), prod[1], out=point)
+    return point, alpha
 
 
-def _step_bound(bound, alpha, tried, kept) -> np.ndarray:
+def _step_bound(bound, alpha, kept) -> list[float]:
     """SqS3 step bounds after judging the points: a kept point taken at its
-    bound multiplies the bound by STEP_GROWTH, and a dropped one sets it to
-    max(1, |alpha| / STEP_GROWTH)."""
-    grown = np.where(alpha == bound, STEP_GROWTH * bound, bound)
-    shrunk = np.where(tried, np.maximum(1.0, alpha / STEP_GROWTH), bound)
-    return np.where(kept, grown, shrunk)
+    bound multiplies the bound by STEP_GROWTH, a dropped one sets it to
+    max(1, |alpha| / STEP_GROWTH), and a bound of 0 (no point tried) stays."""
+    return [(STEP_GROWTH * b if a == b else b) if k
+            else max(1.0, a / STEP_GROWTH) if b > 0.0 else b
+            for b, a, k in zip(bound, alpha, kept)]
 
 
 def _blahut_map(x, pl, scaled, massed, beta):
@@ -753,7 +823,7 @@ def classical_blahut(
     # with value v1, and build the next point from x0, x1 and x2 = F(x1).
     x = np.full((count, n_u), -math.log(n_u))
     x0, x2, v1 = x, x, np.full(count, math.inf)
-    bound, alpha = np.ones(count), np.ones(count)  # step bound, last |alpha|
+    bound, alpha = [1.0] * count, [1.0] * count  # step bound, last |alpha|
     best, best_x = np.full(count, math.inf), x.copy()  # lowest value, its point
     live = np.arange(count)  # the member in each row of the state
     for k in range(1, max_iters + 1):
@@ -763,7 +833,7 @@ def classical_blahut(
         best[lower], best_x[lower] = val[lower], x[lower]
         if k % 2 and k > 1:  # x is a SqS3 point
             kept = val <= v1
-            bound = _step_bound(bound, alpha, True, kept)
+            bound = _step_bound(bound, alpha, kept.tolist())
             fall = ~kept & ~(g <= stop_tol) & (iterations[live] < max_iters)
             if fall.any():  # x2 replaces the dropped points in this step
                 x[fall] = x2[fall]
@@ -787,9 +857,9 @@ def classical_blahut(
             converged[rows] = stop[done]
             if done.all():
                 break
-            (live, pl, massed, x, fx, val, x0, x2, v1, bound, alpha, best,
-             best_x) = (a[~done] for a in (live, pl, massed, x, fx, val, x0, x2, v1,
-                                           bound, alpha, best, best_x))
+            bound, alpha = ([b for b, d in zip(a, done) if not d] for a in (bound, alpha))
+            live, pl, massed, x, fx, val, x0, x2, v1, best, best_x = (a[~done] for a in (
+                live, pl, massed, x, fx, val, x0, x2, v1, best, best_x))
         if k % 2:
             x0, x = x, fx
         else:

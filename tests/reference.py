@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from termdp.model import FiniteMdp, MemoryPolicy
+from termdp.model import LOG_FLOOR, FiniteMdp, MemoryPolicy, _terminal_cost
 
 
 def enum_trajectory_probs(mdp: FiniteMdp, policy: MemoryPolicy) -> dict:
@@ -184,3 +184,49 @@ def loop_backward(mdp, nu, beta, degree):
                 q[x, h, :] = [math.exp(v - lse) for v in z]
         log_phi[t], tables[t] = lp, q
     return log_phi, tables
+
+
+# The SqS3 cycle of the solver's sweeps as it was first written: fresh arrays,
+# K-element numpy arrays for the per-member scalars, and the flat layout's
+# row_of gathers.  The workspace cycle must give these numbers bit for bit.
+
+STEP_GROWTH = 4.0
+
+
+def squarem(x0, x1, x2, bound):
+    """SqS3 points of stacked log-iterates and |alpha|, bound an array."""
+    r = x1 - x0
+    v = x2 - x1 - r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = -np.sqrt((r * r).sum(axis=1) / (v * v).sum(axis=1))
+    alpha = np.where(np.isnan(alpha), -1.0, np.minimum(np.maximum(alpha, -bound), -1.0))
+    a = alpha[:, None]
+    return x0 - 2.0 * a * r + a * a * v, -alpha
+
+
+def step_bound(bound, alpha, tried, kept):
+    """SqS3 step bounds after judging the points."""
+    grown = np.where(alpha == bound, STEP_GROWTH * bound, bound)
+    shrunk = np.where(tried, np.maximum(1.0, alpha / STEP_GROWTH), bound)
+    return np.where(kept, grown, shrunk)
+
+
+def log_normalize(layout, x):
+    """Floor flattened log-tables at LOG_FLOOR, renormalize each segment."""
+    x = np.maximum(x, LOG_FLOOR)
+    top = np.maximum.reduceat(x, layout.starts, axis=-1)
+    lse = np.log(np.add.reduceat(np.exp(x - top[:, layout.row_of]), layout.starts,
+                                 axis=-1))
+    return x - (top + lse)[:, layout.row_of]
+
+
+def layout_objective(layout, mdp, beta, flow, log_q, q):
+    """``factored_objective`` of table rows q = exp(log_q) from their forward
+    pass, by gathering mu and nu to the tables entries."""
+    lam = flow.mu[..., layout.row_of] * q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = layout.cost + beta * (log_q - np.log(flow.nu[..., layout.nu_of]))
+        total = np.sum(lam * gain, axis=-1, where=lam > 0.0)
+    last = flow.mu[..., layout.beliefs.spans[-1]]
+    return total + _terminal_cost(mdp, last.reshape(*last.shape[:-1],
+                                                    *layout.beliefs.shapes[-1]))

@@ -503,6 +503,34 @@ def test_oversized_starts_refused_before_allocation(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["solve", TOY], ["sweep", HAMMING, "--betas", "1"], ["maze", "--sample"]],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_negative_starts_is_input_error(tmp_path, capsys, monkeypatch, argv, source):
+    # a negative count was clamped to one seeded restart and exited 0
+    if source == "flag":
+        argv = [*argv, "--starts", "-1"]
+    else:
+        monkeypatch.setenv("TERMDP_STARTS", "-1")
+    code = run([*argv, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error: starts must be nonnegative, got -1" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_starts_runs_one_seeded_restart(tmp_path):
+    # --starts 0 keeps its meaning: the same files as --starts 1
+    files = []
+    for starts in (0, 1):
+        out = tmp_path / f"out{starts}"
+        assert run(["solve", TOY, "--starts", starts, "--out-dir", out]) == 0
+        files.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert files[0] == files[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", TOY], ["sweep", HAMMING, "--betas", "1"], ["landscape", "--toy"],
     ["maze", "--sample"], ["value-iteration", TOY], ["verify"],

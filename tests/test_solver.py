@@ -9,7 +9,7 @@ import pytest
 import termdp as td
 from termdp import oracle, solver
 from termdp.errors import InstanceError, NumericalError
-from termdp.model import FlatLayout, SweepPlan
+from termdp.model import SweepPlan
 from termdp.solver import (
     PolicyStack,
     SolverIterate,
@@ -21,6 +21,7 @@ from termdp.solver import (
     stationarity_residual,
 )
 
+import reference
 from reference import reachable_rows, symmetric_classical_minimum
 
 Q_STAR = 1.0 / (1.0 + math.exp(-1.0))  # matching probability of the
@@ -230,7 +231,7 @@ class TestBackwardPass:
         layout = mdp.sweep_plan(degree).layout
         shape = (6, len(layout.cost))
         x = np.where(rng.random(shape) < 0.4, rng.uniform(-5.0, 0.0, shape), -1e3)
-        q = np.exp(layout.log_normalize(x))
+        q = np.exp(reference.log_normalize(layout, x))
         stack = PolicyStack(degree, layout.tables.split(q))
         assert (q < 1e-290).mean() > 0.3  # at the floor, up to renormalizing
         _, nu = forward_pass(mdp, stack)
@@ -790,8 +791,11 @@ class TestFreeEnergy:
         q = flat.tables.join(stack.tables)
         assert all(np.array_equal(a, b) for a, b in zip(flat.tables.split(q), stack.tables))
         belief, nu = forward_pass(mdp, stack)
+        flow = plan.forward_flat(q)  # leaves lam = mu q in the workspace's tables
+        cycle = solver._Cycle(plan, len(q))
         with np.errstate(divide="ignore"):
-            got = flat.objective(mdp, 0.8, plan.forward_flat(q), np.log(q), q)
+            np.log(q, out=cycle.point[:len(q)])
+        got = cycle.judge(mdp, 0.8, flow)
         want = td.factored_objective(mdp, stack, nu, 0.8, belief)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -913,14 +917,14 @@ class TestMultiStart:
         starts = [td.MemoryPolicy.uniform(mdp, 1)] + plan_start_policies(mdp, 1, 2)
         starts += [td.MemoryPolicy.perturbed(mdp, 1, int(s)) for s in seeds]
         values = []  # the objectives of the SqS3 points tried
-        real = FlatLayout.objective
+        real = solver._Cycle.judge
 
         def recorded(self, *args):
             out = real(self, *args)
-            values.extend(out.tolist())
+            values.extend(out)
             return out
 
-        monkeypatch.setattr(FlatLayout, "objective", recorded)
+        monkeypatch.setattr(solver._Cycle, "judge", recorded)
         kept = 0
         for rep, q0 in zip(full, starts, strict=True):
             values.clear()

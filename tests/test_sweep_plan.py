@@ -19,9 +19,11 @@ from termdp import oracle
 from termdp.errors import NumericalError, ResourceError
 from termdp.model import (
     DEFAULT_CELL_BUDGET,
+    MARGINAL_FLOOR,
     ROW_TOL,
     SweepPlan,
     conditional_mutual_information,
+    log_marginals,
 )
 from termdp.solver import (
     EXTRAPOLATE_AFTER,
@@ -355,6 +357,32 @@ def test_sweep_tables_are_views_of_one_c_ordered_row_per_member(monkeypatch):
     pols = [oracle.random_policy(np.random.default_rng(i), mdp, 1) for i in range(3)]
     _, nu = forward_pass(mdp, PolicyStack.of(1, pols))
     assert one_row_per_member(backward_pass(mdp, nu, 0.6, 1)[2].tables)
+
+
+@pytest.mark.parametrize("low", [0.3, 1e-299, 1e-300, 1e-310, 0.0, np.nan])
+def test_log_marginals_floor_zeros_and_nan(low):
+    # rows with no entry below the floor take the log alone; an entry below
+    # it, a zero or a NaN anywhere takes the floor, -inf at zeros and NaN
+    nu = np.array([[0.5, 0.25, low], [0.7, 0.2, 0.1]])
+    want = np.where(nu > 0.0, np.log(np.maximum(nu, MARGINAL_FLOOR)), -np.inf)
+    assert log_marginals(nu).tobytes() == want.tobytes()
+    out = np.empty_like(nu)
+    assert log_marginals(nu, out=out) is out and out.tobytes() == want.tobytes()
+
+
+def test_finite_log_phi_whose_sum_overflows_is_no_error():
+    # a terminal cost near the float maximum puts every log phi entry near
+    # -1e308: their sum overflows, and the per-step scan that follows finds
+    # every step finite, so the pass returns
+    mdp, pol = _instance(4, 1)
+    big = td.FiniteMdp(mdp.transitions, mdp.stage_costs,
+                       np.full_like(mdp.terminal_cost, 1e308), mdp.initial)
+    _, nu = forward_pass(big, pol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, log_phi, _ = backward_pass(big, nu, 1.0, 1)
+    assert all(np.isfinite(lp).all() for lp in log_phi)
+    assert not math.isfinite(sum(v for lp in log_phi[:-1] for v in lp.ravel().tolist()))
 
 
 @pytest.mark.parametrize("stacked", [False, True])

@@ -3,9 +3,11 @@
 Property tests over random horizons, state and action counts, degrees 0-2
 and stack heights: the workspace's rows equal the reference path, a
 returned row outlives later passes, members of a stack whose height changes
-stay bit for bit their solo runs, and no sweep re-splits a row after its
-first sweep.  Then threads that share one instance must reproduce
-sequential runs bit for bit.
+stay bit for bit their solo runs, no sweep re-splits a row after its
+first sweep, and the SqS3 cycle on the workspace's rows gives the numbers of
+the reference cycle (``reference.squarem`` and the rest).  Then threads that
+share one instance must reproduce sequential runs bit for bit, and build
+each of its caches once.
 """
 
 import sys
@@ -16,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 import termdp as td
 from termdp import oracle, solver
-from termdp.model import Space, SweepPlan
+from termdp.model import FiniteMdp, Space, SweepPlan
 from termdp.solver import EXTRAPOLATE_AFTER, PolicyStack, residual_from_policy
 
+import reference
 from reference import enum_beliefs_and_marginals, loop_backward, reachable_rows
 
 TOL = 1e-12  # as the plan's kernel tests
@@ -158,6 +161,67 @@ def test_sweeps_split_no_row_after_the_first_sweep(case):
         Space.split, SweepPlan.backward_flat = real_split, real_backward
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=CASES, data=st.data())
+def test_cycle_equals_the_reference(case, data):
+    # three iterate rows per member, some entries at or below the 1e-300
+    # floor, each member with its own bound (0: it tries no point): the
+    # workspace cycle's steps, points, policies, objectives, next bounds and
+    # next x0 are the reference's bit for bit
+    mdp, pols = _draw(case)
+    k, plan = case["k"], mdp.sweep_plan(case["degree"])
+    lay = plan.layout
+    rng = np.random.default_rng(case["seed"])
+    rows = []
+    for _ in range(3):
+        pols = [oracle.random_policy(rng, mdp, case["degree"]) for _ in range(k)]
+        x = _rows(plan, pols)
+        tiny = rng.random(x.shape) < 0.2
+        x[tiny] = rng.choice([0.0, 5e-324, 1e-300, 1e-299], size=x.shape)[tiny]
+        rows.append(x)
+    bound = data.draw(st.lists(st.sampled_from([0.0, 1.0, 4.0, 16.0, 1e6]),
+                               min_size=k, max_size=k))
+    kept = [kp and b > 0.0 for kp, b in zip(
+        data.draw(st.lists(st.booleans(), min_size=k, max_size=k)), bound)]
+    plan.forward_flat(rows[0])  # the workspace the cycle's rows join
+    cycle = solver._Cycle(plan, k)
+    assert cycle.add(rows[0], bound) is None and cycle.add(rows[1], bound) is None
+    policy, alpha = cycle.add(rows[2], bound)
+    logs = [np.log(np.maximum(x, solver.MARGINAL_FLOOR)) for x in rows]
+    points, want_alpha = reference.squarem(*logs, np.asarray(bound))
+    points = reference.log_normalize(lay, points)
+    want = np.where((np.asarray(bound) > 0.0)[:, None], np.exp(points), rows[2])
+    assert _bits(alpha) == _bits(want_alpha) and _bits(policy) == _bits(want)
+    flow = plan.forward_flat(policy)
+    value = cycle.judge(mdp, case["beta"], flow)
+    assert _bits(value) == _bits(
+        reference.layout_objective(lay, mdp, case["beta"], flow, points, want))
+    tried = np.asarray(bound) > 0.0
+    assert _bits(solver._step_bound(bound, alpha, kept)) == _bits(
+        reference.step_bound(np.asarray(bound), want_alpha, tried, np.asarray(kept)))
+    cycle.restart(kept)
+    assert cycle.filled == 1 and _bits(cycle.logs[0][:k]) == _bits(
+        np.where(np.asarray(kept)[:, None], points, logs[2]))
+
+
+def test_step_length_edge_cases():
+    # member 0 has r = v = 0 (step 1), member 1 r > 0 and v = 0 (its bound,
+    # or 1 for a bound of 0), member 2 a step inside (1, bound): the shared
+    # SqS3 point and steps equal the reference's for every bound
+    x0 = np.array([[0.0, 1.0, -2.0], [0.0, 1.0, -2.0], [0.5, 0.25, -1.0]])
+    x1 = x0 + np.array([[0.0], [1.0], [0.5]])
+    x2 = x1 + np.array([[0.0], [1.0], [0.25]])
+    for bound in ([1.0, 16.0, 16.0], [4.0, 0.0, 4.0], [0.0, 1e6, 1.0]):
+        points, alpha = solver._squarem(x0, x1, x2, bound)
+        want, want_alpha = reference.squarem(x0, x1, x2, np.asarray(bound))
+        assert _bits(points) == _bits(want) and _bits(alpha) == _bits(want_alpha)
+        assert alpha[0] == 1.0 and alpha[1] == max(bound[1], 1.0)
+
+
 def _fields(report):
     """A report as comparable values: every field but the wall time."""
     return [report.policy.degree, *report.policy.tables, report.cost,
@@ -217,3 +281,52 @@ def test_threads_sharing_an_instance_match_sequential_runs():
     assert not errors
     for got, expected in zip(results, want):
         assert len(got) == rounds and all(_same(g, expected) for g in got)
+
+
+def test_threads_build_each_cache_once(monkeypatch):
+    # two threads start a multi-start on one fresh instance at once, at a
+    # 1-us switch interval; over 20 instances, each builds its sweep plan and
+    # its restriction once and runs the plan starts' DP once per plan
+    builds = []
+    real_init, real_restrict = SweepPlan.__init__, FiniteMdp._restrict
+    real_dp = solver.backward_induction
+
+    def init(plan, mdp, degree):
+        builds.append(("plan", degree))
+        real_init(plan, mdp, degree)
+
+    def restrict(mdp):
+        builds.append(("restriction",))
+        return real_restrict(mdp)
+
+    def dp(mdp, costs):
+        builds.append(("dp",))
+        return real_dp(mdp, costs)
+
+    monkeypatch.setattr(SweepPlan, "__init__", init)
+    monkeypatch.setattr(FiniteMdp, "_restrict", restrict)
+    monkeypatch.setattr(solver, "backward_induction", dp)
+    opts = td.SolveOptions(beta=0.8, degree=1, max_iters=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(20):
+            mdp = oracle.random_mdp(np.random.default_rng(trial), 3, 3, 3)
+            builds.clear()
+            errors = []
+
+            def run():
+                try:
+                    td.multi_start(mdp, opts, starts=1, seed=1, plan_starts=2)
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads) and not errors
+            assert sorted(builds) == [("dp",), ("dp",), ("plan", 1), ("restriction",)]
+    finally:
+        sys.setswitchinterval(interval)
