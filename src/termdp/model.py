@@ -52,6 +52,7 @@ ROW_TOL = 1e-12
 DEFAULT_CELL_BUDGET = 20_000_000
 MARGINAL_FLOOR = 1e-300  # gibbs_step takes logs of positive marginals above this
 LOG_FLOOR = math.log(MARGINAL_FLOOR)  # floor of the solver's log-probabilities
+CACHE_LOCK = threading.RLock()  # held while an instance's cache fills a miss
 
 
 def _frozen(values) -> np.ndarray:
@@ -69,10 +70,10 @@ class FiniteMdp:
     shape (X_t, U_t), ``terminal_cost`` shape (X_T,), ``initial`` shape
     (X_0,).  Arrays are made read-only on construction; instances are safe to
     share between threads.  Sweep plans and plan starts' greedy actions (per
-    memory degree) and the ``restriction`` are built on first use and cached,
-    once: a miss is rechecked and filled under the instance's lock.  A plan's
-    sweep buffers are per thread (``SweepPlan``), so threads that solve on one
-    instance at once do not share them.
+    memory degree) and the ``restriction`` are built once, on first use, under
+    one module-wide lock.  A plan's sweep buffers are per thread
+    (``SweepPlan``), so threads that solve on one instance at once do not
+    share them.  A pickled or copied instance is rebuilt from its arrays.
     """
 
     transitions: tuple[np.ndarray, ...]
@@ -81,9 +82,6 @@ class FiniteMdp:
     initial: np.ndarray
     _cards: tuple = field(init=False, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _starts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _lock: object = field(default_factory=threading.RLock, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -114,10 +112,14 @@ class FiniteMdp:
     def action_cards(self) -> tuple[int, ...]:
         return self._cards[1]
 
+    def __reduce__(self):  # rebuilt by the constructor: read-only, no caches
+        return FiniteMdp, (self.transitions, self.stage_costs, self.terminal_cost,
+                           self.initial)
+
     def _cached(self, key, build):
-        """The value cached at key, built by build() under the lock on a miss."""
+        """The value cached at key, built by build() under CACHE_LOCK on a miss."""
         if key not in self._cache:
-            with self._lock:  # a thread that waited here finds the value built
+            with CACHE_LOCK:  # a thread that waited here finds the value built
                 self._cache[key] = self._cache.get(key) or build()
         return self._cache[key]
 
@@ -427,8 +429,6 @@ def slide_split(mdp: FiniteMdp, degree: int, t: int) -> tuple[int, int]:
 def log_marginals(nu: np.ndarray, out=None) -> np.ndarray:
     """log nu floored at LOG_FLOOR, and -inf (zero policy mass) at zero
     entries; into out if given."""
-    if np.minimum.reduce(nu, axis=None) >= MARGINAL_FLOOR:  # no floor, no zero, no NaN
-        return np.log(nu, out=out)
     out = np.maximum(nu, MARGINAL_FLOOR, out=out)
     np.log(out, out=out)
     np.copyto(out, -np.inf, where=~(nu > 0.0))
@@ -723,6 +723,11 @@ class SweepPlan:
         return Flow(ws.beliefs.reshape(*lead, lay.beliefs.size).copy(),
                     nu.reshape(*lead, lay.marginals.size))
 
+    def lam(self, count: int) -> np.ndarray:
+        """lam = mu q of this thread's last ``forward_flat`` of count rows: a
+        workspace view, valid until the thread's next pass on the plan."""
+        return self._workspace(count).tables
+
     def forward(self, tables: Sequence[np.ndarray]) -> tuple[list, list]:
         """Beliefs mu_0..mu_T and action marginals nu_0..nu_{T-1} of a policy."""
         lay = self.layout
@@ -788,10 +793,9 @@ class SweepPlan:
                 gibbs_step(z, gibbs)
             total = np.add.reduce(log_phi[:, :lay.beliefs.spans[-1].start], axis=None)
         if not math.isfinite(total):  # an entry is not finite, or the sum overflowed
-            bad = [t for t, lp in enumerate(lay.beliefs.split(log_phi)[:-1])
-                   if not np.isfinite(lp).all()]
-            if bad:
-                raise NumericalError(f"non-finite or zero Gibbs normalizer at t={bad[-1]}")
+            for t, lp in reversed(list(enumerate(lay.beliefs.split(log_phi)[:-1]))):
+                if not np.isfinite(lp).all():
+                    raise NumericalError(f"non-finite or zero Gibbs normalizer at t={t}")
         return (log_phi.reshape(*lead, lay.beliefs.size).copy(),
                 ws.tables.reshape(*lead, lay.tables.size).copy())
 
@@ -830,10 +834,9 @@ class FlatLayout(NamedTuple):
     log_phi_t(x, h) with t <= T, ``marginals`` for nu_t(h, u).  For each
     tables entry, ``row_of`` is its (t, x, h) segment and beliefs index,
     ``nu_of`` its marginals index and ``cost`` its stage cost; ``starts``
-    begin the segments, of ``lengths`` entries.  ``mass_of`` and
-    ``history_of`` give the (t, h) of each beliefs and marginals entry
-    (terminal beliefs go to bin ``histories``), and ``uniform`` each marginal
-    entry's 1 / U_t."""
+    and ``lengths`` locate the segments.  ``mass_of`` and ``history_of`` give
+    the (t, h) of each beliefs and marginals entry (terminal beliefs go to
+    bin ``histories``), and ``uniform`` each marginal entry's 1 / U_t."""
 
     tables: Space
     beliefs: Space

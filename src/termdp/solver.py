@@ -16,11 +16,10 @@ values of the extrapolated points that ``_sweeps`` tries after its warm-up.
 
 Both passes run on the ``SweepPlan`` that the ``FiniteMdp`` caches per
 degree, whose kernels the sweeps call directly on one row of tables per
-member (``SweepPlan.layout``), in the plan's per-thread workspace; the
-SqS3 extrapolation past the warm-up runs on rows of its own.  The starts of
-a multi-start are swept as one batch; a member leaves it at its own stop,
-and its numbers are bit for bit those of solving it alone.  A solve is a
-batch of one.  One stacked final forward pass serves the batch's
+member (``SweepPlan.layout``), in the plan's per-thread workspace.  The
+starts of a multi-start are swept as one batch; a member leaves it at its
+own stop, and its numbers are bit for bit those of solving it alone.  A
+solve is a batch of one.  One stacked final forward pass serves the batch's
 certificate and its cost and information.  A policy is one tables row per
 member from its start, built on the reachable states
 (``FiniteMdp.restriction``), to its report, the only ``MemoryPolicy``.  The
@@ -44,6 +43,7 @@ import numpy as np
 
 from .errors import InstanceError, NumericalError
 from .model import (
+    CACHE_LOCK,
     DEFAULT_CELL_BUDGET,
     LOG_FLOOR,
     MARGINAL_FLOOR,
@@ -274,20 +274,19 @@ def _sweeps(
     earliest failure is raised, as when starts are swept one at a time.  The
     callers build the rows valid, at the plan's shapes.
 
-    Once the starts have had EXTRAPOLATE_AFTER sweeps (``done`` of them
-    before this call), the sweep map is extrapolated as in
-    ``classical_blahut``: after every two plain sweeps each member tries a
-    SqS3 point (``_squarem``) built from the log tables of its last three
-    policies, each one row of the plan's ``layout``, so that one step length
-    serves its T tables, on rows built for the call (``_Cycle``).  The
-    next sweep judges the point on its forward pass: the member keeps it,
-    and records its objective, if that is no higher than its last trace
-    value, so the trace still descends;
-    otherwise the same sweep propagates and sweeps the plain policy, stop
-    test included, as if no point had been tried.  A member may not stop on
-    the sweep of a kept point or the next one, and past the warm-up it stops
-    only when the stop test passes on two consecutive sweeps outside that
-    hold; a pass during the hold ends its extrapolation.
+    Once the starts have had EXTRAPOLATE_AFTER sweeps (``done`` of them before
+    this call), the sweep map is extrapolated as in ``classical_blahut``:
+    after every two plain sweeps each member tries a SqS3 point (``_squarem``)
+    built from the log tables of its last three policies, each one row of the
+    plan's ``layout``, so that one step length serves its T tables, on the
+    call's own rows (``_Cycle``).  The next sweep judges the point on its
+    forward pass: the member keeps it, and records its objective, if that is
+    no higher than its last trace value, so the trace still descends;
+    otherwise the same sweep propagates and sweeps the plain policy, stop test
+    included, as if no point had been tried.  A member may not stop on the
+    sweep of a kept point or the next one, and past the warm-up it stops only
+    when the stop test passes on two consecutive sweeps outside that hold; a
+    pass during the hold ends its extrapolation.
     """
     plan = mdp.sweep_plan(opts.degree)
     layout = plan.layout
@@ -312,7 +311,7 @@ def _sweeps(
             ).tolist()
         if trial is not None:  # q holds SqS3 points: judge them
             (swept, alpha), trial = trial, None
-            value = cycle.judge(mdp, opts.beta, flow)
+            value = cycle.judge(mdp, opts.beta, flow, plan.lam(len(q)))
             kept = [b > 0.0 and v <= traces[i][-1] for b, v, i in zip(bound, value, live)]
             dropped = [r for r, b in enumerate(bound) if b > 0.0 and not kept[r]]
             if dropped:  # these sweep their plain policies
@@ -354,21 +353,17 @@ def _sweeps(
         if stops or k == max_iters or len(live) < len(bound):
             stay = [r for r in range(len(live)) if r not in stops and k < max_iters]
             gone = [r for r in range(len(live)) if r not in stay]
-            if gone:
-                ids = [live[r] for r in gone]
-                rows[ids] = q[gone]
-                for r, i in zip(gone, ids):
-                    iterations[i], converged[i] = k, r in stops
-                live, values = [live[r] for r in stay], [values[r] for r in stay]
-                q = q[stay]
-            bound, hold, passed_at = ([x[r] for r in stay] for x in (bound, hold,
-                                                                     passed_at))
+            ids = [live[r] for r in gone]
+            rows[ids] = q[gone]
+            for r, i in zip(gone, ids):
+                iterations[i], converged[i] = k, r in stops
+            live, values, q = [live[r] for r in stay], [values[r] for r in stay], q[stay]
+            bound, hold, passed_at = ([x[r] for r in stay] for x in (bound, hold, passed_at))
             for x in cycle.logs[:cycle.filled] if cycle else ():  # the set iterates
                 x[:len(stay)] = x[stay]
         if done + k < EXTRAPOLATE_AFTER or not any(bound):  # none takes points
             continue
-        if cycle is None:
-            cycle = _Cycle(plan, len(q))
+        cycle = cycle or _Cycle(plan, len(q))
         trial = cycle.add(q, bound)
         if trial is not None:  # sweep the points; keep the swept rows
             q, trial = trial[0], (q, trial[1])
@@ -381,14 +376,11 @@ class _Cycle:
     """The SqS3 cycle of ``_sweeps`` on rows for a stack of up to cap members,
     built by its first extrapolating sweep: the log iterates x0, x1, x2 (the
     first ``filled`` set), r and v, and the point and its policy, which hold
-    the step's products first.  ``lam`` is the tables row of the plan's
-    workspace, lam = mu q after a forward pass.  Calls make only their ufunc
-    and reduceat calls."""
+    the step's products first.  Calls make only ufunc and reduceat calls."""
 
     def __init__(self, plan, cap) -> None:
-        layout = plan.layout
-        n, m = layout.tables.size, layout.marginals.size
-        self.layout, self.lam, self.filled = layout, plan._workspace(cap).tables, 0
+        self.layout = layout = plan.layout
+        n, m, self.filled = layout.tables.size, layout.marginals.size, 0
         self.logs, self.pair, self.out = (np.empty((c, cap, n)) for c in (3, 2, 2))
         self.logs, (self.point, self.policy) = list(self.logs), self.out
         self.top, self.lse = np.empty((2, cap, len(layout.starts)))  # per segment
@@ -417,11 +409,10 @@ class _Cycle:
             policy[r] = q[r]
         return policy, alpha
 
-    def judge(self, mdp, beta, flow) -> list[float]:
+    def judge(self, mdp, beta, flow, lam) -> list[float]:
         """``factored_objective`` of the points' policies q from their forward
-        pass: sum lam (c + beta log(q / nu)) over massed entries, plus terminal."""
-        k, lay = len(flow.mu), self.layout
-        lam, gain = self.lam[:k], self.pair[0, :k]
+        pass and lam = mu q: sum lam (c + beta log(q / nu)) + terminal cost."""
+        k, lay, gain = len(lam), self.layout, self.pair[0, :len(lam)]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log(flow.nu, out=self.log_nu[:k]).take(lay.nu_of, -1, gain, "clip")
             np.subtract(self.point[:k], gain, out=gain)
@@ -536,11 +527,11 @@ def _plan_actions(mdp: FiniteMdp, degree: int, count: int) -> list[tuple]:
     degree and grown on demand: plan k + 1 reads plans 1..k only through their
     penalties.  The DP runs on the full instance (a cut one breaks argmin ties
     differently); the beliefs that set the penalties run on the reachable rows."""
-    plans = mdp._starts.get(degree, ())
-    if len(plans) >= count:
+    plans = mdp._cache.get(("starts", degree), ())
+    if len(plans) >= count:  # a hit takes no lock
         return list(plans[:count])
-    with mdp._lock:  # a miss; another thread may have grown the plans since
-        plans = list(mdp._starts.get(degree, ()))
+    with CACHE_LOCK:  # a miss: threads that start on a fresh instance grow them once
+        plans = list(mdp._cache.get(("starts", degree), ()))
         cut = mdp.restriction
         plan = cut.mdp.sweep_plan(degree)
         scale = max(1.0, max(float(np.abs(c).max()) for c in mdp.stage_costs))
@@ -555,8 +546,8 @@ def _plan_actions(mdp: FiniteMdp, degree: int, count: int) -> list[tuple]:
             for t, q in enumerate(_plan_tables(plan, map(np.take, plans[k], cut.states))):
                 penalties[t][cut.states[t]] += 2.0 * scale * (mu.sum(axis=1) > 1e-3)
                 mu = plan.push(t, mu[..., None] * q)
-        mdp._starts[degree] = tuple(plans)
-    return plans[:count]
+        mdp._cache[("starts", degree)] = tuple(plans)
+    return plans[:count]  # another thread may have grown them further
 
 
 def multi_start(
@@ -720,9 +711,8 @@ def _squarem(x0, x1, x2, bound, out=None) -> tuple[np.ndarray, list[float]]:
     two product rows, of which the first may be the points' own).
     """
     point, rv, prod = out or (np.empty_like(x0), *np.empty((2, 2, *x0.shape)))
-    r, v = rv
-    np.subtract(x1, x0, out=r)
-    np.subtract(np.subtract(x2, x1, out=v), r, out=v)
+    np.subtract(x1, x0, out=rv[0])
+    np.subtract(np.subtract(x2, x1, out=rv[1]), rv[0], out=rv[1])
     rr, vv = np.add.reduce(np.multiply(rv, rv, out=prod), axis=-1).tolist()
     # |alpha| by numpy's IEEE rules: 0 / 0 is NaN (step 1), r / 0 infinite
     alpha = [math.sqrt(a / b if b else math.inf if a > 0.0 else math.nan)

@@ -791,11 +791,11 @@ class TestFreeEnergy:
         q = flat.tables.join(stack.tables)
         assert all(np.array_equal(a, b) for a, b in zip(flat.tables.split(q), stack.tables))
         belief, nu = forward_pass(mdp, stack)
-        flow = plan.forward_flat(q)  # leaves lam = mu q in the workspace's tables
+        flow = plan.forward_flat(q)
         cycle = solver._Cycle(plan, len(q))
         with np.errstate(divide="ignore"):
             np.log(q, out=cycle.point[:len(q)])
-        got = cycle.judge(mdp, 0.8, flow)
+        got = cycle.judge(mdp, 0.8, flow, plan.lam(len(q)))
         want = td.factored_objective(mdp, stack, nu, 0.8, belief)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 

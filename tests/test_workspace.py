@@ -4,12 +4,14 @@ Property tests over random horizons, state and action counts, degrees 0-2
 and stack heights: the workspace's rows equal the reference path, a
 returned row outlives later passes, members of a stack whose height changes
 stay bit for bit their solo runs, no sweep re-splits a row after its
-first sweep, and the SqS3 cycle on the workspace's rows gives the numbers of
-the reference cycle (``reference.squarem`` and the rest).  Then threads that
-share one instance must reproduce sequential runs bit for bit, and build
-each of its caches once.
+first sweep, and the SqS3 cycle on its preallocated rows gives the numbers
+of the reference cycle (``reference.squarem`` and the rest).  Then threads
+that share one instance must reproduce sequential runs bit for bit, and
+build each of its caches once; an instance still pickles and copies.
 """
 
+import copy
+import pickle
 import sys
 import threading
 
@@ -187,7 +189,6 @@ def test_cycle_equals_the_reference(case, data):
                                min_size=k, max_size=k))
     kept = [kp and b > 0.0 for kp, b in zip(
         data.draw(st.lists(st.booleans(), min_size=k, max_size=k)), bound)]
-    plan.forward_flat(rows[0])  # the workspace the cycle's rows join
     cycle = solver._Cycle(plan, k)
     assert cycle.add(rows[0], bound) is None and cycle.add(rows[1], bound) is None
     policy, alpha = cycle.add(rows[2], bound)
@@ -197,7 +198,7 @@ def test_cycle_equals_the_reference(case, data):
     want = np.where((np.asarray(bound) > 0.0)[:, None], np.exp(points), rows[2])
     assert _bits(alpha) == _bits(want_alpha) and _bits(policy) == _bits(want)
     flow = plan.forward_flat(policy)
-    value = cycle.judge(mdp, case["beta"], flow)
+    value = cycle.judge(mdp, case["beta"], flow, plan.lam(k))
     assert _bits(value) == _bits(
         reference.layout_objective(lay, mdp, case["beta"], flow, points, want))
     tried = np.asarray(bound) > 0.0
@@ -330,3 +331,19 @@ def test_threads_build_each_cache_once(monkeypatch):
             assert sorted(builds) == [("dp",), ("dp",), ("plan", 1), ("restriction",)]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_instance_pickles_and_copies():
+    # after a solve, whose plan holds per-thread buffers: the twins are built
+    # from the four arrays, read-only, and solve to the same numbers
+    mdp = oracle.random_mdp(np.random.default_rng(3), 3, 3, 3)
+    opts = td.SolveOptions(beta=0.8, degree=1, max_iters=60)
+    want = td.solve(mdp, opts)
+    twins = pickle.loads(pickle.dumps(mdp)), copy.deepcopy(mdp)
+    for twin in twins:
+        assert all(np.array_equal(a, b) and not b.flags.writeable for a, b in zip(
+            (*mdp.transitions, *mdp.stage_costs, mdp.terminal_cost, mdp.initial),
+            (*twin.transitions, *twin.stage_costs, twin.terminal_cost, twin.initial)))
+        got = td.solve(twin, opts)
+        assert np.array_equal(got.objective_trace, want.objective_trace)
+        assert _same(got.policy.tables, want.policy.tables)
