@@ -27,6 +27,7 @@ from .model import (
     FiniteMdp,
     MemoryPolicy,
     check_beta,
+    check_count,
     check_tables,
     conditional_mutual_information,
     slide_split,
@@ -183,8 +184,7 @@ def _require_toy_shape(mdp: FiniteMdp) -> None:
 
 
 def _check_resolution(resolution: int) -> None:
-    if resolution < 11:
-        raise InstanceError(f"grid resolution must be >= 11, got {resolution}")
+    check_count("grid resolution", resolution, 11)
 
 
 def _certified_blahut(prior, cost, beta: float) -> ClassicalSolution:
@@ -376,35 +376,35 @@ def _policy_grid(
 def _batched_objective(
     mdp: FiniteMdp, beta: float, degree: int, tables: list[np.ndarray]
 ) -> np.ndarray:
-    """Objective totals for a batch of policies stacked on a leading axis."""
-    n_batch = tables[0].shape[0]
-    mu = np.broadcast_to(mdp.initial[None, :, None], (n_batch, len(mdp.initial), 1))
-    cost = np.zeros(n_batch)
-    info = np.zeros(n_batch)
-    for t in range(mdp.horizon):
-        q = tables[t]
-        lam = mu[:, :, :, None] * q
-        cost += np.einsum("nxhu,xu->n", lam, mdp.stage_costs[t])
-        lam_h = lam.sum(axis=1)  # (N, H, U)
-        mass = mu.sum(axis=1)  # (N, H)
-        num = q * mass[:, None, :, None]
-        den = lam_h[:, None, :, :]
-        mask = lam > 0.0
-        ratio = np.ones_like(lam)
-        np.divide(num, den, out=ratio, where=mask)
-        info += np.sum(lam * np.log(ratio), where=mask, axis=(1, 2, 3))
-        pushed = np.einsum("nxhu,xuy->nyhu", lam, mdp.transitions[t])
+    """Objective totals for a batch of policies stacked on a leading axis.
+
+    Each contraction is a BLAS matmul over the batch: the costs are matvecs
+    of lam and mu against flattened cost tables, the sums over x ``ones(x) @``
+    products, and the push one (N, X*U) @ (X*U, Y) matmul at degree 0, one
+    per action above it.  No solver kernel is used: an independent check.
+    """
+    n = tables[0].shape[0]
+    mu = np.broadcast_to(mdp.initial[:, None], (n, len(mdp.initial), 1))
+    cost = np.zeros(n)
+    info = np.zeros(n)
+    for t, (q, p, c) in enumerate(zip(tables, mdp.transitions, mdp.stage_costs)):
+        _, x, h, u = q.shape
+        lam = mu[..., None] * q  # (N, X, H, U)
+        cost += lam.reshape(n, -1) @ np.broadcast_to(c[:, None], q.shape[1:]).reshape(-1)
+        lam_h = (np.ones(x) @ lam.reshape(n, x, h * u)).reshape(n, 1, h, u)
+        mass = np.ones(x) @ mu  # (N, H)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = lam * np.log(q * (mass[:, None, :, None] / lam_h))
+        terms[lam <= 0.0] = 0.0
+        info += terms.reshape(n, -1) @ np.ones(x * h * u)
         if degree == 0:
-            mu = pushed.sum(axis=3)
+            mu = (lam.reshape(n, x * u) @ p.reshape(x * u, -1))[..., None]
         else:
             dropped, kept = slide_split(mdp, degree, t)
-            n_y, n_u = pushed.shape[1], pushed.shape[3]
-            mu = (
-                pushed.reshape(n_batch, n_y, dropped, kept, n_u)
-                .sum(axis=2)
-                .reshape(n_batch, n_y, kept * n_u)
-            )
-    cost += np.einsum("nxh,x->n", mu, mdp.terminal_cost)
+            pushed = lam.transpose(3, 0, 2, 1).reshape(u, n * h, x) @ p.swapaxes(0, 1)
+            mu = (pushed.reshape(u, n, dropped, kept, -1).sum(axis=2)
+                  .transpose(1, 3, 2, 0).reshape(n, -1, kept * u))
+    cost += mu.sum(axis=2) @ mdp.terminal_cost
     return cost + beta * info
 
 
@@ -421,6 +421,7 @@ def brute_force_policy_search(
     by the total combination budget, both before any grid is built.
     """
     check_beta(beta)
+    check_count("combo_budget", combo_budget, 1)
     shapes = [step.shape for step in mdp.sweep_plan(degree).steps]
     free = sum(x * h * (u - 1) for x, h, u in shapes)
     if free > MAX_FREE_PARAMS:
@@ -619,9 +620,16 @@ class SuiteResult:
         return not self.failures
 
 
+def _suite_result(name: str, seed: int, trials: int) -> SuiteResult:
+    """An empty result, once seed and trials are nonnegative integers."""
+    check_count("seed", seed, 0)
+    check_count("trials", trials, 0)
+    return SuiteResult(name, trials)
+
+
 def suite_prop1b(seed: int, trials: int = 100) -> SuiteResult:
     """Widening the state window never changes the information term."""
-    result = SuiteResult("window-width-invariance", trials)
+    result = _suite_result("window-width-invariance", seed, trials)
     for i in range(trials):
         rng = np.random.default_rng(seed + i)
         mdp = random_mdp(rng, int(rng.integers(1, 5)), 4, 4)
@@ -639,7 +647,7 @@ def suite_prop1b(seed: int, trials: int = 100) -> SuiteResult:
 
 def suite_prop2(seed: int, trials: int = 100) -> SuiteResult:
     """Longer control conditioning never increases the per-step information."""
-    result = SuiteResult("conditioning-monotonicity", trials)
+    result = _suite_result("conditioning-monotonicity", seed, trials)
     for i in range(trials):
         rng = np.random.default_rng(seed + i)
         mdp = random_mdp(rng, int(rng.integers(1, 5)), 4, 4)
@@ -659,7 +667,7 @@ def suite_prop2(seed: int, trials: int = 100) -> SuiteResult:
 
 def suite_eq10(seed: int, trials: int = 20, resolution: float = 0.05) -> SuiteResult:
     """Finite-memory optima upper-bound the directed-information optimum."""
-    result = SuiteResult("bound-chain", trials)
+    result = _suite_result("bound-chain", seed, trials)
     for i in range(trials):
         rng = np.random.default_rng(seed + i)
         mdp = random_mdp(rng, 2, max_states=2, max_actions=2)
@@ -678,7 +686,7 @@ def suite_oracle_agreement(
     seed: int, trials: int = 10, resolution: float = 0.02
 ) -> SuiteResult:
     """Multi-start solver totals agree with exhaustive grids on tiny instances."""
-    result = SuiteResult("oracle-agreement", trials)
+    result = _suite_result("oracle-agreement", seed, trials)
     for i in range(trials):
         rng = np.random.default_rng(seed + i)
         mdp = random_mdp(rng, 1, max_states=3, max_actions=2)
@@ -712,7 +720,7 @@ def _random_solve(seed: int, max_iters: int):
 
 def suite_descent(seed: int, trials: int = 50) -> SuiteResult:
     """Objective traces of random solves are nonincreasing."""
-    result = SuiteResult("monotone-descent", trials)
+    result = _suite_result("monotone-descent", seed, trials)
     for i in range(trials):
         trace = _random_solve(seed + i, 400).objective_trace
         worst = float((trace[1:] - trace[:-1]).max()) if len(trace) > 1 else 0.0
@@ -723,7 +731,7 @@ def suite_descent(seed: int, trials: int = 50) -> SuiteResult:
 
 def suite_residual(seed: int, trials: int = 50) -> SuiteResult:
     """Converged solves certify stationarity below 1e-8."""
-    result = SuiteResult("stationarity-residual", trials)
+    result = _suite_result("stationarity-residual", seed, trials)
     for i in range(trials):
         report = _random_solve(seed + i, 600)
         if report.converged and report.residual >= 1e-8:
@@ -735,6 +743,8 @@ def suite_residual(seed: int, trials: int = 50) -> SuiteResult:
 
 def all_suites(seed: int, scope: str = "full") -> list[SuiteResult]:
     """Run every verification suite; quick scope shrinks the trial counts."""
+    if scope not in ("quick", "full"):
+        raise InstanceError(f"suite scope must be 'quick' or 'full', got {scope!r}")
     quick = scope == "quick"
     return [
         suite_prop1b(seed, 20 if quick else 100),

@@ -52,6 +52,36 @@ def per_cell_landscape(resolution, beta=1.0):
     return values, residuals
 
 
+def small_mdp(rng, states, actions, massless=False):
+    """Random instance with the given state and action counts; with massless,
+    state 0 starts with zero probability."""
+    transitions = tuple(rng.dirichlet(np.ones(y), size=(x, u))
+                        for x, u, y in zip(states, actions, states[1:]))
+    costs = tuple(rng.random((x, u)) for x, u in zip(states, actions))
+    initial = rng.random(states[0]) + 0.05
+    initial[0] *= not massless
+    return td.FiniteMdp(transitions, costs, rng.random(states[-1]),
+                        initial / initial.sum())
+
+
+# (state counts, action counts, degree, grid steps m, massless state 0); a
+# 1/m grid holds the simplex vertices, so rows with exact zeros, and a
+# massless state or control history makes lam and its history sums zero
+PINNED_GRIDS = [
+    ((3, 2), (2,), 0, 4, False),
+    ((3, 2), (2,), 0, 4, True),
+    ((2, 2, 2), (2, 2), 0, 2, False),
+    ((2, 2, 2), (2, 2), 1, 2, False),
+    ((3, 2, 2), (2, 2), 1, 1, True),
+    ((2, 2, 2), (2, 2), 2, 1, False),
+    ((2, 2, 2, 2), (2, 2, 2), 0, 2, False),
+    ((1, 2, 2, 2), (2, 2, 2), 1, 1, False),
+    ((1, 2, 1, 2), (2, 2, 2), 2, 1, False),
+    # the history (u0, u1) slides to (u1, u2) into a step that still acts
+    ((1, 1, 1, 2, 2), (2, 2, 1, 2), 2, 1, False),
+]
+
+
 class TestValueIteration:
     def test_shortest_path_cost(self):
         vi = oracle.finite_horizon_value_iteration(shortest_path_chain())
@@ -131,6 +161,40 @@ class TestBruteForce:
         assert brute.value == pytest.approx((X - 1) / 2, abs=1e-12)
         assert np.array_equal(brute.policy.tables[0], np.ones((X, 1, 1)))
 
+    @pytest.mark.parametrize("states, actions, degree, m, massless", PINNED_GRIDS)
+    def test_batched_objective_matches_model_objective(
+        self, states, actions, degree, m, massless
+    ):
+        rng = np.random.default_rng([*states, *actions, degree, m, massless])
+        mdp = small_mdp(rng, states, actions, massless)
+        shapes = [step.shape for step in mdp.sweep_plan(degree).steps]
+        count, decode = oracle._policy_grid(shapes, 1 / m, 10**4)
+        totals = oracle._batched_objective(mdp, 0.7, degree, decode(np.arange(count)))
+        for combo in range(count):
+            policy = td.MemoryPolicy(degree, tuple(decode(combo)))
+            want = td.objective(mdp, policy, 0.7).total
+            assert abs(totals[combo] - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_chunk_boundaries_keep_value_and_first_tie(self, monkeypatch):
+        # state 0 is massless at t = 0, so its row there (the slowest digit)
+        # never changes a total: each value ties across combinations 243
+        # apart, which chunks of 7 put in different chunks
+        mdp = small_mdp(np.random.default_rng(23), (2, 2, 2), (2, 2), True)
+        whole = oracle.brute_force_policy_search(mdp, 0.7, 1, 0.5)
+        monkeypatch.setattr(oracle, "BRUTE_FORCE_CHUNK", 7)
+        chunked = oracle.brute_force_policy_search(mdp, 0.7, 1, 0.5)
+        assert whole.combos == chunked.combos == 729
+        assert chunked.value == whole.value
+        for a, b in zip(chunked.policy.tables, whole.policy.tables):
+            assert np.array_equal(a, b)
+        assert np.array_equal(whole.policy.tables[0][0, 0], oracle._simplex_grid(2, 2)[0])
+
+    @pytest.mark.parametrize("budget", [-1, 0, 2.5, True])
+    def test_combo_budget_must_be_a_positive_integer(self, budget):
+        mdp = oracle.random_mdp(np.random.default_rng(3), 1)
+        with pytest.raises(InstanceError, match="combo_budget"):
+            oracle.brute_force_policy_search(mdp, 1.0, 0, 0.25, combo_budget=budget)
+
     def test_toy_global_minimum_matches_multistart(self):
         toy = td.build_nonconvex_toy()
         brute = oracle.brute_force_policy_search(toy, 1.0, 0, 0.05)
@@ -147,6 +211,14 @@ class TestLandscapes:
         toy = td.build_nonconvex_toy()
         with pytest.raises(InstanceError, match="resolution"):
             oracle.bellman_landscape_stage2(toy, 10)
+
+    @pytest.mark.parametrize("resolution", [20.5, math.nan, True])
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_resolution_must_be_an_integer(self, stage, resolution):
+        landscape = {1: oracle.objective_landscape_stage1,
+                     2: oracle.bellman_landscape_stage2}[stage]
+        with pytest.raises(InstanceError, match="resolution"):
+            landscape(td.build_nonconvex_toy(), resolution)
 
     def test_stage2_curve_shape(self):
         toy = td.build_nonconvex_toy()
@@ -480,3 +552,17 @@ class TestSuites:
     def test_oracle_agreement_quick(self):
         res = oracle.suite_oracle_agreement(seed=500, trials=3)
         assert res.passed, res.failures
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: oracle.all_suites(0, "bogus"),
+            lambda: oracle.suite_eq10(0, -1),
+            lambda: oracle.suite_eq10(0, 1.5),
+            lambda: oracle.suite_descent(-1, 1),
+        ],
+        ids=["unknown-scope", "negative-trials", "fractional-trials", "negative-seed"],
+    )
+    def test_entry_arguments_checked(self, run):
+        with pytest.raises(InstanceError, match="scope|seed|trials"):
+            run()
