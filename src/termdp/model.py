@@ -1137,39 +1137,20 @@ def directed_information(
 # ---------------------------------------------------------------------------
 
 
-def induced_action_marginals(
-    mdp: FiniteMdp, policy: MemoryPolicy, belief: ReducedBelief | None = None
-) -> list[np.ndarray]:
-    """History-conditional action marginals of the policy under its own flow.
-
-    Returns per-time arrays of shape (H_t, U_t).  Histories with zero mass
-    get the uniform distribution.
-    """
-    plan = check_compatible(mdp, policy)
-    if belief is None:
-        return plan.forward(policy.tables)[1]
-    lay = plan.layout
-    lam = [mu[..., None] * q for mu, q in zip(belief.mus, policy.tables)]
-    nu = lay.action_marginals(lay.beliefs.join(belief.mus), lay.tables.join(lam))
-    return list(lay.marginals.split(nu))
-
-
-def _information_terms(policy, nu: Sequence[np.ndarray], belief: ReducedBelief):
-    """Per step t: lam_t = mu_t q_t, sum lam_t log(q_t / nu_t), starved flag.
-
-    Only entries with joint mass count.  Starved means nu_t is not positive
-    somewhere lam_t is (the term is +inf; those entries are left out of the
-    sum).  Stacks give a value and a flag per member, its single call's.
-    """
-    for mu, q, n in zip(belief.mus, policy.tables, nu):
-        lam = mu[..., None] * q
-        n = np.asarray(n, dtype=float)[..., None, :, :]
-        mask = lam > 0.0
-        fed = n > 0.0
-        ratio = np.ones_like(lam)
-        np.divide(q, n, out=ratio, where=mask & fed)
-        info = np.sum(lam * np.log(ratio), axis=(-3, -2, -1), where=mask)
-        yield lam, info, (mask & ~fed).any(axis=(-3, -2, -1))
+def check_marginals(layout: FlatLayout, nu, lead=None) -> list[np.ndarray]:
+    """nu as float arrays, checked: one per step, of shape (H_t, U_t) past
+    a batch shape that every step shares, ``lead`` if given."""
+    nu = [np.asarray(n, dtype=float) for n in nu]
+    if len(nu) != len(layout.marginals.shapes):
+        raise InstanceError(f"{len(nu)} marginals for horizon {len(layout.marginals.shapes)}")
+    lead = nu[0].shape[:-2] if lead is None else lead
+    for t, (n, shape) in enumerate(zip(nu, layout.marginals.shapes)):
+        if n.shape != (*lead, *shape):
+            raise InstanceError(
+                f"marginal {t} has shape {n.shape}, instance requires "
+                f"{shape} after batch shape {lead}"
+            )
+    return nu
 
 
 def _terminal_cost(mdp: FiniteMdp, mu: np.ndarray) -> np.ndarray:
@@ -1179,6 +1160,64 @@ def _terminal_cost(mdp: FiniteMdp, mu: np.ndarray) -> np.ndarray:
     return (marginal @ mdp.terminal_cost[:, None])[..., 0, 0]
 
 
+def _terminal_rows(mdp: FiniteMdp, layout: FlatLayout, mu) -> np.ndarray:
+    last = mu[..., layout.beliefs.spans[-1]]
+    return _terminal_cost(mdp, last.reshape(*last.shape[:-1], *layout.beliefs.shapes[-1]))
+
+
+def objective_rows(mdp: FiniteMdp, layout, beta: float, lam, log_q, flow) -> np.ndarray:
+    """The factored objective F(q, nu), the package's one evaluation of it,
+    from tables rows lam = mu q and log q and the beliefs and marginals rows
+    of ``flow``: sum lam (c + beta (log q - log nu)) over the entries where
+    lam > 0, plus the expected terminal cost; +inf where nu is 0 under mass."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = layout.cost + beta * (log_q - np.log(flow.nu).take(layout.nu_of, -1))
+        total = np.add.reduce(lam * gain, axis=-1, where=lam > 0.0)
+    return total + _terminal_rows(mdp, layout, flow.mu)
+
+
+def cost_rows(mdp: FiniteMdp, layout: FlatLayout, lam, mu) -> np.ndarray:
+    """Expected cost, terminal term included, of rows lam = mu q and mu."""
+    return np.add.reduce(lam * layout.cost, axis=-1) + _terminal_rows(mdp, layout, mu)
+
+
+def information_rows(layout: FlatLayout, lam, q, nu) -> np.ndarray:
+    """Per-step information (..., T) of rows lam = mu q, q and nu: sum
+    lam log(q / nu) over each step's entries where lam > 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = lam * (np.log(q) - np.log(nu).take(layout.nu_of, -1))
+    terms[~(lam > 0.0)] = 0.0
+    return np.add.reduceat(terms, [s.start for s in layout.tables.spans], axis=-1)
+
+
+def canonical_rows(layout: FlatLayout, q, mu) -> np.ndarray:
+    """Tables rows q with 1 / U_t at every (t, x, h) where beliefs rows mu are 0."""
+    uniform = layout.uniform.take(layout.nu_of)
+    return np.where(mu.take(layout.row_of, -1) == 0.0, uniform, q)
+
+
+def _rows(mdp: FiniteMdp, policy: MemoryPolicy, belief: ReducedBelief | None):
+    """``check_compatible``, then the policy as rows: its plan's layout,
+    tables q, beliefs mu (propagated where belief is None) and lam = mu q."""
+    plan = check_compatible(mdp, policy)
+    lay = plan.layout
+    q = lay.tables.join(policy.tables)
+    mu = plan.forward_flat(q).mu if belief is None else lay.beliefs.join(belief.mus)
+    return lay, q, mu, mu.take(lay.row_of, -1) * q
+
+
+def induced_action_marginals(
+    mdp: FiniteMdp, policy: MemoryPolicy, belief: ReducedBelief | None = None
+) -> list[np.ndarray]:
+    """History-conditional action marginals of the policy under its own flow.
+
+    Returns per-time arrays of shape (H_t, U_t).  Histories with zero mass
+    get the uniform distribution.
+    """
+    lay, _, mu, lam = _rows(mdp, policy, belief)
+    return list(lay.marginals.split(lay.action_marginals(mu, lam)))
+
+
 def per_step_information(
     mdp: FiniteMdp, policy: MemoryPolicy, belief: ReducedBelief | None = None
 ) -> np.ndarray:
@@ -1186,11 +1225,8 @@ def per_step_information(
 
     Tables and beliefs stacked on a batch axis give shape (K, T).
     """
-    if belief is None:
-        belief = propagate_reduced(mdp, policy)
-    nus = induced_action_marginals(mdp, policy, belief)
-    infos = [info for _, info, _ in _information_terms(policy, nus, belief)]
-    return np.stack(infos, axis=-1)
+    lay, q, mu, lam = _rows(mdp, policy, belief)
+    return information_rows(lay, lam, q, lay.action_marginals(mu, lam))
 
 
 def expected_cost(
@@ -1200,13 +1236,8 @@ def expected_cost(
 
     Tables and beliefs stacked on a batch axis give one cost per member.
     """
-    if belief is None:
-        belief = propagate_reduced(mdp, policy)
-    total = 0.0
-    for mu, q, c in zip(belief.mus, policy.tables, mdp.stage_costs):
-        lam = (mu[..., None] * q).sum(axis=-2)  # (..., X, U)
-        total = total + np.sum(lam * c, axis=(-2, -1))
-    return _scalar(total + _terminal_cost(mdp, belief.mus[-1]))
+    lay, _, mu, lam = _rows(mdp, policy, belief)
+    return _scalar(cost_rows(mdp, lay, lam, mu))
 
 
 def objective(
@@ -1218,10 +1249,9 @@ def objective(
 ) -> ObjectiveValue:
     """Cost, information, and the weighted total cost + beta * information."""
     check_beta(beta)
-    belief = propagate_reduced(mdp, policy)
-    cost = expected_cost(mdp, policy, belief)
+    cost = expected_cost(mdp, policy)
     if (m == 0 or m is None) and (n_eval is None or n_eval == policy.degree):
-        info = float(per_step_information(mdp, policy, belief).sum())
+        info = float(per_step_information(mdp, policy).sum())
     else:
         info = transfer_entropy(mdp, policy, m, n_eval)
     return ObjectiveValue(cost, info, cost + beta * info)
@@ -1241,35 +1271,27 @@ def factored_objective(
     zero where the corresponding joint policy mass is positive; equals
     ``objective(...).total`` when nu is the induced marginal, and is never
     below it for any other feasible nu.  Tables, marginals and beliefs
-    stacked on a batch axis give one value per member.
+    stacked on a batch axis give one value per member.  Marginals of other
+    shapes, or with negative or NaN entries, raise InstanceError.
     """
     check_beta(beta)
-    if belief is None:
-        belief = propagate_reduced(mdp, policy)
-    total, starved = 0.0, False
-    steps = _information_terms(policy, nu, belief)
-    for (lam, info, short), c in zip(steps, mdp.stage_costs):
-        total = total + np.sum(lam * c[:, None, :], axis=(-3, -2, -1))
-        total = total + beta * info
-        starved = starved | short
-    total = np.where(starved, math.inf, total + _terminal_cost(mdp, belief.mus[-1]))
-    return _scalar(total)
+    lay, q, mu, lam = _rows(mdp, policy, belief)
+    nu = lay.marginals.join(check_marginals(lay, nu, q.shape[:-1]))
+    if not (nu >= 0.0).all():
+        raise InstanceError(f"marginals must be nonnegative, got {float(nu.min())!r}")
+    log_q = np.log(q, out=np.full_like(q, -np.inf), where=q > 0.0)
+    return _scalar(objective_rows(mdp, lay, beta, lam, log_q, Flow(mu, nu)))
 
 
 def canonicalize_policy(
     mdp: FiniteMdp, policy: MemoryPolicy, belief: ReducedBelief | None = None
 ) -> MemoryPolicy:
-    """Replace action slices at unreachable (state, history) pairs by uniform.
+    """Replace action slices by uniform wherever the belief mu_t(x, h) is 0.
 
     The replaced slices carry no probability mass, so every functional of the
     policy is unchanged; the canonical form makes reports deterministic and
     keeps policy comparisons meaningful.  Tables and beliefs stacked on a
     batch axis (a solver ``PolicyStack``) give the stack of the same type.
     """
-    if belief is None:
-        belief = propagate_reduced(mdp, policy)
-    tables = tuple(
-        np.where((mu == 0.0)[..., None], 1.0 / q.shape[-1], q)
-        for mu, q in zip(belief.mus, policy.tables)
-    )
-    return type(policy)(policy.degree, tables)
+    lay, q, mu, _ = _rows(mdp, policy, belief)
+    return type(policy)(policy.degree, lay.tables.split(canonical_rows(lay, q, mu)))

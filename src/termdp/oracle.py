@@ -84,6 +84,9 @@ RATE_MONOTONE_SLACK = 1e-9  # bits a rate bound may rise before it is flagged
 # (160 MB, so resolution <= 577) are refused, so one certificate call holds
 # at most 577**2 * 8 table cells, far below DEFAULT_CELL_BUDGET.
 LANDSCAPE_CELL_BYTES = 480
+# The stage-2 curve's tracemalloc peak is 525-533 bytes per point at
+# resolutions 1,000 to 300,000; curves above resolution 296,296 are refused.
+LANDSCAPE_POINT_BYTES = 540
 MAX_LANDSCAPE_BYTES = 8 * DEFAULT_CELL_BUDGET
 
 
@@ -174,17 +177,23 @@ class LandscapeGrid:
     saddles: tuple[tuple[int, ...], ...] = ()
 
 
-def _require_toy_shape(mdp: FiniteMdp) -> None:
+def _check_landscape(mdp: FiniteMdp, resolution: int, dims: int, cell_bytes: int) -> int:
+    """The grid's resolution**dims cells, after rejecting all but the toy's
+    shape, a resolution not an integer >= 11, and grids over the byte budget."""
     if mdp.horizon != 2 or mdp.state_cards != (2, 2, 2) or mdp.action_cards != (2, 2):
         raise InstanceError(
             "landscape oracles need the two-step binary instance, got "
             f"horizon {mdp.horizon}, states {mdp.state_cards}, actions "
             f"{mdp.action_cards}"
         )
-
-
-def _check_resolution(resolution: int) -> None:
     check_count("grid resolution", resolution, 11)
+    cells = int(resolution) ** dims
+    if cells * cell_bytes > MAX_LANDSCAPE_BYTES:
+        raise ResourceError(
+            f"a landscape of {cells} cells needs about "
+            f"{cells * cell_bytes} bytes, budget is {MAX_LANDSCAPE_BYTES}"
+        )
+    return cells
 
 
 def _certified_blahut(prior, cost, beta: float) -> ClassicalSolution:
@@ -207,10 +216,11 @@ def bellman_landscape_stage2(
 
     Each grid point solves the single-stage convex problem to convergence,
     all of them in one batched ``classical_blahut`` call; the resulting curve
-    is the nonconvex continuation value of the first stage.
+    is the nonconvex continuation value of the first stage.  A curve whose
+    points times LANDSCAPE_POINT_BYTES exceed MAX_LANDSCAPE_BYTES raises
+    ResourceError before any allocation.
     """
-    _require_toy_shape(mdp)
-    _check_resolution(resolution)
+    _check_landscape(mdp, resolution, 1, LANDSCAPE_POINT_BYTES)
     lambdas = np.linspace(0.0, 1.0, resolution)
     priors = np.stack([lambdas, 1.0 - lambdas], axis=1)
     values = _certified_blahut(priors, np.asarray(mdp.stage_costs[1]), beta).value
@@ -269,14 +279,7 @@ def objective_landscape_stage1(
     its cell computed alone.  A grid whose cells times LANDSCAPE_CELL_BYTES
     exceed MAX_LANDSCAPE_BYTES raises ResourceError before any allocation.
     """
-    _require_toy_shape(mdp)
-    _check_resolution(resolution)
-    cells = resolution * resolution
-    if cells * LANDSCAPE_CELL_BYTES > MAX_LANDSCAPE_BYTES:
-        raise ResourceError(
-            f"a landscape of {cells} cells needs about "
-            f"{cells * LANDSCAPE_CELL_BYTES} bytes, budget is {MAX_LANDSCAPE_BYTES}"
-        )
+    cells = _check_landscape(mdp, resolution, 2, LANDSCAPE_CELL_BYTES)
     thetas = np.linspace(0.0, 1.0, resolution)
     th = np.stack(np.meshgrid(thetas, thetas, indexing="ij"), axis=-1)
     q1s = np.stack([th, 1.0 - th], axis=-1).reshape(cells, 2, 1, 2)

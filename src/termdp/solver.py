@@ -10,9 +10,9 @@ objective trace is nonincreasing.
 The trace costs no pass of its own: for q = Gibbs(nu, rho) the stage terms
 c / beta + log(q / nu) telescope through log phi, so F of the policy a
 backward pass builds, against the marginals it was built from, is that pass's
-free energy -beta * E[log phi_0(x_0)].  Only the starts' values are
-evaluated directly, with one stacked ``factored_objective`` call, and the
-values of the extrapolated points that ``_sweeps`` tries after its warm-up.
+free energy -beta * E[log phi_0(x_0)], one stacked matmul.  Only the starts'
+values and those of the SqS3 points that ``_sweeps`` tries after its warm-up
+are evaluated directly, by ``model.objective_rows`` on rows the sweeps hold.
 
 Both passes run on the ``SweepPlan`` that the ``FiniteMdp`` caches per
 degree, whose kernels the sweeps call directly on one row of tables per
@@ -20,10 +20,10 @@ member (``SweepPlan.layout``), in the plan's per-thread workspace.  The
 starts of a multi-start are swept as one batch; a member leaves it at its
 own stop, and its numbers are bit for bit those of solving it alone.  A
 solve is a batch of one.  One stacked final forward pass serves the batch's
-certificate and its cost and information.  A policy is one tables row per
-member from its start, built on the reachable states
-(``FiniteMdp.restriction``), to its report, the only ``MemoryPolicy``.  The
-stop test and the certificate measure the same policy gap: the sup-norm
+certificate and, on rows, its cost, information and canonical policies.  A
+policy is one tables row per member from its start, built on the reachable
+states (``FiniteMdp.restriction``), to its report, the only ``MemoryPolicy``.
+The stop test and the certificate measure the same policy gap: the sup-norm
 change one backward pass makes to the policy where there is belief mass
 (``_policy_gap``).
 
@@ -51,17 +51,17 @@ from .model import (
     Flow,
     MemoryPolicy,
     ReducedBelief,
-    expected_cost,
-    factored_objective,
-    _terminal_cost,
-    canonicalize_policy,
+    canonical_rows,
     check_beta,
     check_compatible,
     check_count,
+    check_marginals,
+    cost_rows,
     gibbs_step,
     induced_action_marginals,
+    information_rows,
     log_marginals,
-    per_step_information,
+    objective_rows,
     perturbed_tables,
     uniform_tables,
 )
@@ -200,29 +200,13 @@ def backward_pass(
     check_beta(beta)
     plan = mdp.sweep_plan(degree)
     lay = plan.layout
-    nu = _check_marginals(plan, nu)
+    nu = check_marginals(lay, nu)
     log_phi, q = plan.backward_flat(lay.marginals.join(nu), beta)
     log_phi, stacked = list(lay.beliefs.split(log_phi)), nu[0].ndim == 3
     rho = [None if stacked else plan.rho_table(t, plan.cost_to_go(t, lp, beta))
            for t, lp in enumerate(log_phi[1:])]
     kind = PolicyStack if stacked else MemoryPolicy
     return rho, log_phi, kind(degree, lay.tables.split(q))
-
-
-def _check_marginals(plan, nu) -> list[np.ndarray]:
-    """nu as float arrays, checked: one per step, of shape (H_t, U_t) past
-    a batch shape that every step shares."""
-    nu = [np.asarray(n, dtype=float) for n in nu]
-    if len(nu) != len(plan.steps):
-        raise InstanceError(f"{len(nu)} marginals for horizon {len(plan.steps)}")
-    lead = nu[0].shape[:-2]
-    for t, (n, s) in enumerate(zip(nu, plan.steps)):
-        if n.shape != (*lead, *s.shape[1:]):
-            raise InstanceError(
-                f"marginal {t} has shape {n.shape}, instance requires "
-                f"{s.shape[1:]} after batch shape {lead}"
-            )
-    return nu
 
 
 def _policy_gap(layout, mu, old, new) -> np.ndarray:
@@ -304,11 +288,9 @@ def _sweeps(
         k += 1
         flow = plan.forward_flat(q)
         if k == 1:
-            belief = ReducedBelief(opts.degree, layout.beliefs.split(flow.mu))
-            values = factored_objective(
-                mdp, PolicyStack(opts.degree, layout.tables.split(q)),
-                layout.marginals.split(flow.nu), opts.beta, belief,
-            ).tolist()
+            log_q = np.log(q, out=np.full_like(q, -np.inf), where=q > 0.0)
+            values = objective_rows(mdp, layout, opts.beta, plan.lam(len(q)), log_q,
+                                    flow).tolist()
         if trial is not None:  # q holds SqS3 points: judge them
             (swept, alpha), trial = trial, None
             value = cycle.judge(mdp, opts.beta, flow, plan.lam(len(q)))
@@ -337,8 +319,8 @@ def _sweeps(
         # only the tested members' old tables outlive the backward pass
         old, q = q[tested] if tested else None, None
         log_phi, q = plan.backward_flat(flow.nu, opts.beta)
-        values = [free_energy(lp, mdp.initial, opts.beta)
-                  for lp in log_phi[:, layout.beliefs.spans[0]]]
+        first = log_phi[:, None, :len(mdp.initial)]  # log phi_0: free_energy's bits
+        values = (-opts.beta * (first @ mdp.initial[:, None])[:, 0, 0]).tolist()
         stops = []
         if tested:
             gaps = _policy_gap(layout, flow.mu[tested], old, q[tested]).tolist()
@@ -376,15 +358,14 @@ class _Cycle:
     """The SqS3 cycle of ``_sweeps`` on rows for a stack of up to cap members,
     built by its first extrapolating sweep: the log iterates x0, x1, x2 (the
     first ``filled`` set), r and v, and the point and its policy, which hold
-    the step's products first.  Calls make only ufunc and reduceat calls."""
+    the step's products first.  ``add`` makes only ufunc and reduceat calls."""
 
     def __init__(self, plan, cap) -> None:
         self.layout = layout = plan.layout
-        n, m, self.filled = layout.tables.size, layout.marginals.size, 0
+        n, self.filled = layout.tables.size, 0
         self.logs, self.pair, self.out = (np.empty((c, cap, n)) for c in (3, 2, 2))
         self.logs, (self.point, self.policy) = list(self.logs), self.out
         self.top, self.lse = np.empty((2, cap, len(layout.starts)))  # per segment
-        self.log_nu, self.mask = np.empty((cap, m)), np.empty((cap, n), bool)
 
     def add(self, q, bound):
         """Log the policy rows q as the next iterate; on the third, return the
@@ -410,17 +391,9 @@ class _Cycle:
         return policy, alpha
 
     def judge(self, mdp, beta, flow, lam) -> list[float]:
-        """``factored_objective`` of the points' policies q from their forward
-        pass and lam = mu q: sum lam (c + beta log(q / nu)) + terminal cost."""
-        k, lay, gain = len(lam), self.layout, self.pair[0, :len(lam)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(flow.nu, out=self.log_nu[:k]).take(lay.nu_of, -1, gain, "clip")
-            np.subtract(self.point[:k], gain, out=gain)
-            np.add(lay.cost, np.multiply(beta, gain, out=gain), out=gain)
-            total = np.add.reduce(np.multiply(lam, gain, out=gain), axis=-1,
-                                  where=np.greater(lam, 0.0, out=self.mask[:k]))
-        last = flow.mu[:, lay.beliefs.spans[-1]].reshape(k, *lay.beliefs.shapes[-1])
-        return (total + _terminal_cost(mdp, last)).tolist()
+        """``objective_rows`` of the points' policies, given their forward pass."""
+        point = self.point[:len(lam)]
+        return objective_rows(mdp, self.layout, beta, lam, point, flow).tolist()
 
     def restart(self, kept) -> None:
         """Start the next cycle at x0: the point where kept, else x2."""
@@ -451,19 +424,20 @@ def _solve_batch(
         cut.mdp, opts, rows, opts.max_iters - iters_used, iters_used
     )
     # canonicalizing only rewrites massless slices, so the swept policies'
-    # forward pass and certificate are the final policies', bit for bit
+    # functionals and certificate are the final policies', bit for bit; lam
+    # is read before the certificate's backward pass overwrites it
     plan = cut.mdp.sweep_plan(opts.degree)
+    lay = plan.layout
     flow = plan.forward_flat(rows)
-    belief = ReducedBelief(opts.degree, plan.layout.beliefs.split(flow.mu))
-    swept = PolicyStack(opts.degree, plan.layout.tables.split(rows))
-    finals = canonicalize_policy(cut.mdp, swept, belief)
+    lam = plan.lam(len(rows))
+    costs = cost_rows(cut.mdp, lay, lam, flow.mu).tolist()
+    infos = information_rows(lay, lam, rows, flow.nu).sum(axis=-1).tolist()
+    finals = lay.tables.split(canonical_rows(lay, rows, flow.mu))
     residuals = _certificate(plan, rows, opts.beta, flow).tolist()
-    costs = expected_cost(cut.mdp, finals, belief).tolist()
-    infos = per_step_information(cut.mdp, finals, belief).sum(axis=-1).tolist()
     seconds = time.perf_counter() - start
     return [
         SolveReport(
-            policy=MemoryPolicy(opts.degree, cut.widen([q[i] for q in finals.tables])),
+            policy=MemoryPolicy(opts.degree, cut.widen([q[i] for q in finals])),
             beta=opts.beta, degree=opts.degree, cost=cost,
             information_nats=info, total=cost + opts.beta * info,
             residual=residual, iterations=iters_used + iters, converged=stopped,

@@ -13,6 +13,7 @@ from termdp.model import (
     induced_action_marginals,
     transfer_entropy_terms,
 )
+from termdp.solver import PolicyStack
 
 from reference import enum_directed_information, enum_te_terms
 
@@ -395,6 +396,26 @@ class TestFactoredObjective:
         pol = td.MemoryPolicy.uniform(toy, 0)
         nu = [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])]
         assert td.factored_objective(toy, pol, nu, 1.0) == math.inf
+
+    def test_marginal_shapes_checked_at_the_boundary(self):
+        # a short marginal list is not cut short, and marginals of another
+        # step shape or batch shape than the policy's, or with negative or
+        # NaN entries, raise InstanceError
+        rng = np.random.default_rng(5)
+        mdp = oracle.random_mdp(rng, 3)
+        pol = oracle.random_policy(rng, mdp, 1)
+        nu = induced_action_marginals(mdp, pol)
+        stack = PolicyStack.of(1, [pol, pol])
+        for policy, bad, match in [
+            (pol, nu[:2], "2 marginals for horizon 3"),
+            (pol, [n[..., :1] for n in nu], "marginal 0 has shape"),
+            (pol, [np.stack([n, n]) for n in nu], r"after batch shape \(\)"),
+            (stack, nu, r"after batch shape \(2,\)"),
+            (pol, [n - 1.0 for n in nu], "nonnegative, got -"),
+            (pol, [np.full_like(n, np.nan) for n in nu], "nonnegative, got nan"),
+        ]:
+            with pytest.raises(InstanceError, match=match):
+                td.factored_objective(mdp, policy, bad, 1.0)
 
 
 class TestCoordinatewiseConvexity:

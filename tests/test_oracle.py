@@ -220,6 +220,21 @@ class TestLandscapes:
         with pytest.raises(InstanceError, match="resolution"):
             landscape(td.build_nonconvex_toy(), resolution)
 
+    def test_stage2_size_guard_refuses_before_allocation(self):
+        # 10**7 points would need about 5 GB; the guard's edge, one point
+        # past the largest admitted curve, is refused with nothing built too
+        toy = td.build_nonconvex_toy()
+        largest = oracle.MAX_LANDSCAPE_BYTES // oracle.LANDSCAPE_POINT_BYTES
+        tracemalloc.start()
+        try:
+            for resolution in (10**7, largest + 1):
+                with pytest.raises(ResourceError, match=f"{resolution} cells"):
+                    oracle.bellman_landscape_stage2(toy, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_stage2_curve_shape(self):
         toy = td.build_nonconvex_toy()
         curve = oracle.bellman_landscape_stage2(toy, 41)

@@ -774,9 +774,11 @@ class TestFreeEnergy:
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_flat_objective_equals_factored_objective(self, degree):
-        # the SqS3 points' objective, computed on flattened tables, against
-        # the reference functional; a member that never plays action 0 has
-        # zero entries and massless histories
+        # the SqS3 points' objective and the factored objective, both the
+        # row objective, against the brute-force oracle's batched totals, an
+        # independent path (F at a policy's own marginals is its total); a
+        # member that never plays action 0 has zero entries and massless
+        # histories
         rng = np.random.default_rng(60 + degree)
         mdp = oracle.random_mdp(rng, 5)
         pols = [oracle.random_policy(rng, mdp, degree) for _ in range(2)]
@@ -796,7 +798,9 @@ class TestFreeEnergy:
         with np.errstate(divide="ignore"):
             np.log(q, out=cycle.point[:len(q)])
         got = cycle.judge(mdp, 0.8, flow, plan.lam(len(q)))
-        want = td.factored_objective(mdp, stack, nu, 0.8, belief)
+        want = oracle._batched_objective(mdp, 0.8, degree, list(stack.tables))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        got = td.factored_objective(mdp, stack, nu, 0.8, belief)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_solve_trace_equals_factored_objective_of_hand_sweeps(self):
@@ -989,13 +993,18 @@ class TestMultiStart:
         traces = [r.objective_trace for r in td.multi_start(mdp, opts, 2, seed=5)]
         poison = {traces[i][k] for i, k in poisoned.items()}
         assert sum(v in poison for tr in traces for v in tr) == len(poisoned)
-        real = solver.free_energy
+        real = SweepPlan.backward_flat
 
-        def free_energy(*args):
-            value = real(*args)
-            return math.nan if value in poison else value
+        def backward_flat(plan, nu, beta):
+            # a member's free energy is read from its log phi_0: poison that
+            log_phi, q = real(plan, nu, beta)
+            first = log_phi[..., :len(plan.initial)]
+            for lp in first.reshape(-1, first.shape[-1]):
+                if free_energy(lp, plan.initial, beta) in poison:
+                    lp[:] = math.nan
+            return log_phi, q
 
-        monkeypatch.setattr(solver, "free_energy", free_energy)
+        monkeypatch.setattr(SweepPlan, "backward_flat", backward_flat)
         with pytest.raises(NumericalError, match=f"{message}$"):
             td.multi_start(mdp, opts, 2, seed=5)
 

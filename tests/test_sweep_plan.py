@@ -23,6 +23,7 @@ from termdp.model import (
     ROW_TOL,
     SweepPlan,
     conditional_mutual_information,
+    information_rows,
     log_marginals,
 )
 from termdp.solver import (
@@ -228,6 +229,36 @@ def test_stacked_functionals_equal_single_calls(horizon, degree, k):
     assert got_mi.shape == (k,) and np.isfinite(got_mi).all()
     assert np.array_equal(got_mi, want_mi)
     assert all(type(v) is float for v in want_mi)
+
+
+@pytest.mark.parametrize("horizon, degree", CASES)
+def test_stacked_information_equals_window_terms(horizon, degree):
+    # per-step information of a stack whose members have zero entries and
+    # massless histories (they never play action 0) against the window
+    # scan's transfer-entropy terms, member by member; marginals starved
+    # under one member's mass make its last step and its objective +inf
+    mdp, _ = _instance(horizon, degree)
+    rng = np.random.default_rng(70 + degree)
+    pols = [oracle.random_policy(rng, mdp, degree), _massless_policy(rng, mdp, degree),
+            _massless_policy(rng, mdp, degree)]
+    stack = PolicyStack.of(degree, pols)
+    got = td.per_step_information(mdp, stack)
+    assert got.shape == (3, horizon)
+    for info, pol in zip(got, pols):
+        np.testing.assert_allclose(info, td.transfer_entropy_terms(mdp, pol),
+                                   rtol=TOL, atol=TOL)
+    belief, nu = forward_pass(mdp, stack)
+    joint = (belief.mus[-2][1][..., None] * stack.tables[-1][1]).sum(axis=0)
+    starved = [n.copy() for n in nu]
+    starved[-1][1][np.unravel_index(joint.argmax(), joint.shape)] = 0.0
+    lay = mdp.sweep_plan(degree).layout
+    q, mu = lay.tables.join(stack.tables), lay.beliefs.join(belief.mus)
+    lam = mu.take(lay.row_of, -1) * q
+    rows = information_rows(lay, lam, q, lay.marginals.join(starved))
+    assert np.array_equal(np.delete(rows, -1, axis=1), np.delete(got, -1, axis=1))
+    assert rows[1, -1] == math.inf and rows[[0, 2], -1].tolist() == got[[0, 2], -1].tolist()
+    values = td.factored_objective(mdp, stack, starved, 0.6, belief)
+    assert values[1] == math.inf and np.isfinite(values[[0, 2]]).all()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

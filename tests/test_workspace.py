@@ -125,16 +125,18 @@ def test_members_of_a_changing_stack_equal_their_solo_runs(case):
 @settings(max_examples=15, deadline=None)
 @given(case=CASES)
 def test_sweeps_split_no_row_after_the_first_sweep(case):
-    # a solve, and the second run of a multi-start (the first built the views
-    # for every height its stack takes), split rows only before their first
-    # backward pass: later sweeps, SqS3 judging and resweeps included, run
+    # a second solve, and the second run of a multi-start, split no row in
+    # _sweeps at all: the first runs built the views for every stack height,
+    # and every sweep, start value, SqS3 judging and resweep included, runs
     # on the workspace's views
     mdp, _ = _draw(case)
     opts = td.SolveOptions(beta=case["beta"], degree=case["degree"], init="perturbed",
                            seed=case["seed"], max_iters=EXTRAPOLATE_AFTER + 20)
     multi = dict(starts=case["k"], seed=case["seed"], plan_starts=1)
-    td.multi_start(mdp, opts, **multi)
-    sweeps, late = [0], []
+    runs = (lambda: td.multi_start(mdp, opts, **multi), lambda: td.solve(mdp, opts))
+    for run in runs:
+        run()
+    sweeps, splits = [0], [0]
     real_split, real_backward = Space.split, SweepPlan.backward_flat
 
     def in_sweeps():
@@ -144,8 +146,7 @@ def test_sweeps_split_no_row_after_the_first_sweep(case):
         return frame is not None
 
     def split(space, row):
-        if sweeps[0] and in_sweeps():
-            late.append(sweeps[0])
+        splits[0] += in_sweeps()
         return real_split(space, row)
 
     def backward_flat(plan, nu, beta):
@@ -155,10 +156,10 @@ def test_sweeps_split_no_row_after_the_first_sweep(case):
 
     Space.split, SweepPlan.backward_flat = split, backward_flat
     try:
-        for run in (lambda: td.solve(mdp, opts), lambda: td.multi_start(mdp, opts, **multi)):
+        for run in runs:
             sweeps[0] = 0
             run()
-            assert sweeps[0] > 1 and not late
+            assert sweeps[0] > 1 and splits[0] == 0
     finally:
         Space.split, SweepPlan.backward_flat = real_split, real_backward
 
