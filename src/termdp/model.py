@@ -374,6 +374,15 @@ def check_count(name: str, n, low: int) -> None:
         raise InstanceError(f"{name} must be an integer >= {low}, got {n!r}")
 
 
+def check_window(name: str, n, horizon: int | None = None) -> int:
+    """A window degree as an int: an integer >= 0, or math.inf, which stands
+    for the full ``horizon``, where one is given."""
+    if horizon is not None and isinstance(n, float) and n == math.inf:
+        return horizon
+    check_count(name, n, 0)
+    return int(n)
+
+
 # ---------------------------------------------------------------------------
 # Sweep plan: shapes and kernels of the forward and backward passes
 # ---------------------------------------------------------------------------
@@ -399,17 +408,17 @@ def check_tables(tables: Sequence[np.ndarray]) -> None:
 
 
 def check_compatible(mdp: FiniteMdp, policy: MemoryPolicy) -> "SweepPlan":
-    """Check table shapes, past any batch axis, against the instance; get the plan."""
+    """Check table shapes, past a batch shape every table shares, against
+    the instance; get the plan."""
     if len(policy.tables) != mdp.horizon:
         raise InstanceError(
             f"policy horizon {len(policy.tables)} != instance horizon {mdp.horizon}"
         )
-    plan = mdp.sweep_plan(policy.degree)
+    plan, lead = mdp.sweep_plan(policy.degree), policy.tables[0].shape[:-3]
     for t, (q, step) in enumerate(zip(policy.tables, plan.steps)):
-        if q.shape[-3:] != step.shape:
-            raise InstanceError(
-                f"policy table {t} has shape {q.shape}, instance requires {step.shape}"
-            )
+        if q.shape != (*lead, *step.shape):
+            raise InstanceError(f"policy table {t} has shape {q.shape}, instance "
+                                f"requires {step.shape} after batch shape {lead}")
     return plan
 
 
@@ -504,8 +513,8 @@ class Flow(NamedTuple):
 
 
 class PushStep(NamedTuple):
-    """The operands of one ``SweepPlan.push``, as views: ``lam @ by`` into
-    ``prod``.  At degree 0 ``prod`` is mu_{t+1} itself.  Above it, ``prod``
+    """The operands of one forward push, as workspace views: ``lam @ by``
+    into ``prod``.  At degree 0 ``prod`` is mu_{t+1} itself.  Above it, ``prod``
     is summed over the control that leaves the window (``parts``) into
     ``summed`` where one does, and that sum or ``prod``, action axis last
     (``moved``), is copied into ``dest``, mu_{t+1}."""
@@ -600,12 +609,12 @@ class SweepPlan:
 
     Built once per (instance, degree) by ``FiniteMdp.sweep_plan``; kernels
     take one policy, or K stacked on a leading axis.  Only the two
-    recursions run step by step: lam_t = mu_t q_t and ``push`` forward,
+    recursions run step by step: lam_t = mu_t q_t and the push forward,
     ``cost_to_go`` and the Gibbs step backward.  The action marginals, log nu
     and the finiteness check of log_phi run once per pass on rows of the
     plan's ``layout``: ``forward_flat`` takes a tables row, as
-    ``backward_flat`` returns it (``forward`` takes per-step tables); the
-    scaled costs are kept per beta.  ``push`` and ``cost_to_go`` are stacked
+    ``backward_flat`` returns it, and ``pushed`` a row of lam; the scaled
+    costs are kept per beta.  The push and ``cost_to_go`` are stacked
     matmuls, (K, 1, n) @ (n, m) and (n, m) @ (K, m, 1) at degree 0 and
     batched over u_t above, so each member's numbers are its solo run's bit
     for bit (a 2-d (K, n) @ (n, m) gemm's are not).  Raises ResourceError
@@ -651,19 +660,8 @@ class SweepPlan:
         self._scaled = (None, None)  # the last beta, and scaled(beta)
         self._local = threading.local()  # this thread's Workspace, as .space
 
-    def push(self, t: int, lam: np.ndarray, out=None) -> np.ndarray:
-        """mu_{t+1}, into ``out`` if given, from lam_t(x, h, u) = mu_t(x, h)
-        q_t(u | x, h): u_t joins the history and the oldest control leaves
-        once the window is full; at degree 0 no control enters it."""
-        if out is None:
-            s = self.steps[t]
-            width = 1 if self.degree == 0 else s.kept * s.shape[2]
-            out = np.empty((*lam.shape[:-3], s.flat.shape[1], width))
-        _push(self._push_step(t, lam, out, np.empty))
-        return out
-
     def _push_step(self, t: int, lam: np.ndarray, out: np.ndarray, take) -> PushStep:
-        """``push``'s views of lam_t and mu_{t+1}, its temporaries from take(shape)."""
+        """Step t's push from lam_t into mu_{t+1} (``out``), temporaries from take(shape)."""
         s, lead = self.steps[t], lam.shape[:-3]
         (x, h, u), y = s.shape, s.flat.shape[1]
         if self.degree == 0:
@@ -723,16 +721,21 @@ class SweepPlan:
         return Flow(ws.beliefs.reshape(*lead, lay.beliefs.size).copy(),
                     nu.reshape(*lead, lay.marginals.size))
 
+    def pushed(self, lam: np.ndarray) -> np.ndarray:
+        """Beliefs rows mu_0 = initial, mu_{t+1} = push(lam_t) of lam rows:
+        ``forward_flat``'s pushes, without its multiply lam = mu q."""
+        lay, lead = self.layout, lam.shape[:-1]
+        ws = self._workspace(math.prod(lead))
+        ws.tables[...] = lam.reshape(ws.tables.shape)
+        ws.first[...] = self.initial[:, None]
+        for _, _, step in ws.forward:
+            _push(step)
+        return ws.beliefs.reshape(*lead, lay.beliefs.size).copy()
+
     def lam(self, count: int) -> np.ndarray:
         """lam = mu q of this thread's last ``forward_flat`` of count rows: a
         workspace view, valid until the thread's next pass on the plan."""
         return self._workspace(count).tables
-
-    def forward(self, tables: Sequence[np.ndarray]) -> tuple[list, list]:
-        """Beliefs mu_0..mu_T and action marginals nu_0..nu_{T-1} of a policy."""
-        lay = self.layout
-        flow = self.forward_flat(lay.tables.join(tables))
-        return list(lay.beliefs.split(flow.mu)), list(lay.marginals.split(flow.nu))
 
     def scaled(self, beta: float) -> tuple[tuple, np.ndarray]:
         """c_t / beta as (U, X, 1) for each t, and log_phi_T = -terminal_cost
@@ -892,8 +895,8 @@ class FlatLayout(NamedTuple):
 
 def propagate_reduced(mdp: FiniteMdp, policy: MemoryPolicy) -> ReducedBelief:
     """Propagate the joint state/control-history distribution exactly."""
-    mus, _ = check_compatible(mdp, policy).forward(policy.tables)
-    return ReducedBelief(policy.degree, tuple(mus))
+    plan, _, flow, _ = _rows(mdp, policy)
+    return ReducedBelief(policy.degree, plan.layout.beliefs.split(flow.mu))
 
 
 def _window_scan(
@@ -954,12 +957,11 @@ def propagate_window(
 ) -> WindowJoint:
     """Exact joints over (x_{t-m}..x_t, last u_depth controls) for t = 0..T.
 
-    u_depth defaults to the policy degree.  Raises ResourceError when a joint
-    would exceed ``max_cells`` entries.
+    m and u_depth are integers >= 0; u_depth defaults to the policy degree.
+    Raises ResourceError when a joint would exceed ``max_cells`` entries.
     """
-    if m < 0:
-        raise InstanceError("window width m must be nonnegative")
-    depth = policy.degree if u_depth is None else u_depth
+    check_window("m", m)
+    depth = policy.degree if u_depth is None else check_window("u_depth", u_depth)
     joints = [
         joint for _, joint, _ in _window_scan(mdp, policy, m, depth, max_cells)
     ]
@@ -1014,16 +1016,12 @@ def transfer_entropy_terms(
     """Per-step conditional mutual informations I(window; u_t | recent controls).
 
     ``m`` widens the state window to x_{t-m}..x_t; ``n_eval`` sets how many
-    recent controls are conditioned on (defaults to the policy degree; pass
-    math.inf for full-history conditioning, which is guarded by max_cells).
+    recent controls are conditioned on (defaults to the policy degree).  Both
+    are integers >= 0, or math.inf for the full history, which is guarded by
+    max_cells.
     """
-    T = mdp.horizon
-    if n_eval is None:
-        n_eval = policy.degree
-    m_eff = T if math.isinf(m) else int(m)
-    n_eff = T if math.isinf(n_eval) else int(n_eval)
-    if m_eff < 0 or n_eff < 0:
-        raise InstanceError("window degrees must be nonnegative")
+    m_eff = check_window("m", m, mdp.horizon)
+    n_eff = check_window("n_eval", policy.degree if n_eval is None else n_eval, mdp.horizon)
     depth = max(n_eff, policy.degree)
     terms = []
     for t, _, lam in _window_scan(mdp, policy, m_eff, depth, max_cells):
@@ -1137,20 +1135,24 @@ def directed_information(
 # ---------------------------------------------------------------------------
 
 
-def check_marginals(layout: FlatLayout, nu, lead=None) -> list[np.ndarray]:
-    """nu as float arrays, checked: one per step, of shape (H_t, U_t) past
-    a batch shape that every step shares, ``lead`` if given."""
-    nu = [np.asarray(n, dtype=float) for n in nu]
-    if len(nu) != len(layout.marginals.shapes):
-        raise InstanceError(f"{len(nu)} marginals for horizon {len(layout.marginals.shapes)}")
-    lead = nu[0].shape[:-2] if lead is None else lead
-    for t, (n, shape) in enumerate(zip(nu, layout.marginals.shapes)):
-        if n.shape != (*lead, *shape):
+def check_steps(layout: FlatLayout, space: Space, arrays, name: str, lead=None):
+    """arrays as float arrays, checked against one of layout's spaces: one
+    per step, of its shape past a batch shape that every step shares,
+    ``lead`` if given.  ``name`` names an array in the messages."""
+    try:
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"{name}s are not numeric arrays: {exc}") from None
+    if len(arrays) != len(space.shapes):
+        raise InstanceError(f"{len(arrays)} {name}s for horizon {len(layout.tables.shapes)}")
+    lead = arrays[0].shape[:arrays[0].ndim - len(space.shapes[0])] if lead is None else lead
+    for t, (a, shape) in enumerate(zip(arrays, space.shapes)):
+        if a.shape != (*lead, *shape):
             raise InstanceError(
-                f"marginal {t} has shape {n.shape}, instance requires "
+                f"{name} {t} has shape {a.shape}, instance requires "
                 f"{shape} after batch shape {lead}"
             )
-    return nu
+    return arrays
 
 
 def _terminal_cost(mdp: FiniteMdp, mu: np.ndarray) -> np.ndarray:
@@ -1196,14 +1198,22 @@ def canonical_rows(layout: FlatLayout, q, mu) -> np.ndarray:
     return np.where(mu.take(layout.row_of, -1) == 0.0, uniform, q)
 
 
-def _rows(mdp: FiniteMdp, policy: MemoryPolicy, belief: ReducedBelief | None):
-    """``check_compatible``, then the policy as rows: its plan's layout,
-    tables q, beliefs mu (propagated where belief is None) and lam = mu q."""
+def _rows(mdp: FiniteMdp, policy, belief: ReducedBelief | None = None):
+    """Every public evaluation's entry: ``check_compatible``, then the plan,
+    tables rows q, the flow (mu, nu) and lam = mu q.  Without a belief, one
+    ``forward_flat``, whose lam is a workspace view (``SweepPlan.lam``); a
+    belief is checked against the policy's degree and batch shape."""
     plan = check_compatible(mdp, policy)
     lay = plan.layout
     q = lay.tables.join(policy.tables)
-    mu = plan.forward_flat(q).mu if belief is None else lay.beliefs.join(belief.mus)
-    return lay, q, mu, mu.take(lay.row_of, -1) * q
+    if belief is None:
+        flow = plan.forward_flat(q)
+        return plan, q, flow, plan.lam(math.prod(q.shape[:-1])).reshape(q.shape)
+    if belief.degree != policy.degree:
+        raise InstanceError(f"belief degree {belief.degree} != policy degree {policy.degree}")
+    mu = lay.beliefs.join(check_steps(lay, lay.beliefs, belief.mus, "belief", q.shape[:-1]))
+    lam = mu.take(lay.row_of, -1) * q
+    return plan, q, Flow(mu, lay.action_marginals(mu, lam)), lam
 
 
 def induced_action_marginals(
@@ -1214,8 +1224,8 @@ def induced_action_marginals(
     Returns per-time arrays of shape (H_t, U_t).  Histories with zero mass
     get the uniform distribution.
     """
-    lay, _, mu, lam = _rows(mdp, policy, belief)
-    return list(lay.marginals.split(lay.action_marginals(mu, lam)))
+    plan, _, flow, _ = _rows(mdp, policy, belief)
+    return list(plan.layout.marginals.split(flow.nu))
 
 
 def per_step_information(
@@ -1225,8 +1235,8 @@ def per_step_information(
 
     Tables and beliefs stacked on a batch axis give shape (K, T).
     """
-    lay, q, mu, lam = _rows(mdp, policy, belief)
-    return information_rows(lay, lam, q, lay.action_marginals(mu, lam))
+    plan, q, flow, lam = _rows(mdp, policy, belief)
+    return information_rows(plan.layout, lam, q, flow.nu)
 
 
 def expected_cost(
@@ -1236,8 +1246,8 @@ def expected_cost(
 
     Tables and beliefs stacked on a batch axis give one cost per member.
     """
-    lay, _, mu, lam = _rows(mdp, policy, belief)
-    return _scalar(cost_rows(mdp, lay, lam, mu))
+    plan, _, flow, lam = _rows(mdp, policy, belief)
+    return _scalar(cost_rows(mdp, plan.layout, lam, flow.mu))
 
 
 def objective(
@@ -1249,9 +1259,13 @@ def objective(
 ) -> ObjectiveValue:
     """Cost, information, and the weighted total cost + beta * information."""
     check_beta(beta)
-    cost = expected_cost(mdp, policy)
-    if (m == 0 or m is None) and (n_eval is None or n_eval == policy.degree):
-        info = float(per_step_information(mdp, policy).sum())
+    for name, n in (("m", m), ("n_eval", n_eval)):
+        if n is not None:
+            check_window(name, n, mdp.horizon)
+    plan, q, flow, lam = _rows(mdp, policy)
+    cost = float(cost_rows(mdp, plan.layout, lam, flow.mu))
+    if not m and (n_eval is None or n_eval == policy.degree):
+        info = float(information_rows(plan.layout, lam, q, flow.nu).sum())
     else:
         info = transfer_entropy(mdp, policy, m, n_eval)
     return ObjectiveValue(cost, info, cost + beta * info)
@@ -1275,12 +1289,13 @@ def factored_objective(
     shapes, or with negative or NaN entries, raise InstanceError.
     """
     check_beta(beta)
-    lay, q, mu, lam = _rows(mdp, policy, belief)
-    nu = lay.marginals.join(check_marginals(lay, nu, q.shape[:-1]))
+    plan, q, flow, lam = _rows(mdp, policy, belief)
+    lay = plan.layout
+    nu = lay.marginals.join(check_steps(lay, lay.marginals, nu, "marginal", q.shape[:-1]))
     if not (nu >= 0.0).all():
         raise InstanceError(f"marginals must be nonnegative, got {float(nu.min())!r}")
     log_q = np.log(q, out=np.full_like(q, -np.inf), where=q > 0.0)
-    return _scalar(objective_rows(mdp, lay, beta, lam, log_q, Flow(mu, nu)))
+    return _scalar(objective_rows(mdp, lay, beta, lam, log_q, Flow(flow.mu, nu)))
 
 
 def canonicalize_policy(
@@ -1293,5 +1308,6 @@ def canonicalize_policy(
     keeps policy comparisons meaningful.  Tables and beliefs stacked on a
     batch axis (a solver ``PolicyStack``) give the stack of the same type.
     """
-    lay, q, mu, _ = _rows(mdp, policy, belief)
-    return type(policy)(policy.degree, lay.tables.split(canonical_rows(lay, q, mu)))
+    plan, q, flow, _ = _rows(mdp, policy, belief)
+    lay = plan.layout
+    return type(policy)(policy.degree, lay.tables.split(canonical_rows(lay, q, flow.mu)))

@@ -53,17 +53,16 @@ from .model import (
     ReducedBelief,
     canonical_rows,
     check_beta,
-    check_compatible,
     check_count,
-    check_marginals,
+    check_steps,
     cost_rows,
     gibbs_step,
-    induced_action_marginals,
     information_rows,
     log_marginals,
     objective_rows,
     perturbed_tables,
     uniform_tables,
+    _rows,
 )
 
 __all__ = [
@@ -172,8 +171,10 @@ def forward_pass(
     sees strictly positive normalizers somewhere in each slice.  A
     ``PolicyStack`` gives beliefs and marginals stacked on its batch axis.
     """
-    mus, nus = check_compatible(mdp, policy).forward(policy.tables)
-    return ReducedBelief(policy.degree, tuple(mus)), nus
+    plan, _, flow, _ = _rows(mdp, policy)
+    lay = plan.layout
+    mus, nus = lay.beliefs.split(flow.mu), lay.marginals.split(flow.nu)
+    return ReducedBelief(policy.degree, mus), list(nus)
 
 
 def backward_pass(
@@ -200,7 +201,7 @@ def backward_pass(
     check_beta(beta)
     plan = mdp.sweep_plan(degree)
     lay = plan.layout
-    nu = check_marginals(lay, nu)
+    nu = check_steps(lay, lay.marginals, nu, "marginal")
     log_phi, q = plan.backward_flat(lay.marginals.join(nu), beta)
     log_phi, stacked = list(lay.beliefs.split(log_phi)), nu[0].ndim == 3
     rho = [None if stacked else plan.rho_table(t, plan.cost_to_go(t, lp, beta))
@@ -508,6 +509,7 @@ def _plan_actions(mdp: FiniteMdp, degree: int, count: int) -> list[tuple]:
         plans = list(mdp._cache.get(("starts", degree), ()))
         cut = mdp.restriction
         plan = cut.mdp.sweep_plan(degree)
+        lay = plan.layout
         scale = max(1.0, max(float(np.abs(c).max()) for c in mdp.stage_costs))
         penalties = [np.zeros(c.shape[0]) for c in mdp.stage_costs]
         for k in range(count):
@@ -516,10 +518,10 @@ def _plan_actions(mdp: FiniteMdp, degree: int, count: int) -> list[tuple]:
                 plans.append(tuple(backward_induction(mdp, costs)[0]))
             if k + 1 == count:  # no further plan reads the penalties
                 break
-            mu = plan.initial[:, None]  # beliefs by push alone: no layout needed
-            for t, q in enumerate(_plan_tables(plan, map(np.take, plans[k], cut.states))):
+            start = lay.tables.join(_plan_tables(plan, map(np.take, plans[k], cut.states)))
+            mus = lay.beliefs.split(plan.forward_flat(start).mu)
+            for t, mu in enumerate(mus[:-1]):
                 penalties[t][cut.states[t]] += 2.0 * scale * (mu.sum(axis=1) > 1e-3)
-                mu = plan.push(t, mu[..., None] * q)
         mdp._cache[("starts", degree)] = tuple(plans)
     return plans[:count]  # another thread may have grown them further
 
@@ -592,24 +594,23 @@ def stationarity_residual(
     The belief recursion and the cost-to-go relations are checked everywhere;
     the marginal relation and the policy relation only where the relevant
     belief mass exceeds 1e-12 (they are only pinned down almost everywhere).
-    Returns 0 at an exact fixed point.
+    Returns 0 at an exact fixed point.  Arrays of other shapes than the
+    instance's at the policy's degree, or a bad beta, raise InstanceError.
     """
-    T = mdp.horizon
-    belief, nu, rho, log_phi, q = (
-        iterate.belief, iterate.nu, iterate.rho, iterate.log_phi, iterate.policy
-    )
-    plan = mdp.sweep_plan(q.degree)
+    check_beta(beta)
+    plan, _, flow, lam = _rows(mdp, iterate.policy, iterate.belief)
+    lay, T = plan.layout, mdp.horizon
+    nu = check_steps(lay, lay.marginals, iterate.nu, "marginal", ())
+    rho = check_steps(lay, lay.tables, iterate.rho, "rho", ())
+    log_phi = check_steps(lay, lay.beliefs, iterate.log_phi, "log phi", ())
+    mus, fresh_nu = lay.beliefs.split(flow.mu), lay.marginals.split(flow.nu)
 
     def sup(diff, where=True):  # over the entries where holds
         return np.abs(diff).max(where=where, initial=0.0)
 
-    terms = [sup(belief.mus[0] - mdp.initial.reshape(-1, 1))]
+    terms = [sup(flow.mu - plan.pushed(lam))]  # mu_0 = initial, mu_t+1 = push(lam_t)
     for t in range(T):
-        nxt = plan.push(t, belief.mus[t][..., None] * q.tables[t])
-        terms.append(sup(belief.mus[t + 1] - nxt))
-    fresh_nu = induced_action_marginals(mdp, q, belief)
-    for t in range(T):
-        mass = belief.mus[t].sum(axis=0) > MASS_TOL
+        mass = mus[t].sum(axis=0) > MASS_TOL
         terms.append(sup(nu[t] - fresh_nu[t], mass[:, None]))
     terms.append(sup(log_phi[T] - plan.scaled(beta)[1]))
     for t in range(T - 1, -1, -1):
@@ -619,8 +620,8 @@ def stationarity_residual(
              - np.moveaxis(rho[t], -1, -3))
         lse, q_want = gibbs_step(z)
         terms.append(sup(log_phi[t] - lse))
-        mask = belief.mus[t] > MASS_TOL
-        terms.append(sup(q.tables[t] - q_want, mask[..., None]))
+        mask = mus[t] > MASS_TOL
+        terms.append(sup(iterate.policy.tables[t] - q_want, mask[..., None]))
     return float(np.max(terms))
 
 
@@ -636,9 +637,8 @@ def residual_from_policy(
     ``PolicyStack`` gives one residual per member, each its single call's.
     """
     check_beta(beta)
-    plan = check_compatible(mdp, policy)
-    q = plan.layout.tables.join(policy.tables)
-    gap = _certificate(plan, q, beta, plan.forward_flat(q))
+    plan, q, flow, _ = _rows(mdp, policy)
+    gap = _certificate(plan, q, beta, flow)
     return gap if gap.ndim else float(gap)
 
 
@@ -842,7 +842,10 @@ def free_energy(log_phi_first: np.ndarray, initial: np.ndarray, beta: float) -> 
     """Optimal-cost readout from the first-stage log partition function.
 
     At a converged iterate, -beta * E[log phi_0(x_0)] equals the objective
-    total.
+    total.  log_phi_first is (X_0,) or (X_0, H_0), initial (X_0,).
     """
-    lp = np.asarray(log_phi_first, dtype=float).reshape(len(initial), -1)[:, 0]
-    return -beta * float(np.asarray(initial, dtype=float) @ lp)
+    check_beta(beta)
+    p, lp = np.asarray(initial, dtype=float), np.asarray(log_phi_first, dtype=float)
+    if lp.shape[:1] != p.shape or not 0 < lp.ndim <= 2 or not lp.size:
+        raise InstanceError(f"log_phi_first {lp.shape} does not match initial {p.shape}")
+    return -beta * float(p @ lp.reshape(len(p), -1)[:, 0])

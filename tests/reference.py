@@ -154,6 +154,15 @@ def reachable_rows(mdp: FiniteMdp, policies) -> np.ndarray:
     ])
 
 
+def forward_split(plan, tables):
+    """The package's forward pass of per-step tables (one policy, or K
+    stacked), split back into steps: beliefs mu_0..mu_T and marginals
+    nu_0..nu_{T-1}.  Not a reference: one ``SweepPlan.forward_flat``."""
+    lay = plan.layout
+    flow = plan.forward_flat(lay.tables.join(tables))
+    return list(lay.beliefs.split(flow.mu)), list(lay.marginals.split(flow.nu))
+
+
 def loop_backward(mdp, nu, beta, degree):
     """log_phi and Gibbs policies by scalar loops over (t, x, h, u, y)."""
     T, X, A = mdp.horizon, mdp.state_cards, mdp.action_cards

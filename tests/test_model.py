@@ -1,5 +1,6 @@
 """Model-layer tests: instance validation, propagation, information terms."""
 
+import collections
 import math
 
 import numpy as np
@@ -9,11 +10,13 @@ import termdp as td
 from termdp import oracle
 from termdp.errors import InstanceError, ResourceError
 from termdp.model import (
+    FlatLayout,
+    SweepPlan,
     conditional_mutual_information,
     induced_action_marginals,
     transfer_entropy_terms,
 )
-from termdp.solver import PolicyStack
+from termdp.solver import PolicyStack, forward_pass
 
 from reference import enum_directed_information, enum_te_terms
 
@@ -484,3 +487,120 @@ def test_cmi_handles_zero_mass_cells():
     assert abs(conditional_mutual_information(joint, (0,), (1,)) - LN2) < 1e-15
     joint = np.array([[0.5, 0.5], [0.0, 0.0]])
     assert abs(conditional_mutual_information(joint, (0,), (1,))) < 1e-15
+
+
+class TestPublicBoundary:
+    """Every public evaluation converts its inputs through one checked
+    conversion (``model._rows``): a passed belief is checked, and a call
+    makes one forward pass and one marginals computation."""
+
+    @staticmethod
+    def functionals(mdp, nu):
+        return [
+            *(lambda p, b, fn=fn: fn(mdp, p, b) for fn in (
+                induced_action_marginals, td.per_step_information,
+                td.expected_cost, td.canonicalize_policy)),
+            lambda p, b: td.factored_objective(mdp, p, nu, 1.0, b),
+        ]
+
+    def test_belief_of_another_degree_or_shape_is_rejected(self):
+        # a belief of another degree once gave expected_cost a wrong number
+        # and the other functionals a bare IndexError
+        rng = np.random.default_rng(1)
+        mdp = oracle.random_mdp(rng, 3)
+        p0, p1 = (oracle.random_policy(rng, mdp, n) for n in (0, 1))
+        b0, b1 = td.propagate_reduced(mdp, p0), td.propagate_reduced(mdp, p1)
+        stack = PolicyStack.of(0, [p0, p0])
+        stacked, _ = forward_pass(mdp, stack)
+        cases = [
+            (p0, b1, "belief degree 1 != policy degree 0"),
+            (p1, b0, "belief degree 0 != policy degree 1"),
+            (p0, td.ReducedBelief(0, b1.mus), "belief 1 has shape"),
+            (p0, td.ReducedBelief(0, b0.mus[:-1]), "3 beliefs for horizon 3"),
+            (p0, stacked, r"after batch shape \(\)"),
+            (stack, b0, r"after batch shape \(2,\)"),
+            (p0, td.ReducedBelief(0, [["a"]] * 4), "beliefs are not numeric"),
+        ]
+        for policy, belief, match in cases:
+            nu = induced_action_marginals(mdp, policy)
+            for call in self.functionals(mdp, nu):
+                with pytest.raises(InstanceError, match=match):
+                    call(policy, belief)
+
+    def test_stack_of_mixed_batch_shapes_is_rejected(self):
+        # tables of one stack with different batch shapes once raised a bare
+        # ValueError from the join into rows
+        rng = np.random.default_rng(4)
+        mdp = oracle.random_mdp(rng, 3)
+        tables = oracle.random_policy(rng, mdp, 0).tables
+        stack = PolicyStack(0, (np.stack([tables[0]] * 2),
+                                *(np.stack([q] * 3) for q in tables[1:])))
+        for call in (lambda: td.expected_cost(mdp, stack),
+                     lambda: td.residual_from_policy(mdp, stack, 1.0),
+                     lambda: forward_pass(mdp, stack)):
+            with pytest.raises(InstanceError, match=r"table 1 .* batch shape \(2,\)"):
+                call()
+
+    def test_one_forward_pass_and_one_marginals_per_call(self, monkeypatch):
+        counts = collections.Counter()
+        for cls, name in ((SweepPlan, "forward_flat"), (FlatLayout, "action_marginals")):
+            def counted(*args, real=getattr(cls, name), name=name):
+                counts[name] += 1
+                return real(*args)
+            monkeypatch.setattr(cls, name, counted)
+        rng = np.random.default_rng(3)
+        mdp = oracle.random_mdp(rng, 3)
+        pol = oracle.random_policy(rng, mdp, 1)
+        belief = td.propagate_reduced(mdp, pol)
+        for call, passes in [
+            (lambda: td.objective(mdp, pol, 0.7), 1),
+            (lambda: td.per_step_information(mdp, pol), 1),
+            (lambda: induced_action_marginals(mdp, pol), 1),
+            (lambda: td.per_step_information(mdp, pol, belief), 0),
+            (lambda: induced_action_marginals(mdp, pol, belief), 0),
+        ]:
+            counts.clear()
+            call()
+            assert (counts["forward_flat"], counts["action_marginals"]) == (passes, 1)
+
+
+class TestWindowDegrees:
+    """Window degrees are integers >= 0, Python or numpy, or math.inf where
+    the full history is meant; anything else is an input error."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(9)
+        mdp = oracle.random_mdp(rng, 3)
+        return mdp, oracle.random_policy(rng, mdp, 1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"m": 1.5}, {"m": math.nan}, {"m": -1}, {"m": 1.0}, {"m": "1"},
+        {"m": True}, {"n_eval": True}, {"n_eval": 0.5}, {"n_eval": -math.inf},
+    ])
+    def test_bad_degrees_rejected(self, case, kwargs):
+        mdp, pol = case
+        for fn in (td.transfer_entropy, transfer_entropy_terms):
+            with pytest.raises(InstanceError, match="must be an integer >= 0"):
+                fn(mdp, pol, **kwargs)
+        with pytest.raises(InstanceError, match="must be an integer >= 0"):
+            td.objective(mdp, pol, 1.0, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"m": 1.5}, {"m": math.inf}, {"m": -1}, {"m": np.float64(1.0)},
+        {"m": 0, "u_depth": 1.5}, {"m": 0, "u_depth": False},
+    ])
+    def test_bad_propagate_window_degrees_rejected(self, case, kwargs):
+        mdp, pol = case
+        with pytest.raises(InstanceError, match="must be an integer >= 0"):
+            td.propagate_window(mdp, pol, **kwargs)
+
+    def test_numpy_integers_and_inf_accepted(self, case):
+        mdp, pol = case
+        te = td.transfer_entropy(mdp, pol, 1, 1)
+        assert td.transfer_entropy(mdp, pol, np.int64(1), np.int32(1)) == te
+        assert td.objective(mdp, pol, 1.0, np.int64(1)).information_nats == te
+        full = td.transfer_entropy(mdp, pol, math.inf, math.inf)
+        assert td.transfer_entropy(mdp, pol, mdp.horizon, mdp.horizon) == full
+        window = td.propagate_window(mdp, pol, np.int64(1), np.int64(2))
+        assert (window.m, window.u_depth) == (1, 2)

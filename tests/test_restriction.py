@@ -7,7 +7,7 @@ import termdp as td
 from termdp import oracle, solver
 from termdp.solver import plan_start_policies, residual_from_policy
 
-from reference import reachable_rows
+from reference import forward_split, reachable_rows
 
 
 def partly_reachable():
@@ -166,10 +166,9 @@ def full_shape_plans(mdp, degree, count):
             q[np.arange(s.shape[0]), :, greedy] += solver.PLAN_MIX
             tables.append(q)
         plans.append(tables)
-        mu = plan.initial[:, None]
-        for t, q in enumerate(tables):
+        mus, _ = forward_split(plan, tables)
+        for t, mu in enumerate(mus[:-1]):
             penalties[t] = penalties[t] + 2.0 * scale * (mu.sum(axis=1) > 1e-3)
-            mu = plan.push(t, mu[..., None] * q)
     return plans
 
 

@@ -539,6 +539,56 @@ class TestCertificateIsTheFullCheck:
             assert after >= before + DELTA - 1e-12
 
 
+class TestStationarityResidualInputs:
+    """stationarity_residual checks beta and every array of the iterate
+    against the instance at the policy's degree."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        mdp = oracle.random_mdp(np.random.default_rng(33), 3, 3, 3)
+        pol = oracle.random_policy(np.random.default_rng(34), mdp, 1)
+        return mdp, one_sweep_iterate(mdp, pol, BETA_CERT)
+
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, math.nan, math.inf, True, "1"])
+    def test_bad_beta_rejected(self, case, beta):
+        # beta = -1 once returned a residual
+        mdp, it = case
+        with pytest.raises(InstanceError, match="beta must be positive and finite"):
+            stationarity_residual(mdp, it, beta)
+
+    def test_mis_shaped_iterate_rejected(self, case):
+        mdp, it = case
+        stacked, _ = forward_pass(mdp, PolicyStack.of(1, [it.policy, it.policy]))
+        for bad, match in [
+            (replace(it, nu=it.nu[:-1]), "2 marginals for horizon 3"),
+            (replace(it, nu=(it.nu[0][:, :1], *it.nu[1:])), "marginal 0 has shape"),
+            (replace(it, rho=(None,) * 3), r"rho 0 has shape \(\)"),
+            (replace(it, rho=tuple(r.swapaxes(-1, -3) for r in it.rho)), r"rho \d has shape"),
+            (replace(it, log_phi=it.log_phi[1:]), "3 log phis for horizon 3"),
+            (replace(it, log_phi=(*it.log_phi[:-1], it.log_phi[-1][:, :1])),
+             "log phi 3 has shape"),
+            (replace(it, belief=stacked), r"after batch shape \(\)"),
+            (replace(it, belief=td.ReducedBelief(0, it.belief.mus)),
+             "belief degree 0 != policy degree 1"),
+        ]:
+            with pytest.raises(InstanceError, match=match):
+                stationarity_residual(mdp, bad, BETA_CERT)
+
+    def test_iterate_of_another_instance_rejected(self, case):
+        mdp, _ = case
+        other = oracle.random_mdp(np.random.default_rng(35), 3, 4, 4)
+        pol = oracle.random_policy(np.random.default_rng(36), other, 1)
+        with pytest.raises(InstanceError, match="instance requires"):
+            stationarity_residual(mdp, one_sweep_iterate(other, pol, BETA_CERT), BETA_CERT)
+
+    def test_non_numeric_marginals_rejected(self, case):
+        mdp, it = case
+        with pytest.raises(InstanceError, match="marginals are not numeric"):
+            backward_pass(mdp, [["x"]] * 3, BETA_CERT, 1)
+        with pytest.raises(InstanceError, match="marginals are not numeric"):
+            stationarity_residual(mdp, replace(it, nu=({"a": 1},) * 3), BETA_CERT)
+
+
 class TestClassicalBlahut:
     def test_zero_cost(self):
         sol = td.classical_blahut(np.array([0.3, 0.7]), np.zeros((2, 3)), 1.0)
@@ -756,6 +806,20 @@ class TestFreeEnergy:
         _, nu = forward_pass(mdp, rep.policy)
         _, log_phi, _ = backward_pass(mdp, nu, beta, 1)
         assert abs(free_energy(log_phi[0], mdp.initial, beta) - rep.total) < 1e-8
+
+    def test_inputs_checked(self):
+        # a log_phi_first that does not match initial once raised a bare
+        # ValueError from a reshape, and beta was not checked
+        initial = np.array([0.25, 0.75])
+        assert free_energy(np.array([[1.0], [2.0]]), initial, 2.0) == -3.5
+        assert free_energy(np.array([1.0, 2.0]), initial, 2.0) == -3.5
+        for log_phi in (np.zeros(3), np.zeros((3, 1)), np.zeros((2, 0)), np.zeros((2, 1, 1)),
+                        np.float64(1.0)):
+            with pytest.raises(InstanceError, match="does not match initial"):
+                free_energy(log_phi, initial, 1.0)
+        for beta in (0.0, -1.0, math.nan, True):
+            with pytest.raises(InstanceError, match="beta must be positive"):
+                free_energy(np.zeros(2), initial, beta)
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_one_sweep_from_random_policy_is_factored_objective(self, degree):

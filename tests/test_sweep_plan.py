@@ -35,7 +35,7 @@ from termdp.solver import (
     residual_from_policy,
 )
 
-from reference import enum_beliefs_and_marginals, loop_backward
+from reference import enum_beliefs_and_marginals, forward_split, loop_backward
 
 TOL = 1e-12  # fixed before any comparison was run
 
@@ -78,7 +78,7 @@ def scan_marginals(window, policy):
 @pytest.mark.parametrize("horizon, degree, maze", PATH_CASES)
 def test_forward_kernel_matches_window_scan_and_enumeration(horizon, degree, maze):
     mdp, pol = _instance(horizon, degree, maze=maze)
-    mus, nus = mdp.sweep_plan(degree).forward(pol.tables)
+    mus, nus = forward_split(mdp.sweep_plan(degree), pol.tables)
     window = td.propagate_window(mdp, pol, 0, degree)
     if maze:  # too many trajectories to enumerate
         want_mus, want_nus = None, scan_marginals(window, pol)
@@ -125,11 +125,11 @@ def test_stacked_kernels_equal_single_calls(horizon, degree, maze, k):
     pols = [oracle.random_policy(rng, mdp, degree) for _ in range(k)]
     plan = mdp.sweep_plan(degree)
     stacked = [np.stack(ts) for ts in zip(*(p.tables for p in pols))]
-    mus, nus = plan.forward(stacked)
+    mus, nus = forward_split(plan, stacked)
     rho, log_phi, stack = backward_pass(mdp, nus, 0.7, degree)
     assert rho == [None] * horizon
     for i, pol in enumerate(pols):
-        mus_i, nus_i = plan.forward(pol.tables)
+        mus_i, nus_i = forward_split(plan, pol.tables)
         _, log_phi_i, pol_i = backward_pass(mdp, nus_i, 0.7, degree)
         for got, want in [(mus, mus_i), (nus, nus_i), (log_phi, log_phi_i),
                           (stack.tables, pol_i.tables)]:
@@ -270,6 +270,22 @@ def test_nan_marginal_raises_numerical_error():
         backward_pass(mdp, nu, 0.7, 1)
 
 
+@pytest.mark.parametrize("horizon, degree, maze", PATH_CASES)
+def test_pushed_lam_gives_the_pass_beliefs(horizon, degree, maze):
+    # the pushes of a forward pass's own lam = mu q, without its multiply,
+    # give the pass's beliefs bit for bit, for a stack and for each member
+    mdp, _ = _instance(horizon, degree, maze=maze)
+    rng = np.random.default_rng(20 + degree)
+    pols = [oracle.random_policy(rng, mdp, degree) for _ in range(3)]
+    plan = mdp.sweep_plan(degree)
+    rows = np.stack([plan.layout.tables.join(p.tables) for p in pols])
+    flow = plan.forward_flat(rows)
+    lam = plan.lam(3).copy()
+    assert np.array_equal(plan.pushed(lam), flow.mu)
+    for i in range(3):
+        assert np.array_equal(plan.pushed(lam[i]), flow.mu[i])
+
+
 def test_subnormal_mass_history_gets_uniform_marginal():
     # the history u_0 = 1 has mass 5e-324, and every entry of its joint row,
     # 5e-324 / 3, underflows to 0: the history counts as massless, so its
@@ -283,7 +299,7 @@ def test_subnormal_mass_history_gets_uniform_marginal():
     q0 = np.array([[[1.0, 5e-324]]])
     q1 = np.full((1, 2, 3), 1.0 / 3.0)
     plan = mdp.sweep_plan(1)
-    mus, nus = plan.forward((q0, q1))
+    mus, nus = forward_split(plan, (q0, q1))
     assert mus[1][0, 1] == 5e-324 and not (mus[1][0, 1] * q1[0, 1]).any()
     assert np.array_equal(nus[1], np.full((2, 3), 1.0 / 3.0))
     _, log_phi, pol = backward_pass(mdp, nus, 0.7, 1)
@@ -351,7 +367,7 @@ def test_per_pass_marginals_equal_per_step_sums(degree, k):
         tables = [np.stack(ts) for ts in zip(*(p.tables for p in pols))]
         if k == 1:
             tables = [q[0] for q in tables]
-        mus, nus = inst.sweep_plan(degree).forward(tables)
+        mus, nus = forward_split(inst.sweep_plan(degree), tables)
         want, *flags = _per_step_marginals(mus, tables)
         assert all(np.array_equal(a, b) for a, b in zip(nus, want, strict=True))
         seen.append(flags)
