@@ -361,11 +361,13 @@ class ObjectiveValue:
     total: float
 
 
-def check_beta(beta: float) -> None:
-    """Reject an information price that is not a positive finite real number."""
+def check_beta(beta: float) -> float:
+    """An information price as a Python float; reject one that is not a
+    positive finite real number."""
     if (type(beta) is bool or not isinstance(beta, numbers.Real)
             or not (math.isfinite(beta) and beta > 0)):
         raise InstanceError(f"beta must be positive and finite, got {beta!r}")
+    return float(beta)
 
 
 def check_count(name: str, n, low: int) -> None:
@@ -444,7 +446,7 @@ def log_marginals(nu: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def gibbs_step(z: np.ndarray, out=None):
+def gibbs_step(z: np.ndarray):
     """Log partition and Gibbs policy of z = log nu - cost (..., U, X, H),
     which is overwritten, over its leading action axis (numpy reduces a
     short last axis ~10x slower):
@@ -452,37 +454,35 @@ def gibbs_step(z: np.ndarray, out=None):
         log_phi = max_u z + log s,   s = sum_u e,   e = exp(z - max_u z)
         q       = e / s, as (..., X, H, U)
 
-    ``out`` holds the buffers it writes: (max, s, log_phi), each (..., 1, X,
-    H), and q viewed action-major, (..., U, X, H); the sweep workspaces
-    build them once per step.  Without ``out`` it allocates them and
-    returns log_phi (..., X, H) and q (..., X, H, U).
+    Returns log_phi (..., X, H) and q (..., X, H, U).  The sweeps'
+    ``SweepPlan.backward_flat`` runs the same step on its log-weight row,
+    and divides by s once per pass.
     """
-    fresh = out is None
-    if fresh:
-        *lead, u, x, h = z.shape
-        q = np.empty((*lead, x, h, u))
-        out = (*(np.empty((*lead, 1, x, h)) for _ in range(3)), np.moveaxis(q, -1, -3))
-    top, s, log_phi, q_by_action = out
-    np.maximum.reduce(z, axis=-3, keepdims=True, out=top)
+    *lead, u, x, h = z.shape
+    top = np.maximum.reduce(z, axis=-3, keepdims=True)
     np.exp(np.subtract(z, top, out=z), out=z)  # z is now e
-    np.add.reduce(z, axis=-3, keepdims=True, out=s)
-    np.divide(z, s, out=q_by_action)
-    np.add(top, np.log(s, out=s), out=log_phi)
-    if fresh:
-        return log_phi[..., 0, :, :], q
+    s = np.add.reduce(z, axis=-3, keepdims=True)
+    q = np.empty((*lead, x, h, u))
+    np.divide(z, s, out=np.moveaxis(q, -1, -3))
+    return np.add(top, np.log(s, out=s), out=s)[..., 0, :, :], q
 
 
-def _bin_sums(index: np.ndarray, weights: np.ndarray, bins: int) -> np.ndarray:
+def _bin_sums(index: np.ndarray, weights: np.ndarray, bins: int,
+              offsets: dict) -> np.ndarray:
     """Sums of rows (..., n) into ``bins`` bins by ``index``, each bin in row
     order, as a strided sum adds: one bincount per row of a stack of rows of 1000
-    or more entries, else one over a (K, n) offset index, the cheaper below that."""
+    or more entries, else one over a (K, n) offset index, the cheaper below
+    that, kept in ``offsets`` per (bins, K)."""
     lead, n = weights.shape[:-1], weights.shape[-1]
     count = math.prod(lead)
     if count > 1 and n >= 1000:
         sums = [np.bincount(index, w, bins) for w in weights.reshape(-1, n)]
         return np.concatenate(sums).reshape(*lead, bins)
     if count > 1:
-        index = (index + bins * np.arange(count)[:, None]).ravel()
+        key = (bins, count)
+        if key not in offsets:
+            offsets[key] = (index + bins * np.arange(count)[:, None]).ravel()
+        index = offsets[key]
     return np.bincount(index, weights.ravel(), count * bins).reshape(*lead, bins)
 
 
@@ -528,45 +528,40 @@ class PushStep(NamedTuple):
     dest: np.ndarray | None = None
 
 
-def _push(v: PushStep) -> None:
-    np.matmul(v.lam, v.by, out=v.prod)
-    if v.summed is not None:
-        np.add.reduce(v.parts, axis=-3, out=v.summed)
-    if v.dest is not None:
-        v.dest[...] = v.moved
-
-
-def _cost_to_go(by: np.ndarray, lp: np.ndarray, scaled: np.ndarray, out) -> None:
-    """rho = c / beta - by @ lp into out: ``SweepPlan.cost_to_go`` on its views."""
-    np.matmul(by, lp, out=out)
-    np.subtract(scaled, out, out=out)
-
-
 class BackStep(NamedTuple):
-    """The operands of one backward step, as views: ``_cost_to_go``'s
-    ``by``, ``lp`` and ``rho`` (..., U, X, kept); z = log nu - rho written as
-    ``ln - rho5`` into ``z5``, which is z (..., U, X, H) split by the
-    dropped control; and ``gibbs_step``'s ``out``."""
+    """The views of one backward step: E log phi_{t+1} = ``by @ lp`` into
+    ``e`` (..., U, X, kept); the step's block ``z`` (..., U, X, H) of the
+    log-weights, and ``z5``, the same split by the dropped control, which
+    ``e5`` broadcasts against; ``top``, ``s`` and ``log_phi`` (..., 1, X, H)."""
 
     by: np.ndarray
     lp: np.ndarray
-    rho: np.ndarray
-    ln: np.ndarray
-    rho5: np.ndarray
+    e: np.ndarray
     z5: np.ndarray
+    e5: np.ndarray
     z: np.ndarray
-    gibbs: tuple
+    top: np.ndarray
+    s: np.ndarray
+    log_phi: np.ndarray
 
 
 class StackViews(NamedTuple):
     """A workspace's rows for a stack of K members, (K, size) prefixes of
-    its buffers, with every step's views of them: ``forward`` holds per step
-    mu_t (K, X, H, 1), the tables row's lam_t and the ``PushStep``;
-    ``backward`` the ``BackStep``s, t ascending."""
+    its buffers (``tables`` and ``beliefs`` split ``flow``), with every
+    step's views of them: ``forward`` holds per step mu_t (K, X, H, 1), the
+    tables row's lam_t and the ``PushStep``'s fields; ``backward`` the
+    ``BackStep``s, t ascending.  ``weights`` and ``sums`` view the
+    log-weight and normalizer buffers as (K, size): for one member, its
+    rows.  For more, ``restack`` holds the tables row's (K, size_t) column
+    blocks and per step the z, s and action-major Gibbs table to divide."""
 
+    flow: np.ndarray
     tables: np.ndarray
     beliefs: np.ndarray
     log_nu: np.ndarray
+    weights: np.ndarray
+    sums: np.ndarray
+    restack: tuple | None
     first: np.ndarray
     last: np.ndarray
     forward: tuple
@@ -576,17 +571,21 @@ class StackViews(NamedTuple):
 class Workspace:
     """One thread's buffers for a plan's passes on stacks of up to
     ``capacity`` members, and their views per stack height, built on first
-    use.  One row each: ``tables`` (the policy copied in, lam in place of it
-    forward, the Gibbs tables backward), ``beliefs`` (mu forward, log phi
-    backward) and ``log_nu``; and one ``scratch``, shared by every step's
-    temporaries and sized to the largest step."""
+    use.  ``flow`` holds per member a tables row (the policy copied in, lam
+    in place of it) and a beliefs row (mu forward, log phi backward) end to
+    end, for one bincount over both; then ``log_nu``; ``weights`` and
+    ``sums``, the backward pass's log-weights (z order) and normalizers,
+    step by step with each step's K members contiguous; and one
+    ``scratch``, shared by every step's temporaries and sized to the
+    largest step."""
 
     def __init__(self, plan: "SweepPlan", capacity: int) -> None:
         lay = plan.layout
         self.capacity = capacity
-        self.tables = np.empty((capacity, lay.tables.size))
-        self.beliefs = np.empty((capacity, lay.beliefs.size))
+        self.flow = np.empty((capacity, lay.tables.size + lay.beliefs.size))
         self.log_nu = np.empty((capacity, lay.marginals.size))
+        self.weights = np.empty(capacity * lay.tables.size)
+        self.sums = np.empty(capacity * lay.beliefs.spans[-1].start)
         self.scratch = np.empty(capacity * plan.scratch_cells)
         self.stacks: dict[int, StackViews] = {}
 
@@ -609,16 +608,17 @@ class SweepPlan:
 
     Built once per (instance, degree) by ``FiniteMdp.sweep_plan``; kernels
     take one policy, or K stacked on a leading axis.  Only the two
-    recursions run step by step: lam_t = mu_t q_t and the push forward,
-    ``cost_to_go`` and the Gibbs step backward.  The action marginals, log nu
-    and the finiteness check of log_phi run once per pass on rows of the
-    plan's ``layout``: ``forward_flat`` takes a tables row, as
-    ``backward_flat`` returns it, and ``pushed`` a row of lam; the scaled
-    costs are kept per beta.  The push and ``cost_to_go`` are stacked
-    matmuls, (K, 1, n) @ (n, m) and (n, m) @ (K, m, 1) at degree 0 and
-    batched over u_t above, so each member's numbers are its solo run's bit
-    for bit (a 2-d (K, n) @ (n, m) gemm's are not).  Raises ResourceError
-    when one policy's ``cells`` exceed DEFAULT_CELL_BUDGET.
+    recursions run step by step: lam_t = mu_t q_t and the push forward, the
+    expected log_phi_{t+1} and the log partition backward.  The action
+    marginals, the log-weight row log nu - c / beta, the Gibbs division and
+    the finiteness check of log_phi run once per pass on rows of the plan's
+    ``layout``: ``forward_flat`` takes a tables row, as ``backward_flat``
+    returns it, and ``pushed`` a row of lam; the scaled costs are kept per
+    beta.  The push and the backward contraction are stacked matmuls,
+    (K, 1, n) @ (n, m) and (n, m) @ (K, m, 1) at degree 0 and batched over
+    u_t above, so each member's numbers are its solo run's bit for bit (a
+    2-d (K, n) @ (n, m) gemm's are not).  Raises ResourceError when one
+    policy's ``cells`` exceed DEFAULT_CELL_BUDGET.
 
     ``forward_flat`` and ``backward_flat`` run in a ``Workspace`` that each
     thread keeps per plan, built by its first pass and rebuilt only for a
@@ -642,9 +642,9 @@ class SweepPlan:
                 )
             )
             # per member: push's product and its sum over the dropped
-            # control; rho, z, and the max and sum of the Gibbs step
+            # control; the expected log_phi_{t+1} and the max over actions
             push = u * h * y + (u * kept * y if dropped > 1 else 0) if degree else 0
-            scratch = max(scratch, push, u * x * (kept + h) + 2 * x * h)
+            scratch = max(scratch, push, u * x * kept + x * h)
         self.cells = sum(math.prod(s.shape) for s in steps)
         if self.cells > DEFAULT_CELL_BUDGET:
             raise ResourceError(
@@ -687,71 +687,87 @@ class SweepPlan:
     def _stack_views(self, space: Workspace, count: int) -> StackViews:
         """Every step's views of the first count rows of space's buffers."""
         lay = self.layout
-        tables, beliefs = space.tables[:count], space.beliefs[:count]
-        log_nu = space.log_nu[:count]
+        n, size = lay.tables.size, lay.beliefs.spans[-1].start
+        flow = space.flow[:count]
+        tables, beliefs = flow[:, :n], flow[:, n:]
+        weights, sums = space.weights[:count * n], space.sums[:count * size]
         lams, mus = lay.tables.split(tables), lay.beliefs.split(beliefs)
-        log_nus = lay.marginals.split(log_nu)
-        forward, backward = [], []
+        zs, ss = _carver(weights), _carver(sums)  # step by step, K members each
+        forward, backward, divides = [], [], []
         for t, s in enumerate(self.steps):
-            (x, h, u), mu = s.shape, mus[t]
-            forward.append((mu[..., None], lams[t],
-                            self._push_step(t, lams[t], mus[t + 1], _carver(space.scratch))))
+            x, h, u = s.shape
+            push = self._push_step(t, lams[t], mus[t + 1], _carver(space.scratch))
+            forward.append((mus[t][..., None], lams[t], *push))
             take = _carver(space.scratch)
-            rho, z = take((count, u, x, s.kept)), take((count, u, x, h))
-            gibbs = (take((count, 1, x, h)), take((count, 1, x, h)),
-                     mu.reshape(count, 1, x, h), np.moveaxis(lams[t], -1, -3))
-            ln = log_nus[t].swapaxes(-1, -2).reshape(count, u, 1, s.dropped, s.kept)
+            e, top = take((count, u, x, s.kept)), take((count, 1, x, h))
+            z, norm = zs((count, u, x, h)), ss((count, 1, x, h))
+            divides.append((z, norm, np.moveaxis(lams[t], -1, -3)))
             backward.append(BackStep(
-                s.by_action, self._next_log_phi(t, mus[t + 1]), rho, ln,
-                rho[..., None, :], z.reshape(count, u, x, s.dropped, s.kept), z, gibbs,
+                s.by_action, self._next_log_phi(t, mus[t + 1]), e,
+                z.reshape(count, u, x, s.dropped, s.kept), e[..., None, :], z, top,
+                norm, mus[t].reshape(count, 1, x, h),
             ))
-        return StackViews(tables, beliefs, log_nu, mus[0], mus[-1],
-                          tuple(forward), tuple(backward))
+        restack = None
+        if count > 1:
+            restack = ([tables[:, span] for span in lay.tables.spans], divides)
+        return StackViews(flow, tables, beliefs, space.log_nu[:count],
+                          weights.reshape(count, n), sums.reshape(count, size), restack,
+                          mus[0], mus[-1], tuple(forward), tuple(backward))
+
+    def _push_all(self, rows: np.ndarray, multiply: bool) -> StackViews:
+        """Copy tables rows into the workspace and run every step's push,
+        after lam_t = mu_t q_t in place if multiply: the loop of
+        ``forward_flat`` and ``pushed``."""
+        ws = self._workspace(math.prod(rows.shape[:-1]))
+        ws.tables[...] = rows.reshape(ws.tables.shape)
+        ws.first[...] = self.initial[:, None]
+        for mu, lam, lam_by, by, prod, parts, summed, moved, dest in ws.forward:
+            if multiply:
+                np.multiply(mu, lam, out=lam)
+            np.matmul(lam_by, by, out=prod)
+            if summed is not None:
+                np.add.reduce(parts, axis=-3, out=summed)
+            if dest is not None:
+                dest[...] = moved
+        return ws
 
     def forward_flat(self, q: np.ndarray) -> Flow:
         """The forward pass of tables rows q (..., ``layout.tables.size``)."""
         lay, lead = self.layout, q.shape[:-1]
-        ws = self._workspace(math.prod(lead))
-        ws.tables[...] = q.reshape(ws.tables.shape)
-        ws.first[...] = self.initial[:, None]
-        for mu, lam, step in ws.forward:
-            np.multiply(mu, lam, out=lam)
-            _push(step)
-        nu = lay.action_marginals(ws.beliefs, ws.tables)
+        ws = self._push_all(q, True)
+        nu = lay.action_marginals(ws.flow)
         return Flow(ws.beliefs.reshape(*lead, lay.beliefs.size).copy(),
                     nu.reshape(*lead, lay.marginals.size))
 
     def pushed(self, lam: np.ndarray) -> np.ndarray:
         """Beliefs rows mu_0 = initial, mu_{t+1} = push(lam_t) of lam rows:
         ``forward_flat``'s pushes, without its multiply lam = mu q."""
-        lay, lead = self.layout, lam.shape[:-1]
-        ws = self._workspace(math.prod(lead))
-        ws.tables[...] = lam.reshape(ws.tables.shape)
-        ws.first[...] = self.initial[:, None]
-        for _, _, step in ws.forward:
-            _push(step)
-        return ws.beliefs.reshape(*lead, lay.beliefs.size).copy()
+        ws = self._push_all(lam, False)
+        return ws.beliefs.reshape(*lam.shape[:-1], self.layout.beliefs.size).copy()
 
     def lam(self, count: int) -> np.ndarray:
         """lam = mu q of this thread's last ``forward_flat`` of count rows: a
         workspace view, valid until the thread's next pass on the plan."""
         return self._workspace(count).tables
 
-    def scaled(self, beta: float) -> tuple[tuple, np.ndarray]:
-        """c_t / beta as (U, X, 1) for each t, and log_phi_T = -terminal_cost
-        / beta repeated over the histories at T; kept for the last beta."""
+    def scaled(self, beta: float) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """c_t / beta as (U, X, 1) for each t, log_phi_T = -terminal_cost /
+        beta repeated over the histories at T, and c / beta as a z-order row;
+        kept for the last beta."""
         cached = self._scaled  # one read: another thread may replace it
         if cached[0] != beta:
+            z_costs = np.empty(self.layout.tables.size)
             with np.errstate(over="ignore"):  # backward_flat raises on inf
                 costs = tuple(s.cost.T[:, :, None] / beta for s in self.steps)
                 log_phi = (-self.terminal_cost / beta)[:, None]
+                z_costs[self.layout.z_at] = self.layout.cost / beta
             cached = self._scaled = (
-                beta, (costs, log_phi.repeat(self.terminal_histories, 1)))
+                beta, (costs, log_phi.repeat(self.terminal_histories, 1), z_costs))
         return cached[1]
 
     def _next_log_phi(self, t: int, log_phi_next: np.ndarray) -> np.ndarray:
-        """log_phi_{t+1} (..., Y, H_{t+1}) as the right operand of
-        ``cost_to_go``'s matmul: (..., 1, Y, 1) at degree 0, else
+        """log_phi_{t+1} (..., Y, H_{t+1}) as the right operand of the
+        backward contraction's matmul: (..., 1, Y, 1) at degree 0, else
         (..., U, Y, kept)."""
         if self.degree == 0:
             return log_phi_next[..., None, :, :]
@@ -766,8 +782,8 @@ class SweepPlan:
         not repeated over the coordinate that leaves the window at t + 1."""
         s = self.steps[t]
         rho = np.empty((*log_phi_next.shape[:-2], s.shape[2], s.shape[0], s.kept))
-        _cost_to_go(s.by_action, self._next_log_phi(t, log_phi_next),
-                    self.scaled(beta)[0][t], rho)
+        np.matmul(s.by_action, self._next_log_phi(t, log_phi_next), out=rho)
+        np.subtract(self.scaled(beta)[0][t], rho, out=rho)
         return rho[..., None, :]
 
     def rho_table(self, t: int, rho: np.ndarray) -> np.ndarray:
@@ -779,28 +795,50 @@ class SweepPlan:
 
     def backward_flat(self, nu: np.ndarray, beta: float) -> tuple:
         """Rows of log_phi_0..log_phi_T and of the Gibbs policy tables (one
-        C-ordered row per member) of a marginals row.  A log_phi_t that is
-        not finite (a Gibbs normalizer that is not finite and positive)
-        raises NumericalError for the largest such t, and no RuntimeWarning."""
+        C-ordered row per member) of a marginals row.  The log-weights
+        A = log nu - c / beta are built once, in the z order (``layout.z_nu``;
+        a stack is restacked step by step); step t adds E log_phi_{t+1} into
+        its block, z = A + E, and keeps e = exp(z - max_u z) there and
+        s = sum_u e; the tables are e / s, for one member reordered
+        (``layout.z_at``) and divided once, for a stack divided step by step
+        into the tables row.  A log_phi_t that is not finite (a Gibbs normalizer
+        that is not finite and positive) raises NumericalError for the
+        largest such t, and no RuntimeWarning."""
         lay, lead = self.layout, nu.shape[:-1]
         ws = self._workspace(math.prod(lead))
-        costs, terminal = self.scaled(beta)
+        _, terminal, costs = self.scaled(beta)
         log_marginals(nu.reshape(ws.log_nu.shape), out=ws.log_nu)
         ws.last[...] = terminal
         log_phi = ws.beliefs
         with np.errstate(all="ignore"):  # the check below raises
-            for (by, lp, rho, ln, rho5, z5, z, gibbs), scaled in zip(
-                    reversed(ws.backward), reversed(costs)):
-                _cost_to_go(by, lp, scaled, rho)
-                np.subtract(ln, rho5, out=z5)
-                gibbs_step(z, gibbs)
+            ws.log_nu.take(lay.z_nu, axis=1, out=ws.weights, mode="clip")
+            if ws.restack is None:
+                np.subtract(ws.weights, costs, out=ws.weights)
+            else:  # member by member into the tables row, then step by step
+                np.subtract(ws.weights, costs, out=ws.tables)
+                np.concatenate(ws.restack[0], axis=None, out=ws.weights.reshape(-1))
+            for by, lp, e, z5, e5, z, top, s, lse in reversed(ws.backward):
+                np.matmul(by, lp, out=e)
+                np.add(z5, e5, out=z5)
+                np.maximum.reduce(z, axis=-3, keepdims=True, out=top)
+                np.exp(np.subtract(z, top, out=z), out=z)  # z is now e
+                np.add.reduce(z, axis=-3, keepdims=True, out=s)
+                np.add(top, np.log(s, out=lse), out=lse)
             total = np.add.reduce(log_phi[:, :lay.beliefs.spans[-1].start], axis=None)
         if not math.isfinite(total):  # an entry is not finite, or the sum overflowed
             for t, lp in reversed(list(enumerate(lay.beliefs.split(log_phi)[:-1]))):
                 if not np.isfinite(lp).all():
                     raise NumericalError(f"non-finite or zero Gibbs normalizer at t={t}")
+        if ws.restack is None:
+            q = ws.weights.take(lay.z_at, axis=1, mode="clip")
+            s = ws.sums.take(lay.row_of, axis=1, out=ws.weights, mode="clip")
+            np.divide(q, s, out=q)
+        else:
+            for z, s, q in ws.restack[1]:
+                np.divide(z, s, out=q)
+            q = ws.tables.copy()
         return (log_phi.reshape(*lead, lay.beliefs.size).copy(),
-                ws.tables.reshape(*lead, lay.tables.size).copy())
+                q.reshape(*lead, lay.tables.size))
 
     @cached_property
     def layout(self) -> "FlatLayout":
@@ -836,10 +874,13 @@ class FlatLayout(NamedTuple):
     ``tables`` for q_t and lam_t(x, h, u), ``beliefs`` for mu_t and
     log_phi_t(x, h) with t <= T, ``marginals`` for nu_t(h, u).  For each
     tables entry, ``row_of`` is its (t, x, h) segment and beliefs index,
-    ``nu_of`` its marginals index and ``cost`` its stage cost; ``starts``
-    and ``lengths`` locate the segments.  ``mass_of`` and ``history_of`` give
-    the (t, h) of each beliefs and marginals entry (terminal beliefs go to
-    bin ``histories``), and ``uniform`` each marginal entry's 1 / U_t."""
+    ``nu_of`` its marginals index, ``cost`` its stage cost and ``z_at`` its
+    index in the backward pass's action-major z order (t, u, x, h), whose
+    entries' marginals indices are ``z_nu``; ``starts`` and ``lengths``
+    locate the segments.  ``bin_of`` bins a tables row and a beliefs row
+    laid end to end: marginals indices, then marginals.size plus each
+    beliefs entry's (t, h), terminal ones in the last bin.  ``history_of``
+    gives each marginals entry's (t, h), and ``uniform`` its 1 / U_t."""
 
     tables: Space
     beliefs: Space
@@ -849,45 +890,54 @@ class FlatLayout(NamedTuple):
     row_of: np.ndarray
     nu_of: np.ndarray
     cost: np.ndarray
-    mass_of: np.ndarray
+    z_at: np.ndarray
+    z_nu: np.ndarray
+    bin_of: np.ndarray
     history_of: np.ndarray
     uniform: np.ndarray
     histories: int
+    offsets: dict  # _bin_sums' offset indices
 
     @classmethod
     def of(cls, plan: SweepPlan) -> "FlatLayout":
-        lengths, nu_of, cost, mass_of, history_of, uniform = [], [], [], [], [], []
-        seen = histories = 0
+        lengths, nu_of, cost, z_of, mass_of, history_of, uniform = ([] for _ in range(7))
+        seen = histories = cells = 0
         for s in plan.steps:
             x, h, u = s.shape
             lengths.append(np.full(x * h, u))
             nu_of.append(seen + np.arange(x * h * u) % (h * u))
             cost.append(np.broadcast_to(s.cost[:, None, :], s.shape).ravel())
+            z_of.append(cells + np.arange(x * h * u).reshape(x, h, u)
+                        .transpose(2, 0, 1).ravel())
             mass_of.append(histories + np.arange(x * h) % h)
             history_of.append(np.repeat(histories + np.arange(h), u))
             uniform.append(np.full(h * u, 1.0 / u))
-            seen, histories = seen + h * u, histories + h
+            seen, histories, cells = seen + h * u, histories + h, cells + x * h * u
         terminal = (len(plan.terminal_cost), plan.terminal_histories)
         mass_of.append(np.full(math.prod(terminal), histories))
-        lengths = np.concatenate(lengths)
+        lengths, nu_of, z_of = map(np.concatenate, (lengths, nu_of, z_of))
         return cls(
             Space.of([s.shape for s in plan.steps]),
             Space.of([s.shape[:2] for s in plan.steps] + [terminal]),
             Space.of([s.shape[1:] for s in plan.steps]),
             np.concatenate([[0], np.cumsum(lengths)[:-1]]), lengths,
-            np.repeat(np.arange(len(lengths)), lengths),
-            *map(np.concatenate, (nu_of, cost, mass_of, history_of, uniform)),
-            histories,
+            np.repeat(np.arange(len(lengths)), lengths), nu_of,
+            np.concatenate(cost), np.argsort(z_of), nu_of[z_of],
+            np.concatenate([nu_of, seen + np.concatenate(mass_of)]),
+            *map(np.concatenate, (history_of, uniform)), histories, {},
         )
 
-    def action_marginals(self, mu: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def action_marginals(self, rows: np.ndarray) -> np.ndarray:
         """nu_t(u | h) of all steps from rows of mu and lam: lam summed over x
-        over mu summed over x, uniform where h is massless, which a history
-        whose joint row underflows to 0 (a subnormal mass spread over the
-        actions) counts as too."""
-        joint = _bin_sums(self.nu_of, lam, self.marginals.size)
-        mass = _bin_sums(self.mass_of, mu, self.histories + 1).take(self.history_of, -1)
-        fed = _bin_sums(self.history_of, joint, self.histories).take(self.history_of, -1)
+        over mu summed over x, the two sums one bincount over the rows laid
+        end to end, uniform where h is massless, which a history whose joint
+        row underflows to 0 (a subnormal mass spread over the actions)
+        counts as too."""
+        size = self.marginals.size
+        sums = _bin_sums(self.bin_of, rows, size + self.histories + 1, self.offsets)
+        joint, mass = sums[..., :size], sums[..., size:].take(self.history_of, -1)
+        fed = _bin_sums(self.history_of, joint, self.histories, self.offsets)
+        fed = fed.take(self.history_of, -1)
         nu = np.empty_like(joint)
         nu[...] = self.uniform
         return np.divide(joint, mass, out=nu, where=fed != 0.0)
@@ -1199,11 +1249,15 @@ def canonical_rows(layout: FlatLayout, q, mu) -> np.ndarray:
 
 
 def _rows(mdp: FiniteMdp, policy, belief: ReducedBelief | None = None):
-    """Every public evaluation's entry: ``check_compatible``, then the plan,
-    tables rows q, the flow (mu, nu) and lam = mu q.  Without a belief, one
-    ``forward_flat``, whose lam is a workspace view (``SweepPlan.lam``); a
-    belief is checked against the policy's degree and batch shape."""
+    """Every public evaluation's entry: ``check_compatible``, and
+    ``check_tables`` for a stack (a ``MemoryPolicy`` checks its own), then
+    the plan, tables rows q, the flow (mu, nu) and lam = mu q.  Without a
+    belief, one ``forward_flat``, whose lam is a workspace view
+    (``SweepPlan.lam``); a belief is checked against the policy's degree and
+    batch shape, and its entries must be finite and nonnegative."""
     plan = check_compatible(mdp, policy)
+    if not isinstance(policy, MemoryPolicy):
+        check_tables(policy.tables)
     lay = plan.layout
     q = lay.tables.join(policy.tables)
     if belief is None:
@@ -1212,8 +1266,10 @@ def _rows(mdp: FiniteMdp, policy, belief: ReducedBelief | None = None):
     if belief.degree != policy.degree:
         raise InstanceError(f"belief degree {belief.degree} != policy degree {policy.degree}")
     mu = lay.beliefs.join(check_steps(lay, lay.beliefs, belief.mus, "belief", q.shape[:-1]))
+    if not ((mu >= 0.0) & (mu < np.inf)).all():
+        raise InstanceError("belief entries must be finite and nonnegative")
     lam = mu.take(lay.row_of, -1) * q
-    return plan, q, Flow(mu, lay.action_marginals(mu, lam)), lam
+    return plan, q, Flow(mu, lay.action_marginals(np.concatenate([lam, mu], -1))), lam
 
 
 def induced_action_marginals(

@@ -28,7 +28,6 @@ from .model import (
     MemoryPolicy,
     check_beta,
     check_count,
-    check_tables,
     conditional_mutual_information,
     slide_split,
     transfer_entropy,
@@ -286,7 +285,6 @@ def objective_landscape_stage1(
     flat, policies, slot = _landscape_values(mdp, q1s, beta)
     values = flat.reshape(resolution, resolution)
     tables = (q1s, policies[slot][:, :, None, :])
-    check_tables(tables)
     residuals = residual_from_policy(mdp, PolicyStack(0, tables), beta)
 
     minima = _strict_local_minima(values)

@@ -106,7 +106,7 @@ class SolveOptions:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        check_beta(self.beta)
+        object.__setattr__(self, "beta", check_beta(self.beta))
         check_count("memory degree", self.degree, 0)
         check_count("max_iters", self.max_iters, 1)
         if self.seed is not None:
@@ -633,7 +633,7 @@ def residual_from_policy(
     Four of the five relations hold there by construction, so only the
     policy relation is measured: the stop test's gap between the policy and
     the tables of its own backward pass.  This equals ``stationarity_residual``
-    of that iterate, whose policy relation is checked by the same Gibbs step.  A
+    of that iterate up to roundoff: its Gibbs step forms z from rho.  A
     ``PolicyStack`` gives one residual per member, each its single call's.
     """
     check_beta(beta)

@@ -13,7 +13,9 @@ import math
 
 import numpy as np
 
+from termdp import oracle
 from termdp.model import LOG_FLOOR, FiniteMdp, MemoryPolicy, _terminal_cost
+from termdp.solver import forward_pass
 
 
 def enum_trajectory_probs(mdp: FiniteMdp, policy: MemoryPolicy) -> dict:
@@ -163,8 +165,47 @@ def forward_split(plan, tables):
     return list(lay.beliefs.split(flow.mu)), list(lay.marginals.split(flow.nu))
 
 
+def massless_policy(rng, mdp, degree):
+    """A random policy that never plays action 0, so histories holding it
+    carry no mass and the masked relations skip them."""
+    tables = []
+    for q in oracle.random_policy(rng, mdp, degree).tables:
+        q = q.copy()
+        q[..., 0] = 0.0
+        tables.append(q / q.sum(axis=2, keepdims=True))
+    return MemoryPolicy(degree, tuple(tables))
+
+
+def edge_marginals(rng, mdp, degree, kind, count):
+    """An instance and count marginal lists that stress the backward pass.
+
+    "zeros": random policies' marginals with about a third of the entries
+    set to exactly 0 (never a whole row); "massless": the marginals of
+    ``massless_policy``s, uniform at massless histories and 0 at action 0
+    elsewhere; "penalty": random policies' marginals on the instance with a
+    terminal cost near 1e3, so that log phi reaches about -1e3 / beta and
+    exp(z) underflows to 0 without the max shift.  These are inputs, not
+    references: the marginals come from the package's forward pass."""
+    if kind == "penalty":
+        terminal = 1e3 + 50.0 * rng.random(mdp.state_cards[-1])
+        mdp = FiniteMdp(mdp.transitions, mdp.stage_costs, terminal, mdp.initial)
+    make = massless_policy if kind == "massless" else oracle.random_policy
+    nus = []
+    for _ in range(count):
+        nu = forward_pass(mdp, make(rng, mdp, degree))[1]
+        if kind == "zeros":
+            for n in nu:
+                zero = rng.random(n.shape) < 0.35
+                zero[np.arange(len(n)), rng.integers(0, n.shape[1], len(n))] = False
+                n[zero] = 0.0
+                n /= n.sum(axis=1, keepdims=True)
+        nus.append(nu)
+    return mdp, nus
+
+
 def loop_backward(mdp, nu, beta, degree):
-    """log_phi and Gibbs policies by scalar loops over (t, x, h, u, y)."""
+    """log_phi and Gibbs policies by scalar loops over (t, x, h, u, y); a
+    zero marginal gives log nu = -inf and a policy entry of exactly 0."""
     T, X, A = mdp.horizon, mdp.state_cards, mdp.action_cards
     H = [mdp.history_size(degree, t) for t in range(T + 1)]
     log_phi = [None] * (T + 1)
@@ -186,7 +227,8 @@ def loop_backward(mdp, nu, beta, degree):
                         for y in range(X[t + 1])
                     )
                     rho = mdp.stage_costs[t][x, u] / beta - to_go
-                    z.append(math.log(nu[t][h, u]) - rho)
+                    log_nu = math.log(nu[t][h, u]) if nu[t][h, u] > 0.0 else -math.inf
+                    z.append(log_nu - rho)
                 top = max(z)
                 lse = top + math.log(sum(math.exp(v - top) for v in z))
                 lp[x, h] = lse

@@ -527,6 +527,48 @@ class TestPublicBoundary:
                 with pytest.raises(InstanceError, match=match):
                     call(policy, belief)
 
+    def test_belief_values_are_checked(self):
+        # a negated belief once gave expected_cost the negated cost, and a
+        # belief of NaN entries gave nan; each functional rejects both, and an
+        # infinite entry
+        rng = np.random.default_rng(1)
+        mdp = oracle.random_mdp(rng, 3)
+        pol = oracle.random_policy(rng, mdp, 0)
+        mus = td.propagate_reduced(mdp, pol).mus
+        nu = induced_action_marginals(mdp, pol)
+        bad = [[-m for m in mus], [np.full_like(m, np.nan) for m in mus],
+               [*mus[:2], np.full_like(mus[2], np.inf), mus[3]]]
+        for mus_bad in bad:
+            for call in self.functionals(mdp, nu):
+                with pytest.raises(InstanceError, match="belief entries must be finite"):
+                    call(pol, td.ReducedBelief(0, mus_bad))
+        good = td.ReducedBelief(0, mus)
+        assert td.expected_cost(mdp, pol, good) == td.expected_cost(mdp, pol)
+
+    def test_stack_slices_are_checked(self):
+        # a stack of q and -q once gave expected_cost [2.276, -1.018]; every
+        # public entry rejects a stack whose slices are not distributions,
+        # with the message a MemoryPolicy of them gives
+        rng = np.random.default_rng(1)
+        mdp = oracle.random_mdp(rng, 3)
+        pol = oracle.random_policy(rng, mdp, 0)
+        nu = [np.stack([n, n]) for n in induced_action_marginals(mdp, pol)]
+        nan = [q.copy() for q in pol.tables]
+        nan[1][0, 0, 0] = np.nan
+        for tables, match in [([-q for q in pol.tables], "negative or NaN"), (nan, "NaN"),
+                              ([2.0 * q for q in pol.tables], "sums to")]:
+            with pytest.raises(InstanceError, match=match):
+                td.MemoryPolicy(0, tuple(tables))
+            pairs = zip(pol.tables, tables)
+            stack = PolicyStack(0, tuple(np.stack(pair) for pair in pairs))
+            calls = [*(lambda fn=fn: fn(stack, None) for fn in self.functionals(mdp, nu)),
+                     lambda: td.objective(mdp, stack, 1.0),
+                     lambda: td.residual_from_policy(mdp, stack, 1.0),
+                     lambda: forward_pass(mdp, stack)]
+            for call in calls:
+                with pytest.raises(InstanceError, match=match):
+                    call()
+
     def test_stack_of_mixed_batch_shapes_is_rejected(self):
         # tables of one stack with different batch shapes once raised a bare
         # ValueError from the join into rows

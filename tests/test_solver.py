@@ -117,6 +117,18 @@ class TestOptions:
             with pytest.raises(InstanceError, match=match):
                 call()
 
+    def test_numpy_beta_gives_python_floats(self):
+        # a float32 beta once came back as a float32 total, 1.1e-8 away from
+        # the float beta's
+        toy = td.build_nonconvex_toy()
+        want = td.solve(toy, td.SolveOptions(beta=1.0, max_iters=50))
+        for beta in (np.float32(1.0), np.float64(1.0), np.int64(1)):
+            opts = td.SolveOptions(beta=beta, max_iters=50)
+            assert type(opts.beta) is float
+            got = td.solve(toy, opts)
+            assert type(got.beta) is float and type(got.total) is float
+            assert got.total == want.total
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -35,7 +35,13 @@ from termdp.solver import (
     residual_from_policy,
 )
 
-from reference import enum_beliefs_and_marginals, forward_split, loop_backward
+from reference import (
+    edge_marginals,
+    enum_beliefs_and_marginals,
+    forward_split,
+    loop_backward,
+    massless_policy,
+)
 
 TOL = 1e-12  # fixed before any comparison was run
 
@@ -115,6 +121,45 @@ def test_backward_pass_matches_loop_reference(horizon, degree, actions, beta):
         assert np.abs(q.tables[t].sum(axis=-1) - 1.0).max() <= ROW_TOL
 
 
+_massless_policy = massless_policy  # moved to reference.py, shared with edge_marginals
+
+
+def _close(got, want):
+    """Within TOL, relative to the entry's magnitude where it exceeds 1."""
+    return np.all(np.abs(got - want) <= TOL * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("kind", ["zeros", "penalty", "massless"])
+@pytest.mark.parametrize("horizon, degree", CASES)
+def test_backward_edge_cases_match_loop_reference(horizon, degree, kind):
+    # exact zeros in nu stay exact zeros in the policy; a terminal penalty
+    # puts log phi near -1e3, where exp(z) underflows without the max shift;
+    # massless histories get uniform marginals; stacks of 1..6 members are
+    # each member's solo pass bit for bit
+    mdp, _ = _instance(horizon, degree)
+    rng = np.random.default_rng(100 * horizon + 10 * degree + len(kind))
+    mdp, nus = edge_marginals(rng, mdp, degree, kind, 6)
+    plan, beta = mdp.sweep_plan(degree), 0.7
+    lay = plan.layout
+    rows = np.stack([lay.marginals.join(nu) for nu in nus])
+    solo = [plan.backward_flat(row, beta) for row in rows]
+    for k in range(1, 7):
+        log_phi, q = plan.backward_flat(rows[:k], beta)
+        assert all(np.array_equal(log_phi[i], lp) and np.array_equal(q[i], qi)
+                   for i, (lp, qi) in enumerate(solo[:k]))
+    for nu, (log_phi, q) in zip(nus, solo):
+        want_log_phi, want_tables = loop_backward(mdp, nu, beta, degree)
+        assert all(_close(a, b) for a, b in zip(lay.beliefs.split(log_phi), want_log_phi))
+        for t, (got, want) in enumerate(zip(lay.tables.split(q), want_tables)):
+            assert _close(got, want)
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.array_equal(got == 0.0, np.broadcast_to(nu[t] == 0.0, got.shape))
+            assert np.abs(got.sum(axis=-1) - 1.0).max() <= ROW_TOL
+        if kind == "penalty":
+            assert np.abs(log_phi).max() > 900.0
+    assert kind != "zeros" or any((nu[0] == 0.0).any() for nu in nus)
+
+
 @pytest.mark.parametrize("k", [1, 3, 6])
 @pytest.mark.parametrize("horizon, degree, maze", PATH_CASES)
 def test_stacked_kernels_equal_single_calls(horizon, degree, maze, k):
@@ -145,17 +190,6 @@ def _fixed_point(horizon: int, degree: int):
     rep = td.solve(mdp, td.SolveOptions(beta=0.5, degree=degree, max_iters=4000))
     assert rep.converged
     return rep.policy
-
-
-def _massless_policy(rng, mdp, degree):
-    """A random policy that never plays action 0, so histories holding it
-    carry no mass and the masked relations skip them."""
-    tables = []
-    for q in oracle.random_policy(rng, mdp, degree).tables:
-        q = q.copy()
-        q[..., 0] = 0.0
-        tables.append(q / q.sum(axis=2, keepdims=True))
-    return td.MemoryPolicy(degree, tuple(tables))
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])

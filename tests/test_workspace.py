@@ -24,7 +24,12 @@ from termdp.model import FiniteMdp, Space, SweepPlan
 from termdp.solver import EXTRAPOLATE_AFTER, PolicyStack, residual_from_policy
 
 import reference
-from reference import enum_beliefs_and_marginals, loop_backward, reachable_rows
+from reference import (
+    edge_marginals,
+    enum_beliefs_and_marginals,
+    loop_backward,
+    reachable_rows,
+)
 
 TOL = 1e-12  # as the plan's kernel tests
 
@@ -78,6 +83,32 @@ def test_workspace_rows_equal_the_reference_path(case):
                           (lay.tables.split(q[i]), want_q)]:
             assert len(got) == len(want)
             assert all(np.abs(a - b).max() <= TOL for a, b in zip(got, want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=CASES, kind=st.sampled_from(["zeros", "penalty", "massless"]),
+       k=st.integers(1, 6))
+def test_backward_edge_cases_equal_the_reference_path(case, kind, k):
+    # marginals with exact zeros, massless histories or a terminal penalty
+    # that puts log phi near -1e3 (see reference.edge_marginals), stacked
+    # k = 1..6 high: every member is its solo pass bit for bit, within TOL
+    # (relative above 1) of the scalar backward loop, with a policy entry of
+    # exactly 0 wherever its marginal is 0
+    mdp, _ = _draw(case)
+    mdp, nus = edge_marginals(np.random.default_rng(case["seed"]), mdp,
+                              case["degree"], kind, k)
+    plan, beta = mdp.sweep_plan(case["degree"]), case["beta"]
+    lay = plan.layout
+    log_phi, q = plan.backward_flat(np.stack([lay.marginals.join(nu) for nu in nus]), beta)
+    for i, nu in enumerate(nus):
+        solo_log_phi, solo_q = plan.backward_flat(lay.marginals.join(nu), beta)
+        assert np.array_equal(log_phi[i], solo_log_phi) and np.array_equal(q[i], solo_q)
+        want_log_phi, want_q = loop_backward(mdp, nu, beta, case["degree"])
+        for got, want in [*zip(lay.beliefs.split(log_phi[i]), want_log_phi),
+                          *zip(lay.tables.split(q[i]), want_q)]:
+            assert np.all(np.abs(got - want) <= TOL * np.maximum(1.0, np.abs(want)))
+        for got, n in zip(lay.tables.split(q[i]), nu):
+            assert np.array_equal(got == 0.0, np.broadcast_to(n == 0.0, got.shape))
 
 
 @settings(max_examples=30, deadline=None)
