@@ -33,6 +33,8 @@ from .envs import (
 )
 from .errors import InstanceError, NumericalError, ResourceError, TermdpError
 from .model import (
+    check_count,
+    check_real,
     directed_information,
     per_step_information,
     propagate_reduced,
@@ -282,11 +284,9 @@ def _sweep_betas(args) -> list[float]:
             raise InstanceError(f"--betas {args.betas!r} lists no beta")
         count = len(betas)
     elif args.beta_min is not None and args.beta_max is not None:
-        count = 10 if args.beta_count is None else args.beta_count
-        if not (args.beta_min > 0 and args.beta_max > 0 and count > 0):
-            raise InstanceError(
-                "--beta-min, --beta-max and --beta-count must be positive"
-            )
+        for flag, beta in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
+            check_real(flag, beta)
+        count = check_count("--beta-count", 10 if args.beta_count is None else args.beta_count, 1)
     else:
         raise InstanceError("sweep needs --betas or --beta-min/--beta-max")
     if count > MAX_SWEEP_BETAS:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InstanceError
-from .model import FiniteMdp
+from .model import FiniteMdp, check_array, check_count
 
 __all__ = [
     "MazeSpec",
@@ -64,17 +64,17 @@ class MazeSpec:
     intended_slip_share: bool = True
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise InstanceError("maze must have positive width and height")
+        for name in ("width", "height", "horizon"):
+            check_count(f"maze {name}", getattr(self, name), 1)
         n = self.width * self.height
         for cell in (self.start, self.goal):
-            if not 0 <= cell < n:
+            if check_count("maze cell", cell, 0) >= n:
                 raise InstanceError(f"cell {cell} outside the {self.width}x{self.height} grid")
         if self.start == self.goal:
             raise InstanceError("start and goal must differ")
         symmetric = set()
         for cell, d in self.walls:
-            if not 0 <= cell < n:
+            if check_count("wall cell", cell, 0) >= n:
                 raise InstanceError(f"wall on cell {cell} outside the grid")
             if d not in _OFFSETS:
                 raise InstanceError(f"wall on cell {cell} has unknown direction {d!r}")
@@ -91,8 +91,6 @@ class MazeSpec:
                 f"p_intended={self.p_intended} plus {worst_open} slip shares of "
                 f"{self.p_slip} exceeds 1"
             )
-        if self.horizon < 1:
-            raise InstanceError("maze horizon must be positive")
 
     @property
     def n_cells(self) -> int:
@@ -320,25 +318,18 @@ def _depth(value) -> int:
     return d
 
 
-def _float_array(value, name: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"{name} is not a numeric array: {exc}") from exc
-
-
 def _slices(doc: dict, key: str, ndim: int, horizon: int) -> list[np.ndarray]:
     """One ndim-d slice reused for every t, or a per-time list of them."""
     value = doc[key]
     if _depth(value) == ndim:
-        return [_float_array(value, key)] * horizon
+        return [check_array(key, value)] * horizon
     if _depth(value) != ndim + 1:
         raise InstanceError(
             f"{key} must be a {ndim}-d slice or a list of {ndim}-d slices"
         )
     if len(value) != horizon:
         raise InstanceError(f"{key} lists {len(value)} slices for horizon {horizon}")
-    return [_float_array(item, key) for item in value]
+    return [check_array(key, item) for item in value]
 
 
 def instance_from_dict(doc: dict) -> FiniteMdp:
@@ -353,14 +344,12 @@ def instance_from_dict(doc: dict) -> FiniteMdp:
     for key in ("horizon", "transition", "stage_cost", "terminal_cost", "initial"):
         if key not in doc:
             raise InstanceError(f"instance document is missing field {key!r}")
-    horizon = doc["horizon"]
-    if not isinstance(horizon, int) or horizon < 1:
-        raise InstanceError(f"horizon must be a positive integer, got {horizon!r}")
+    horizon = check_count("horizon", doc["horizon"], 1)
     mdp = FiniteMdp(
         transitions=tuple(_slices(doc, "transition", 3, horizon)),
         stage_costs=tuple(_slices(doc, "stage_cost", 2, horizon)),
-        terminal_cost=_float_array(doc["terminal_cost"], "terminal_cost"),
-        initial=_float_array(doc["initial"], "initial"),
+        terminal_cost=doc["terminal_cost"],
+        initial=doc["initial"],
     )
     for key, cards in (("states", mdp.state_cards), ("actions", mdp.action_cards)):
         if key not in doc:

@@ -31,6 +31,7 @@ __all__ = [
     "MemoryPolicy",
     "SweepPlan",
     "Restriction",
+    "PolicyStack",
     "ReducedBelief",
     "WindowJoint",
     "ObjectiveValue",
@@ -53,10 +54,11 @@ DEFAULT_CELL_BUDGET = 20_000_000
 MARGINAL_FLOOR = 1e-300  # gibbs_step takes logs of positive marginals above this
 LOG_FLOOR = math.log(MARGINAL_FLOOR)  # floor of the solver's log-probabilities
 CACHE_LOCK = threading.RLock()  # held while an instance's cache fills a miss
+POLICY_AXES = ("x", "history", "u")  # a policy table's axes, in messages
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=float)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
 
@@ -84,14 +86,11 @@ class FiniteMdp:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "transitions", tuple(_frozen(p) for p in self.transitions)
-        )
-        object.__setattr__(
-            self, "stage_costs", tuple(_frozen(c) for c in self.stage_costs)
-        )
-        object.__setattr__(self, "terminal_cost", _frozen(self.terminal_cost))
-        object.__setattr__(self, "initial", _frozen(self.initial))
+        for name in ("transitions", "stage_costs"):
+            arrays = check_array(name, getattr(self, name), per_step=True)
+            object.__setattr__(self, name, tuple(map(_frozen, arrays)))
+        for name in ("terminal_cost", "initial"):
+            object.__setattr__(self, name, _frozen(check_array(name, getattr(self, name))))
         self._validate()
         states = tuple(p.shape[0] for p in self.transitions)
         actions = tuple(p.shape[1] for p in self.transitions)
@@ -124,7 +123,8 @@ class FiniteMdp:
         return self._cache[key]
 
     def sweep_plan(self, degree: int) -> "SweepPlan":
-        """The sweep plan at a memory degree, built on first use."""
+        """The sweep plan at a memory degree, an integer >= 0, built on first use."""
+        degree = check_count("memory degree", degree, 0)
         return self._cached(degree, lambda: SweepPlan(self, degree))
 
     @property
@@ -168,69 +168,30 @@ class FiniteMdp:
     def _validate(self) -> None:
         if not self.transitions:
             raise InstanceError("horizon must be at least 1")
-        if len(self.stage_costs) != len(self.transitions):
-            raise InstanceError(
-                f"{len(self.stage_costs)} stage cost tables for horizon "
-                f"{len(self.transitions)}"
-            )
         for t, p in enumerate(self.transitions):
-            if p.ndim != 3:
-                raise InstanceError(f"transitions[{t}] must be 3-d, got {p.ndim}-d")
-            if t + 1 < len(self.transitions):
-                nxt = self.transitions[t + 1].shape[0]
-                if p.shape[2] != nxt:
-                    raise InstanceError(
-                        f"transitions[{t}] has {p.shape[2]} next states but "
-                        f"transitions[{t + 1}] has {nxt} states"
-                    )
-            if not np.isfinite(p).all():
-                idx = tuple(int(i) for i in np.argwhere(~np.isfinite(p))[0])
-                raise InstanceError(f"transitions[{t}] non-finite at {idx}")
-            if (p < 0).any():
-                x, u, y = (int(i) for i in np.argwhere(p < 0)[0])
-                raise InstanceError(
-                    f"transitions[{t}] negative entry at (x={x}, u={u}, x'={y})"
-                )
-            sums = p.sum(axis=2)
-            bad = np.argwhere(np.abs(sums - 1.0) > ROW_TOL)
-            if bad.size:
-                x, u = (int(i) for i in bad[0])
-                raise InstanceError(
-                    f"transitions[{t}] row (x={x}, u={u}) sums to "
-                    f"{sums[x, u]!r}, expected 1"
-                )
+            if p.ndim != 3 or not p.shape[1]:
+                raise InstanceError(f"transitions[{t}] must be 3-d with an action, "
+                                    f"got shape {p.shape}")
+            prev = self.transitions[t - 1].shape[2] if t else p.shape[0]
+            if p.shape[0] != prev:
+                raise InstanceError(f"transitions[{t - 1}] has {prev} next states but "
+                                    f"transitions[{t}] has {p.shape[0]} states")
+            check_finite(f"transitions[{t}]", p, ("x", "u", "x'"))
+            check_distributions(f"transitions[{t}]", p, ("x", "u", "x'"))
+        shapes = [p.shape[:2] for p in self.transitions]
+        check_steps(shapes, self.stage_costs, "stage cost table", len(shapes), ())
         for t, c in enumerate(self.stage_costs):
-            want = self.transitions[t].shape[:2]
-            if c.shape != want:
-                raise InstanceError(
-                    f"stage_costs[{t}] shape {c.shape} does not match {want}"
-                )
-            if not np.isfinite(c).all():
-                idx = tuple(int(i) for i in np.argwhere(~np.isfinite(c))[0])
-                raise InstanceError(f"stage_costs[{t}] non-finite at {idx}")
-        if self.terminal_cost.shape != (self.transitions[-1].shape[2],):
-            raise InstanceError(
-                f"terminal cost shape {self.terminal_cost.shape} does not match "
-                f"{self.transitions[-1].shape[2]} terminal states"
-            )
-        if not np.isfinite(self.terminal_cost).all():
-            idx = int(np.argwhere(~np.isfinite(self.terminal_cost))[0][0])
-            raise InstanceError(f"terminal cost non-finite at x={idx}")
-        if self.initial.shape != (self.transitions[0].shape[0],):
-            raise InstanceError(
-                f"initial distribution shape {self.initial.shape} does not match "
-                f"{self.transitions[0].shape[0]} states"
-            )
-        if not np.isfinite(self.initial).all():
-            idx = int(np.argwhere(~np.isfinite(self.initial))[0][0])
-            raise InstanceError(f"initial distribution non-finite at x={idx}")
-        if (self.initial < 0).any():
-            idx = int(np.argwhere(self.initial < 0)[0][0])
-            raise InstanceError(f"initial distribution negative at x={idx}")
-        if abs(float(self.initial.sum()) - 1.0) > ROW_TOL:
-            raise InstanceError(
-                f"initial distribution sums to {float(self.initial.sum())!r}"
-            )
+            check_finite(f"stage cost table {t}", c, ("x", "u"))
+        last, first = self.transitions[-1].shape[2], self.transitions[0].shape[0]
+        if self.terminal_cost.shape != (last,):
+            raise InstanceError(f"terminal cost shape {self.terminal_cost.shape} does "
+                                f"not match {last} terminal states")
+        check_finite("terminal cost", self.terminal_cost, ("x",))
+        if self.initial.shape != (first,):
+            raise InstanceError(f"initial distribution shape {self.initial.shape} does "
+                                f"not match {first} states")
+        check_finite("initial distribution", self.initial, ("x",))
+        check_distributions("initial distribution", self.initial, ("x",))
 
 
 class Restriction(NamedTuple):
@@ -269,12 +230,13 @@ class MemoryPolicy:
     tables: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        check_count("memory degree", self.degree, 0)
-        object.__setattr__(self, "tables", tuple(_frozen(q) for q in self.tables))
+        object.__setattr__(self, "degree", check_count("memory degree", self.degree, 0))
+        tables = check_array("policy tables", self.tables, per_step=True)
+        object.__setattr__(self, "tables", tuple(map(_frozen, tables)))
         for t, q in enumerate(self.tables):
             if q.ndim != 3:
                 raise InstanceError(f"policy table {t} must be 3-d, got {q.ndim}-d")
-        check_tables(self.tables)
+            check_distributions(f"policy table {t}", q, POLICY_AXES)
 
     @property
     def horizon(self) -> int:
@@ -295,6 +257,20 @@ class MemoryPolicy:
         return cls(degree, perturbed_tables(mdp, degree, seed, magnitude))
 
 
+class PolicyStack(NamedTuple):
+    """K policies of one degree, tables stacked as (K, X_t, H_t, U_t): the
+    solver's batches, and an argument of the public functions that say so.
+    Not checked on construction; ``check_compatible`` checks it on entry."""
+
+    degree: int
+    tables: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, degree: int, policies: Sequence[MemoryPolicy]) -> "PolicyStack":
+        stacked = zip(*(q.tables for q in policies))
+        return cls(degree, tuple(np.stack(ts) for ts in stacked))
+
+
 def uniform_tables(mdp: FiniteMdp, degree: int) -> tuple[np.ndarray, ...]:
     """The uniform policy's tables, distributions by construction."""
     steps = mdp.sweep_plan(degree).steps
@@ -304,9 +280,8 @@ def uniform_tables(mdp: FiniteMdp, degree: int) -> tuple[np.ndarray, ...]:
 def perturbed_tables(mdp: FiniteMdp, degree: int, seed: int, magnitude: float = 0.1,
                      states=None):
     """``MemoryPolicy.perturbed``'s tables (or rows ``states``), valid as built."""
-    if not 0.0 < magnitude < 1.0:
-        raise InstanceError(f"perturbation magnitude {magnitude!r} not in (0, 1)")
-    check_count("seed", seed, 0)
+    magnitude = check_real("perturbation magnitude", magnitude, 0.0, 1.0)
+    seed = check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     tables = []
     for s, r in zip(mdp.sweep_plan(degree).steps, states or [Ellipsis] * mdp.horizon):
@@ -361,19 +336,31 @@ class ObjectiveValue:
     total: float
 
 
-def check_beta(beta: float) -> float:
-    """An information price as a Python float; reject one that is not a
-    positive finite real number."""
-    if (type(beta) is bool or not isinstance(beta, numbers.Real)
-            or not (math.isfinite(beta) and beta > 0)):
-        raise InstanceError(f"beta must be positive and finite, got {beta!r}")
-    return float(beta)
+# ---------------------------------------------------------------------------
+# Argument checkers: the public functions check their arguments only through
+# these, one per kind (README, Command-line usage), each raising InstanceError
+# ---------------------------------------------------------------------------
 
 
-def check_count(name: str, n, low: int) -> None:
-    """Reject a count that is not an integer, Python or numpy, of at least low."""
+def check_real(name: str, x, low: float = 0.0, high: float = math.inf) -> float:
+    """A real scalar as a Python float: a real number, Python or numpy, in
+    the open interval (low, high) as a float; not a bool."""
+    try:
+        value = float(x) if type(x) is not bool and isinstance(x, numbers.Real) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not low < value < high:
+        where = "positive and finite" if (low, high) == (0.0, math.inf) else f"in ({low:g}, {high:g})"
+        raise InstanceError(f"{name} must be {where}, got {x!r}")
+    return value
+
+
+def check_count(name: str, n, low: int) -> int:
+    """A count as a Python int: an integer, Python or numpy, of at least
+    low; not a bool."""
     if type(n) is bool or not isinstance(n, (int, np.integer)) or n < low:
         raise InstanceError(f"{name} must be an integer >= {low}, got {n!r}")
+    return int(n)
 
 
 def check_window(name: str, n, horizon: int | None = None) -> int:
@@ -381,47 +368,99 @@ def check_window(name: str, n, horizon: int | None = None) -> int:
     for the full ``horizon``, where one is given."""
     if horizon is not None and isinstance(n, float) and n == math.inf:
         return horizon
-    check_count(name, n, 0)
-    return int(n)
+    return check_count(name, n, 0)
+
+
+def check_array(name: str, value, per_step: bool = False):
+    """value as a float64 array, or where per_step, a list of value's items
+    as float64 arrays (``name`` then names them all)."""
+    try:
+        if per_step:
+            return [np.asarray(a, dtype=float) for a in value]
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        what = "are not numeric arrays" if per_step else "is not a numeric array"
+        raise InstanceError(f"{name} {what}: {exc}") from None
+
+
+def _at(index: tuple, axes) -> str:
+    """' at (x=0, u=1)': an index's last coordinates, named by axes; '' without."""
+    if not axes:
+        return ""
+    names = zip(axes, index[len(index) - len(axes):])
+    return f" at ({', '.join(f'{a}={int(i)}' for a, i in names)})"
+
+
+def check_finite(name: str, a: np.ndarray, axes=None, nonnegative: bool = False) -> None:
+    """Reject an array with an entry that is not finite, or where
+    nonnegative, is negative; ``axes`` name its last axes in the message."""
+    ok = (a >= 0.0) & (a < np.inf) if nonnegative else np.isfinite(a)
+    if not ok.all():
+        at = tuple(np.argwhere(~ok)[0])
+        rule = "entries must be finite and nonnegative" if nonnegative else "non-finite"
+        raise InstanceError(f"{name} {rule}, got {float(a[at])!r}{_at(at, axes)}")
+
+
+def check_distributions(name: str, q: np.ndarray, axes=None, tol: float = ROW_TOL) -> None:
+    """Reject an array whose slices along the last axis, past any batch
+    axes, are not distributions: an entry negative or NaN, or a sum off 1
+    by more than tol.  A valid array costs two reductions, and the failing
+    index is searched for only after a failure (an infinite entry fails the
+    sum); ``axes`` name the last axes in the message."""
+    bad = ~(q >= 0.0)  # NaN compares false too
+    if bad.any():
+        problem = "negative or NaN" + _at(tuple(np.argwhere(bad)[0]), axes)
+    else:
+        sums = q.sum(axis=-1)
+        off = np.abs(sums - 1.0) > tol
+        if not off.any():
+            return
+        at = tuple(np.argwhere(off)[0])
+        problem = f"sums to {float(sums[at])!r}" + _at(at, axes and axes[:-1])
+    raise InstanceError(f"{name} {problem}: not a probability distribution")
+
+
+def check_compatible(mdp: FiniteMdp, policy, stacks: bool = False):
+    """The plan and tables of a policy of the instance: a MemoryPolicy, or
+    where ``stacks``, a PolicyStack, whose tables have the plan's shapes past
+    a batch shape they all share.  A stack's slices must be distributions
+    (a MemoryPolicy checks its own); one passed where no stack is taken is
+    checked as one, then refused."""
+    stack = isinstance(policy, PolicyStack)
+    if not (stack or isinstance(policy, MemoryPolicy)):
+        kinds = "MemoryPolicy or PolicyStack" if stacks else "MemoryPolicy"
+        raise InstanceError(f"policy must be a {kinds}, got {type(policy).__name__}")
+    plan = mdp.sweep_plan(policy.degree)
+    shapes = [s.shape for s in plan.steps]
+    tables = check_steps(shapes, policy.tables, "policy table", mdp.horizon)
+    if stack:
+        for t, q in enumerate(tables):
+            check_distributions(f"policy table {t}", q, POLICY_AXES)
+        if not stacks:
+            raise InstanceError("policy must be a MemoryPolicy here, got a PolicyStack")
+    return plan, tables
+
+
+def check_steps(shapes, arrays, name: str, horizon: int, lead=None):
+    """arrays as float arrays, one per step of ``shapes`` (a plan's, at its
+    ``horizon``), of its shape past a batch shape that every step shares,
+    ``lead`` if given.  ``name`` names an array in the messages."""
+    arrays = check_array(f"{name}s", arrays, per_step=True)
+    if len(arrays) != len(shapes):
+        raise InstanceError(f"{len(arrays)} {name}s for horizon {horizon}")
+    lead = arrays[0].shape[:arrays[0].ndim - len(shapes[0])] if lead is None else lead
+    for t, (a, shape) in enumerate(zip(arrays, shapes)):
+        if a.shape != (*lead, *shape):
+            raise InstanceError(
+                f"{name} {t} has shape {a.shape}, instance requires "
+                f"{shape} after batch shape {lead}"
+            )
+    return arrays
 
 
 # ---------------------------------------------------------------------------
 # Sweep plan: shapes and kernels of the forward and backward passes
 # ---------------------------------------------------------------------------
-
-
-def check_tables(tables: Sequence[np.ndarray]) -> None:
-    """Reject action slices that are not distributions, past any batch axis."""
-    for t, q in enumerate(tables):
-        bad = ~(q >= 0.0)  # NaN compares false too
-        if bad.any():
-            *_, x, h, u = (int(i) for i in np.argwhere(bad)[0])
-            raise InstanceError(
-                f"policy table {t} negative or NaN at (x={x}, history={h}, u={u})"
-            )
-        sums = q.sum(axis=-1)
-        off = np.abs(sums - 1.0) > ROW_TOL
-        if off.any():
-            at = tuple(int(i) for i in np.argwhere(off)[0])
-            raise InstanceError(
-                f"policy table {t} slice (x={at[-2]}, history={at[-1]}) sums "
-                f"to {sums[at]!r}, expected 1"
-            )
-
-
-def check_compatible(mdp: FiniteMdp, policy: MemoryPolicy) -> "SweepPlan":
-    """Check table shapes, past a batch shape every table shares, against
-    the instance; get the plan."""
-    if len(policy.tables) != mdp.horizon:
-        raise InstanceError(
-            f"policy horizon {len(policy.tables)} != instance horizon {mdp.horizon}"
-        )
-    plan, lead = mdp.sweep_plan(policy.degree), policy.tables[0].shape[:-3]
-    for t, (q, step) in enumerate(zip(policy.tables, plan.steps)):
-        if q.shape != (*lead, *step.shape):
-            raise InstanceError(f"policy table {t} has shape {q.shape}, instance "
-                                f"requires {step.shape} after batch shape {lead}")
-    return plan
 
 
 def slide_split(mdp: FiniteMdp, degree: int, t: int) -> tuple[int, int]:
@@ -629,7 +668,6 @@ class SweepPlan:
     """
 
     def __init__(self, mdp: FiniteMdp, degree: int) -> None:
-        check_count("memory degree", degree, 0)
         steps, scratch = [], 0
         for t, p in enumerate(mdp.transitions):
             x, u, y = p.shape
@@ -944,7 +982,8 @@ class FlatLayout(NamedTuple):
 
 
 def propagate_reduced(mdp: FiniteMdp, policy: MemoryPolicy) -> ReducedBelief:
-    """Propagate the joint state/control-history distribution exactly."""
+    """Propagate the joint state/control-history distribution exactly; a
+    ``PolicyStack`` gives the beliefs stacked on its batch axis."""
     plan, _, flow, _ = _rows(mdp, policy)
     return ReducedBelief(policy.degree, plan.layout.beliefs.split(flow.mu))
 
@@ -956,12 +995,12 @@ def _window_scan(
     u_depth: int,
     max_cells: int,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
-    """Yield (t, window joint, joint extended by u_t) for t = 0..T.
+    """Yield (t, window joint, joint extended by u_t) for t = 0..T of a
+    checked policy.
 
     Valid because under a degree-n policy (n <= u_depth) the window process
     is Markov.  The terminal joint is yielded with extension None.
     """
-    check_compatible(mdp, policy)
     if u_depth < policy.degree:
         raise InstanceError(
             f"window control depth {u_depth} is below policy degree {policy.degree}"
@@ -1010,8 +1049,10 @@ def propagate_window(
     m and u_depth are integers >= 0; u_depth defaults to the policy degree.
     Raises ResourceError when a joint would exceed ``max_cells`` entries.
     """
-    check_window("m", m)
+    check_compatible(mdp, policy)
+    m = check_window("m", m)
     depth = policy.degree if u_depth is None else check_window("u_depth", u_depth)
+    max_cells = check_count("max_cells", max_cells, 0)
     joints = [
         joint for _, joint, _ in _window_scan(mdp, policy, m, depth, max_cells)
     ]
@@ -1041,7 +1082,7 @@ def conditional_mutual_information(
     per member, each its single call's bit for bit.  A joint without batch
     axes gives a float.
     """
-    p = np.asarray(joint, dtype=float)
+    p = check_array("joint", joint)
     a_axes, b_axes = tuple(a_axes), tuple(b_axes)
     p_ac = p.sum(axis=b_axes, keepdims=True)
     p_cb = p.sum(axis=a_axes, keepdims=True)
@@ -1070,8 +1111,10 @@ def transfer_entropy_terms(
     are integers >= 0, or math.inf for the full history, which is guarded by
     max_cells.
     """
+    check_compatible(mdp, policy)
     m_eff = check_window("m", m, mdp.horizon)
     n_eff = check_window("n_eval", policy.degree if n_eval is None else n_eval, mdp.horizon)
+    max_cells = check_count("max_cells", max_cells, 0)
     depth = max(n_eff, policy.degree)
     terms = []
     for t, _, lam in _window_scan(mdp, policy, m_eff, depth, max_cells):
@@ -1112,7 +1155,7 @@ def _full_history_tables(
     have exact shape (X_0, U_0, ..., X_t, U_t).
     """
     X, A, T = mdp.state_cards, mdp.action_cards, mdp.horizon
-    if isinstance(policy, MemoryPolicy):
+    if isinstance(policy, (MemoryPolicy, PolicyStack)):
         check_compatible(mdp, policy)
         out = []
         for t in range(T):
@@ -1127,14 +1170,12 @@ def _full_history_tables(
             shape += [X[t], A[t]]
             out.append(q.reshape(shape))
         return out
-    tables = list(policy)
+    tables = check_array("full-history tables", policy, per_step=True)
     if len(tables) != T:
         raise InstanceError(
             f"full-history policy has {len(tables)} tables for horizon {T}"
         )
-    out = []
     for t, q in enumerate(tables):
-        q = np.asarray(q, dtype=float)
         want: tuple[int, ...] = ()
         for s in range(t + 1):
             want += (X[s],)
@@ -1145,10 +1186,8 @@ def _full_history_tables(
             raise InstanceError(
                 f"full-history table {t} has shape {q.shape}, expected {want}"
             )
-        if (q < 0).any() or np.abs(q.sum(axis=-1) - 1.0).max() > ROW_TOL:
-            raise InstanceError(f"full-history table {t} rows are not distributions")
-        out.append(q)
-    return out
+        check_distributions(f"full-history table {t}", q)
+    return tables
 
 
 def directed_information(
@@ -1163,7 +1202,7 @@ def directed_information(
     """
     X, A, T = mdp.state_cards, mdp.action_cards, mdp.horizon
     full = math.prod(X) * math.prod(A)
-    if full > max_cells:
+    if full > check_count("max_cells", max_cells, 0):
         raise ResourceError(
             f"trajectory joint needs {full} cells, budget is {max_cells}"
         )
@@ -1183,26 +1222,6 @@ def directed_information(
 # ---------------------------------------------------------------------------
 # Objectives
 # ---------------------------------------------------------------------------
-
-
-def check_steps(layout: FlatLayout, space: Space, arrays, name: str, lead=None):
-    """arrays as float arrays, checked against one of layout's spaces: one
-    per step, of its shape past a batch shape that every step shares,
-    ``lead`` if given.  ``name`` names an array in the messages."""
-    try:
-        arrays = [np.asarray(a, dtype=float) for a in arrays]
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"{name}s are not numeric arrays: {exc}") from None
-    if len(arrays) != len(space.shapes):
-        raise InstanceError(f"{len(arrays)} {name}s for horizon {len(layout.tables.shapes)}")
-    lead = arrays[0].shape[:arrays[0].ndim - len(space.shapes[0])] if lead is None else lead
-    for t, (a, shape) in enumerate(zip(arrays, space.shapes)):
-        if a.shape != (*lead, *shape):
-            raise InstanceError(
-                f"{name} {t} has shape {a.shape}, instance requires "
-                f"{shape} after batch shape {lead}"
-            )
-    return arrays
 
 
 def _terminal_cost(mdp: FiniteMdp, mu: np.ndarray) -> np.ndarray:
@@ -1248,26 +1267,26 @@ def canonical_rows(layout: FlatLayout, q, mu) -> np.ndarray:
     return np.where(mu.take(layout.row_of, -1) == 0.0, uniform, q)
 
 
-def _rows(mdp: FiniteMdp, policy, belief: ReducedBelief | None = None):
-    """Every public evaluation's entry: ``check_compatible``, and
-    ``check_tables`` for a stack (a ``MemoryPolicy`` checks its own), then
-    the plan, tables rows q, the flow (mu, nu) and lam = mu q.  Without a
-    belief, one ``forward_flat``, whose lam is a workspace view
-    (``SweepPlan.lam``); a belief is checked against the policy's degree and
-    batch shape, and its entries must be finite and nonnegative."""
-    plan = check_compatible(mdp, policy)
-    if not isinstance(policy, MemoryPolicy):
-        check_tables(policy.tables)
+def _rows(mdp: FiniteMdp, policy, belief: ReducedBelief | None = None,
+          stacks: bool = True):
+    """Every public evaluation's entry: ``check_compatible``, then the plan,
+    tables rows q, the flow (mu, nu) and lam = mu q.  Without a belief, one
+    ``forward_flat``, whose lam is a workspace view (``SweepPlan.lam``); a
+    belief is checked against the policy's degree and batch shape, and its
+    entries must be finite and nonnegative."""
+    plan, tables = check_compatible(mdp, policy, stacks)
     lay = plan.layout
-    q = lay.tables.join(policy.tables)
+    q = lay.tables.join(tables)
     if belief is None:
         flow = plan.forward_flat(q)
         return plan, q, flow, plan.lam(math.prod(q.shape[:-1])).reshape(q.shape)
+    if not isinstance(belief, ReducedBelief):
+        raise InstanceError(f"belief must be a ReducedBelief, got {type(belief).__name__}")
     if belief.degree != policy.degree:
         raise InstanceError(f"belief degree {belief.degree} != policy degree {policy.degree}")
-    mu = lay.beliefs.join(check_steps(lay, lay.beliefs, belief.mus, "belief", q.shape[:-1]))
-    if not ((mu >= 0.0) & (mu < np.inf)).all():
-        raise InstanceError("belief entries must be finite and nonnegative")
+    mus = check_steps(lay.beliefs.shapes, belief.mus, "belief", mdp.horizon, q.shape[:-1])
+    mu = lay.beliefs.join(mus)
+    check_finite("belief", mu, nonnegative=True)
     lam = mu.take(lay.row_of, -1) * q
     return plan, q, Flow(mu, lay.action_marginals(np.concatenate([lam, mu], -1))), lam
 
@@ -1277,8 +1296,8 @@ def induced_action_marginals(
 ) -> list[np.ndarray]:
     """History-conditional action marginals of the policy under its own flow.
 
-    Returns per-time arrays of shape (H_t, U_t).  Histories with zero mass
-    get the uniform distribution.
+    Returns per-time arrays of shape (H_t, U_t), stacked (K, H_t, U_t) for a
+    ``PolicyStack``.  Histories with zero mass get the uniform distribution.
     """
     plan, _, flow, _ = _rows(mdp, policy, belief)
     return list(plan.layout.marginals.split(flow.nu))
@@ -1313,12 +1332,12 @@ def objective(
     m: int | float = 0,
     n_eval: int | float | None = None,
 ) -> ObjectiveValue:
-    """Cost, information, and the weighted total cost + beta * information."""
-    check_beta(beta)
-    for name, n in (("m", m), ("n_eval", n_eval)):
-        if n is not None:
-            check_window(name, n, mdp.horizon)
-    plan, q, flow, lam = _rows(mdp, policy)
+    """Cost, information, and the weighted total cost + beta * information
+    of one ``MemoryPolicy``."""
+    beta, m = check_real("beta", beta), check_window("m", m, mdp.horizon)
+    if n_eval is not None:
+        check_window("n_eval", n_eval, mdp.horizon)
+    plan, q, flow, lam = _rows(mdp, policy, stacks=False)
     cost = float(cost_rows(mdp, plan.layout, lam, flow.mu))
     if not m and (n_eval is None or n_eval == policy.degree):
         info = float(information_rows(plan.layout, lam, q, flow.nu).sum())
@@ -1342,14 +1361,15 @@ def factored_objective(
     ``objective(...).total`` when nu is the induced marginal, and is never
     below it for any other feasible nu.  Tables, marginals and beliefs
     stacked on a batch axis give one value per member.  Marginals of other
-    shapes, or with negative or NaN entries, raise InstanceError.
+    shapes, or with entries that are negative or not finite, raise
+    InstanceError.
     """
-    check_beta(beta)
+    beta = check_real("beta", beta)
     plan, q, flow, lam = _rows(mdp, policy, belief)
     lay = plan.layout
-    nu = lay.marginals.join(check_steps(lay, lay.marginals, nu, "marginal", q.shape[:-1]))
-    if not (nu >= 0.0).all():
-        raise InstanceError(f"marginals must be nonnegative, got {float(nu.min())!r}")
+    nu = check_steps(lay.marginals.shapes, nu, "marginal", mdp.horizon, q.shape[:-1])
+    nu = lay.marginals.join(nu)
+    check_finite("marginal", nu, nonnegative=True)
     log_q = np.log(q, out=np.full_like(q, -np.inf), where=q > 0.0)
     return _scalar(objective_rows(mdp, lay, beta, lam, log_q, Flow(flow.mu, nu)))
 

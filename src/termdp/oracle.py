@@ -26,8 +26,9 @@ from .model import (
     DEFAULT_CELL_BUDGET,
     FiniteMdp,
     MemoryPolicy,
-    check_beta,
+    PolicyStack,
     check_count,
+    check_real,
     conditional_mutual_information,
     slide_split,
     transfer_entropy,
@@ -35,7 +36,6 @@ from .model import (
 )
 from .solver import (
     ClassicalSolution,
-    PolicyStack,
     SolveOptions,
     backward_induction,
     classical_blahut,
@@ -185,8 +185,7 @@ def _check_landscape(mdp: FiniteMdp, resolution: int, dims: int, cell_bytes: int
             f"horizon {mdp.horizon}, states {mdp.state_cards}, actions "
             f"{mdp.action_cards}"
         )
-    check_count("grid resolution", resolution, 11)
-    cells = int(resolution) ** dims
+    cells = check_count("grid resolution", resolution, 11) ** dims
     if cells * cell_bytes > MAX_LANDSCAPE_BYTES:
         raise ResourceError(
             f"a landscape of {cells} cells needs about "
@@ -219,6 +218,7 @@ def bellman_landscape_stage2(
     points times LANDSCAPE_POINT_BYTES exceed MAX_LANDSCAPE_BYTES raises
     ResourceError before any allocation.
     """
+    beta = check_real("beta", beta)
     _check_landscape(mdp, resolution, 1, LANDSCAPE_POINT_BYTES)
     lambdas = np.linspace(0.0, 1.0, resolution)
     priors = np.stack([lambdas, 1.0 - lambdas], axis=1)
@@ -278,6 +278,7 @@ def objective_landscape_stage1(
     its cell computed alone.  A grid whose cells times LANDSCAPE_CELL_BYTES
     exceed MAX_LANDSCAPE_BYTES raises ResourceError before any allocation.
     """
+    beta = check_real("beta", beta)
     cells = _check_landscape(mdp, resolution, 2, LANDSCAPE_CELL_BYTES)
     thetas = np.linspace(0.0, 1.0, resolution)
     th = np.stack(np.meshgrid(thetas, thetas, indexing="ij"), axis=-1)
@@ -330,11 +331,8 @@ def _simplex_grid(card: int, m: int) -> np.ndarray:
 def _grid_steps(resolution: float) -> int:
     """Grid steps m = round(1 / resolution) of a simplex grid with spacing
     ``resolution``, which must lie in (0, 2) and be invertible."""
-    if not (0.0 < resolution < 2.0 and math.isfinite(1.0 / resolution)):
-        raise InstanceError(
-            f"grid resolution must be in (0, 2) and invertible, got {resolution!r}"
-        )
-    return round(1.0 / resolution)
+    inverse = 1.0 / check_real("grid resolution", resolution, 0.0, 2.0)
+    return round(check_real("inverse grid resolution", inverse))
 
 
 def _policy_grid(
@@ -421,8 +419,8 @@ def brute_force_policy_search(
     Guarded by the free-parameter count (at most 6 simplex coordinates) and
     by the total combination budget, both before any grid is built.
     """
-    check_beta(beta)
-    check_count("combo_budget", combo_budget, 1)
+    beta = check_real("beta", beta)
+    combo_budget = check_count("combo_budget", combo_budget, 1)
     shapes = [step.shape for step in mdp.sweep_plan(degree).steps]
     free = sum(x * h * (u - 1) for x, h, u in shapes)
     if free > MAX_FREE_PARAMS:
@@ -494,7 +492,7 @@ def directed_optimum_t2(
     The expected terminal cost is folded into the second-stage cost table.
     The result is exact up to the first-stage grid spacing.
     """
-    check_beta(beta)
+    beta = check_real("beta", beta)
     if mdp.horizon != 2:
         raise InstanceError("directed-information optimum oracle needs horizon 2")
     x0, u0 = mdp.state_cards[0], mdp.action_cards[0]
@@ -530,7 +528,7 @@ def structural_reduction_check(
     and once over the lifted joint of the whole past (full-history side).
     Equality of the optima is the structural claim under test.
     """
-    check_beta(beta)
+    beta = check_real("beta", beta)
     if mdp.horizon > 2:
         raise InstanceError("structural reduction check is guarded at horizon 2")
     _grid_steps(resolution)
@@ -624,8 +622,7 @@ class SuiteResult:
 def _suite_result(name: str, seed: int, trials: int) -> SuiteResult:
     """An empty result, once seed and trials are nonnegative integers."""
     check_count("seed", seed, 0)
-    check_count("trials", trials, 0)
-    return SuiteResult(name, trials)
+    return SuiteResult(name, check_count("trials", trials, 0))
 
 
 def suite_prop1b(seed: int, trials: int = 100) -> SuiteResult:
@@ -744,6 +741,7 @@ def suite_residual(seed: int, trials: int = 50) -> SuiteResult:
 
 def all_suites(seed: int, scope: str = "full") -> list[SuiteResult]:
     """Run every verification suite; quick scope shrinks the trial counts."""
+    seed = check_count("seed", seed, 0)
     if scope not in ("quick", "full"):
         raise InstanceError(f"suite scope must be 'quick' or 'full', got {scope!r}")
     quick = scope == "quick"

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,10 +50,14 @@ from .model import (
     FiniteMdp,
     Flow,
     MemoryPolicy,
+    PolicyStack,
     ReducedBelief,
     canonical_rows,
-    check_beta,
+    check_array,
     check_count,
+    check_distributions,
+    check_finite,
+    check_real,
     check_steps,
     cost_rows,
     gibbs_step,
@@ -106,16 +110,17 @@ class SolveOptions:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", check_beta(self.beta))
-        check_count("memory degree", self.degree, 0)
-        check_count("max_iters", self.max_iters, 1)
+        checked = {  # stored as Python numbers
+            "beta": check_real("beta", self.beta),
+            "degree": check_count("memory degree", self.degree, 0),
+            "max_iters": check_count("max_iters", self.max_iters, 1),
+            "tol_objective": check_real("tol_objective", self.tol_objective),
+            "tol_residual": check_real("tol_residual", self.tol_residual),
+        }
         if self.seed is not None:
-            check_count("seed", self.seed, 0)
-        for tol in (self.tol_objective, self.tol_residual):
-            if not (math.isfinite(tol) and tol > 0):
-                raise InstanceError(
-                    f"tolerances must be positive and finite, got {tol!r}"
-                )
+            checked["seed"] = check_count("seed", self.seed, 0)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.init not in ("uniform", "perturbed"):
             raise InstanceError(f"unknown init {self.init!r}")
         if self.init == "perturbed" and self.seed is None:
@@ -148,18 +153,6 @@ class SolveReport:
     converged: bool
     objective_trace: np.ndarray
     wall_time_seconds: float
-
-
-class PolicyStack(NamedTuple):
-    """K policies of one degree, tables stacked as (K, X_t, H_t, U_t)."""
-
-    degree: int
-    tables: tuple[np.ndarray, ...]
-
-    @classmethod
-    def of(cls, degree: int, policies: Sequence[MemoryPolicy]) -> "PolicyStack":
-        stacked = zip(*(q.tables for q in policies))
-        return cls(degree, tuple(np.stack(ts) for ts in stacked))
 
 
 def forward_pass(
@@ -198,10 +191,10 @@ def backward_pass(
     raise InstanceError; a Gibbs normalizer that is not finite and positive
     raises NumericalError.
     """
-    check_beta(beta)
+    beta = check_real("beta", beta)
     plan = mdp.sweep_plan(degree)
     lay = plan.layout
-    nu = check_steps(lay, lay.marginals, nu, "marginal")
+    nu = check_steps(lay.marginals.shapes, nu, "marginal", mdp.horizon)
     log_phi, q = plan.backward_flat(lay.marginals.join(nu), beta)
     log_phi, stacked = list(lay.beliefs.split(log_phi)), nu[0].ndim == 3
     rho = [None if stacked else plan.rho_table(t, plan.cost_to_go(t, lp, beta))
@@ -597,12 +590,12 @@ def stationarity_residual(
     Returns 0 at an exact fixed point.  Arrays of other shapes than the
     instance's at the policy's degree, or a bad beta, raise InstanceError.
     """
-    check_beta(beta)
-    plan, _, flow, lam = _rows(mdp, iterate.policy, iterate.belief)
+    beta = check_real("beta", beta)
+    plan, _, flow, lam = _rows(mdp, iterate.policy, iterate.belief, stacks=False)
     lay, T = plan.layout, mdp.horizon
-    nu = check_steps(lay, lay.marginals, iterate.nu, "marginal", ())
-    rho = check_steps(lay, lay.tables, iterate.rho, "rho", ())
-    log_phi = check_steps(lay, lay.beliefs, iterate.log_phi, "log phi", ())
+    nu = check_steps(lay.marginals.shapes, iterate.nu, "marginal", T, ())
+    rho = check_steps(lay.tables.shapes, iterate.rho, "rho", T, ())
+    log_phi = check_steps(lay.beliefs.shapes, iterate.log_phi, "log phi", T, ())
     mus, fresh_nu = lay.beliefs.split(flow.mu), lay.marginals.split(flow.nu)
 
     def sup(diff, where=True):  # over the entries where holds
@@ -636,7 +629,7 @@ def residual_from_policy(
     of that iterate up to roundoff: its Gibbs step forms z from rho.  A
     ``PolicyStack`` gives one residual per member, each its single call's.
     """
-    check_beta(beta)
+    beta = check_real("beta", beta)
     plan, q, flow, _ = _rows(mdp, policy)
     gap = _certificate(plan, q, beta, flow)
     return gap if gap.ndim else float(gap)
@@ -759,21 +752,17 @@ def classical_blahut(
     stacked on that axis; each member's numbers are those of solving it
     alone, bit for bit.  A 1-d prior is a batch of one.
     """
-    p = np.asarray(prior, dtype=float)
-    c = np.asarray(cost, dtype=float)
-    if p.ndim not in (1, 2) or c.ndim != 2 or c.shape[0] != p.shape[-1]:
+    p, c = check_array("prior", prior), check_array("cost", cost)
+    if p.ndim not in (1, 2) or c.ndim != 2 or c.shape[0] != p.shape[-1] or not c.size:
         raise InstanceError(
             f"prior shape {p.shape} and cost shape {c.shape} are incompatible"
         )
     ps = p.reshape(-1, p.shape[-1])
-    if not ((ps >= 0).all() and (np.abs(ps.sum(axis=1) - 1.0) <= 1e-9).all()):
-        raise InstanceError("prior is not a probability distribution")
-    if not np.isfinite(c).all():
-        raise InstanceError("cost has a non-finite entry")
-    check_beta(beta)
-    check_count("max_iters", max_iters, 1)
-    if not (math.isfinite(tol) and tol > 0):
-        raise InstanceError(f"tol must be positive and finite, got {tol!r}")
+    check_distributions("prior", ps, ("x",), tol=1e-9)
+    check_finite("cost", c, ("x", "u"))
+    beta = check_real("beta", beta)
+    max_iters = check_count("max_iters", max_iters, 1)
+    tol = check_real("tol", tol)
     scaled = c / beta
     stop_tol = max(tol, 2.0 * beta * np.finfo(float).eps)
     count, n_u = len(ps), c.shape[1]
@@ -844,8 +833,8 @@ def free_energy(log_phi_first: np.ndarray, initial: np.ndarray, beta: float) -> 
     At a converged iterate, -beta * E[log phi_0(x_0)] equals the objective
     total.  log_phi_first is (X_0,) or (X_0, H_0), initial (X_0,).
     """
-    check_beta(beta)
-    p, lp = np.asarray(initial, dtype=float), np.asarray(log_phi_first, dtype=float)
+    beta = check_real("beta", beta)
+    p, lp = check_array("initial", initial), check_array("log_phi_first", log_phi_first)
     if lp.shape[:1] != p.shape or not 0 < lp.ndim <= 2 or not lp.size:
         raise InstanceError(f"log_phi_first {lp.shape} does not match initial {p.shape}")
     return -beta * float(p @ lp.reshape(len(p), -1)[:, 0])
