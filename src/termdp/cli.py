@@ -6,7 +6,8 @@ printed with 12 significant digits and everything else with full round-trip
 precision, so identical inputs and seeds reproduce identical bytes.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 numerical
-error, 4 resource guard.  Every option can also be set through an
+error, 4 resource guard.  Each subcommand takes only the shared flags it
+reads (``COMMAND_FLAGS``).  Each of those can also be set through an
 environment variable with the TERMDP_ prefix (e.g. TERMDP_BETA, TERMDP_SEED,
 TERMDP_OUT_DIR); command-line flags win.
 """
@@ -47,13 +48,44 @@ MAX_SWEEP_BETAS = 10_000  # held with their options (176 B each) before any solv
 MAX_STARTS = 1_000  # multi_start builds every start (KBs each) before solving
 
 
-def _env(name: str, default):
-    """Option default from TERMDP_<name>.
+# the shared flags' argparse keywords (defaults: see _env)
+FLAGS = {
+    "beta": dict(type=float, default=1.0, help="information price (must be positive)"),
+    "degree-n": dict(type=int, default=0,
+                     help="policy memory: number of past controls conditioned on"),
+    "degree-m": dict(type=int, default=0,
+                     help="state-window width used when evaluating information"),
+    "max-iters": dict(type=int, default=2000),
+    "tol": dict(type=float, default=1e-10, help="absolute objective-change stopping "
+                "tolerance (not scaled by the total)"),
+    "tol-residual": dict(type=float, default=1e-8,
+                         help="stationarity residual required to declare convergence"),
+    "seed": dict(type=int, default=0),
+    "starts": dict(type=int, default=1, help="number of seeded random restarts, at least "
+                   "one runs (0 runs one; the uniform start is always included), at most "
+                   f"{MAX_STARTS}"),
+    "out-dir": dict(type=Path, default="."),
+    "bits": dict(action="store_true", default=False, help="also print information in bits"),
+}
+# the shared flags each subcommand reads, and so takes
+COMMAND_FLAGS = {
+    "solve": tuple(FLAGS),
+    "sweep": ("degree-n", "max-iters", "tol", "tol-residual", "seed", "starts", "out-dir"),
+    "landscape": ("beta", "out-dir"),
+    "maze": tuple(FLAGS),
+    "value-iteration": ("out-dir",),
+    "verify": ("seed",),
+}
+
+
+def _env(flag: str):
+    """The shared flag's default, from TERMDP_<FLAG> when that is set.
 
     Raw strings are returned unconverted: argparse applies the option's type
     to string defaults, so a malformed value is a usage error (exit 2).
     """
-    raw = os.environ.get(f"TERMDP_{name}")
+    default = FLAGS[flag]["default"]
+    raw = os.environ.get("TERMDP_" + flag.upper().replace("-", "_"))
     if raw is None:
         return default
     if isinstance(default, bool):
@@ -84,76 +116,37 @@ def build_parser() -> argparse.ArgumentParser:
             "against independent oracles."
         ),
         epilog=(
-            "Defaults come from TERMDP_* environment variables when set "
-            "(TERMDP_BETA, TERMDP_DEGREE_N, TERMDP_DEGREE_M, TERMDP_MAX_ITERS, "
-            "TERMDP_TOL, TERMDP_TOL_RESIDUAL, TERMDP_SEED, TERMDP_STARTS, "
-            "TERMDP_OUT_DIR, TERMDP_BITS)."
+            "A subcommand's shared flags take their defaults from TERMDP_<FLAG> "
+            "environment variables when set (--degree-n from TERMDP_DEGREE_N)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--beta", type=float, default=_env("BETA", 1.0),
-        help="information price (must be positive)",
-    )
-    common.add_argument(
-        "--degree-n", type=int, default=_env("DEGREE_N", 0),
-        help="policy memory: number of past controls conditioned on",
-    )
-    common.add_argument(
-        "--degree-m", type=int, default=_env("DEGREE_M", 0),
-        help="state-window width used when evaluating information",
-    )
-    common.add_argument(
-        "--max-iters", type=int, default=_env("MAX_ITERS", 2000),
-    )
-    common.add_argument(
-        "--tol", type=float, default=_env("TOL", 1e-10),
-        help="absolute objective-change stopping tolerance (not scaled by the total)",
-    )
-    common.add_argument(
-        "--tol-residual", type=float, default=_env("TOL_RESIDUAL", 1e-8),
-        help="stationarity residual required to declare convergence",
-    )
-    common.add_argument("--seed", type=int, default=_env("SEED", 0))
-    common.add_argument(
-        "--starts", type=int, default=_env("STARTS", 1),
-        help="number of seeded random restarts, at least one runs (0 runs one; "
-        f"the uniform start is always included), at most {MAX_STARTS}",
-    )
-    common.add_argument(
-        "--out-dir", type=Path, default=_env("OUT_DIR", "."),
-    )
-    common.add_argument(
-        "--bits", action="store_true", default=_env("BITS", False),
-        help="also print information in bits",
-    )
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        for flag in COMMAND_FLAGS[name]:
+            p.add_argument(f"--{flag}", **{**FLAGS[flag], "default": _env(flag)})
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve", parents=[common], help="solve one instance")
+    p = command("solve", cmd_solve, "solve one instance")
     p.add_argument("instance", type=Path)
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("sweep", parents=[common], help="beta sweep trade-off curve")
+    p = command("sweep", cmd_sweep, "beta sweep trade-off curve")
     p.add_argument("instance", type=Path)
     p.add_argument("--betas", type=str, default=None, help="comma list of betas")
     p.add_argument("--beta-min", type=float, default=None)
     p.add_argument("--beta-max", type=float, default=None)
     p.add_argument("--beta-count", type=int, help=f"at most {MAX_SWEEP_BETAS}")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser(
-        "landscape", parents=[common],
-        help="emit the two-step objective landscape grids",
-    )
+    p = command("landscape", cmd_landscape, "emit the two-step objective landscape grids")
     p.add_argument(
         "--toy", action="store_true",
         help="use the built-in two-step binary instance",
     )
     p.add_argument("--resolution", type=int, default=101)
-    p.set_defaults(func=cmd_landscape)
 
-    p = sub.add_parser("maze", parents=[common], help="maze navigation experiment")
+    p = command("maze", cmd_maze, "maze navigation experiment")
     p.add_argument("spec", type=Path, nargs="?", default=None)
     p.add_argument(
         "--sample", action="store_true", help="use the shipped two-route maze"
@@ -163,18 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot-times", type=str, default="25",
         help="comma list of 1-based times at which to emit state distributions",
     )
-    p.set_defaults(func=cmd_maze)
 
-    p = sub.add_parser(
-        "value-iteration", parents=[common],
-        help="deterministic baseline without the information cost",
+    p = command(
+        "value-iteration", cmd_value_iteration,
+        "deterministic baseline without the information cost",
     )
     p.add_argument("instance", type=Path)
-    p.set_defaults(func=cmd_value_iteration)
 
-    p = sub.add_parser("verify", parents=[common], help="run the property suites")
+    p = command("verify", cmd_verify, "run the property suites")
     p.add_argument("--scope", choices=("quick", "full"), default="quick")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 

@@ -12,13 +12,14 @@ penalty.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InstanceError
-from .model import FiniteMdp, check_array, check_count
+from .model import FiniteMdp, check_array, check_bool, check_count, check_real
 
 __all__ = [
     "MazeSpec",
@@ -64,11 +65,17 @@ class MazeSpec:
     intended_slip_share: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("width", "height", "horizon"):
-            check_count(f"maze {name}", getattr(self, name), 1)
+        def store(name, checker, *bounds):  # the checked value, a Python number
+            object.__setattr__(self, name, checker(name, getattr(self, name), *bounds))
+
+        for name, low in (("width", 1), ("height", 1), ("horizon", 1), ("start", 0), ("goal", 0)):
+            store(name, check_count, low)
+        for name in ("p_intended", "p_slip", "terminal_penalty"):
+            store(name, check_real, -math.inf)
+        store("intended_slip_share", check_bool)
         n = self.width * self.height
         for cell in (self.start, self.goal):
-            if check_count("maze cell", cell, 0) >= n:
+            if cell >= n:
                 raise InstanceError(f"cell {cell} outside the {self.width}x{self.height} grid")
         if self.start == self.goal:
             raise InstanceError("start and goal must differ")
@@ -76,7 +83,7 @@ class MazeSpec:
         for cell, d in self.walls:
             if check_count("wall cell", cell, 0) >= n:
                 raise InstanceError(f"wall on cell {cell} outside the grid")
-            if d not in _OFFSETS:
+            if not isinstance(d, str) or d not in _OFFSETS:
                 raise InstanceError(f"wall on cell {cell} has unknown direction {d!r}")
             symmetric.add((cell, d))
             nb = self._neighbor(cell, d)
@@ -413,53 +420,21 @@ def maze_spec_to_dict(spec: MazeSpec) -> dict:
     }
 
 
-def _json(value, name: str, kind: type):
-    """A maze field of one JSON kind, int, float or bool: a bool is not a
-    number, a float such as 2.7 is malformed as an int, not rounded, and an
-    int such as 10000 is a float, but a string such as "0.8" is not."""
-    kinds = (int, float) if kind is float else kind
-    if isinstance(value, bool) == (kind is bool) and isinstance(value, kinds):
-        try:
-            return kind(value)
-        except OverflowError:  # an int beyond the float range
-            pass
-    raise InstanceError(
-        f"maze document has a malformed value: {name} {value!r} is not {kind.__name__}"
-    )
-
-
 def maze_spec_from_dict(doc: dict) -> MazeSpec:
     if not isinstance(doc, dict):
         raise InstanceError("maze document must be a JSON object")
     for key in ("width", "height", "walls", "start", "goal"):
         if key not in doc:
             raise InstanceError(f"maze document is missing field {key!r}")
-    walls = set()
-    try:
-        for item in doc["walls"]:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise InstanceError(
-                    f"wall entry {item!r} is not a [cell, direction] pair"
-                )
-            walls.add((_json(item[0], "wall cell", int), str(item[1])))
-        return MazeSpec(
-            width=_json(doc["width"], "width", int),
-            height=_json(doc["height"], "height", int),
-            walls=frozenset(walls),
-            start=_json(doc["start"], "start", int),
-            goal=_json(doc["goal"], "goal", int),
-            p_intended=_json(doc.get("p_intended", 0.8), "p_intended", float),
-            p_slip=_json(doc.get("p_slip", 0.05), "p_slip", float),
-            horizon=_json(doc.get("horizon", 55), "horizon", int),
-            terminal_penalty=_json(
-                doc.get("terminal_penalty", 10000.0), "terminal_penalty", float
-            ),
-            intended_slip_share=_json(
-                doc.get("intended_slip_share", True), "intended_slip_share", bool
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"maze document has a malformed value: {exc}") from exc
+    if not isinstance(doc["walls"], (list, tuple)):
+        raise InstanceError(f"maze walls {doc['walls']!r} are not a list")
+    for item in doc["walls"]:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise InstanceError(f"wall entry {item!r} is not a [cell, direction] pair")
+    try:  # the values as given: the spec checks each field
+        return MazeSpec(**{f.name: doc[f.name] for f in fields(MazeSpec) if f.name in doc})
+    except InstanceError as exc:
+        raise InstanceError(f"maze document has a malformed value: {exc}") from None
 
 
 def load_maze_spec(path: str | Path) -> MazeSpec:

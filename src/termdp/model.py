@@ -363,6 +363,13 @@ def check_count(name: str, n, low: int) -> int:
     return int(n)
 
 
+def check_bool(name: str, flag) -> bool:
+    """A flag as a Python bool: a bool, Python or numpy; not a number."""
+    if not isinstance(flag, (bool, np.bool_)):
+        raise InstanceError(f"{name} must be a bool, got {flag!r}")
+    return bool(flag)
+
+
 def check_window(name: str, n, horizon: int | None = None) -> int:
     """A window degree as an int: an integer >= 0, or math.inf, which stands
     for the full ``horizon``, where one is given."""
@@ -426,6 +433,8 @@ def check_compatible(mdp: FiniteMdp, policy, stacks: bool = False):
     a batch shape they all share.  A stack's slices must be distributions
     (a MemoryPolicy checks its own); one passed where no stack is taken is
     checked as one, then refused."""
+    if not isinstance(mdp, FiniteMdp):
+        raise InstanceError(f"mdp must be a FiniteMdp, got {type(mdp).__name__}")
     stack = isinstance(policy, PolicyStack)
     if not (stack or isinstance(policy, MemoryPolicy)):
         kinds = "MemoryPolicy or PolicyStack" if stacks else "MemoryPolicy"
@@ -1083,7 +1092,16 @@ def conditional_mutual_information(
     axes gives a float.
     """
     p = check_array("joint", joint)
-    a_axes, b_axes = tuple(a_axes), tuple(b_axes)
+    groups = []
+    for name, group in (("a_axes", a_axes), ("b_axes", b_axes), ("c_axes", c_axes)):
+        try:
+            groups.append(tuple(check_count(f"{name} entry", ax, 0) for ax in group))
+        except TypeError:  # not iterable
+            raise InstanceError(f"{name} must be a sequence of axes, got {group!r}") from None
+    axes = tuple(ax for group in groups for ax in group)
+    if max(axes, default=-1) >= p.ndim or len(set(axes)) < len(axes):
+        raise InstanceError(f"axis groups {groups} must be disjoint, in range({p.ndim})")
+    a_axes, b_axes, _ = groups
     p_ac = p.sum(axis=b_axes, keepdims=True)
     p_cb = p.sum(axis=a_axes, keepdims=True)
     p_c = p_ac.sum(axis=a_axes, keepdims=True)
@@ -1093,8 +1111,7 @@ def conditional_mutual_information(
     ratio = np.ones_like(p)
     np.divide(p, p_ac, out=ratio, where=mask)
     np.divide(ratio, p_cb / np.where(p_c > 0.0, p_c, 1.0), out=ratio, where=mask)
-    groups = (*a_axes, *b_axes, *tuple(c_axes))
-    return _scalar(np.sum(p * np.log(ratio), axis=groups, where=mask))
+    return _scalar(np.sum(p * np.log(ratio), axis=axes, where=mask))
 
 
 def transfer_entropy_terms(
@@ -1334,10 +1351,10 @@ def objective(
 ) -> ObjectiveValue:
     """Cost, information, and the weighted total cost + beta * information
     of one ``MemoryPolicy``."""
+    plan, q, flow, lam = _rows(mdp, policy, stacks=False)
     beta, m = check_real("beta", beta), check_window("m", m, mdp.horizon)
     if n_eval is not None:
         check_window("n_eval", n_eval, mdp.horizon)
-    plan, q, flow, lam = _rows(mdp, policy, stacks=False)
     cost = float(cost_rows(mdp, plan.layout, lam, flow.mu))
     if not m and (n_eval is None or n_eval == policy.degree):
         info = float(information_rows(plan.layout, lam, q, flow.nu).sum())

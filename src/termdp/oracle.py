@@ -583,23 +583,27 @@ def rate_bound_report(rows: list[dict]) -> RateBoundReport:
     """Assemble per-beta sweep rows into the bound table.
 
     Each row needs keys beta, cost, information_nats and optionally
-    information_directed_nats.
+    information_directed_nats: beta a positive real, the rest finite reals.
     """
+    checked = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict) or not {"beta", "cost", "information_nats"} <= row.keys():
+            raise InstanceError(f"row {i} needs keys beta, cost and information_nats: {row!r}")
+        directed = row.get("information_directed_nats")
+        checked.append((
+            check_real(f"row {i} beta", row["beta"]),
+            *(check_real(f"row {i} {key}", row[key], -math.inf)
+              for key in ("cost", "information_nats")),
+            None if directed is None
+            else check_real(f"row {i} information_directed_nats", directed, -math.inf),
+        ))
     entries = []
     prev_bits = math.inf
-    for row in sorted(rows, key=lambda r: r["beta"]):
-        bits = row["information_nats"] / math.log(2.0)
+    for row in sorted(checked, key=lambda r: r[0]):
+        bits = row[2] / math.log(2.0)
         rising = bits > prev_bits + RATE_MONOTONE_SLACK
         prev_bits = bits
-        directed = row.get("information_directed_nats")
-        entries.append(RateBoundEntry(
-            beta=float(row["beta"]),
-            cost=float(row["cost"]),
-            information_nats=float(row["information_nats"]),
-            information_directed_nats=None if directed is None else float(directed),
-            rate_lower_bound_bits=bits,
-            flag="nonmonotone" if rising else "",
-        ))
+        entries.append(RateBoundEntry(*row, bits, "nonmonotone" if rising else ""))
     return RateBoundReport(entries=tuple(entries))
 
 

@@ -54,6 +54,7 @@ from .model import (
     ReducedBelief,
     canonical_rows,
     check_array,
+    check_bool,
     check_count,
     check_distributions,
     check_finite,
@@ -211,6 +212,12 @@ def _policy_gap(layout, mu, old, new) -> np.ndarray:
     return np.maximum.reduce(np.abs(old - new), axis=-1, where=massed, initial=0.0)
 
 
+def _check_problem(mdp: FiniteMdp, opts: SolveOptions) -> None:
+    for name, value, kind in (("mdp", mdp, FiniteMdp), ("opts", opts, SolveOptions)):
+        if not isinstance(value, kind):
+            raise InstanceError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def solve(mdp: FiniteMdp, opts: SolveOptions) -> SolveReport:
     """Iterate forward and backward sweeps until the objective stalls.
 
@@ -223,6 +230,7 @@ def solve(mdp: FiniteMdp, opts: SolveOptions) -> SolveReport:
     fixed-point relation on q) is below tol_residual; the certified
     stationarity residual of the final iterate is reported either way.
     """
+    _check_problem(mdp, opts)
     mdp.sweep_plan(opts.degree)  # one policy over the budget raises here
     cut = mdp.restriction
     if opts.init == "uniform":
@@ -545,11 +553,13 @@ def multi_start(
     Starts are built and swept at their reachable rows, with the values of
     the instance-shape starts there; reports are uniform at unreachable rows.
     """
+    _check_problem(mdp, opts)
     for name, n in (("starts", starts), ("plan_starts", plan_starts), ("seed", seed)):
         check_count(name, n, 0)
     if screen_iters is not None:
         check_count("screen_iters", screen_iters, 1)
-    count = starts + int(include_uniform) + plan_starts
+    include_uniform = check_bool("include_uniform", include_uniform)
+    count = starts + include_uniform + plan_starts
     if count < 1:
         raise InstanceError("multi-start needs a start")
     mdp.sweep_plan(opts.degree)  # one policy over the budget raises here

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import termdp as td
-from termdp import cli, oracle
+from termdp import cli, envs, oracle
 from termdp.errors import InstanceError
 from termdp.model import conditional_mutual_information
 from termdp.solver import PolicyStack
@@ -388,6 +388,50 @@ def test_numpy_tolerance_stored_as_float():
     opts = td.SolveOptions(np.float32(1.0), np.int64(1), np.int32(5), np.float32(1e-9),
                            np.float64(1e-8))
     assert_plain(dataclasses.astuple(opts)[:5])
+
+
+# -- arguments of other kinds: instances, options, flags, axes and rows ----------
+
+HALVES = np.ones((2, 2)) / 4
+
+
+@pytest.mark.parametrize("call", [
+    lambda: envs.MazeSpec(3, 3, frozenset(), 0, 8, p_intended="x", horizon=3),
+    lambda: envs.MazeSpec(3, 3, frozenset(), 0, 8, p_slip=None, horizon=3),
+    lambda: envs.MazeSpec(3, 3, frozenset(), 0, 8, intended_slip_share="x", horizon=3),
+    lambda: envs.MazeSpec(3, 3, frozenset(), 0, 8, terminal_penalty=math.inf, horizon=3),
+    lambda: oracle.rate_bound_report([{"beta": 1.0}]),
+    lambda: oracle.rate_bound_report([{"beta": 1.0, "cost": "x", "information_nats": 0.0}]),
+    lambda: oracle.rate_bound_report([None]),
+    lambda: conditional_mutual_information(HALVES, (0,), (2,)),
+    lambda: conditional_mutual_information(HALVES, 0, (1,)),
+    lambda: conditional_mutual_information(HALVES, (0,), (0,)),
+    lambda: conditional_mutual_information(HALVES, (0,), (1,), (-1,)),
+    lambda: td.multi_start(MDP, OPTS, 1, 0, include_uniform="x"),
+    lambda: td.multi_start(MDP, OPTS, 1, 0, include_uniform=1),
+    lambda: td.multi_start(None, OPTS, 1, 0),
+    lambda: td.multi_start(MDP, None, 1, 0),
+    lambda: td.solve(MDP, None),
+    lambda: td.solve(None, OPTS),
+    lambda: td.objective(None, POLICY, 1.0),
+], ids=["maze-p-intended-str", "maze-p-slip-none", "maze-share-str", "maze-penalty-inf",
+        "rate-row-keys", "rate-cost-str", "rate-row-none", "cmi-axis-range", "cmi-axes-int",
+        "cmi-axes-overlap", "cmi-axis-negative", "uniform-str", "uniform-int",
+        "multi-start-mdp-none", "multi-start-opts-none", "solve-opts-none", "solve-mdp-none",
+        "objective-mdp-none"])
+def test_other_arguments_checked(call):
+    # each raised a bare TypeError, ValueError, KeyError, AxisError or
+    # AttributeError, or was accepted
+    with pytest.raises(InstanceError):
+        call()
+
+
+def test_maze_spec_stores_python_values():
+    spec = envs.MazeSpec(np.int64(3), 3, frozenset(), np.int32(0), 8, np.float32(0.5),
+                         np.float64(0.1), 3, 100, np.bool_(False))
+    fields = dataclasses.astuple(spec)
+    assert_plain([*fields[:2], *fields[3:9]])
+    assert type(spec.intended_slip_share) is bool
 
 
 # -- the command line ------------------------------------------------------------

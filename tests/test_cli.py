@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,11 +299,9 @@ class TestSweepCommand:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "tradeoff.csv").exists()
 
-    def test_shared_beta_not_used_by_sweep(self, tmp_path):
-        code = run(
-            ["sweep", HAMMING, "--betas", "1,2", "--beta", "0",
-             "--out-dir", tmp_path]
-        )
+    def test_shared_beta_not_used_by_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TERMDP_BETA", "0")
+        code = run(["sweep", HAMMING, "--betas", "1,2", "--out-dir", tmp_path])
         assert code == 0
         assert len((tmp_path / "tradeoff.csv").read_text().splitlines()) == 3
 
@@ -532,8 +532,7 @@ def test_zero_starts_runs_one_seeded_restart(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["solve", TOY], ["sweep", HAMMING, "--betas", "1"], ["landscape", "--toy"],
-    ["maze", "--sample"], ["value-iteration", TOY], ["verify"],
+    ["solve", TOY], ["sweep", HAMMING, "--betas", "1"], ["maze", "--sample"], ["verify"],
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("source", ["flag", "environment"])
 def test_negative_seed_is_input_error(tmp_path, capsys, monkeypatch, argv, source):
@@ -543,7 +542,9 @@ def test_negative_seed_is_input_error(tmp_path, capsys, monkeypatch, argv, sourc
         argv = [*argv, "--seed", "-1"]
     else:
         monkeypatch.setenv("TERMDP_SEED", "-1")
-    code = run([*argv, "--out-dir", tmp_path / "out"])
+    if argv[0] != "verify":  # verify writes no file
+        argv = [*argv, "--out-dir", tmp_path / "out"]
+    code = run(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert "input error: seed must be nonnegative" in err
@@ -561,6 +562,54 @@ def test_non_finite_initial_is_input_error(tmp_path, capsys):
     assert code == 2
     assert "input error: initial distribution non-finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+SHARED_VALUES = {  # each shared flag with a valid value
+    "--beta": ["2"], "--degree-n": ["1"], "--degree-m": ["1"], "--max-iters": ["5"],
+    "--tol": ["1e-9"], "--tol-residual": ["1e-7"], "--seed": ["3"], "--starts": ["2"],
+    "--out-dir": ["out"], "--bits": [],
+}
+READS = {  # the shared flags each subcommand reads
+    "solve": set(SHARED_VALUES),
+    "sweep": {"--degree-n", "--max-iters", "--tol", "--tol-residual", "--seed", "--starts",
+              "--out-dir"},
+    "landscape": {"--beta", "--out-dir"},
+    "maze": set(SHARED_VALUES),
+    "value-iteration": {"--out-dir"},
+    "verify": {"--seed"},
+}
+COMMANDS = {  # a valid invocation of each subcommand
+    "solve": ["solve", TOY], "sweep": ["sweep", HAMMING, "--betas", "1"],
+    "landscape": ["landscape", "--toy"], "maze": ["maze", "--sample"],
+    "value-iteration": ["value-iteration", TOY], "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_subcommand_takes_only_the_shared_flags_it_reads(tmp_path, monkeypatch, command):
+    # every subcommand took all ten and ignored those it does not read
+    parser = termdp.cli.build_parser()
+    monkeypatch.chdir(tmp_path)  # where a relative --out-dir would write
+    for flag, value in SHARED_VALUES.items():
+        argv = [*COMMANDS[command], flag, *value]
+        if flag in READS[command]:
+            parser.parse_args(argv)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2, flag
+    assert not any(tmp_path.iterdir())
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command-line usage", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("termdp ")]
+    assert {argv[0] for argv in commands} == set(READS)
+    parser = termdp.cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 class TestValueIterationCommand:
@@ -587,9 +636,8 @@ class TestValueIterationCommand:
 
 
 class TestVerifyCommand:
-    def test_quick_scope_passes(self, capsys, tmp_path):
-        code = run(["verify", "--scope", "quick", "--seed", "1",
-                    "--out-dir", tmp_path])
+    def test_quick_scope_passes(self, capsys):
+        code = run(["verify", "--scope", "quick", "--seed", "1"])
         out = capsys.readouterr().out
         assert code == 0, out
         assert out.count("[PASS]") == 6
