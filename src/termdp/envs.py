@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InstanceError
-from .model import FiniteMdp, check_array, check_bool, check_count, check_real
+from .model import FiniteMdp, check_array, check_bool, check_count, check_real, check_type
 
 __all__ = [
     "MazeSpec",
@@ -80,7 +80,10 @@ class MazeSpec:
         if self.start == self.goal:
             raise InstanceError("start and goal must differ")
         symmetric = set()
-        for cell, d in self.walls:
+        for wall in check_type("walls", self.walls, list, tuple, set, frozenset):
+            if len(check_type("wall", wall, list, tuple)) != 2:
+                raise InstanceError(f"wall {wall!r} is not a (cell, direction) pair")
+            cell, d = wall
             if check_count("wall cell", cell, 0) >= n:
                 raise InstanceError(f"wall on cell {cell} outside the grid")
             if not isinstance(d, str) or d not in _OFFSETS:
@@ -129,7 +132,7 @@ def build_maze(spec: MazeSpec) -> FiniteMdp:
     The stay probability is the exact remainder of each row, nudged so rows
     sum to exactly 1.0 in floating point.
     """
-    n = spec.n_cells
+    n = check_type("spec", spec, MazeSpec).n_cells
     p = np.zeros((n, len(ACTIONS), n))
     for cell in range(n):
         open_dirs = spec.open_directions(cell)
@@ -426,11 +429,6 @@ def maze_spec_from_dict(doc: dict) -> MazeSpec:
     for key in ("width", "height", "walls", "start", "goal"):
         if key not in doc:
             raise InstanceError(f"maze document is missing field {key!r}")
-    if not isinstance(doc["walls"], (list, tuple)):
-        raise InstanceError(f"maze walls {doc['walls']!r} are not a list")
-    for item in doc["walls"]:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise InstanceError(f"wall entry {item!r} is not a [cell, direction] pair")
     try:  # the values as given: the spec checks each field
         return MazeSpec(**{f.name: doc[f.name] for f in fields(MazeSpec) if f.name in doc})
     except InstanceError as exc:

@@ -244,7 +244,7 @@ class MemoryPolicy:
 
     @classmethod
     def uniform(cls, mdp: FiniteMdp, degree: int) -> "MemoryPolicy":
-        return cls(degree, uniform_tables(mdp, degree))
+        return cls(degree, uniform_tables(check_type("mdp", mdp, FiniteMdp), degree))
 
     @classmethod
     def perturbed(
@@ -254,7 +254,8 @@ class MemoryPolicy:
 
         magnitude must lie in (0, 1) so every entry stays strictly positive.
         """
-        return cls(degree, perturbed_tables(mdp, degree, seed, magnitude))
+        return cls(degree, perturbed_tables(check_type("mdp", mdp, FiniteMdp), degree, seed,
+                                            magnitude))
 
 
 class PolicyStack(NamedTuple):
@@ -370,6 +371,14 @@ def check_bool(name: str, flag) -> bool:
     return bool(flag)
 
 
+def check_type(name: str, value, *kinds: type):
+    """value, if it is an instance of one of kinds."""
+    if not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise InstanceError(f"{name} must be a {names}, got {type(value).__name__}")
+    return value
+
+
 def check_window(name: str, n, horizon: int | None = None) -> int:
     """A window degree as an int: an integer >= 0, or math.inf, which stands
     for the full ``horizon``, where one is given."""
@@ -433,12 +442,8 @@ def check_compatible(mdp: FiniteMdp, policy, stacks: bool = False):
     a batch shape they all share.  A stack's slices must be distributions
     (a MemoryPolicy checks its own); one passed where no stack is taken is
     checked as one, then refused."""
-    if not isinstance(mdp, FiniteMdp):
-        raise InstanceError(f"mdp must be a FiniteMdp, got {type(mdp).__name__}")
-    stack = isinstance(policy, PolicyStack)
-    if not (stack or isinstance(policy, MemoryPolicy)):
-        kinds = "MemoryPolicy or PolicyStack" if stacks else "MemoryPolicy"
-        raise InstanceError(f"policy must be a {kinds}, got {type(policy).__name__}")
+    check_type("mdp", mdp, FiniteMdp)
+    stack = isinstance(check_type("policy", policy, MemoryPolicy, PolicyStack), PolicyStack)
     plan = mdp.sweep_plan(policy.degree)
     shapes = [s.shape for s in plan.steps]
     tables = check_steps(shapes, policy.tables, "policy table", mdp.horizon)
@@ -923,17 +928,15 @@ class FlatLayout(NamedTuple):
     tables entry, ``row_of`` is its (t, x, h) segment and beliefs index,
     ``nu_of`` its marginals index, ``cost`` its stage cost and ``z_at`` its
     index in the backward pass's action-major z order (t, u, x, h), whose
-    entries' marginals indices are ``z_nu``; ``starts`` and ``lengths``
-    locate the segments.  ``bin_of`` bins a tables row and a beliefs row
-    laid end to end: marginals indices, then marginals.size plus each
-    beliefs entry's (t, h), terminal ones in the last bin.  ``history_of``
-    gives each marginals entry's (t, h), and ``uniform`` its 1 / U_t."""
+    entries' marginals indices are ``z_nu``.  ``bin_of`` bins a tables row
+    and a beliefs row laid end to end: marginals indices, then marginals.size
+    plus each beliefs entry's (t, h), terminal ones in the last bin.
+    ``history_of`` gives each marginals entry's (t, h), its segment of U_t
+    entries, and ``uniform`` its 1 / U_t."""
 
     tables: Space
     beliefs: Space
     marginals: Space
-    starts: np.ndarray
-    lengths: np.ndarray
     row_of: np.ndarray
     nu_of: np.ndarray
     cost: np.ndarray
@@ -967,7 +970,6 @@ class FlatLayout(NamedTuple):
             Space.of([s.shape for s in plan.steps]),
             Space.of([s.shape[:2] for s in plan.steps] + [terminal]),
             Space.of([s.shape[1:] for s in plan.steps]),
-            np.concatenate([[0], np.cumsum(lengths)[:-1]]), lengths,
             np.repeat(np.arange(len(lengths)), lengths), nu_of,
             np.concatenate(cost), np.argsort(z_of), nu_of[z_of],
             np.concatenate([nu_of, seen + np.concatenate(mass_of)]),
@@ -1217,6 +1219,7 @@ def directed_information(
     Equals the transfer entropy with unbounded windows.  The full trajectory
     joint must fit in ``max_cells`` entries; otherwise ResourceError.
     """
+    check_type("mdp", mdp, FiniteMdp)
     X, A, T = mdp.state_cards, mdp.action_cards, mdp.horizon
     full = math.prod(X) * math.prod(A)
     if full > check_count("max_cells", max_cells, 0):
@@ -1297,8 +1300,7 @@ def _rows(mdp: FiniteMdp, policy, belief: ReducedBelief | None = None,
     if belief is None:
         flow = plan.forward_flat(q)
         return plan, q, flow, plan.lam(math.prod(q.shape[:-1])).reshape(q.shape)
-    if not isinstance(belief, ReducedBelief):
-        raise InstanceError(f"belief must be a ReducedBelief, got {type(belief).__name__}")
+    check_type("belief", belief, ReducedBelief)
     if belief.degree != policy.degree:
         raise InstanceError(f"belief degree {belief.degree} != policy degree {policy.degree}")
     mus = check_steps(lay.beliefs.shapes, belief.mus, "belief", mdp.horizon, q.shape[:-1])

@@ -29,6 +29,7 @@ from .model import (
     PolicyStack,
     check_count,
     check_real,
+    check_type,
     conditional_mutual_information,
     slide_split,
     transfer_entropy,
@@ -147,7 +148,7 @@ def finite_horizon_value_iteration(mdp: FiniteMdp) -> ValueIterationResult:
     Backward induction with argmin tie-breaking toward the lowest action
     index; the returned expected cost is taken from the initial distribution.
     """
-    actions, values = backward_induction(mdp, mdp.stage_costs)
+    actions, values = backward_induction(check_type("mdp", mdp, FiniteMdp), mdp.stage_costs)
     return ValueIterationResult(
         actions=tuple(actions),
         expected_cost=float(mdp.initial @ values[0]),
@@ -179,6 +180,7 @@ class LandscapeGrid:
 def _check_landscape(mdp: FiniteMdp, resolution: int, dims: int, cell_bytes: int) -> int:
     """The grid's resolution**dims cells, after rejecting all but the toy's
     shape, a resolution not an integer >= 11, and grids over the byte budget."""
+    check_type("mdp", mdp, FiniteMdp)
     if mdp.horizon != 2 or mdp.state_cards != (2, 2, 2) or mdp.action_cards != (2, 2):
         raise InstanceError(
             "landscape oracles need the two-step binary instance, got "
@@ -421,7 +423,8 @@ def brute_force_policy_search(
     """
     beta = check_real("beta", beta)
     combo_budget = check_count("combo_budget", combo_budget, 1)
-    shapes = [step.shape for step in mdp.sweep_plan(degree).steps]
+    plan = check_type("mdp", mdp, FiniteMdp).sweep_plan(degree)
+    shapes = [step.shape for step in plan.steps]
     free = sum(x * h * (u - 1) for x, h, u in shapes)
     if free > MAX_FREE_PARAMS:
         raise ResourceError(
@@ -586,7 +589,7 @@ def rate_bound_report(rows: list[dict]) -> RateBoundReport:
     information_directed_nats: beta a positive real, the rest finite reals.
     """
     checked = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(check_type("rows", rows, list, tuple)):
         if not isinstance(row, dict) or not {"beta", "cost", "information_nats"} <= row.keys():
             raise InstanceError(f"row {i} needs keys beta, cost and information_nats: {row!r}")
         directed = row.get("information_directed_nats")

@@ -11,8 +11,10 @@ The trace costs no pass of its own: for q = Gibbs(nu, rho) the stage terms
 c / beta + log(q / nu) telescope through log phi, so F of the policy a
 backward pass builds, against the marginals it was built from, is that pass's
 free energy -beta * E[log phi_0(x_0)], one stacked matmul.  Only the starts'
-values and those of the SqS3 points that ``_sweeps`` tries after its warm-up
-are evaluated directly, by ``model.objective_rows`` on rows the sweeps hold.
+values are evaluated directly, by ``model.objective_rows``.  Past its warm-up
+``_sweeps`` extrapolates the action marginals, the state of the iteration:
+a SqS3 point is a marginals row, and the backward pass run on it gives its
+value.
 
 Both passes run on the ``SweepPlan`` that the ``FiniteMdp`` caches per
 degree, whose kernels the sweeps call directly on one row of tables per
@@ -60,6 +62,7 @@ from .model import (
     check_finite,
     check_real,
     check_steps,
+    check_type,
     cost_rows,
     gibbs_step,
     information_rows,
@@ -193,7 +196,7 @@ def backward_pass(
     raises NumericalError.
     """
     beta = check_real("beta", beta)
-    plan = mdp.sweep_plan(degree)
+    plan = check_type("mdp", mdp, FiniteMdp).sweep_plan(degree)
     lay = plan.layout
     nu = check_steps(lay.marginals.shapes, nu, "marginal", mdp.horizon)
     log_phi, q = plan.backward_flat(lay.marginals.join(nu), beta)
@@ -212,25 +215,21 @@ def _policy_gap(layout, mu, old, new) -> np.ndarray:
     return np.maximum.reduce(np.abs(old - new), axis=-1, where=massed, initial=0.0)
 
 
-def _check_problem(mdp: FiniteMdp, opts: SolveOptions) -> None:
-    for name, value, kind in (("mdp", mdp, FiniteMdp), ("opts", opts, SolveOptions)):
-        if not isinstance(value, kind):
-            raise InstanceError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
-
-
 def solve(mdp: FiniteMdp, opts: SolveOptions) -> SolveReport:
     """Iterate forward and backward sweeps until the objective stalls.
 
     The objective trace records one value per sweep and is nonincreasing up
     to roundoff.  trace[0] is the start policy's objective F(q_0, nu_0);
-    trace[k] = F(q_k, nu_{k-1}) is the free energy of the backward pass that
-    built q_k from the marginals of q_{k-1}.  The solve is declared
+    trace[k] = F(q_k, n_{k-1}) is the free energy of the backward pass that
+    built q_k from the marginals n_{k-1}: those of q_{k-1}, or a SqS3 point
+    extrapolated from them (see ``_sweeps``).  The solve is declared
     converged once consecutive objective values differ by less than
     tol_objective and the policy change over massed pairs (equivalently the
     fixed-point relation on q) is below tol_residual; the certified
     stationarity residual of the final iterate is reported either way.
     """
-    _check_problem(mdp, opts)
+    check_type("mdp", mdp, FiniteMdp)
+    check_type("opts", opts, SolveOptions)
     mdp.sweep_plan(opts.degree)  # one policy over the budget raises here
     cut = mdp.restriction
     if opts.init == "uniform":
@@ -261,18 +260,19 @@ def _sweeps(
     callers build the rows valid, at the plan's shapes.
 
     Once the starts have had EXTRAPOLATE_AFTER sweeps (``done`` of them before
-    this call), the sweep map is extrapolated as in ``classical_blahut``:
-    after every two plain sweeps each member tries a SqS3 point (``_squarem``)
-    built from the log tables of its last three policies, each one row of the
-    plan's ``layout``, so that one step length serves its T tables, on the
-    call's own rows (``_Cycle``).  The next sweep judges the point on its
-    forward pass: the member keeps it, and records its objective, if that is
-    no higher than its last trace value, so the trace still descends;
-    otherwise the same sweep propagates and sweeps the plain policy, stop test
-    included, as if no point had been tried.  A member may not stop on the
-    sweep of a kept point or the next one, and past the warm-up it stops only
-    when the stop test passes on two consecutive sweeps outside that hold; a
-    pass during the hold ends its extrapolation.
+    this call), the marginals map nu -> nu(Gibbs(nu)) is extrapolated as in
+    ``classical_blahut``: each sweep logs its forward pass's marginals, and
+    on every third log each member takes a SqS3 point (``_squarem``) of its
+    last three, each one row of the plan's ``layout``, so that one step
+    length serves its T marginals (``_Cycle``).  That sweep's backward pass
+    runs on the points, and its free energy is each point's value
+    F(Gibbs(nu_p), nu_p).  A member keeps its point if that value is no
+    higher than its last trace value, so the trace still descends; otherwise
+    a second backward pass runs on its plain marginals, as if no point had
+    been tried.  A member may not stop on the sweep of a kept point or the
+    next one, and past the warm-up it stops only when the stop test passes
+    on two consecutive sweeps outside that hold; a pass during the hold ends
+    its extrapolation.
     """
     plan = mdp.sweep_plan(opts.degree)
     layout = plan.layout
@@ -284,8 +284,12 @@ def _sweeps(
     # per row: SqS3 step bound (0 once the member takes no more points), the
     # last sweep it may not stop on, and the last sweep its stop test passed
     bound, hold, passed_at = [1.0] * count, [0] * count, [0] * count
-    cycle, trial = None, None  # the SqS3 cycle; the swept rows and steps of points
-    error, k = None, 0
+    cycle, error, k = None, None, 0  # the SqS3 cycle
+
+    def free(log_phi):  # -beta E log phi_0(x_0) per row: free_energy's bits
+        first = log_phi[:, None, :len(mdp.initial)]
+        return (-opts.beta * (first @ mdp.initial[:, None])[:, 0, 0]).tolist()
+
     while live and k < max_iters:
         k += 1
         flow = plan.forward_flat(q)
@@ -293,36 +297,37 @@ def _sweeps(
             log_q = np.log(q, out=np.full_like(q, -np.inf), where=q > 0.0)
             values = objective_rows(mdp, layout, opts.beta, plan.lam(len(q)), log_q,
                                     flow).tolist()
-        if trial is not None:  # q holds SqS3 points: judge them
-            (swept, alpha), trial = trial, None
-            value = cycle.judge(mdp, opts.beta, flow, plan.lam(len(q)))
-            kept = [b > 0.0 and v <= traces[i][-1] for b, v, i in zip(bound, value, live)]
-            dropped = [r for r, b in enumerate(bound) if b > 0.0 and not kept[r]]
-            if dropped:  # these sweep their plain policies
-                q[dropped] = swept[dropped]
-                _resweep(plan, q, dropped, flow)
-            values = [v if kp else w for v, w, kp in zip(value, values, kept)]
-            bound = _step_bound(bound, alpha, kept)
-            hold = [k + 1 if kp else h for h, kp in zip(hold, kept)]
-            cycle.restart(kept)  # from the policy this sweep sweeps
         tested = []  # rows that pass the objective test, which comes first
         for row, i in enumerate(live):
             tr = traces[i]
             tr.append(values[row])
             if not math.isfinite(values[row]):
                 error = NumericalError(f"non-finite objective at iteration {k}")
-                live, q = live[:row], q[:row]
-                flow = Flow(*(x[:row] for x in flow))
+                live, q, flow = live[:row], q[:row], Flow(*(x[:row] for x in flow))
+                bound, hold, passed_at = bound[:row], hold[:row], passed_at[:row]
                 break
             if len(tr) > 1 and abs(tr[-2] - tr[-1]) < opts.tol_objective:
                 tested.append(row)
         if not live:
             break
+        point = None  # the marginals to sweep and the steps, on a SqS3 sweep
+        if done + k > EXTRAPOLATE_AFTER and any(bound):
+            cycle = cycle or _Cycle(plan, len(live))
+            point = cycle.add(flow.nu, bound)
         # only the tested members' old tables outlive the backward pass
         old, q = q[tested] if tested else None, None
-        log_phi, q = plan.backward_flat(flow.nu, opts.beta)
-        first = log_phi[:, None, :len(mdp.initial)]  # log phi_0: free_energy's bits
-        values = (-opts.beta * (first @ mdp.initial[:, None])[:, 0, 0]).tolist()
+        log_phi, q = plan.backward_flat(flow.nu if point is None else point[0], opts.beta)
+        values = free(log_phi)
+        if point is not None:  # judge the points by their own free energy
+            kept = [b > 0.0 and v <= traces[i][-1] for b, v, i in zip(bound, values, live)]
+            dropped = [r for r, b in enumerate(bound) if b > 0.0 and not kept[r]]
+            if dropped:  # these sweep their plain marginals
+                log_phi, q[dropped] = plan.backward_flat(flow.nu[dropped], opts.beta)
+                for r, v in zip(dropped, free(log_phi)):
+                    values[r] = v
+            bound = _step_bound(bound, point[1], kept)
+            hold = [k + 1 if kp else h for h, kp in zip(hold, kept)]
+            cycle.restart(kept)
         stops = []
         if tested:
             gaps = _policy_gap(layout, flow.mu[tested], old, q[tested]).tolist()
@@ -334,7 +339,7 @@ def _sweeps(
                 passed_at[row] = k
                 if k <= hold[row]:
                     bound[row] = 0.0
-        if stops or k == max_iters or len(live) < len(bound):
+        if stops or k == max_iters:
             stay = [r for r in range(len(live)) if r not in stops and k < max_iters]
             gone = [r for r in range(len(live)) if r not in stay]
             ids = [live[r] for r in gone]
@@ -345,57 +350,50 @@ def _sweeps(
             bound, hold, passed_at = ([x[r] for r in stay] for x in (bound, hold, passed_at))
             for x in cycle.logs[:cycle.filled] if cycle else ():  # the set iterates
                 x[:len(stay)] = x[stay]
-        if done + k < EXTRAPOLATE_AFTER or not any(bound):  # none takes points
-            continue
-        cycle = cycle or _Cycle(plan, len(q))
-        trial = cycle.add(q, bound)
-        if trial is not None:  # sweep the points; keep the swept rows
-            q, trial = trial[0], (q, trial[1])
     if error is not None:
         raise error
     return traces, iterations, converged
 
 
 class _Cycle:
-    """The SqS3 cycle of ``_sweeps`` on rows for a stack of up to cap members,
-    built by its first extrapolating sweep: the log iterates x0, x1, x2 (the
-    first ``filled`` set), r and v, and the point and its policy, which hold
-    the step's products first.  ``add`` makes only ufunc and reduceat calls."""
+    """The SqS3 cycle of ``_sweeps`` on marginals rows for a stack of up to
+    cap members, built by its first extrapolating sweep: the log iterates
+    x0, x1, x2 (the first ``filled`` set), r and v, and the point and its
+    marginals, which hold the step's products first; ``starts`` and
+    ``lengths`` locate the (t, h) segments of U_t entries.  ``add`` makes
+    only ufunc and reduceat calls."""
 
     def __init__(self, plan, cap) -> None:
-        self.layout = layout = plan.layout
-        n, self.filled = layout.tables.size, 0
+        lay = plan.layout
+        self.lengths = np.bincount(lay.history_of)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        n, self.filled = lay.marginals.size, 0
         self.logs, self.pair, self.out = (np.empty((c, cap, n)) for c in (3, 2, 2))
-        self.logs, (self.point, self.policy) = list(self.logs), self.out
-        self.top, self.lse = np.empty((2, cap, len(layout.starts)))  # per segment
+        self.logs, (self.point, self.marginals) = list(self.logs), self.out
+        self.top, self.lse = np.empty((2, cap, len(self.starts)))  # per segment
 
-    def add(self, q, bound):
-        """Log the policy rows q as the next iterate; on the third, return the
-        rows to sweep (the point, floored and renormalized per segment, as a
-        policy where the bound is positive, else q's row) and the steps."""
-        k, lay = len(q), self.layout
+    def add(self, nu, bound):
+        """Log the marginals rows nu as the next iterate; on the third, return
+        the rows to sweep (the point, floored and renormalized per segment,
+        as marginals where the bound is positive, else nu's row) and the steps."""
+        k = len(nu)
         x = self.logs[self.filled][:k]
-        np.log(np.maximum(q, MARGINAL_FLOOR, out=x), out=x)
+        np.log(np.maximum(nu, MARGINAL_FLOOR, out=x), out=x)
         self.filled += 1
         if self.filled < 3:
             return None
         x, alpha = _squarem(*(log[:k] for log in self.logs), bound,
                             (self.point[:k], self.pair[:, :k], self.out[:, :k]))
-        top, lse, e = self.top[:k], self.lse[:k], self.policy[:k]
+        top, lse, e = self.top[:k], self.lse[:k], self.marginals[:k]
         np.maximum(x, LOG_FLOOR, out=x)
-        np.maximum.reduceat(x, lay.starts, axis=-1, out=top)
-        np.exp(np.subtract(x, top.repeat(lay.lengths, axis=-1), out=e), out=e)
-        np.log(np.add.reduceat(e, lay.starts, axis=-1, out=lse), out=lse)
-        np.subtract(x, np.add(top, lse, out=lse).repeat(lay.lengths, axis=-1), out=x)
-        policy = np.exp(x, out=self.policy[:k])
+        np.maximum.reduceat(x, self.starts, axis=-1, out=top)
+        np.exp(np.subtract(x, top.repeat(self.lengths, axis=-1), out=e), out=e)
+        np.log(np.add.reduceat(e, self.starts, axis=-1, out=lse), out=lse)
+        np.subtract(x, np.add(top, lse, out=lse).repeat(self.lengths, axis=-1), out=x)
+        marginals = np.exp(x, out=self.marginals[:k])
         for r in (r for r, b in enumerate(bound) if not b > 0.0):
-            policy[r] = q[r]
-        return policy, alpha
-
-    def judge(self, mdp, beta, flow, lam) -> list[float]:
-        """``objective_rows`` of the points' policies, given their forward pass."""
-        point = self.point[:len(lam)]
-        return objective_rows(mdp, self.layout, beta, lam, point, flow).tolist()
+            marginals[r] = nu[r]
+        return marginals, alpha
 
     def restart(self, kept) -> None:
         """Start the next cycle at x0: the point where kept, else x2."""
@@ -403,12 +401,6 @@ class _Cycle:
         for r in (r for r, kp in enumerate(kept) if kp):
             x0[r] = self.point[r]
         self.logs, self.filled = [x0, *self.logs[:2]], 1
-
-
-def _resweep(plan, q, rows, flow) -> None:
-    """Write the forward pass of the table rows q[rows] into the flow's rows."""
-    for ours, theirs in zip(flow, plan.forward_flat(q[rows])):
-        ours[rows] = theirs
 
 
 def _solve_batch(
@@ -483,7 +475,7 @@ def plan_start_policies(
     (alternative routes) into the start set.  Deterministic, cached per degree.
     """
     check_count("plan start count", count, 0)
-    plan = mdp.sweep_plan(degree)
+    plan = check_type("mdp", mdp, FiniteMdp).sweep_plan(degree)
     return [MemoryPolicy(degree, _plan_tables(plan, actions))
             for actions in _plan_actions(mdp, degree, count)]
 
@@ -553,7 +545,8 @@ def multi_start(
     Starts are built and swept at their reachable rows, with the values of
     the instance-shape starts there; reports are uniform at unreachable rows.
     """
-    _check_problem(mdp, opts)
+    check_type("mdp", mdp, FiniteMdp)
+    check_type("opts", opts, SolveOptions)
     for name, n in (("starts", starts), ("plan_starts", plan_starts), ("seed", seed)):
         check_count(name, n, 0)
     if screen_iters is not None:
@@ -601,6 +594,7 @@ def stationarity_residual(
     instance's at the policy's degree, or a bad beta, raise InstanceError.
     """
     beta = check_real("beta", beta)
+    check_type("iterate", iterate, SolverIterate)
     plan, _, flow, lam = _rows(mdp, iterate.policy, iterate.belief, stacks=False)
     lay, T = plan.layout, mdp.horizon
     nu = check_steps(lay.marginals.shapes, iterate.nu, "marginal", T, ())
@@ -679,7 +673,7 @@ def _squarem(x0, x1, x2, bound, out=None) -> tuple[np.ndarray, list[float]]:
     """SqS3 extrapolation (Varadhan & Roland 2008) of stacked log-iterates.
 
     x1 = F(x0) and x2 = F(x1) for a fixed-point map F, one row per member: a
-    marginal, or all its policy tables flattened into one row, so that one
+    marginal, or all its T marginals laid end to end in one row, so that one
     step length serves them all.  With r = x1 - x0 and v = x2 - 2 x1 + x0,
     each member takes its own step length alpha = -|r| / |v|, clipped to
     [-bound, -1] (-1 gives x2 itself), to the point x0 - 2 alpha r + alpha^2

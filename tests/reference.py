@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from termdp import oracle
-from termdp.model import LOG_FLOOR, FiniteMdp, MemoryPolicy, _terminal_cost
+from termdp.model import LOG_FLOOR, FiniteMdp, MemoryPolicy
 from termdp.solver import forward_pass
 
 
@@ -237,9 +237,10 @@ def loop_backward(mdp, nu, beta, degree):
     return log_phi, tables
 
 
-# The SqS3 cycle of the solver's sweeps as it was first written: fresh arrays,
-# K-element numpy arrays for the per-member scalars, and the flat layout's
-# row_of gathers.  The workspace cycle must give these numbers bit for bit.
+# The SqS3 cycle of the solver's sweeps on fresh arrays: K-element numpy
+# arrays for the per-member scalars, and the (t, h) segments of a marginals
+# row found from the layout's history_of.  The workspace cycle must give these
+# numbers bit for bit.
 
 STEP_GROWTH = 4.0
 
@@ -262,22 +263,21 @@ def step_bound(bound, alpha, tried, kept):
     return np.where(kept, grown, shrunk)
 
 
-def log_normalize(layout, x):
-    """Floor flattened log-tables at LOG_FLOOR, renormalize each segment."""
+def _segment_normalize(x, seg):
+    """Floor log rows at LOG_FLOOR, renormalize each run of entries with
+    equal seg."""
     x = np.maximum(x, LOG_FLOOR)
-    top = np.maximum.reduceat(x, layout.starts, axis=-1)
-    lse = np.log(np.add.reduceat(np.exp(x - top[:, layout.row_of]), layout.starts,
-                                 axis=-1))
-    return x - (top + lse)[:, layout.row_of]
+    starts = np.flatnonzero(np.diff(seg, prepend=-1))
+    top = np.maximum.reduceat(x, starts, axis=-1)
+    lse = np.log(np.add.reduceat(np.exp(x - top[:, seg]), starts, axis=-1))
+    return x - (top + lse)[:, seg]
 
 
-def layout_objective(layout, mdp, beta, flow, log_q, q):
-    """``factored_objective`` of table rows q = exp(log_q) from their forward
-    pass, by gathering mu and nu to the tables entries."""
-    lam = flow.mu[..., layout.row_of] * q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = layout.cost + beta * (log_q - np.log(flow.nu[..., layout.nu_of]))
-        total = np.sum(lam * gain, axis=-1, where=lam > 0.0)
-    last = flow.mu[..., layout.beliefs.spans[-1]]
-    return total + _terminal_cost(mdp, last.reshape(*last.shape[:-1],
-                                                    *layout.beliefs.shapes[-1]))
+def log_normalize(layout, x):
+    """Floor flattened log-tables at LOG_FLOOR, renormalize each (t, x, h) segment."""
+    return _segment_normalize(x, layout.row_of)
+
+
+def log_normalize_marginals(layout, x):
+    """Floor log-marginals rows at LOG_FLOOR, renormalize each (t, h) segment."""
+    return _segment_normalize(x, layout.history_of)

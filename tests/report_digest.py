@@ -23,9 +23,16 @@ repr, the sha256 of an output's shapes and bytes, or the error class raised.
 A line that reads an error on one tree and a value on another marks an input
 that one tree rejects.
 
-Two trees' digests can be compared with ``diff``: a kernel change that keeps
-its numbers changes no line.  Not collected by pytest; a full run takes a few
-minutes.
+Two trees' digests are compared by
+
+    python tests/report_digest.py --compare OLD NEW
+
+which prints, for the report lines, the number that changed, the
+convergences lost and gained, the totals worse and better by more than 1e-8
+relative (count, largest relative change, labels) and each tree's total
+iterations; then the number of public lines that changed.  A kernel change
+that keeps its numbers changes no line.  Not collected by pytest; a full
+digest run takes about a minute.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from tracer import NAME, PAYLOAD, Tracer  # noqa: E402
 from workloads import WORKLOADS, _criterion1_draw  # noqa: E402
 
 REFERENCE_SEEDS = [*range(32), 910, 7919]
+TOTAL_RTOL = 1e-8  # a total that moves by more, relative, is listed
 
 
 def _sha(data: bytes) -> str:
@@ -159,7 +167,53 @@ def workload_reports(name: str, seed: int, workdir: Path):
             yield f"{span[NAME]}#{i}", rep
 
 
+def _parse(lines):
+    """Report fields by label, and public lines by label, of a digest."""
+    reports, public = {}, {}
+    for line in lines:
+        label, *fields = line.rstrip("\n").split("\t")
+        if label.startswith("public "):
+            public[label] = fields
+        elif fields:
+            reports[label] = dict(f.split("=", 1) for f in fields)
+    return reports, public
+
+
+def compare(old_lines, new_lines) -> list[str]:
+    """The summary lines of two digests' differences (see the module doc)."""
+    (old, old_public), (new, new_public) = _parse(old_lines), _parse(new_lines)
+    labels = [label for label in old if label in new]
+    changed = sum(old[a] != new[a] for a in labels) + len(old.keys() ^ new.keys())
+    out = [f"report lines changed: {changed} of {len(old.keys() | new.keys())}"]
+    for name, was in (("lost", "True"), ("gained", "False")):
+        moved = [a for a in labels if old[a]["converged"] == was != new[a]["converged"]]
+        out.append(f"convergences {name}: {len(moved)}" + "".join(f"\n  {a}" for a in moved))
+    rel = {}
+    for a in labels:
+        o, n = float(old[a]["total"]), float(new[a]["total"])
+        rel[a] = (n - o) / abs(o) if o else n - o
+    for name, sign in (("worse", 1.0), ("better", -1.0)):
+        moved = sorted((a for a in labels if sign * rel[a] > TOTAL_RTOL),
+                       key=lambda a: -sign * rel[a])
+        worst = f", largest {abs(rel[moved[0]]):.3g}" if moved else ""
+        out.append(f"totals {name} by more than {TOTAL_RTOL:g} relative: {len(moved)}{worst}"
+                   + "".join(f"\n  {a} {rel[a]:+.3g}" for a in moved))
+    for name, digest_ in (("old", old), ("new", new)):
+        total = sum(int(f["iterations"]) for f in digest_.values())
+        out.append(f"iterations {name}: {total}")
+    public = sum(old_public.get(a) != new_public.get(a)
+                 for a in old_public.keys() | new_public.keys())
+    out.append(f"public lines changed: {public} of {len(old_public.keys() | new_public.keys())}")
+    return out
+
+
 def main() -> None:
+    if sys.argv[1:2] == ["--compare"]:
+        if len(sys.argv) != 4:
+            sys.exit("usage: python tests/report_digest.py --compare OLD NEW")
+        old, new = (Path(f).read_text().splitlines() for f in sys.argv[2:])
+        print("\n".join(compare(old, new)))
+        return
     runs = [("random-batch", s) for s in REFERENCE_SEEDS]
     runs += [(w, s) for s in (910, 7919) for w in ("maze", "oracle", "cli-sweep")]
     with tempfile.TemporaryDirectory() as tmp:

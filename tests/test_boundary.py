@@ -414,11 +414,31 @@ HALVES = np.ones((2, 2)) / 4
     lambda: td.solve(MDP, None),
     lambda: td.solve(None, OPTS),
     lambda: td.objective(None, POLICY, 1.0),
+    lambda: td.directed_information(None, POLICY),
+    lambda: td.backward_pass(None, td.forward_pass(MDP, POLICY)[1], 1.0, 0),
+    lambda: td.MemoryPolicy.uniform(None, 0),
+    lambda: td.MemoryPolicy.perturbed(None, 0, 1),
+    lambda: td.plan_start_policies(None, 0, 1),
+    lambda: td.stationarity_residual(MDP, None, 1.0),
+    lambda: oracle.brute_force_policy_search(None, 1.0, 0, 0.5),
+    lambda: oracle.objective_landscape_stage1(None, 11),
+    lambda: oracle.finite_horizon_value_iteration(None),
+    lambda: envs.build_maze(None),
+    lambda: oracle.rate_bound_report(None),
+    lambda: envs.MazeSpec(3, 3, [(1,)], 0, 8, horizon=3),
+    lambda: envs.MazeSpec(3, 3, None, 0, 8, horizon=3),
+    lambda: envs.MazeSpec(3, 3, [(1, "N", 2)], 0, 8, horizon=3),
+    lambda: envs.MazeSpec(3, 3, [1], 0, 8, horizon=3),
+    lambda: envs.MazeSpec(3, 3, "1N", 0, 8, horizon=3),
 ], ids=["maze-p-intended-str", "maze-p-slip-none", "maze-share-str", "maze-penalty-inf",
         "rate-row-keys", "rate-cost-str", "rate-row-none", "cmi-axis-range", "cmi-axes-int",
         "cmi-axes-overlap", "cmi-axis-negative", "uniform-str", "uniform-int",
         "multi-start-mdp-none", "multi-start-opts-none", "solve-opts-none", "solve-mdp-none",
-        "objective-mdp-none"])
+        "objective-mdp-none", "di-mdp-none", "backward-mdp-none", "uniform-mdp-none",
+        "perturbed-mdp-none", "plan-starts-mdp-none", "stationarity-iterate-none",
+        "brute-force-mdp-none", "landscape-mdp-none", "value-iteration-mdp-none",
+        "build-maze-spec-none", "rate-rows-none", "maze-wall-short", "maze-walls-none",
+        "maze-wall-long", "maze-wall-int", "maze-walls-str"])
 def test_other_arguments_checked(call):
     # each raised a bare TypeError, ValueError, KeyError, AxisError or
     # AttributeError, or was accepted

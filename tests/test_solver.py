@@ -9,7 +9,7 @@ import pytest
 import termdp as td
 from termdp import oracle, solver
 from termdp.errors import InstanceError, NumericalError
-from termdp.model import SweepPlan
+from termdp.model import SweepPlan, objective_rows
 from termdp.solver import (
     PolicyStack,
     SolverIterate,
@@ -323,45 +323,50 @@ class TestSolve:
     def test_k_sweep_solve_runs_k_plus_one_forward_passes(self, monkeypatch, max_iters):
         # one forward pass per sweep plus one for the final policy, which the
         # report's cost, information and certificate share; every forward
-        # pass runs the plan's one forward kernel.  A dropped SqS3 point
-        # costs one more: its sweep then propagates the plain policy
-        calls, dropped = [], []
-        original = SweepPlan.forward_flat
+        # pass runs the plan's one forward kernel.  Backward passes: one per
+        # sweep and the certificate's, and a dropped SqS3 point costs one
+        # more: its sweep then sweeps the plain marginals
+        calls = {"forward_flat": 0, "backward_flat": 0}
+        dropped = []
+        for name in calls:
+            original = getattr(SweepPlan, name)
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(SweepPlan, "forward_flat", counted)
-        real_resweep = solver._resweep
+            monkeypatch.setattr(SweepPlan, name, counted)
+        real_step_bound = solver._step_bound
 
-        def resweep(plan, q, rows, flow):
-            dropped.extend(rows)
-            return real_resweep(plan, q, rows, flow)
+        def step_bound(bound, alpha, kept):
+            dropped.extend(r for r, (b, kp) in enumerate(zip(bound, kept)) if b > 0 and not kp)
+            return real_step_bound(bound, alpha, kept)
 
-        monkeypatch.setattr(solver, "_resweep", resweep)
+        monkeypatch.setattr(solver, "_step_bound", step_bound)
         mdp = oracle.random_mdp(np.random.default_rng(3), 4)
         opts = td.SolveOptions(beta=0.9, degree=1, max_iters=max_iters)
         rep = td.solve(mdp, opts)
         assert rep.converged or rep.iterations == max_iters
-        assert len(calls) == rep.iterations + 1 + len(dropped)
+        assert calls["forward_flat"] == rep.iterations + 1
+        assert calls["backward_flat"] == rep.iterations + 1 + len(dropped)
 
     @pytest.mark.parametrize("i", [29, 69])
     def test_stop_test_of_a_dropped_point_measures_the_plain_policy(self, monkeypatch, i):
         # criterion-1 draws where the stop test runs on the sweep of a
-        # dropped SqS3 point: its gap is the plain policy's own residual
+        # dropped SqS3 point, found by its second backward pass: its gap is
+        # the plain policy's own residual
         events = []
-        for owner, name in ((solver, "_resweep"), (SweepPlan, "backward_flat"),
+        for owner, name in ((SweepPlan, "forward_flat"), (SweepPlan, "backward_flat"),
                             (solver, "_policy_gap")):
             original = getattr(owner, name)
 
             def logged(*args, _name=name, _original=original):
                 out = _original(*args)
-                if _name == "_resweep" and len(args[2]):
-                    plan, q, rows, _ = args
-                    tables = plan.layout.tables.split(q[rows][0])
+                if _name == "forward_flat":  # the policy swept
+                    plan, q = args
+                    tables = plan.layout.tables.split(q[0].copy())
                     events.append((_name, td.MemoryPolicy(plan.degree, tables)))
-                elif _name != "_resweep":
+                else:
                     events.append((_name, out))
                 return out
 
@@ -370,12 +375,42 @@ class TestSolve:
         td.solve(mdp, opts)
         monkeypatch.undo()
         names = [name for name, _ in events]
-        tested = [j for j in range(len(events) - 2) if names[j:j + 3] == [
-            "_resweep", "backward_flat", "_policy_gap"]]
+        tested = [j for j in range(len(events) - 3) if names[j:j + 4] == [
+            "forward_flat", "backward_flat", "backward_flat", "_policy_gap"]]
         assert tested
         for j in tested:
-            plain, gap = events[j][1], events[j + 2][1]
+            plain, gap = events[j][1], events[j + 3][1]
             assert gap == residual_from_policy(mdp, plain, opts.beta)
+
+    @pytest.mark.parametrize("i", [8, 29, 69])
+    def test_trace_is_the_free_energy_of_backward_passes(self, monkeypatch, i):
+        # criterion-1 draws that keep SqS3 points: past trace[0], every
+        # trace value is the free energy of one of the solve's backward
+        # passes, a kept point's or a plain one's, and the trace descends
+        passes = backward_passes(monkeypatch)
+        mdp, opts = criterion_1_draw(910, i)
+        trace = td.solve(mdp, opts).objective_trace
+        free = {v for v, _, _, _ in passes}
+        assert set(trace[1:].tolist()) <= free
+        assert {v for v, point, _, _ in passes if point} & set(trace.tolist())
+        assert (trace[1:] - trace[:-1] <= 1e-12).all()
+
+    @pytest.mark.parametrize("i", [8, 69])
+    def test_kept_point_value_is_its_factored_objective(self, monkeypatch, i):
+        # a kept point's value, its backward pass's free energy, is
+        # F(Gibbs(nu_p), nu_p) by the factored objective
+        passes = backward_passes(monkeypatch)
+        mdp, opts = criterion_1_draw(910, i)
+        trace = set(td.solve(mdp, opts).objective_trace.tolist())
+        monkeypatch.undo()
+        kept = [(v, nu, q) for v, point, nu, q in passes if point and v in trace]
+        assert kept
+        cut = mdp.restriction.mdp
+        lay = cut.sweep_plan(opts.degree).layout
+        for v, nu, q in kept:
+            policy = td.MemoryPolicy(opts.degree, lay.tables.split(q))
+            want = td.factored_objective(cut, policy, lay.marginals.split(nu), opts.beta)
+            assert abs(v - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("seed, i", [(7, 7), (2, 9), (18, 14)])
     def test_no_false_convergence_after_extrapolation(self, seed, i):
@@ -850,8 +885,8 @@ class TestFreeEnergy:
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_flat_objective_equals_factored_objective(self, degree):
-        # the SqS3 points' objective and the factored objective, both the
-        # row objective, against the brute-force oracle's batched totals, an
+        # the row objective (trace[0]'s) and the factored objective, both
+        # ``objective_rows``, against the brute-force oracle's batched totals, an
         # independent path (F at a policy's own marginals is its total); a
         # member that never plays action 0 has zero entries and massless
         # histories
@@ -870,10 +905,9 @@ class TestFreeEnergy:
         assert all(np.array_equal(a, b) for a, b in zip(flat.tables.split(q), stack.tables))
         belief, nu = forward_pass(mdp, stack)
         flow = plan.forward_flat(q)
-        cycle = solver._Cycle(plan, len(q))
         with np.errstate(divide="ignore"):
-            np.log(q, out=cycle.point[:len(q)])
-        got = cycle.judge(mdp, 0.8, flow, plan.lam(len(q)))
+            log_q = np.log(q)
+        got = objective_rows(mdp, flat, 0.8, plan.lam(len(q)), log_q, flow)
         want = oracle._batched_objective(mdp, 0.8, degree, list(stack.tables))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         got = td.factored_objective(mdp, stack, nu, 0.8, belief)
@@ -895,6 +929,32 @@ class TestFreeEnergy:
             _, nu = forward_pass(mdp, q)
         assert rep.iterations == 4 and not rep.converged
         np.testing.assert_allclose(rep.objective_trace, want, rtol=1e-12, atol=0)
+
+
+def backward_passes(monkeypatch):
+    """Record, from then on, each row of each backward pass: its free energy
+    as ``_sweeps`` computes it, whether it ran on a SqS3 point (an output of
+    ``_Cycle.add``), and copies of its marginals and its Gibbs tables.
+    Returns the list of (value, point, nu, q) rows."""
+    passes, points = [], []
+    real_add, real_backward = solver._Cycle.add, SweepPlan.backward_flat
+
+    def add(cycle, nu, bound):
+        out = real_add(cycle, nu, bound)
+        points[:] = [] if out is None else [out[0]]
+        return out
+
+    def backward_flat(plan, nu, beta):
+        log_phi, q = real_backward(plan, nu, beta)
+        first = log_phi[:, None, :len(plan.initial)]
+        free = (-beta * (first @ plan.initial[:, None])[:, 0, 0]).tolist()
+        point = bool(points) and nu is points[0]
+        passes.extend((v, point, n, t) for v, n, t in zip(free, nu.copy(), q.copy()))
+        return log_phi, q
+
+    monkeypatch.setattr(solver._Cycle, "add", add)
+    monkeypatch.setattr(SweepPlan, "backward_flat", backward_flat)
+    return passes
 
 
 def assert_same_report(a, b):
@@ -987,7 +1047,7 @@ class TestMultiStart:
 
     def test_members_that_keep_sqs3_points_equal_their_solo_solves(self, monkeypatch):
         # degree 1, every start past EXTRAPOLATE_AFTER: members keep SqS3
-        # points (a kept point's objective enters the trace) and leave at
+        # points (a kept point's free energy enters the trace) and leave at
         # their own sweeps, each report its start's solo solve bit for bit
         mdp = oracle.random_mdp(np.random.default_rng(40), 4, 4, 3)
         opts = td.SolveOptions(beta=0.8, degree=1, max_iters=300)
@@ -996,23 +1056,44 @@ class TestMultiStart:
         seeds = np.random.default_rng(5).integers(0, 2**63 - 1, size=3)
         starts = [td.MemoryPolicy.uniform(mdp, 1)] + plan_start_policies(mdp, 1, 2)
         starts += [td.MemoryPolicy.perturbed(mdp, 1, int(s)) for s in seeds]
-        values = []  # the objectives of the SqS3 points tried
-        real = solver._Cycle.judge
-
-        def recorded(self, *args):
-            out = real(self, *args)
-            values.extend(out)
-            return out
-
-        monkeypatch.setattr(solver._Cycle, "judge", recorded)
+        passes = backward_passes(monkeypatch)  # the free energies of the points tried
         kept = 0
         for rep, q0 in zip(full, starts, strict=True):
-            values.clear()
+            passes.clear()
             (alone,) = solver._solve_batch(mdp, opts, reachable_rows(mdp, [q0]))
             assert_same_report(rep, alone)
             assert alone.iterations > solver.EXTRAPOLATE_AFTER
-            kept += len(set(values) & set(alone.objective_trace.tolist()))
+            points = {v for v, point, _, _ in passes if point}
+            kept += len(points & set(alone.objective_trace.tolist()))
         assert kept > 0
+
+    def test_members_that_drop_points_on_different_sweeps_equal_their_solo_solves(
+        self, monkeypatch
+    ):
+        # degree 2: on some SqS3 sweep of the batch a strict subset of the
+        # members that try points drops them, so the plain marginals' second
+        # backward pass runs on that subset alone; each report is still its
+        # start's solo solve bit for bit
+        mdp = oracle.random_mdp(np.random.default_rng(44), 4, 4, 3)
+        opts = td.SolveOptions(beta=0.5, degree=2, max_iters=300)
+        splits = []
+        real = solver._step_bound
+
+        def step_bound(bound, alpha, kept):
+            tried = [b > 0.0 for b in bound]
+            splits.append((sum(tried), sum(t and not k for t, k in zip(tried, kept))))
+            return real(bound, alpha, kept)
+
+        monkeypatch.setattr(solver, "_step_bound", step_bound)
+        full = td.multi_start(mdp, opts, starts=4, seed=9, plan_starts=1)
+        monkeypatch.undo()
+        assert any(0 < dropped < tried for tried, dropped in splits)
+        seeds = np.random.default_rng(9).integers(0, 2**63 - 1, size=4)
+        starts = [td.MemoryPolicy.uniform(mdp, 2)] + plan_start_policies(mdp, 2, 1)
+        starts += [td.MemoryPolicy.perturbed(mdp, 2, int(s)) for s in seeds]
+        for rep, q0 in zip(full, starts, strict=True):
+            (alone,) = solver._solve_batch(mdp, opts, reachable_rows(mdp, [q0]))
+            assert_same_report(rep, alone)
 
     @pytest.mark.parametrize("degree", [0, 2])
     def test_swept_members_are_certified_in_one_call(self, monkeypatch, degree):
