@@ -11,10 +11,10 @@ The trace costs no pass of its own: for q = Gibbs(nu, rho) the stage terms
 c / beta + log(q / nu) telescope through log phi, so F of the policy a
 backward pass builds, against the marginals it was built from, is that pass's
 free energy -beta * E[log phi_0(x_0)], one stacked matmul.  Only the starts'
-values are evaluated directly, by ``model.objective_rows``.  Past its warm-up
-``_sweeps`` extrapolates the action marginals, the state of the iteration:
-a SqS3 point is a marginals row, and the backward pass run on it gives its
-value.
+values are evaluated directly, by ``model.objective_rows``.  From the first
+sweep ``_sweeps`` extrapolates the action marginals, the state of the
+iteration: a SqS3 point is a marginals row, and the backward pass run on it
+gives its value.
 
 Both passes run on the ``SweepPlan`` that the ``FiniteMdp`` caches per
 degree, whose kernels the sweeps call directly on one row of tables per
@@ -92,7 +92,6 @@ __all__ = [
 MASS_TOL = 1e-12
 PLAN_MIX = 0.8  # weight of the greedy action in a plan start
 STEP_GROWTH = 4.0  # factor by which a SqS3 step bound moves
-EXTRAPOLATE_AFTER = 50  # plain sweeps of a start before _sweeps extrapolates
 
 
 @dataclass(frozen=True)
@@ -101,8 +100,10 @@ class SolveOptions:
 
     init is "uniform" or "perturbed"; perturbed starts need a seed.
     tol_objective is absolute, not relative to the total: trace roundoff
-    reaches about 1.4e-11 at totals near 1e4, so at much larger totals only
-    the tol_residual half of the stop test decides.
+    reaches about 1.4e-11 at totals near 1e4, and a member reaches the
+    tol_residual half of the stop test only on a sweep that passes this
+    half, so at much larger totals a solve can sweep to max_iters with its
+    policy gap below tol_residual.
     """
 
     beta: float
@@ -222,11 +223,12 @@ def solve(mdp: FiniteMdp, opts: SolveOptions) -> SolveReport:
     to roundoff.  trace[0] is the start policy's objective F(q_0, nu_0);
     trace[k] = F(q_k, n_{k-1}) is the free energy of the backward pass that
     built q_k from the marginals n_{k-1}: those of q_{k-1}, or a SqS3 point
-    extrapolated from them (see ``_sweeps``).  The solve is declared
-    converged once consecutive objective values differ by less than
-    tol_objective and the policy change over massed pairs (equivalently the
-    fixed-point relation on q) is below tol_residual; the certified
-    stationarity residual of the final iterate is reported either way.
+    extrapolated from them, from sweep 3 on (see ``_sweeps``).  The solve
+    is declared converged once, on two consecutive sweeps clear of a kept
+    point, consecutive objective values differ by less than tol_objective
+    and the policy change over massed pairs (equivalently the fixed-point
+    relation on q) is below tol_residual; the certified stationarity
+    residual of the final iterate is reported either way.
     """
     check_type("mdp", mdp, FiniteMdp)
     check_type("opts", opts, SolveOptions)
@@ -241,11 +243,7 @@ def solve(mdp: FiniteMdp, opts: SolveOptions) -> SolveReport:
 
 
 def _sweeps(
-    mdp: FiniteMdp,
-    opts: SolveOptions,
-    rows: np.ndarray,
-    max_iters: int,
-    done: int = 0,
+    mdp: FiniteMdp, opts: SolveOptions, rows: np.ndarray, max_iters: int
 ) -> tuple[list[list[float]], list[int], list[bool]]:
     """Sweep the start rows (K, ``layout.tables.size``) in lockstep, each
     until its own stop or max_iters.
@@ -259,18 +257,17 @@ def _sweeps(
     earliest failure is raised, as when starts are swept one at a time.  The
     callers build the rows valid, at the plan's shapes.
 
-    Once the starts have had EXTRAPOLATE_AFTER sweeps (``done`` of them before
-    this call), the marginals map nu -> nu(Gibbs(nu)) is extrapolated as in
+    The marginals map nu -> nu(Gibbs(nu)) is extrapolated as in
     ``classical_blahut``: each sweep logs its forward pass's marginals, and
-    on every third log each member takes a SqS3 point (``_squarem``) of its
-    last three, each one row of the plan's ``layout``, so that one step
-    length serves its T marginals (``_Cycle``).  That sweep's backward pass
-    runs on the points, and its free energy is each point's value
-    F(Gibbs(nu_p), nu_p).  A member keeps its point if that value is no
-    higher than its last trace value, so the trace still descends; otherwise
-    a second backward pass runs on its plain marginals, as if no point had
-    been tried.  A member may not stop on the sweep of a kept point or the
-    next one, and past the warm-up it stops only when the stop test passes
+    on every third log, the first on sweep 3, each member takes a SqS3 point
+    (``_squarem``) of its last three, each one row of the plan's ``layout``,
+    so that one step length serves its T marginals (``_Cycle``).  That
+    sweep's backward pass runs on the points, and its free energy is each
+    point's value F(Gibbs(nu_p), nu_p).  A member keeps its point if that
+    value is no higher than its last trace value, so the trace still
+    descends; otherwise a second backward pass runs on its plain marginals,
+    as if no point had been tried.  A member may not stop on the sweep of a
+    kept point or the next one, and it stops only when the stop test passes
     on two consecutive sweeps outside that hold; a pass during the hold ends
     its extrapolation.
     """
@@ -284,7 +281,7 @@ def _sweeps(
     # per row: SqS3 step bound (0 once the member takes no more points), the
     # last sweep it may not stop on, and the last sweep its stop test passed
     bound, hold, passed_at = [1.0] * count, [0] * count, [0] * count
-    cycle, error, k = None, None, 0  # the SqS3 cycle
+    cycle, error, k = _Cycle(plan, count), None, 0
 
     def free(log_phi):  # -beta E log phi_0(x_0) per row: free_energy's bits
         first = log_phi[:, None, :len(mdp.initial)]
@@ -311,8 +308,7 @@ def _sweeps(
         if not live:
             break
         point = None  # the marginals to sweep and the steps, on a SqS3 sweep
-        if done + k > EXTRAPOLATE_AFTER and any(bound):
-            cycle = cycle or _Cycle(plan, len(live))
+        if any(bound):
             point = cycle.add(flow.nu, bound)
         # only the tested members' old tables outlive the backward pass
         old, q = q[tested] if tested else None, None
@@ -331,10 +327,10 @@ def _sweeps(
         stops = []
         if tested:
             gaps = _policy_gap(layout, flow.mu[tested], old, q[tested]).tolist()
-            # past the warm-up a member stops on the second of two passing
-            # sweeps after its hold; one that passes during it takes no more points
+            # a member stops on the second of two passing sweeps after its
+            # hold; one that passes during it takes no more points
             for row in (r for r, gap in zip(tested, gaps) if gap < opts.tol_residual):
-                if done + k <= EXTRAPOLATE_AFTER or hold[row] < k - 1 == passed_at[row]:
+                if hold[row] < k - 1 == passed_at[row]:
                     stops.append(row)
                 passed_at[row] = k
                 if k <= hold[row]:
@@ -348,7 +344,7 @@ def _sweeps(
                 iterations[i], converged[i] = k, r in stops
             live, values, q = [live[r] for r in stay], [values[r] for r in stay], q[stay]
             bound, hold, passed_at = ([x[r] for r in stay] for x in (bound, hold, passed_at))
-            for x in cycle.logs[:cycle.filled] if cycle else ():  # the set iterates
+            for x in cycle.logs[:cycle.filled]:  # the set iterates
                 x[:len(stay)] = x[stay]
     if error is not None:
         raise error
@@ -357,7 +353,7 @@ def _sweeps(
 
 class _Cycle:
     """The SqS3 cycle of ``_sweeps`` on marginals rows for a stack of up to
-    cap members, built by its first extrapolating sweep: the log iterates
+    cap members, built before the first sweep: the log iterates
     x0, x1, x2 (the first ``filled`` set), r and v, and the point and its
     marginals, which hold the step's products first; ``starts`` and
     ``lengths`` locate the (t, h) segments of U_t entries.  ``add`` makes
@@ -414,9 +410,7 @@ def _solve_batch(
     report on each, its policy at the instance's shapes (see multi_start)."""
     start = time.perf_counter()
     cut = mdp.restriction
-    traces, iterations, converged = _sweeps(
-        cut.mdp, opts, rows, opts.max_iters - iters_used, iters_used
-    )
+    traces, iterations, converged = _sweeps(cut.mdp, opts, rows, opts.max_iters - iters_used)
     # canonicalizing only rewrites massless slices, so the swept policies'
     # functionals and certificate are the final policies', bit for bit; lam
     # is read before the certificate's backward pass overwrites it

@@ -27,10 +27,13 @@ Two trees' digests are compared by
 
     python tests/report_digest.py --compare OLD NEW
 
-which prints, for the report lines, the number that changed, the
-convergences lost and gained, the totals worse and better by more than 1e-8
-relative (count, largest relative change, labels) and each tree's total
-iterations; then the number of public lines that changed.  A kernel change
+which prints, for the report lines, the number that changed, then the
+number of public lines on a solved policy that changed (``solved
+stationarity_residual`` certifies ``td.solve``'s policy, so it moves with the
+solver, as a report does), the convergences lost and gained, the totals
+worse and better by more than 1e-8 relative (count, largest relative change,
+labels) and each tree's total iterations; then the number of the other
+public lines that changed, which no solver change moves.  A kernel change
 that keeps its numbers changes no line.  Not collected by pytest; a full
 digest run takes about a minute.
 """
@@ -57,6 +60,7 @@ from workloads import WORKLOADS, _criterion1_draw  # noqa: E402
 
 REFERENCE_SEEDS = [*range(32), 910, 7919]
 TOTAL_RTOL = 1e-8  # a total that moves by more, relative, is listed
+SOLVED = " solved "  # in the label of a public line that reads td.solve's policy
 
 
 def _sha(data: bytes) -> str:
@@ -168,23 +172,31 @@ def workload_reports(name: str, seed: int, workdir: Path):
 
 
 def _parse(lines):
-    """Report fields by label, and public lines by label, of a digest."""
-    reports, public = {}, {}
+    """Report fields by label, public lines on a solved policy by label, and
+    the other public lines by label, of a digest."""
+    reports, solved, public = {}, {}, {}
     for line in lines:
         label, *fields = line.rstrip("\n").split("\t")
         if label.startswith("public "):
-            public[label] = fields
+            (solved if SOLVED in label else public)[label] = fields
         elif fields:
             reports[label] = dict(f.split("=", 1) for f in fields)
-    return reports, public
+    return reports, solved, public
+
+
+def _changed(old, new) -> str:
+    """'n of m': the labels whose lines differ or are in one digest only."""
+    labels = old.keys() | new.keys()
+    return f"{sum(old.get(a) != new.get(a) for a in labels)} of {len(labels)}"
 
 
 def compare(old_lines, new_lines) -> list[str]:
     """The summary lines of two digests' differences (see the module doc)."""
-    (old, old_public), (new, new_public) = _parse(old_lines), _parse(new_lines)
+    (old, old_solved, old_public), (new, new_solved, new_public) = (
+        _parse(old_lines), _parse(new_lines))
     labels = [label for label in old if label in new]
-    changed = sum(old[a] != new[a] for a in labels) + len(old.keys() ^ new.keys())
-    out = [f"report lines changed: {changed} of {len(old.keys() | new.keys())}"]
+    out = [f"report lines changed: {_changed(old, new)}",
+           f"solved-policy public lines changed: {_changed(old_solved, new_solved)}"]
     for name, was in (("lost", "True"), ("gained", "False")):
         moved = [a for a in labels if old[a]["converged"] == was != new[a]["converged"]]
         out.append(f"convergences {name}: {len(moved)}" + "".join(f"\n  {a}" for a in moved))
@@ -201,9 +213,7 @@ def compare(old_lines, new_lines) -> list[str]:
     for name, digest_ in (("old", old), ("new", new)):
         total = sum(int(f["iterations"]) for f in digest_.values())
         out.append(f"iterations {name}: {total}")
-    public = sum(old_public.get(a) != new_public.get(a)
-                 for a in old_public.keys() | new_public.keys())
-    out.append(f"public lines changed: {public} of {len(old_public.keys() | new_public.keys())}")
+    out.append(f"public lines changed: {_changed(old_public, new_public)}")
     return out
 
 

@@ -413,23 +413,33 @@ class TestSolve:
             assert abs(v - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("seed, i", [(7, 7), (2, 9), (18, 14)])
-    def test_no_false_convergence_after_extrapolation(self, seed, i):
+    def test_no_false_convergence_after_extrapolation(self, monkeypatch, seed, i):
         # criterion-1 draws where a stop shortly after a kept SqS3 point
         # claimed convergence with a certificate of 1.0e-8 to 2.4e-8
+        passes = backward_passes(monkeypatch)
         mdp, opts = criterion_1_draw(seed, i)
         rep = td.solve(mdp, opts)
-        assert rep.iterations > solver.EXTRAPOLATE_AFTER
+        assert any(point for _, point, _, _ in passes)
         assert not rep.converged or rep.residual < opts.tol_residual
         trace = rep.objective_trace
         assert (trace[1:] - trace[:-1] <= 1e-12).all()
 
+    def test_third_backward_pass_runs_on_a_sqs3_point(self, monkeypatch):
+        # the cycle logs the marginals of sweeps 1-3 and builds its first
+        # point from them, so sweep 3's backward pass runs on that point
+        passes = backward_passes(monkeypatch)
+        mdp, opts = criterion_1_draw(910, 8)
+        rep = td.solve(mdp, replace(opts, max_iters=3))
+        assert rep.iterations == 3 and not rep.converged
+        assert [point for _, point, _, _ in passes[:3]] == [False, False, True]
+
     def test_extrapolation_cuts_sweeps_without_changing_the_optimum(self, monkeypatch):
-        # the same draw with the extrapolation pushed past the cap: fewer
-        # sweeps to a certified stop, and the same stationary value
+        # the same draw with a cycle that builds no point: fewer sweeps to a
+        # certified stop, and the same stationary value
         mdp, opts = criterion_1_draw(910, 8)
         opts = replace(opts, max_iters=2000)
         fast = td.solve(mdp, opts)
-        monkeypatch.setattr(solver, "EXTRAPOLATE_AFTER", opts.max_iters)
+        monkeypatch.setattr(solver._Cycle, "add", lambda cycle, nu, bound: None)
         plain = td.solve(mdp, opts)
         assert fast.converged and plain.converged
         assert fast.iterations < plain.iterations / 2
@@ -1002,8 +1012,8 @@ class TestMultiStart:
 
     @pytest.mark.parametrize("degree, maze", [
         *(pytest.param(n, False, id=str(n)) for n in (0, 1, 2)),
-        # the T=25 sample maze; its members pass EXTRAPOLATE_AFTER and
-        # converge at different sweeps
+        # the T=25 sample maze; its members try SqS3 points and converge at
+        # different sweeps
         pytest.param(0, True, id="maze-0"),
     ])
     def test_batched_starts_equal_starts_run_alone(self, degree, maze):
@@ -1046,9 +1056,9 @@ class TestMultiStart:
         assert_same_report(got, want[0])
 
     def test_members_that_keep_sqs3_points_equal_their_solo_solves(self, monkeypatch):
-        # degree 1, every start past EXTRAPOLATE_AFTER: members keep SqS3
-        # points (a kept point's free energy enters the trace) and leave at
-        # their own sweeps, each report its start's solo solve bit for bit
+        # degree 1: every start tries SqS3 points, members keep some (a kept
+        # point's free energy enters the trace) and leave at their own
+        # sweeps, each report its start's solo solve bit for bit
         mdp = oracle.random_mdp(np.random.default_rng(40), 4, 4, 3)
         opts = td.SolveOptions(beta=0.8, degree=1, max_iters=300)
         full = td.multi_start(mdp, opts, starts=3, seed=5, plan_starts=2)
@@ -1062,8 +1072,8 @@ class TestMultiStart:
             passes.clear()
             (alone,) = solver._solve_batch(mdp, opts, reachable_rows(mdp, [q0]))
             assert_same_report(rep, alone)
-            assert alone.iterations > solver.EXTRAPOLATE_AFTER
             points = {v for v, point, _, _ in passes if point}
+            assert points
             kept += len(points & set(alone.objective_trace.tolist()))
         assert kept > 0
 

@@ -27,7 +27,6 @@ from termdp.model import (
     log_marginals,
 )
 from termdp.solver import (
-    EXTRAPOLATE_AFTER,
     PolicyStack,
     backward_pass,
     forward_pass,
@@ -409,16 +408,16 @@ def test_per_pass_marginals_equal_per_step_sums(degree, k):
 
 
 def test_sweep_tables_are_views_of_one_c_ordered_row_per_member(monkeypatch):
-    # every forward pass of a multi-start's sweeps, past the warm-up too,
-    # reads one C-ordered tables row per member, and the backward pass of a
-    # stack returns per-step tables that are views of such rows
+    # every forward pass of a multi-start's sweeps, those after a SqS3 point
+    # too, reads one C-ordered tables row per member, and the backward pass
+    # of a stack returns per-step tables that are views of such rows
     mdp = oracle.random_mdp(np.random.default_rng(40), 4, 4, 3)
-    opts = td.SolveOptions(beta=0.6, degree=1, max_iters=EXTRAPOLATE_AFTER + 20)
+    opts = td.SolveOptions(beta=0.6, degree=1, max_iters=20)
     seen = []
     real = SweepPlan.forward_flat
 
     def forward_flat(plan, q):
-        if sys._getframe(1).f_code.co_name in ("_sweeps", "_resweep"):
+        if sys._getframe(1).f_code.co_name == "_sweeps":
             seen.append(q)
         return real(plan, q)
 
@@ -433,7 +432,7 @@ def test_sweep_tables_are_views_of_one_c_ordered_row_per_member(monkeypatch):
                 and all(q.base is row for q in tables)
                 and all(q[i].flags.c_contiguous for q in tables for i in range(len(q))))
 
-    assert len(seen) > EXTRAPOLATE_AFTER and all(
+    assert len(seen) > 3 and all(  # the first point is swept on sweep 3
         q.ndim == 2 and q.shape[1] == cells and q.flags.c_contiguous for q in seen)
     pols = [oracle.random_policy(np.random.default_rng(i), mdp, 1) for i in range(3)]
     _, nu = forward_pass(mdp, PolicyStack.of(1, pols))
@@ -496,12 +495,12 @@ def test_plan_is_cached_and_holds_views():
         assert not s.flat.flags.owndata and np.shares_memory(s.flat, p)
         assert not s.by_action.flags.owndata and np.shares_memory(s.by_action, p)
     # the flat layout is built once, by the first forward pass, whose rows
-    # it lays out, and serves the sweeps past the warm-up too
+    # it lays out, and serves the sweep of the first SqS3 point too
     assert "layout" not in vars(plan)
     forward_pass(mdp, td.MemoryPolicy.uniform(mdp, 2))
     layout = vars(plan)["layout"]
     opts = td.SolveOptions(beta=1.0, degree=2, tol_objective=1e-300,
-                           tol_residual=1e-300, max_iters=EXTRAPOLATE_AFTER + 1)
+                           tol_residual=1e-300, max_iters=3)
     td.solve(mdp, opts)
     assert plan.layout is layout
     assert layout.tables.shapes == tuple(s.shape for s in plan.steps)

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import termdp as td
 from termdp import oracle, solver
 from termdp.model import FiniteMdp, Space, SweepPlan
-from termdp.solver import EXTRAPOLATE_AFTER, PolicyStack, residual_from_policy
+from termdp.solver import PolicyStack, residual_from_policy
 
 import reference
 from reference import (
@@ -133,13 +133,13 @@ def test_returned_rows_outlive_later_passes(case):
 @settings(max_examples=15, deadline=None)
 @given(case=CASES)
 def test_members_of_a_changing_stack_equal_their_solo_runs(case):
-    # the stack sweeps past the warm-up, so members try SqS3 points and
-    # dropped points are reswept at smaller heights; one member starts from a
+    # from sweep 3 the members try SqS3 points, and dropped points are
+    # reswept at smaller heights; one member starts from a
     # fixed point and leaves early; each member's trace, stop and final row
     # are its solo run's bit for bit
     mdp, pols = _draw(case)
     opts = td.SolveOptions(beta=case["beta"], degree=case["degree"],
-                           max_iters=EXTRAPOLATE_AFTER + 30)
+                           max_iters=30)
     fixed = td.solve(mdp, td.SolveOptions(beta=case["beta"], degree=case["degree"],
                                           max_iters=1000))
     starts = reachable_rows(mdp, [fixed.policy, *pols])
@@ -162,7 +162,7 @@ def test_sweeps_split_no_row_after_the_first_sweep(case):
     # on the workspace's views
     mdp, _ = _draw(case)
     opts = td.SolveOptions(beta=case["beta"], degree=case["degree"], init="perturbed",
-                           seed=case["seed"], max_iters=EXTRAPOLATE_AFTER + 20)
+                           seed=case["seed"], max_iters=20)
     multi = dict(starts=case["k"], seed=case["seed"], plan_starts=1)
     runs = (lambda: td.multi_start(mdp, opts, **multi), lambda: td.solve(mdp, opts))
     for run in runs:
@@ -270,13 +270,12 @@ def test_threads_sharing_an_instance_match_sequential_runs():
         return oracle.random_mdp(np.random.default_rng(21), 5, 4, 3)
 
     def first(mdp):
-        opts = td.SolveOptions(beta=0.8, degree=1, init="perturbed", seed=4,
-                               max_iters=EXTRAPOLATE_AFTER + 40)
+        opts = td.SolveOptions(beta=0.8, degree=1, init="perturbed", seed=4, max_iters=40)
         rep = td.solve(mdp, opts)
         return [*_fields(rep), residual_from_policy(mdp, rep.policy, 0.8)]
 
     def second(mdp):
-        opts = td.SolveOptions(beta=0.8, degree=1, max_iters=EXTRAPOLATE_AFTER + 40)
+        opts = td.SolveOptions(beta=0.8, degree=1, max_iters=40)
         reps = td.multi_start(mdp, opts, starts=2, seed=9, plan_starts=1)
         stack = PolicyStack.of(1, [r.policy for r in reps])
         return [v for r in reps for v in _fields(r)] + [
