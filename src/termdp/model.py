@@ -1273,11 +1273,13 @@ def cost_rows(mdp: FiniteMdp, layout: FlatLayout, lam, mu) -> np.ndarray:
 
 
 def information_rows(layout: FlatLayout, lam, q, nu) -> np.ndarray:
-    """Per-step information (..., T) of rows lam = mu q, q and nu: sum
-    lam log(q / nu) over each step's entries where lam > 0."""
+    """Per-step information (..., T) of rows lam = mu q, q and nu: the sum
+    over each step's (t, x, h) of max(0, sum_u lam log(q / nu) where lam > 0)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = lam * (np.log(q) - np.log(nu).take(layout.nu_of, -1))
     terms[~(lam > 0.0)] = 0.0
+    starts = np.flatnonzero(np.diff(layout.row_of, prepend=-1))
+    terms[(np.add.reduceat(terms, starts, axis=-1) < 0.0).take(layout.row_of, -1)] = 0.0
     return np.add.reduceat(terms, [s.start for s in layout.tables.spans], axis=-1)
 
 

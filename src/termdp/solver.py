@@ -13,8 +13,8 @@ backward pass builds, against the marginals it was built from, is that pass's
 free energy -beta * E[log phi_0(x_0)], one stacked matmul.  Only the starts'
 values are evaluated directly, by ``model.objective_rows``.  From the first
 sweep ``_sweeps`` extrapolates the action marginals, the state of the
-iteration: a SqS3 point is a marginals row, and the backward pass run on it
-gives its value.
+iteration: a SqS3 point is a marginals row, valued by the backward pass run
+on it; every tenth sweep, Blahut's test holds vanishing actions out of it.
 
 Both passes run on the ``SweepPlan`` that the ``FiniteMdp`` caches per
 degree, whose kernels the sweeps call directly on one row of tables per
@@ -25,9 +25,9 @@ solve is a batch of one.  One stacked final forward pass serves the batch's
 certificate and, on rows, its cost, information and canonical policies.  A
 policy is one tables row per member from its start, built on the reachable
 states (``FiniteMdp.restriction``), to its report, the only ``MemoryPolicy``.
-The stop test and the certificate measure the same policy gap: the sup-norm
-change one backward pass makes to the policy where there is belief mass
-(``_policy_gap``).
+The stop test and the certificate measure the same residual: the sup-norm
+change one backward pass makes to the policy where there is belief mass, or
+Blahut's boundary term at held marginals where larger (``_residual``).
 
 The weight beta is absorbed by dividing stage costs by beta inside the
 backward recursion; reported costs are always unscaled.  Partition functions
@@ -70,6 +70,7 @@ from .model import (
     objective_rows,
     perturbed_tables,
     uniform_tables,
+    _bin_sums,
     _rows,
 )
 
@@ -92,6 +93,10 @@ __all__ = [
 MASS_TOL = 1e-12
 PLAN_MIX = 0.8  # weight of the greedy action in a plan start
 STEP_GROWTH = 4.0  # factor by which a SqS3 step bound moves
+ACTIVE_EVERY = 10  # sweeps between a member's active-set checks
+HOLD_BELOW = 1e-3  # a marginal below it whose multiplier is below 1 is held
+HELD = 1e-200  # the mass of a held marginal; a released one gets HOLD_BELOW
+HELD_LEVEL = 1e-150  # a marginal at or below it counts as held
 
 
 @dataclass(frozen=True)
@@ -208,14 +213,6 @@ def backward_pass(
     return rho, log_phi, kind(degree, lay.tables.split(q))
 
 
-def _policy_gap(layout, mu, old, new) -> np.ndarray:
-    """Sup-norm change from old to new table rows over the entries whose
-    (t, x, h) has belief mass in the beliefs row mu; rows stacked on a
-    leading batch axis give one gap per member."""
-    massed = mu.take(layout.row_of, axis=-1) > MASS_TOL
-    return np.maximum.reduce(np.abs(old - new), axis=-1, where=massed, initial=0.0)
-
-
 def solve(mdp: FiniteMdp, opts: SolveOptions) -> SolveReport:
     """Iterate forward and backward sweeps until the objective stalls.
 
@@ -223,12 +220,11 @@ def solve(mdp: FiniteMdp, opts: SolveOptions) -> SolveReport:
     to roundoff.  trace[0] is the start policy's objective F(q_0, nu_0);
     trace[k] = F(q_k, n_{k-1}) is the free energy of the backward pass that
     built q_k from the marginals n_{k-1}: those of q_{k-1}, or a SqS3 point
-    extrapolated from them, from sweep 3 on (see ``_sweeps``).  The solve
-    is declared converged once, on two consecutive sweeps clear of a kept
-    point, consecutive objective values differ by less than tol_objective
-    and the policy change over massed pairs (equivalently the fixed-point
-    relation on q) is below tol_residual; the certified stationarity
-    residual of the final iterate is reported either way.
+    extrapolated from them, from sweep 3 on, or with a moved active set (see
+    ``_sweeps``).  The solve is declared converged once, on two consecutive
+    sweeps clear of a kept point, consecutive objective values differ by
+    less than tol_objective and the residual (``residual_from_policy``) is
+    below tol_residual; the final iterate's residual is reported either way.
     """
     check_type("mdp", mdp, FiniteMdp)
     check_type("opts", opts, SolveOptions)
@@ -268,8 +264,13 @@ def _sweeps(
     descends; otherwise a second backward pass runs on its plain marginals,
     as if no point had been tried.  A member may not stop on the sweep of a
     kept point or the next one, and it stops only when the stop test passes
-    on two consecutive sweeps outside that hold; a pass during the hold ends
+    on two consecutive sweeps outside that wait; a pass during the wait ends
     its extrapolation.
+
+    Every ACTIVE_EVERY sweeps but a member's last, ``_Cycle.check`` moves
+    vanishing marginals out of its active set and back by Blahut's test; a
+    move is judged as a point is, by one trial backward pass, and a kept
+    one is logged as the member's set iterates, so that no step sees a jump.
     """
     plan = mdp.sweep_plan(opts.degree)
     layout = plan.layout
@@ -280,7 +281,7 @@ def _sweeps(
     live = list(range(count))  # the start swept in each row
     # per row: SqS3 step bound (0 once the member takes no more points), the
     # last sweep it may not stop on, and the last sweep its stop test passed
-    bound, hold, passed_at = [1.0] * count, [0] * count, [0] * count
+    bound, wait, passed_at = [1.0] * count, [0] * count, [0] * count
     cycle, error, k = _Cycle(plan, count), None, 0
 
     def free(log_phi):  # -beta E log phi_0(x_0) per row: free_energy's bits
@@ -301,7 +302,7 @@ def _sweeps(
             if not math.isfinite(values[row]):
                 error = NumericalError(f"non-finite objective at iteration {k}")
                 live, q, flow = live[:row], q[:row], Flow(*(x[:row] for x in flow))
-                bound, hold, passed_at = bound[:row], hold[:row], passed_at[:row]
+                bound, wait, passed_at = bound[:row], wait[:row], passed_at[:row]
                 break
             if len(tr) > 1 and abs(tr[-2] - tr[-1]) < opts.tol_objective:
                 tested.append(row)
@@ -309,7 +310,7 @@ def _sweeps(
             break
         point = None  # the marginals to sweep and the steps, on a SqS3 sweep
         if any(bound):
-            point = cycle.add(flow.nu, bound)
+            point = cycle.add(flow, bound)
         # only the tested members' old tables outlive the backward pass
         old, q = q[tested] if tested else None, None
         log_phi, q = plan.backward_flat(flow.nu if point is None else point[0], opts.beta)
@@ -322,18 +323,31 @@ def _sweeps(
                 for r, v in zip(dropped, free(log_phi)):
                     values[r] = v
             bound = _step_bound(bound, point[1], kept)
-            hold = [k + 1 if kp else h for h, kp in zip(hold, kept)]
+            wait = [k + 1 if kp else h for h, kp in zip(wait, kept)]
             cycle.restart(kept)
+        elif k % ACTIVE_EVERY == 0 and k < max_iters and flow.nu.min() < HOLD_BELOW:
+            trial, changed = cycle.check(flow, q)
+            moved = np.flatnonzero(changed.any(axis=-1)).tolist()
+            if moved:  # judged as a point is, by its own free energy
+                log_phi, new = plan.backward_flat(trial[moved], opts.beta)
+                keep = []
+                for j, (r, v) in enumerate(zip(moved, free(log_phi))):
+                    if v <= traces[live[r]][-1]:
+                        q[r], values[r], keep = new[j], v, keep + [r]
+                x = np.log(np.maximum(trial[keep], MARGINAL_FLOOR))  # kept moves, logged
+                for j, log in enumerate(cycle.logs[:cycle.filled], 1 - cycle.filled):
+                    log[keep] = np.where(changed[keep], x, log[keep]) if j else x  # x1 whole
         stops = []
         if tested:
-            gaps = _policy_gap(layout, flow.mu[tested], old, q[tested]).tolist()
+            gaps = _residual(layout, flow.mu[tested], old, q[tested], flow.nu[tested],
+                             opts.tol_residual)
             # a member stops on the second of two passing sweeps after its
-            # hold; one that passes during it takes no more points
-            for row in (r for r, gap in zip(tested, gaps) if gap < opts.tol_residual):
-                if hold[row] < k - 1 == passed_at[row]:
+            # wait; one that passes during it takes no more points
+            for row in (r for r, gap in zip(tested, gaps.tolist()) if gap < opts.tol_residual):
+                if wait[row] < k - 1 == passed_at[row]:
                     stops.append(row)
                 passed_at[row] = k
-                if k <= hold[row]:
+                if k <= wait[row]:
                     bound[row] = 0.0
         if stops or k == max_iters:
             stay = [r for r in range(len(live)) if r not in stops and k < max_iters]
@@ -343,7 +357,7 @@ def _sweeps(
             for r, i in zip(gone, ids):
                 iterations[i], converged[i] = k, r in stops
             live, values, q = [live[r] for r in stay], [values[r] for r in stay], q[stay]
-            bound, hold, passed_at = ([x[r] for r in stay] for x in (bound, hold, passed_at))
+            bound, wait, passed_at = ([x[r] for r in stay] for x in (bound, wait, passed_at))
             for x in cycle.logs[:cycle.filled]:  # the set iterates
                 x[:len(stay)] = x[stay]
     if error is not None:
@@ -353,14 +367,14 @@ def _sweeps(
 
 class _Cycle:
     """The SqS3 cycle of ``_sweeps`` on marginals rows for a stack of up to
-    cap members, built before the first sweep: the log iterates
-    x0, x1, x2 (the first ``filled`` set), r and v, and the point and its
-    marginals, which hold the step's products first; ``starts`` and
-    ``lengths`` locate the (t, h) segments of U_t entries.  ``add`` makes
-    only ufunc and reduceat calls."""
+    cap members, built before the first sweep: the log iterates x0, x1, x2
+    (the first ``filled`` set), r and v, and the point and its marginals,
+    which hold the step's products first; ``starts`` and ``lengths`` locate
+    the (t, h) segments of U_t entries.  Only the active set is extrapolated:
+    a held marginal, or one of a history without mass, keeps x2."""
 
     def __init__(self, plan, cap) -> None:
-        lay = plan.layout
+        lay = self.layout = plan.layout
         self.lengths = np.bincount(lay.history_of)
         self.starts = np.cumsum(self.lengths) - self.lengths
         n, self.filled = lay.marginals.size, 0
@@ -368,16 +382,22 @@ class _Cycle:
         self.logs, (self.point, self.marginals) = list(self.logs), self.out
         self.top, self.lse = np.empty((2, cap, len(self.starts)))  # per segment
 
-    def add(self, nu, bound):
-        """Log the marginals rows nu as the next iterate; on the third, return
+    def add(self, flow, bound):
+        """Log flow's marginals rows as the next iterate; on the third, return
         the rows to sweep (the point, floored and renormalized per segment,
-        as marginals where the bound is positive, else nu's row) and the steps."""
-        k = len(nu)
+        as marginals where the bound is positive, else flow's row) and the steps."""
+        k, nu = len(flow.nu), flow.nu
         x = self.logs[self.filled][:k]
         np.log(np.maximum(nu, MARGINAL_FLOOR, out=x), out=x)
         self.filled += 1
         if self.filled < 3:
             return None
+        out = x <= math.log(HELD_LEVEL)
+        if flow.mu.min() <= MASS_TOL:  # else every history has mass
+            out |= _history_mass(self.layout, flow.mu) <= MASS_TOL
+        if out.any():  # x0 = x1 = x2 outside the active set
+            for log in self.logs[:2]:
+                np.copyto(log[:k], x, where=out)
         x, alpha = _squarem(*(log[:k] for log in self.logs), bound,
                             (self.point[:k], self.pair[:, :k], self.out[:, :k]))
         top, lse, e = self.top[:k], self.lse[:k], self.marginals[:k]
@@ -390,6 +410,19 @@ class _Cycle:
         for r in (r for r, b in enumerate(bound) if not b > 0.0):
             marginals[r] = nu[r]
         return marginals, alpha
+
+    def check(self, flow, q):
+        """Trial marginals rows for a sweep that built tables rows q from
+        flow's, and where they changed: in histories with mass, a marginal
+        below HOLD_BELOW with multiplier below 1 is held at HELD, a held one
+        with multiplier above 1 released at HOLD_BELOW, segments renormalized."""
+        mu, nu = flow
+        s, held = _multipliers(self.layout, mu, q, nu), (nu > 0.0) & (nu <= HELD_LEVEL)
+        hold = (nu < HOLD_BELOW) & (s < 1.0) & ~held
+        changed = (hold | held & (s > 1.0)) & (_history_mass(self.layout, mu) > MASS_TOL)
+        trial = np.where(changed, np.where(hold, HELD, HOLD_BELOW), nu)
+        trial /= np.add.reduceat(trial, self.starts, axis=-1).repeat(self.lengths, axis=-1)
+        return trial, changed
 
     def restart(self, kept) -> None:
         """Start the next cycle at x0: the point where kept, else x2."""
@@ -622,9 +655,10 @@ def residual_from_policy(
     """Stationarity residual of the iterate one sweep builds from a policy.
 
     Four of the five relations hold there by construction, so only the
-    policy relation is measured: the stop test's gap between the policy and
-    the tables of its own backward pass.  This equals ``stationarity_residual``
-    of that iterate up to roundoff: its Gibbs step forms z from rho.  A
+    policy relation is measured, as the stop test measures it (``_residual``):
+    the gap to the tables of its own backward pass, which equals
+    ``stationarity_residual`` of that iterate up to roundoff, or Blahut's
+    boundary term at marginals of at most 1e-150 where larger.  A
     ``PolicyStack`` gives one residual per member, each its single call's.
     """
     beta = check_real("beta", beta)
@@ -634,9 +668,39 @@ def residual_from_policy(
 
 
 def _certificate(plan, q, beta, flow):
-    """``residual_from_policy`` of tables rows q given their forward pass."""
+    """``residual_from_policy``, gap and boundary term, of tables rows q and their flow."""
     fresh = plan.backward_flat(flow.nu, beta)[1]
-    return _policy_gap(plan.layout, flow.mu, q, fresh)
+    return _residual(plan.layout, flow.mu, q, fresh, flow.nu)
+
+
+def _history_mass(layout, mu):
+    """Each marginals entry's history mass, sum_x mu_t(x, h), of beliefs rows mu."""
+    at = layout.bin_of[layout.tables.size:] - layout.marginals.size  # (t, h), or T
+    return _bin_sums(at, mu, layout.histories + 1, layout.offsets).take(layout.history_of, -1)
+
+
+def _multipliers(layout, mu, q, nu):
+    """Blahut's multipliers s = nu-hat / nu of marginals rows nu, whose Gibbs
+    tables rows are q, under beliefs rows mu: nu-hat is the action marginal
+    of mu q, and nu is floored as the backward pass reads it."""
+    hat = layout.action_marginals(np.concatenate([mu.take(layout.row_of, -1) * q, mu], -1))
+    return np.divide(hat, np.maximum(nu, MARGINAL_FLOOR), out=hat)
+
+
+def _residual(layout, mu, old, new, nu, below=math.inf):
+    """The stop test's and the certificate's residual of tables rows old,
+    whose marginals rows nu under beliefs rows mu give Gibbs tables rows new:
+    the policy gap, the sup-norm change over (t, x, h) with mass, or where
+    larger and the gap is below ``below``, Blahut's boundary term
+    max(0, s - 1) over held marginals of histories with mass, per member."""
+    gap = np.maximum.reduce(np.abs(old - new), axis=-1, initial=0.0,
+                            where=mu.take(layout.row_of, axis=-1) > MASS_TOL)
+    if nu.min() <= HELD_LEVEL and (gap < below).any():  # else the gap's bits
+        held = (nu > 0.0) & (nu <= HELD_LEVEL) & (gap < below)[..., None]
+        held &= _history_mass(layout, mu) > MASS_TOL
+        s = _multipliers(layout, mu, new, nu)
+        gap = np.maximum(gap, np.maximum.reduce(s, -1, where=held, initial=1.0) - 1.0)
+    return gap
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,16 @@ def log_normalize(layout, x):
     return _segment_normalize(x, layout.row_of)
 
 
+def active_logs(layout, logs, mu, held_level=1e-150, mass_tol=1e-12):
+    """The SqS3 log-iterates x0, x1, x2 with x0 and x1 set to x2 outside the
+    active set: where x2 is at most log(held_level), and in each (t, h)
+    whose mass sum_x mu_t(x, h) in the beliefs rows mu is at most mass_tol."""
+    mass = [np.repeat(m.sum(axis=-2), shape[1], axis=-1) for m, shape in
+            zip(layout.beliefs.split(mu), layout.marginals.shapes)]
+    out = (logs[2] <= np.log(held_level)) | (np.concatenate(mass, axis=-1) <= mass_tol)
+    return [np.where(out, logs[2], x) for x in logs[:2]] + [logs[2]]
+
+
 def log_normalize_marginals(layout, x):
     """Floor log-marginals rows at LOG_FLOOR, renormalize each (t, h) segment."""
     return _segment_normalize(x, layout.history_of)

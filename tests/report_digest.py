@@ -32,7 +32,8 @@ number of public lines on a solved policy that changed (``solved
 stationarity_residual`` certifies ``td.solve``'s policy, so it moves with the
 solver, as a report does), the convergences lost and gained, the totals
 worse and better by more than 1e-8 relative (count, largest relative change,
-labels) and each tree's total iterations; then the number of the other
+labels) and each tree's total iterations, capped reports (not converged) and
+worst converged residual; then the number of the other
 public lines that changed, which no solver change moves.  A kernel change
 that keeps its numbers changes no line.  Not collected by pytest; a full
 digest run takes about a minute.
@@ -212,7 +213,11 @@ def compare(old_lines, new_lines) -> list[str]:
                    + "".join(f"\n  {a} {rel[a]:+.3g}" for a in moved))
     for name, digest_ in (("old", old), ("new", new)):
         total = sum(int(f["iterations"]) for f in digest_.values())
-        out.append(f"iterations {name}: {total}")
+        capped = sum(f["converged"] != "True" for f in digest_.values())
+        worst = max((float(f["residual"]) for f in digest_.values()
+                     if f["converged"] == "True"), default=0.0)
+        out.append(f"iterations {name}: {total}, capped {capped}, "
+                   f"worst converged residual {worst:.3g}")
     out.append(f"public lines changed: {_changed(old_public, new_public)}")
     return out
 

@@ -30,9 +30,10 @@ public draw=0 solved stationarity_residual\t2e-09
 def test_compare_counts_the_moved_reports():
     # one report unchanged; one convergence lost, with its total worse by
     # 3.3e-10 relative (inside 1e-8); two gained, one of them 5e-6 better
-    # and the other 1e-4 worse; iterations 960 -> 650; the solved policy's
-    # public line moved, and is counted apart from the one other public
-    # line that moved
+    # and the other 1e-4 worse; iterations 960 -> 650, capped reports
+    # 2 -> 1 and the worst converged residual 1e-10 -> 4e-9; the solved
+    # policy's public line moved, and is counted apart from the one other
+    # public line that moved
     out = report_digest.compare(OLD.splitlines(), NEW.splitlines())
     assert out == [
         "report lines changed: 3 of 4",
@@ -43,8 +44,8 @@ def test_compare_counts_the_moved_reports():
         "\n  criterion-1 draw=910000 +0.0001",
         "totals better by more than 1e-08 relative: 1, largest 5e-06"
         "\n  a seed=1 0 solver.solve#0 -5e-06",
-        "iterations old: 960",
-        "iterations new: 650",
+        "iterations old: 960, capped 2, worst converged residual 1e-10",
+        "iterations new: 650, capped 1, worst converged residual 4e-09",
         "public lines changed: 1 of 2",
     ]
 
@@ -61,5 +62,7 @@ def test_compare_command_reads_two_files(tmp_path):
         "convergences lost: 0", "convergences gained: 0",
         "totals worse by more than 1e-08 relative: 0",
         "totals better by more than 1e-08 relative: 0",
-        "iterations old: 960", "iterations new: 960", "public lines changed: 0 of 2",
+        "iterations old: 960, capped 2, worst converged residual 1e-10",
+        "iterations new: 960, capped 2, worst converged residual 1e-10",
+        "public lines changed: 0 of 2",
     ]

@@ -9,7 +9,7 @@ import pytest
 import termdp as td
 from termdp import oracle, solver
 from termdp.errors import InstanceError, NumericalError
-from termdp.model import SweepPlan, objective_rows
+from termdp.model import SweepPlan, induced_action_marginals, objective_rows
 from termdp.solver import (
     PolicyStack,
     SolverIterate,
@@ -68,6 +68,22 @@ def criterion_1_draw(seed, i):
         init="perturbed", seed=i, max_iters=400,
     )
     return mdp, opts
+
+
+def boundary_term(mdp, policy, beta):
+    """Blahut's boundary term of a policy, by the public passes: max(0, s - 1)
+    over the marginals in (0, 1e-150] of histories with mass, s the ratio of
+    the action marginal of its Gibbs policy to the marginal; and how many
+    such marginals there are."""
+    belief, nu = forward_pass(mdp, policy)
+    fresh = backward_pass(mdp, nu, beta, policy.degree)[2]
+    hats = induced_action_marginals(mdp, fresh, belief)
+    term, count = 0.0, 0
+    for mu, n, hat in zip(belief.mus, nu, hats):
+        held = (n > 0.0) & (n <= 1e-150) & (mu.sum(axis=0)[:, None] > 1e-12)
+        count += int(held.sum())
+        term = max([term, *(hat[held] / np.maximum(n[held], 1e-300) - 1.0)])
+    return term, count
 
 
 def eq10_trial(seed):
@@ -324,10 +340,11 @@ class TestSolve:
         # one forward pass per sweep plus one for the final policy, which the
         # report's cost, information and certificate share; every forward
         # pass runs the plan's one forward kernel.  Backward passes: one per
-        # sweep and the certificate's, and a dropped SqS3 point costs one
-        # more: its sweep then sweeps the plain marginals
+        # sweep and the certificate's, a dropped SqS3 point costs one more
+        # (its sweep then sweeps the plain marginals), and so does an
+        # active-set check that moves a marginal: its trial pass
         calls = {"forward_flat": 0, "backward_flat": 0}
-        dropped = []
+        dropped, trials = [], []
         for name in calls:
             original = getattr(SweepPlan, name)
 
@@ -343,21 +360,30 @@ class TestSolve:
             return real_step_bound(bound, alpha, kept)
 
         monkeypatch.setattr(solver, "_step_bound", step_bound)
+        real_check = solver._Cycle.check
+
+        def check(cycle, flow, q):
+            trial, changed = real_check(cycle, flow, q)
+            trials.append(bool(changed.any()))
+            return trial, changed
+
+        monkeypatch.setattr(solver._Cycle, "check", check)
         mdp = oracle.random_mdp(np.random.default_rng(3), 4)
         opts = td.SolveOptions(beta=0.9, degree=1, max_iters=max_iters)
         rep = td.solve(mdp, opts)
         assert rep.converged or rep.iterations == max_iters
         assert calls["forward_flat"] == rep.iterations + 1
-        assert calls["backward_flat"] == rep.iterations + 1 + len(dropped)
+        assert calls["backward_flat"] == rep.iterations + 1 + len(dropped) + sum(trials)
+        assert any(trials) == (max_iters > solver.ACTIVE_EVERY)
 
-    @pytest.mark.parametrize("i", [29, 69])
+    @pytest.mark.parametrize("i", [3, 40])
     def test_stop_test_of_a_dropped_point_measures_the_plain_policy(self, monkeypatch, i):
         # criterion-1 draws where the stop test runs on the sweep of a
-        # dropped SqS3 point, found by its second backward pass: its gap is
-        # the plain policy's own residual
+        # dropped SqS3 point, found by its second backward pass with no
+        # active-set check before it: its residual is the plain policy's own
         events = []
         for owner, name in ((SweepPlan, "forward_flat"), (SweepPlan, "backward_flat"),
-                            (solver, "_policy_gap")):
+                            (solver._Cycle, "check"), (solver, "_residual")):
             original = getattr(owner, name)
 
             def logged(*args, _name=name, _original=original):
@@ -376,7 +402,7 @@ class TestSolve:
         monkeypatch.undo()
         names = [name for name, _ in events]
         tested = [j for j in range(len(events) - 3) if names[j:j + 4] == [
-            "forward_flat", "backward_flat", "backward_flat", "_policy_gap"]]
+            "forward_flat", "backward_flat", "backward_flat", "_residual"]]
         assert tested
         for j in tested:
             plain, gap = events[j][1], events[j + 3][1]
@@ -446,6 +472,59 @@ class TestSolve:
         assert fast.residual < opts.tol_residual
         assert abs(fast.total - plain.total) < 1e-12
 
+    def test_boundary_draw_converges_certified(self):
+        # criterion-1 draw 910005, capped at 400 sweeps before the active
+        # set (residual 4.8e-6): it converges, and its residual certifies
+        # the held marginals by Blahut's test
+        mdp, opts = criterion_1_draw(910, 5)
+        rep = td.solve(mdp, opts)
+        assert rep.converged and rep.residual < opts.tol_residual
+        term, count = boundary_term(mdp, rep.policy, opts.beta)
+        assert count > 0 and term <= opts.tol_residual
+
+    def test_held_marginal_of_an_interior_optimum_is_released(self, monkeypatch):
+        # the classical binary case, started with action 0 held at 1e-200;
+        # its optimum uses both actions, so its multiplier exceeds 1: the
+        # start's residual says so, the first check releases the action,
+        # and the solve converges to Blahut's optimum
+        mdp = binary_hamming()
+        opts = td.SolveOptions(beta=1.0, max_iters=400)
+        q = np.array([[[1e-200, 1.0]], [[1e-200, 1.0]]])
+        assert residual_from_policy(mdp, td.MemoryPolicy(0, (q,)), 1.0) > 0.5
+        moves = active_set_moves(monkeypatch)
+        (rep,) = solver._solve_batch(mdp, opts, q.reshape(1, -1).copy())
+        sweep, values, trial, changed = moves[0]
+        assert sweep == solver.ACTIVE_EVERY and changed[0].tolist() == [True, False]
+        assert trial[0, 0] > 1e-4 and rep.objective_trace[sweep] == values[0]
+        sol = td.classical_blahut(np.array([0.5, 0.5]), mdp.stage_costs[0], 1.0)
+        assert rep.converged and abs(rep.total - sol.value) < 1e-9
+        assert np.abs(rep.policy.tables[0][:, 0, :] - sol.policy).max() < 1e-8
+
+    @pytest.mark.parametrize("i", [5, 13, 49])
+    def test_trace_does_not_rise_on_a_judged_move(self, monkeypatch, i):
+        # criterion-1 draws whose checks move marginals: on each such sweep
+        # the trace takes the trial's free energy, never above the last
+        # value, or the plain sweep's, as if no move had been tried
+        moves = active_set_moves(monkeypatch)
+        mdp, opts = criterion_1_draw(910, i)
+        trace = td.solve(mdp, opts).objective_trace
+        kept = [k for k, (v,), _, _ in moves if k < len(trace) and trace[k] == v]
+        assert kept
+        for k in (k for k, _, _, _ in moves if k < len(trace)):
+            assert trace[k] <= trace[k - 1] + (0.0 if k in kept else 1e-12)
+
+    def test_information_is_never_negative(self):
+        # beta 100, far above the costs: each (t, x, h) KL term is at
+        # roundoff, and their sum read -1.6e-16 before each was taken at
+        # max(0, .)
+        rng = np.random.default_rng(6)
+        mdp = oracle.random_mdp(rng, int(rng.integers(1, 8)), 4, 4)
+        opts = td.SolveOptions(beta=100.0, degree=int(rng.integers(0, 3)),
+                               init="perturbed", seed=6, max_iters=400)
+        rep = td.solve(mdp, opts)
+        assert rep.information_nats >= 0.0
+        assert (td.per_step_information(mdp, rep.policy) >= 0.0).all()
+
     def test_fixed_point_consistency_one_extra_sweep(self):
         rng = np.random.default_rng(19)
         mdp = oracle.random_mdp(rng, 5)
@@ -478,6 +557,23 @@ class TestStationarityResidual:
         toy = td.build_nonconvex_toy()
         rep = td.solve(toy, td.SolveOptions(beta=1.0, degree=0, init="perturbed", seed=4))
         assert rep.converged and rep.residual < 1e-8
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_without_held_marginals_it_is_the_policy_gap(self, degree):
+        # no marginal at or below 1e-150: the residual is the sup-norm policy
+        # gap over massed (t, x, h), bit for bit, for a policy and a stack
+        rng = np.random.default_rng(degree)
+        mdp = oracle.random_mdp(rng, 4, 4, 3)
+        pols = [oracle.random_policy(rng, mdp, degree) for _ in range(3)]
+        for pol in [*pols, PolicyStack.of(degree, pols)]:
+            belief, nu = forward_pass(mdp, pol)
+            assert min(n.min() for n in nu) > 1e-150
+            fresh = backward_pass(mdp, nu, 0.7, degree)[2]
+            gaps = [np.where(mu[..., None] > 1e-12, np.abs(q - f), 0.0)
+                    for mu, q, f in zip(belief.mus, pol.tables, fresh.tables)]
+            want = np.max([g.reshape(*g.shape[:g.ndim - 3], -1).max(axis=-1) for g in gaps],
+                          axis=0)
+            assert np.array_equal(residual_from_policy(mdp, pol, 0.7), want)
 
 
 BETA_CERT = 0.8
@@ -967,6 +1063,48 @@ def backward_passes(monkeypatch):
     return passes
 
 
+class Moves(list):
+    """``active_set_moves``' records; ``sweeps`` counts forward passes since
+    the list was made or last cleared."""
+
+    sweeps = 0
+
+    def clear(self):
+        super().clear()
+        self.sweeps = 0
+
+
+def active_set_moves(monkeypatch):
+    """Record, from then on, each active-set check that moves a marginal as
+    [sweep, free energies of its trial backward pass, the check's trial
+    rows, its changed mask].  Returns the ``Moves`` list."""
+    moves = Moves()
+    real_check, real_forward = solver._Cycle.check, SweepPlan.forward_flat
+    real_backward = SweepPlan.backward_flat
+
+    def forward_flat(plan, q):
+        moves.sweeps += 1
+        return real_forward(plan, q)
+
+    def check(cycle, flow, q):
+        trial, changed = real_check(cycle, flow, q)
+        if changed.any():
+            moves.append([moves.sweeps, None, trial.copy(), changed.copy()])
+        return trial, changed
+
+    def backward_flat(plan, nu, beta):
+        log_phi, q = real_backward(plan, nu, beta)
+        if moves and moves[-1][1] is None:  # the trial pass follows its check
+            first = log_phi[:, None, :len(plan.initial)]
+            moves[-1][1] = (-beta * (first @ plan.initial[:, None])[:, 0, 0]).tolist()
+        return log_phi, q
+
+    monkeypatch.setattr(solver._Cycle, "check", check)
+    monkeypatch.setattr(SweepPlan, "forward_flat", forward_flat)
+    monkeypatch.setattr(SweepPlan, "backward_flat", backward_flat)
+    return moves
+
+
 def assert_same_report(a, b):
     """Every SolveReport field but the wall time, bit for bit."""
     assert [q.tobytes() for q in a.policy.tables] == [
@@ -1104,6 +1242,28 @@ class TestMultiStart:
         for rep, q0 in zip(full, starts, strict=True):
             (alone,) = solver._solve_batch(mdp, opts, reachable_rows(mdp, [q0]))
             assert_same_report(rep, alone)
+
+    def test_members_that_hold_on_different_sweeps_equal_their_solo_solves(
+        self, monkeypatch
+    ):
+        # solo, some starts keep their first active-set move on sweep 10 and
+        # others on sweep 20, as the batch's members do on its shared
+        # sweeps; each report is still its start's solo solve bit for bit
+        mdp = oracle.random_mdp(np.random.default_rng(43), 4, 4, 3)
+        opts = td.SolveOptions(beta=0.8, degree=1, max_iters=300)
+        full = td.multi_start(mdp, opts, starts=3, seed=5, plan_starts=2)
+        seeds = np.random.default_rng(5).integers(0, 2**63 - 1, size=3)
+        starts = [td.MemoryPolicy.uniform(mdp, 1)] + plan_start_policies(mdp, 1, 2)
+        starts += [td.MemoryPolicy.perturbed(mdp, 1, int(s)) for s in seeds]
+        moves = active_set_moves(monkeypatch)
+        first = set()
+        for rep, q0 in zip(full, starts, strict=True):
+            moves.clear()
+            (alone,) = solver._solve_batch(mdp, opts, reachable_rows(mdp, [q0]))
+            assert_same_report(rep, alone)
+            trace = alone.objective_trace
+            first.add(min(k for k, (v,), _, _ in moves if trace[k] == v))
+        assert first == {10, 20}
 
     @pytest.mark.parametrize("degree", [0, 2])
     def test_swept_members_are_certified_in_one_call(self, monkeypatch, degree):

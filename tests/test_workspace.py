@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import termdp as td
 from termdp import oracle, solver
-from termdp.model import FiniteMdp, Space, SweepPlan
+from termdp.model import FiniteMdp, Flow, Space, SweepPlan
 from termdp.solver import PolicyStack, residual_from_policy
 
 import reference
@@ -203,28 +203,32 @@ def _bits(a):
 @given(case=CASES, data=st.data())
 def test_cycle_equals_the_reference(case, data):
     # three marginals rows per member, some entries at or below the 1e-300
-    # floor, each member with its own bound (0: it tries no point): the
-    # workspace cycle's steps, points, marginals, next bounds and next x0
-    # are the reference's bit for bit
+    # floor or the 1e-150 held level, some histories without mass, each
+    # member with its own bound (0: it tries no point): the workspace
+    # cycle's steps, points, marginals, next bounds and next x0 are the
+    # reference's bit for bit, on the active set's iterates
     mdp, pols = _draw(case)
     k, plan = case["k"], mdp.sweep_plan(case["degree"])
     lay = plan.layout
     rng = np.random.default_rng(case["seed"])
-    rows = []
+    flows = []
     for _ in range(3):
         pols = [oracle.random_policy(rng, mdp, case["degree"]) for _ in range(k)]
-        x = plan.forward_flat(_rows(plan, pols)).nu
+        mu, x = plan.forward_flat(_rows(plan, pols))
         tiny = rng.random(x.shape) < 0.2
-        x[tiny] = rng.choice([0.0, 5e-324, 1e-300, 1e-299], size=x.shape)[tiny]
-        rows.append(x)
+        x[tiny] = rng.choice([0.0, 5e-324, 1e-300, 1e-299, 1e-160], size=x.shape)[tiny]
+        mu[rng.random(mu.shape) < 0.3] = 0.0
+        flows.append(Flow(mu, x))
+    rows = [flow.nu for flow in flows]
     bound = data.draw(st.lists(st.sampled_from([0.0, 1.0, 4.0, 16.0, 1e6]),
                                min_size=k, max_size=k))
     kept = [kp and b > 0.0 for kp, b in zip(
         data.draw(st.lists(st.booleans(), min_size=k, max_size=k)), bound)]
     cycle = solver._Cycle(plan, k)
-    assert cycle.add(rows[0], bound) is None and cycle.add(rows[1], bound) is None
-    marginals, alpha = cycle.add(rows[2], bound)
+    assert cycle.add(flows[0], bound) is None and cycle.add(flows[1], bound) is None
+    marginals, alpha = cycle.add(flows[2], bound)
     logs = [np.log(np.maximum(x, solver.MARGINAL_FLOOR)) for x in rows]
+    logs = reference.active_logs(lay, logs, flows[2].mu)
     points, want_alpha = reference.squarem(*logs, np.asarray(bound))
     points = reference.log_normalize_marginals(lay, points)
     want = np.where((np.asarray(bound) > 0.0)[:, None], np.exp(points), rows[2])
